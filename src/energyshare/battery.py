@@ -71,8 +71,12 @@ class BatteryState:
 
     @property
     def level_pct(self) -> float:
-        """Charge level in percent, always consistent with charge/capacity."""
-        return 100.0 * self.charge_mah / self.capacity_mah
+        """Charge level in percent, always consistent with charge/capacity.
+
+        Capped at 100: at full charge the division can round one ulp above it.
+        """
+        level = 100.0 * self.charge_mah / self.capacity_mah
+        return level if level <= 100.0 else 100.0
 
 
 def battery_at_level(capacity_mah: float, level_pct: float) -> BatteryState:

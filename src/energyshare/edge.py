@@ -33,6 +33,7 @@ from .monitor import (
     trace_csv_text,
 )
 from .protocol import EnergyRequest, Reason, RequestKind
+from .transport import close_listener, parse_addr
 from .util import check_id, fmt_float, rel_close
 
 METRIC_TOLERANCE = 1e-9
@@ -268,7 +269,7 @@ class EdgeStore:
         self._lock = threading.Lock()
 
     def _session_dir(self, session_id: str) -> Path:
-        return self.data_dir / session_id
+        return self.data_dir / check_id(session_id, "session_id")
 
     def _index_path(self) -> Path:
         return self.data_dir / self.INDEX_FILENAME
@@ -395,7 +396,6 @@ class EdgeServer:
         self.store = store
         self._server = socket.create_server((host, port))
         self.address = f"{host}:{self._server.getsockname()[1]}"
-        self._stop = threading.Event()
         self._thread = threading.Thread(target=self._accept_loop, name="edge-accept", daemon=True)
 
     def start(self) -> "EdgeServer":
@@ -403,17 +403,13 @@ class EdgeServer:
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._server.close()
-        except OSError:
-            pass
+        close_listener(self._server)
 
     def serve_forever(self) -> None:
         self._accept_loop()
 
     def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:  # ends when stop() closes the listener
             try:
                 conn, _ = self._server.accept()
             except OSError:
@@ -470,8 +466,7 @@ class EdgeClient:
     """Client for the edge TCP protocol (upload / list / get)."""
 
     def __init__(self, address: str, timeout_s: float = 30.0):
-        host, _, port = address.rpartition(":")
-        self._addr = (host, int(port))
+        self._addr = parse_addr(address)
         self._timeout_s = timeout_s
 
     def _connect(self):

@@ -52,17 +52,6 @@ class EmptyTrace(EnergyShareError):
 
 
 @dataclass(frozen=True)
-class MonitorConfig:
-    """Recording interval between synchronized battery samples."""
-
-    interval_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {self.interval_s!r}")
-
-
-@dataclass(frozen=True)
 class MonitorRecord:
     """One timestamped battery sample of one device in one session."""
 
@@ -152,27 +141,15 @@ def align_traces(
 def compute_metrics(
     pairs: Sequence[tuple[MonitorRecord, MonitorRecord]],
     *,
-    capacities: dict[str, float] | None = None,
     terminal_reason: Reason | None = None,
 ) -> SessionMetrics:
-    """Metrics over an aligned series: endpoint deltas of both batteries.
-
-    Records normally carry charge in mAh directly; pass ``capacities``
-    (keyed by role) to derive charge from the percent column instead, for
-    sources that only log levels.
-    """
+    """Metrics over an aligned series: endpoint deltas of both batteries."""
     if not pairs:
         raise EmptyTrace("metrics need at least one record pair")
-
-    def charge(record: MonitorRecord) -> float:
-        if capacities is not None:
-            return record.battery_level_pct / 100.0 * capacities[record.role]
-        return record.battery_charge_mah
-
     first_provider, first_consumer = pairs[0]
     last_provider, last_consumer = pairs[-1]
-    provider_loss = charge(first_provider) - charge(last_provider)
-    consumer_gain = charge(last_consumer) - charge(first_consumer)
+    provider_loss = first_provider.battery_charge_mah - last_provider.battery_charge_mah
+    consumer_gain = last_consumer.battery_charge_mah - first_consumer.battery_charge_mah
     return SessionMetrics(
         provider_loss_mah=provider_loss,
         consumer_gain_mah=consumer_gain,

@@ -1,11 +1,12 @@
 """End-to-end scenario execution.
 
-Virtual mode runs every device as a scripted agent inside one
-single-threaded event loop over the simulated transport: fully
-deterministic for a given scenario and seed. Wall mode runs one thread
-per device over loopback TCP with real sleeping between ticks (optionally
-compressed by a pace factor, which changes how long the run takes in real
-time and nothing else).
+Every device runs as a scripted agent inside one single-threaded event
+loop (:func:`_drive`). Virtual mode drives it over the simulated transport
+and a virtual clock: fully deterministic for a given scenario and seed.
+Wall mode drives the same loop over loopback TCP and the monotonic clock,
+waiting in real time between events (optionally compressed by a pace
+factor, which changes how long the run takes in real time and nothing
+else).
 
 The charging physics for a session runs provider-side (the energy source
 owns the engine); the consumer's device state is kept in step through the
@@ -14,8 +15,7 @@ per-tick synchronization messages.
 
 from __future__ import annotations
 
-import threading
-import time
+import heapq
 from dataclasses import dataclass, field
 
 from .battery import (
@@ -35,7 +35,7 @@ from .matching import (
     provider_accepts,
     rank_providers,
 )
-from .monitor import MonitorRecord, compute_metrics, record_tick
+from .monitor import ROLE_CONSUMER, MonitorRecord, compute_metrics, record_tick
 from .protocol import (
     Abort,
     Accept,
@@ -58,7 +58,7 @@ from .protocol import (
     transition,
 )
 from .scenario import DeviceSpec, Scenario
-from .transport import RegistryServer, SimTransport, TcpTransport, VirtualClock
+from .transport import RegistryServer, SimTransport, TcpTransport, VirtualClock, WallClock
 
 # An amount-based session that can no longer make progress (consumer full
 # or fully tapered) is cancelled rather than left spinning.
@@ -71,7 +71,6 @@ OUTCOME_NO_PROVIDER = "NoProviderAvailable"
 
 @dataclass
 class EngineStep:
-    pair: tuple[MonitorRecord, MonitorRecord] | None
     sync: MonitorSync | None
     terminal: Reason | None
     aborted: bool
@@ -158,7 +157,7 @@ class ChargingEngine:
             )
         except ProviderDepleted:
             self.session = abort_session(self.session, Reason.PROVIDER_DEPLETED)
-            return EngineStep(pair=None, sync=None, terminal=Reason.PROVIDER_DEPLETED, aborted=True)
+            return EngineStep(sync=None, terminal=Reason.PROVIDER_DEPLETED, aborted=True)
 
         self.ledger.add(tick)
         self.tick_index = k
@@ -167,8 +166,7 @@ class ChargingEngine:
             delivered_mah=self.ledger.total_in_mah,
             elapsed_s=k * self.interval_s,
         )
-        pair = self._record(k, wall_time_s)
-        self.pairs.append(pair)
+        self.pairs.append(self._record(k, wall_time_s))
         sync = self.sync_for(k, wall_time_s)
 
         reason = is_complete(self.session)
@@ -187,7 +185,7 @@ class ChargingEngine:
                 self.session = transition(
                     self.session, Complete(self.session.session_id, reason)
                 )
-        return EngineStep(pair=pair, sync=sync, terminal=reason, aborted=aborted)
+        return EngineStep(sync=sync, terminal=reason, aborted=aborted)
 
 
 @dataclass
@@ -202,26 +200,19 @@ class RunResult:
     sync_receipts: list[tuple[int, float, float]] = field(default_factory=list)
     upload_receipt: UploadReceipt | None = None
 
-    @property
-    def succeeded(self) -> bool:
-        return self.dataset is not None
-
 
 class _ProviderAgent:
-    def __init__(self, spec: DeviceSpec, scenario: Scenario, transport, now_fn, tick_spacing_s: float):
+    def __init__(self, spec: DeviceSpec, scenario: Scenario, transport, clock, tick_spacing_s: float):
         self.spec = spec
         self.scenario = scenario
         self.transport = transport
-        self.now_fn = now_fn
+        self.clock = clock
         self.tick_spacing_s = tick_spacing_s
         self.device_id = spec.device_id
         self.battery = battery_at_level(spec.capacity_mah, spec.start_level_pct)
         self.drain = DrainParams(spec.baseline_ma)
         self.sessions = ProviderSessions()
         self.engine: ChargingEngine | None = None
-        self.consumer_id: str | None = None
-        self.consumer_capacity_mah = 0.0
-        self.consumer_baseline_ma = 0.0
         self.next_tick_at: float | None = None
         self.dataset: SessionDataset | None = None
         self.endpoint = None
@@ -249,10 +240,11 @@ class _ProviderAgent:
 
     def _on_request(self, msg: Request) -> None:
         consumer_id = msg.request.consumer_id
-        if self.engine is not None or self.sessions.busy:
-            self._send(consumer_id, Reject(msg.request.request_id))
-            return
-        if not provider_accepts(self.battery.level_pct, self.spec.accept_threshold_pct):
+        if (
+            self.engine is not None
+            or self.sessions.busy
+            or not provider_accepts(self.battery.level_pct, self.spec.accept_threshold_pct)
+        ):
             self._send(consumer_id, Reject(msg.request.request_id))
             return
 
@@ -265,10 +257,7 @@ class _ProviderAgent:
         session = transition(session, start)
         self.sessions.begin_charging(session_id)
 
-        self.consumer_id = consumer_id
-        self.consumer_capacity_mah = msg.consumer_capacity_mah
-        self.consumer_baseline_ma = msg.consumer_baseline_ma
-        now = self.now_fn()
+        now = self.clock.now_s
         self.engine = ChargingEngine(
             session=session,
             tech_params=self.scenario.tech_params,
@@ -292,33 +281,30 @@ class _ProviderAgent:
         self.engine.session = transition(self.engine.session, msg)
         self._finalize()
 
-    def on_time(self) -> bool:
-        acted = False
+    def on_time(self) -> None:
         while (
             self.engine is not None
             and self.next_tick_at is not None
-            and self.now_fn() >= self.next_tick_at
+            and self.clock.now_s >= self.next_tick_at
         ):
-            acted = True
             self._run_tick()
-        return acted
 
     def _run_tick(self) -> None:
         engine = self.engine
         step = engine.step()
         self.battery = engine.provider_battery
         if step.sync is not None:
-            self._send(self.consumer_id, step.sync)
+            self._send(engine.consumer_id, step.sync)
         if step.terminal is None and engine.tick_index >= self.scenario.max_ticks:
             engine.session = abort_session(engine.session, Reason.CONSUMER_CANCELLED)
-            step = EngineStep(None, None, Reason.CONSUMER_CANCELLED, aborted=True)
+            step = EngineStep(None, Reason.CONSUMER_CANCELLED, aborted=True)
         if step.terminal is not None:
             terminal_msg = (
                 Abort(engine.session.session_id, step.terminal)
                 if step.aborted
                 else Complete(engine.session.session_id, step.terminal)
             )
-            self._send(self.consumer_id, terminal_msg)
+            self._send(engine.consumer_id, terminal_msg)
             self._finalize()
         else:
             self.next_tick_at += self.tick_spacing_s
@@ -336,9 +322,9 @@ class _ProviderAgent:
             technology=self.scenario.technology,
             tech_params=self.scenario.tech_params,
             provider_drain=self.drain,
-            consumer_drain=DrainParams(self.consumer_baseline_ma),
+            consumer_drain=engine.consumer_drain,
             provider_capacity_mah=self.spec.capacity_mah,
-            consumer_capacity_mah=self.consumer_capacity_mah,
+            consumer_capacity_mah=engine.consumer_battery.capacity_mah,
             interval_s=self.scenario.interval_s,
             records=tuple(engine.pairs),
             metrics=metrics,
@@ -351,10 +337,6 @@ class _ProviderAgent:
     def next_wakeup(self) -> float | None:
         return self.next_tick_at
 
-    @property
-    def idle(self) -> bool:
-        return self.engine is None
-
 
 class _ConsumerAgent:
     def __init__(
@@ -362,21 +344,17 @@ class _ConsumerAgent:
         spec: DeviceSpec,
         scenario: Scenario,
         transport,
-        now_fn,
+        clock,
         *,
         sync_timeout_s: float,
-        discover_deadline_s: float = 0.0,
-        receipt_now_fn=None,
     ):
         self.spec = spec
         self.scenario = scenario
         self.transport = transport
-        self.now_fn = now_fn
+        self.clock = clock
         self.device_id = spec.device_id
         self.battery = battery_at_level(spec.capacity_mah, spec.start_level_pct)
         self.sync_timeout_s = sync_timeout_s
-        self.discover_deadline_s = discover_deadline_s
-        self.receipt_now_fn = receipt_now_fn or now_fn
 
         self.ranking: list[str] = []
         self.rejected: list[str] = []
@@ -401,11 +379,6 @@ class _ConsumerAgent:
     def start(self) -> None:
         self.endpoint = self.transport.register(self.device_id)
         adverts = self.transport.discover(self.endpoint)
-        if not adverts and self.discover_deadline_s > 0:
-            deadline = time.monotonic() + self.discover_deadline_s
-            while not adverts and time.monotonic() < deadline:
-                time.sleep(0.05)
-                adverts = self.transport.discover(self.endpoint)
         self.ranking = rank_providers(self.spec.position, adverts)
         self._submit_next()
 
@@ -440,7 +413,7 @@ class _ConsumerAgent:
         )
         self.view = transition(view, msg)
         self._send(provider_id, msg)
-        self.reply_deadline = self.now_fn() + self.scenario.request_timeout_s
+        self.reply_deadline = self.clock.now_s + self.scenario.request_timeout_s
 
     def _clear_deadlines(self) -> None:
         self.reply_deadline = None
@@ -450,23 +423,18 @@ class _ConsumerAgent:
     def on_message(self, msg) -> None:
         if self.done:
             return
-        if isinstance(msg, Accept):
+        if isinstance(msg, (Accept, Reject)):
             if self.request is None or msg.request_id != self.request.request_id:
                 return
             if self.view.state is not SessionPhase.REQUESTED:
                 return
             self.view = transition(self.view, msg)
-            self.reply_deadline = None
-            self.start_deadline = self.now_fn() + self.scenario.request_timeout_s
-        elif isinstance(msg, Reject):
-            if self.request is None or msg.request_id != self.request.request_id:
-                return
-            if self.view.state is not SessionPhase.REQUESTED:
-                return
-            self.view = transition(self.view, msg)
-            self.rejected.append(self.current_provider)
             self._clear_deadlines()
-            self._submit_next()
+            if isinstance(msg, Accept):
+                self.start_deadline = self.clock.now_s + self.scenario.request_timeout_s
+            else:
+                self.rejected.append(self.current_provider)
+                self._submit_next()
         elif isinstance(msg, StartTransfer):
             if self.view is None or msg.session_id != self.view.session_id:
                 return
@@ -474,7 +442,7 @@ class _ConsumerAgent:
                 return
             self.view = transition(self.view, msg)
             self.start_deadline = None
-            self.sync_deadline = self.now_fn() + self.sync_timeout_s
+            self.sync_deadline = self.clock.now_s + self.sync_timeout_s
         elif isinstance(msg, MonitorSync):
             self._on_sync(msg)
         elif isinstance(msg, Complete):
@@ -508,38 +476,33 @@ class _ConsumerAgent:
                 wall_time_s=msg.wall_time_s,
                 session_id=msg.session_id,
                 device_id=self.device_id,
-                role="consumer",
+                role=ROLE_CONSUMER,
                 battery_level_pct=self.battery.level_pct,
                 battery_charge_mah=self.battery.charge_mah,
                 cumulative_transferred_mah=msg.consumer_cumulative_in_mah,
             )
         )
-        self.sync_receipts.append((msg.tick_index, msg.wall_time_s, self.receipt_now_fn()))
+        self.sync_receipts.append((msg.tick_index, msg.wall_time_s, self.clock.now_s))
         if msg.tick_index > 0:
             self.view = record_progress(
                 self.view,
                 delivered_mah=msg.consumer_cumulative_in_mah,
                 elapsed_s=msg.tick_index * self.scenario.interval_s,
             )
-        self.sync_deadline = self.now_fn() + self.sync_timeout_s
+        self.sync_deadline = self.clock.now_s + self.sync_timeout_s
 
-    def on_time(self) -> bool:
+    def on_time(self) -> None:
+        """Fire at most one due deadline; the event loop calls again while one is due."""
         if self.done:
-            return False
-        now = self.now_fn()
+            return
+        now = self.clock.now_s
         if self.reply_deadline is not None and now >= self.reply_deadline:
             # no reply counts as a rejection: walk on to the next provider
             self.reply_deadline = None
             self.rejected.append(self.current_provider)
             self._submit_next()
-            return True
-        if self.start_deadline is not None and now >= self.start_deadline:
+        elif any(d is not None and now >= d for d in (self.start_deadline, self.sync_deadline)):
             self._abort_lost()
-            return True
-        if self.sync_deadline is not None and now >= self.sync_deadline:
-            self._abort_lost()
-            return True
-        return False
 
     def _abort_lost(self) -> None:
         self.view = abort_session(self.view, Reason.TRANSPORT_LOST)
@@ -552,150 +515,138 @@ class _ConsumerAgent:
         self._clear_deadlines()
 
     def next_wakeup(self) -> float | None:
-        deadlines = [
-            d for d in (self.reply_deadline, self.start_deadline, self.sync_deadline)
-            if d is not None
-        ]
-        return min(deadlines) if deadlines else None
+        deadlines = (self.reply_deadline, self.start_deadline, self.sync_deadline)
+        return min((d for d in deadlines if d is not None), default=None)
 
 
-# --- virtual-mode loop -----------------------------------------------------------
+# --- the event loop (both clock modes) -------------------------------------------
+
+
+def _drive(agents: list, transport, clock, stop_at: float) -> None:
+    """Serve the agents' messages and timers until nothing is pending.
+
+    Ordering rule (virtual traces depend on it): at each instant, serve
+    every device with a due message or timer in device order (providers in
+    scenario order, then the consumer), a device's messages before its
+    timer; a device that becomes due behind the current one waits for the
+    next pass over the instant. Repeat until nothing more is due, and only
+    then advance time. Plain (time, seq) heap order is not equivalent:
+    SimTransport draws its drop decisions in send order.
+
+    Returns once nothing is pending or the next event lies past
+    ``stop_at``, checked after each instant and before waiting.
+    """
+    index = {agent.device_id: i for i, agent in enumerate(agents)}
+    timers: list[tuple[float, int]] = []  # (wake-up, agent index)
+    # each agent's current wake-up as last pushed; a heap entry that differs is stale
+    current: list[float | None] = [None] * len(agents)
+
+    def schedule(i: int) -> None:
+        wake_at = agents[i].next_wakeup()
+        if wake_at != current[i]:
+            current[i] = wake_at
+            if wake_at is not None:
+                heapq.heappush(timers, (wake_at, i))
+
+    def due_now() -> set[int]:
+        due = {index[device_id] for device_id in transport.due_devices()}
+        now = clock.now_s
+        while timers and timers[0][0] <= now:
+            wake_at, i = heapq.heappop(timers)
+            if current[i] == wake_at:
+                current[i] = None  # consumed: serving the agent pushes its next one
+                due.add(i)
+        return due
+
+    for i in range(len(agents)):
+        schedule(i)
+    while True:
+        due, last = due_now(), -1
+        while due:
+            i = min(due)
+            if i <= last:  # finish the current pass first; else start a new one
+                i = min((j for j in due if j > last), default=i)
+            due.discard(i)
+            agent = agents[i]
+            for msg in transport.receive(agent.endpoint):
+                agent.on_message(msg)
+            agent.on_time()
+            schedule(i)
+            due |= due_now()
+            last = i
+        while timers and current[timers[0][1]] != timers[0][0]:
+            heapq.heappop(timers)
+        t_next = transport.next_delivery_time()
+        if timers and (t_next is None or timers[0][0] < t_next):
+            t_next = timers[0][0]
+        if t_next is None or t_next > stop_at:
+            return
+        clock.wait_until(t_next)
+
+
+def _run_agents(
+    scenario: Scenario, transport, clock, stop_at: float, *, tick_spacing_s: float,
+    sync_timeout_s: float,
+) -> RunResult:
+    providers = [
+        _ProviderAgent(spec, scenario, transport, clock, tick_spacing_s)
+        for spec in scenario.providers()
+    ]
+    consumer = _ConsumerAgent(
+        scenario.requesting_consumer(), scenario, transport, clock, sync_timeout_s=sync_timeout_s
+    )
+    # providers advertise before the consumer discovers
+    for agent in providers:
+        agent.start()
+    consumer.start()
+    _drive(providers + [consumer], transport, clock, stop_at)
+    return _collect_result(scenario, providers, consumer)
+
+
+def _charging_bound_s(scenario: Scenario) -> float:
+    """Longest a session can charge, in scenario seconds."""
+    bound = scenario.max_ticks * scenario.interval_s
+    if scenario.request_kind is RequestKind.DURATION:
+        bound = min(bound, scenario.request_value)
+    return bound
 
 
 def _run_virtual(scenario: Scenario, pace: float | None) -> RunResult:
-    clock = VirtualClock()
+    clock = VirtualClock(pace=pace)
     transport = SimTransport(
         clock,
         latency_s=scenario.latency_s,
         drop_probability=scenario.drop_probability,
         seed=scenario.seed,
     )
-    providers = [
-        _ProviderAgent(spec, scenario, transport, lambda: clock.now_s, scenario.interval_s)
-        for spec in scenario.providers()
-    ]
-    consumer_spec = scenario.requesting_consumer()
-    consumer = _ConsumerAgent(
-        consumer_spec,
+    slack_s = scenario.request_timeout_s * (len(scenario.providers()) + 2)
+    return _run_agents(
         scenario,
         transport,
-        lambda: clock.now_s,
+        clock,
+        _charging_bound_s(scenario) + slack_s + 120.0,
+        tick_spacing_s=scenario.interval_s,
         sync_timeout_s=3.0 * scenario.interval_s + 2.0 * scenario.latency_s,
     )
-    agents = providers + [consumer]
-    for agent in providers:
-        agent.start()
-    consumer.start()
-
-    guard_time = (
-        scenario.max_ticks * scenario.interval_s
-        + scenario.request_timeout_s * (len(providers) + 2)
-        + 120.0
-    )
-    if scenario.request_kind is RequestKind.DURATION:
-        guard_time = min(
-            guard_time,
-            scenario.request_value
-            + scenario.request_timeout_s * (len(providers) + 2)
-            + 120.0,
-        )
-
-    while True:
-        progressed = True
-        while progressed:
-            progressed = False
-            for agent in agents:
-                for msg in transport.receive(agent.endpoint):
-                    agent.on_message(msg)
-                    progressed = True
-                if agent.on_time():
-                    progressed = True
-        wakeups = [transport.next_delivery_time()]
-        wakeups.extend(agent.next_wakeup() for agent in agents)
-        pending = [t for t in wakeups if t is not None]
-        if not pending:
-            break
-        t_next = min(pending)
-        if t_next > guard_time:
-            break
-        if t_next > clock.now_s:
-            dt = t_next - clock.now_s
-            clock.advance(dt)
-            if pace:
-                time.sleep(dt / pace)
-
-    return _collect_result(scenario, providers, consumer)
-
-
-# --- wall-mode (TCP loopback, one thread per device) --------------------------------
 
 
 def _run_wall(scenario: Scenario, pace: float | None) -> RunResult:
     pace = pace or 1.0
     registry = RegistryServer().start()
-    stop = threading.Event()
-    transports: list[TcpTransport] = []
-    threads: list[threading.Thread] = []
-    now_fn = time.time
-
-    def provider_loop(agent: _ProviderAgent) -> None:
-        agent.start()
-        poll = min(0.02, agent.tick_spacing_s / 2 if agent.tick_spacing_s > 0 else 0.02)
-        while not stop.is_set():
-            for msg in agent.transport.receive(agent.endpoint, timeout=poll):
-                agent.on_message(msg)
-            agent.on_time()
-
-    def consumer_loop(agent: _ConsumerAgent) -> None:
-        agent.start()
-        while not stop.is_set() and not agent.done:
-            for msg in agent.transport.receive(agent.endpoint, timeout=0.02):
-                agent.on_message(msg)
-            agent.on_time()
-
-    providers = []
-    for spec in scenario.providers():
-        transport = TcpTransport(registry.address)
-        transports.append(transport)
-        agent = _ProviderAgent(
-            spec, scenario, transport, now_fn, tick_spacing_s=scenario.interval_s / pace
+    transport = TcpTransport(registry.address)
+    clock = WallClock(transport.arrived)
+    try:
+        return _run_agents(
+            scenario,
+            transport,
+            clock,
+            clock.now_s + _charging_bound_s(scenario) / pace + 60.0,
+            tick_spacing_s=scenario.interval_s / pace,
+            sync_timeout_s=max(3.0 * scenario.interval_s / pace, 1.0),
         )
-        providers.append(agent)
-        thread = threading.Thread(target=provider_loop, args=(agent,), daemon=True)
-        threads.append(thread)
-        thread.start()
-
-    consumer_transport = TcpTransport(registry.address)
-    transports.append(consumer_transport)
-    consumer = _ConsumerAgent(
-        scenario.requesting_consumer(),
-        scenario,
-        consumer_transport,
-        now_fn,
-        sync_timeout_s=max(3.0 * scenario.interval_s / pace, 1.0),
-        discover_deadline_s=5.0,
-        receipt_now_fn=time.time,
-    )
-    consumer_thread = threading.Thread(target=consumer_loop, args=(consumer,), daemon=True)
-    threads.append(consumer_thread)
-    consumer_thread.start()
-
-    if scenario.request_kind is RequestKind.DURATION:
-        logical_bound = scenario.request_value
-    else:
-        logical_bound = scenario.max_ticks * scenario.interval_s
-    deadline = time.monotonic() + logical_bound / pace + 60.0
-    consumer_thread.join(timeout=max(deadline - time.monotonic(), 1.0))
-    while time.monotonic() < deadline and any(not p.idle for p in providers):
-        time.sleep(0.02)
-    stop.set()
-    for thread in threads:
-        thread.join(timeout=5.0)
-    for transport in transports:
+    finally:
         transport.close()
-    registry.stop()
-
-    return _collect_result(scenario, providers, consumer)
+        registry.stop()
 
 
 def _collect_result(

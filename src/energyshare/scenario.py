@@ -26,12 +26,10 @@ from .battery import (
 )
 from .errors import EnergyShareError
 from .matching import DEFAULT_ACCEPT_THRESHOLD_PCT
+from .monitor import ROLE_CONSUMER, ROLE_PROVIDER
 from .protocol import RequestKind
 from .transport import DEFAULT_LATENCY_S
 from .util import check_id
-
-ROLE_PROVIDER = "provider"
-ROLE_CONSUMER = "consumer"
 
 DEFAULT_START_LEVEL_PCT = {ROLE_PROVIDER: 100.0, ROLE_CONSUMER: 40.0}
 DEFAULT_CAPACITY_MAH = {

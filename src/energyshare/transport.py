@@ -1,4 +1,4 @@
-"""Message delivery and peer discovery between device processes.
+"""Message delivery, peer discovery and the clocks that pace a run.
 
 Two interchangeable transports stand in for the short-range radio link:
 
@@ -6,22 +6,25 @@ Two interchangeable transports stand in for the short-range radio link:
   :class:`VirtualClock`: a message sent at t is receivable at t + latency,
   in timestamp order with ties broken by send order.
 * :class:`TcpTransport`: loopback TCP with one line-encoded message per
-  send and a small registry server for discovery, so device processes
-  stay genuinely separate.
+  send and a small registry server for discovery. One transport serves
+  every device of a run; each device still has its own listening socket
+  and registry entry.
 
 Both satisfy the same contract: FIFO per sender/receiver pair, no
-duplication, no loss unless a drop probability is configured.
+duplication, no loss unless a drop probability is configured. Both tell
+the runner's event loop which devices have a message due, and the
+matching clock's ``wait_until`` moves time on to the next event.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import queue
 import random
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from .battery import Technology
@@ -41,10 +44,6 @@ class PeerUnreachable(EnergyShareError):
     """The destination device is unknown or has deregistered."""
 
 
-class WallClockNotSteppable(EnergyShareError):
-    """advance() was called on the wall clock."""
-
-
 @dataclass(frozen=True)
 class Endpoint:
     device_id: str
@@ -52,12 +51,16 @@ class Endpoint:
 
 
 class VirtualClock:
-    """Explicitly stepped simulation time; never advances on its own."""
+    """Explicitly stepped simulation time; never advances on its own.
 
-    mode = "virtual"
+    With a ``pace`` (simulated seconds per real second), :meth:`wait_until`
+    also sleeps the real time each step stands for; that changes how long
+    a run takes and nothing else.
+    """
 
-    def __init__(self, start_s: float = 0.0):
+    def __init__(self, start_s: float = 0.0, pace: float | None = None):
         self._now_s = start_s
+        self._pace = pace
 
     @property
     def now_s(self) -> float:
@@ -69,18 +72,47 @@ class VirtualClock:
         self._now_s += dt_s
         return self._now_s
 
+    def wait_until(self, t_s: float) -> None:
+        """Jump to ``t_s`` if it lies ahead."""
+        if t_s > self._now_s:
+            dt_s = t_s - self._now_s
+            self.advance(dt_s)
+            if self._pace:
+                time.sleep(dt_s / self._pace)
+
 
 class WallClock:
-    """Real time; read-only."""
+    """Real time on the monotonic clock, offset once to read as epoch seconds.
 
-    mode = "wall"
+    Stepping the system clock mid-run moves nothing. :meth:`wait_until`
+    returns early when ``wake`` is set (a transport saw a message arrive).
+    """
+
+    def __init__(self, wake: threading.Event):
+        self._offset_s = time.time() - time.monotonic()
+        self._wake = wake
 
     @property
     def now_s(self) -> float:
-        return time.time()
+        return self._offset_s + time.monotonic()
 
-    def advance(self, dt_s: float) -> float:
-        raise WallClockNotSteppable("wall clock cannot be stepped explicitly")
+    def wait_until(self, t_s: float) -> None:
+        """Block until ``t_s`` or until a wake-up, whichever comes first."""
+        timeout_s = t_s - self.now_s
+        if timeout_s > 0:
+            self._wake.wait(timeout_s)
+
+
+def close_listener(server: socket.socket) -> None:
+    """Close a listening socket and wake any thread blocked in its accept().
+
+    On Linux close() alone leaves accept() blocked; shutdown() wakes it.
+    """
+    try:
+        server.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    server.close()
 
 
 # --- advert wire encoding (shared by the registry protocol) ------------------
@@ -137,6 +169,8 @@ class SimTransport:
         self._endpoints: dict[str, Endpoint] = {}
         self._adverts: dict[str, tuple[ProviderAdvert, str]] = {}
         self._inboxes: dict[str, list[tuple[float, int, str]]] = {}
+        # one (deliver_at, seq, device_id) entry per queued message, across inboxes
+        self._wake: list[tuple[float, int, str]] = []
         self._seq = itertools.count()
 
     def register(self, device_id: str) -> Endpoint:
@@ -183,7 +217,9 @@ class SimTransport:
         if self.drop_probability > 0.0 and self._rng.random() < self.drop_probability:
             return
         deliver_at = self.clock.now_s + self.latency_s
-        heapq.heappush(self._inboxes[to], (deliver_at, next(self._seq), line))
+        seq = next(self._seq)
+        heapq.heappush(self._inboxes[to], (deliver_at, seq, line))
+        heapq.heappush(self._wake, (deliver_at, seq, to))
 
     def receive(self, endpoint: Endpoint) -> list[ProtocolMessage]:
         """Drain all messages due at the current virtual time, in order."""
@@ -195,10 +231,25 @@ class SimTransport:
             due.append(decode_message(line))
         return due
 
+    def due_devices(self) -> set[str]:
+        """Devices with a message deliverable at the current virtual time."""
+        due = set()
+        while self._wake and self._wake[0][0] <= self.clock.now_s:
+            due.add(heapq.heappop(self._wake)[2])
+        return due
+
     def next_delivery_time(self) -> float | None:
         """Earliest pending delivery time across all inboxes, if any."""
-        pending = [inbox[0][0] for inbox in self._inboxes.values() if inbox]
-        return min(pending) if pending else None
+        wake = self._wake
+        while wake:
+            deliver_at, seq, device_id = wake[0]
+            inbox = self._inboxes.get(device_id)
+            # inboxes drain in (deliver_at, seq) order: a head at or before
+            # this entry means its message is still queued
+            if inbox and inbox[0][:2] <= (deliver_at, seq):
+                return deliver_at
+            heapq.heappop(wake)
+        return None
 
 
 # --- TCP loopback transport ----------------------------------------------------
@@ -234,7 +285,6 @@ class RegistryServer:
         self._lock = threading.Lock()
         self._server = socket.create_server((host, port))
         self.address = f"{host}:{self._server.getsockname()[1]}"
-        self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._accept_loop, name="registry-accept", daemon=True
         )
@@ -244,14 +294,10 @@ class RegistryServer:
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._server.close()
-        except OSError:
-            pass
+        close_listener(self._server)
 
     def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:  # ends when stop() closes the listener
             try:
                 conn, _ = self._server.accept()
             except OSError:
@@ -363,20 +409,21 @@ class _RegistryClient:
 class TcpTransport:
     """Loopback-TCP transport: one listening socket and inbox per endpoint.
 
-    Senders keep a single connection per destination (FIFO per pair comes
-    from TCP ordering) and reconnect once on a broken pipe. Discovery and
-    address resolution go through the shared registry server.
+    Senders keep a single connection per sender/destination pair (FIFO per
+    pair comes from TCP ordering) and reconnect once on a broken pipe.
+    Discovery and address resolution go through the shared registry
+    server. Reader threads fill the inboxes and set :attr:`arrived`, which
+    a :class:`WallClock` waits on.
     """
 
     def __init__(self, registry_addr: str, host: str = "127.0.0.1"):
         self._registry = _RegistryClient(registry_addr)
         self._host = host
         self._servers: dict[str, socket.socket] = {}
-        self._inboxes: dict[str, "queue.Queue[ProtocolMessage]"] = {}
+        self._inboxes: dict[str, deque[ProtocolMessage]] = {}
         self._conns: dict[tuple[str, str], socket.socket] = {}
-        self._addr_cache: dict[str, str] = {}
         self._lock = threading.Lock()
-        self._closed = False
+        self.arrived = threading.Event()
 
     def register(self, device_id: str) -> Endpoint:
         check_id(device_id, "device_id")
@@ -394,7 +441,7 @@ class TcpTransport:
             server.close()
             raise PeerUnreachable(f"registry refused registration: {reply}")
         self._servers[device_id] = server
-        self._inboxes[device_id] = queue.Queue()
+        self._inboxes[device_id] = deque()
         threading.Thread(
             target=self._accept_loop,
             args=(device_id, server),
@@ -407,13 +454,12 @@ class TcpTransport:
         self._registry.command(f"DEREGISTER device_id={endpoint.device_id}")
         server = self._servers.pop(endpoint.device_id, None)
         if server is not None:
-            server.close()
+            close_listener(server)
         self._inboxes.pop(endpoint.device_id, None)
 
     def close(self) -> None:
-        self._closed = True
         for server in self._servers.values():
-            server.close()
+            close_listener(server)
         with self._lock:
             for conn in self._conns.values():
                 try:
@@ -424,7 +470,7 @@ class TcpTransport:
         self._servers.clear()
 
     def _accept_loop(self, device_id: str, server: socket.socket) -> None:
-        while not self._closed:
+        while True:  # ends when close() or deregister() closes the listener
             try:
                 conn, _ = server.accept()
             except OSError:
@@ -446,7 +492,8 @@ class TcpTransport:
                     inbox = self._inboxes.get(device_id)
                     if inbox is None:
                         return
-                    inbox.put(decode_message(line))
+                    inbox.append(decode_message(line))
+                    self.arrived.set()
         except OSError:
             return
 
@@ -467,9 +514,7 @@ class TcpTransport:
     def _connect(self, to: str) -> socket.socket:
         address = self._registry.resolve(to)
         if address is None:
-            self._addr_cache.pop(to, None)
             raise PeerUnreachable(f"peer {to!r} is not registered")
-        self._addr_cache[to] = address
         return socket.create_connection(parse_addr(address), timeout=10.0)
 
     def send(self, frm: Endpoint, to: str, msg: ProtocolMessage) -> None:
@@ -500,19 +545,21 @@ class TcpTransport:
             except OSError as exc:
                 raise PeerUnreachable(f"cannot deliver to {to!r}: {exc}") from exc
 
-    def receive(self, endpoint: Endpoint, timeout: float = 0.0) -> list[ProtocolMessage]:
-        """Drain the inbox; optionally block up to ``timeout`` for a first message."""
+    def receive(self, endpoint: Endpoint) -> list[ProtocolMessage]:
+        """Drain every message that has arrived for ``endpoint``, in order."""
         inbox = self._inboxes.get(endpoint.device_id)
         if inbox is None:
             raise PeerUnreachable(f"endpoint {endpoint.device_id!r} is not registered")
         messages: list[ProtocolMessage] = []
-        try:
-            if timeout > 0:
-                messages.append(inbox.get(timeout=timeout))
-        except queue.Empty:
-            return messages
-        while True:
-            try:
-                messages.append(inbox.get_nowait())
-            except queue.Empty:
-                return messages
+        while inbox:
+            messages.append(inbox.popleft())
+        return messages
+
+    def due_devices(self) -> set[str]:
+        """Devices with an arrived message; re-arms :attr:`arrived` first."""
+        self.arrived.clear()
+        return {device_id for device_id, inbox in self._inboxes.items() if inbox}
+
+    def next_delivery_time(self) -> None:
+        """Arrivals are not known ahead; they set :attr:`arrived` instead."""
+        return None

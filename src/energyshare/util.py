@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import re
 
-_ID_RE = re.compile(r"[A-Za-z0-9_.:-]+\Z")
+# ids name files and directories, so an id of only dots ("." or "..") is refused
+_ID_RE = re.compile(r"(?!\.+\Z)[A-Za-z0-9_.:-]+\Z")
 
 
 def check_id(value: str, what: str = "identifier") -> str:
-    """Validate an id token (no whitespace, '=', ',' or newlines)."""
+    """Validate an id token (no whitespace, '=', ',' or newlines, not only dots)."""
     if not isinstance(value, str) or not _ID_RE.match(value):
-        raise ValueError(f"{what} {value!r} must match [A-Za-z0-9_.:-]+")
+        raise ValueError(f"{what} {value!r} must match [A-Za-z0-9_.:-]+ and not be only dots")
     return value
 
 

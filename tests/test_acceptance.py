@@ -21,8 +21,8 @@
  8. Matching correctness: selected provider equals brute-force argmin over
     (distance, id) on 1000 random instances (n <= 100); the reject walk
     never revisits a provider.
- 9. TCP pipeline: a 60 s session over loopback TCP (two device threads +
-    edge service) completes; the fetched dataset is byte-identical to the
+ 9. TCP pipeline: a 60 s session over loopback TCP (two devices + edge
+    service) completes; the fetched dataset is byte-identical to the
     upload and survives an edge-service restart.
 10. Determinism: two virtual runs of the same scenario + seed produce
     byte-identical trace CSVs.

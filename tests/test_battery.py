@@ -41,6 +41,13 @@ def test_battery_level_consistency():
     assert b.level_pct == pytest.approx(100.0 * 1166.0 / 2915.0, rel=1e-12)
 
 
+def test_full_battery_level_is_exactly_100():
+    # 100 * charge / capacity rounds one ulp above 100 for this capacity
+    full = battery_at_level(655.8883705527636, 100.0)
+    assert full.level_pct == 100.0
+    assert effective_rate(default_params(Technology.CABLE), full.level_pct) == 0.0
+
+
 def test_battery_clamps_on_construction():
     assert BatteryState(100.0, 150.0).charge_mah == 100.0
     assert BatteryState(100.0, -5.0).charge_mah == 0.0

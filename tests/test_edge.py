@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import shutil
+import socket
 
 import pytest
 
@@ -15,11 +17,14 @@ from energyshare.edge import (
     SessionDataset,
     UploadReceipt,
     ValidationFailed,
+    _dataset_block,
     dataset_digest,
     validate_dataset,
 )
+from energyshare.errors import EnergyShareError
 from energyshare.monitor import MonitorRecord, ROLE_CONSUMER, ROLE_PROVIDER, compute_metrics
 from energyshare.protocol import Reason, RequestKind, make_request
+from energyshare.transport import parse_addr
 
 
 def build_dataset(
@@ -270,3 +275,23 @@ def test_tcp_survives_server_restart(tmp_path):
         assert EdgeClient(server2.address).get("ses-r1") == dataset
     finally:
         server2.stop()
+
+
+def test_dot_only_session_ids_refused(served_store, tmp_path):
+    store, server, client = served_store
+    # a readable session one level up, where GET .. would look (data_dir/..)
+    client.upload(build_dataset(session_id="ses-decoy"))
+    for name in (EdgeStore.META_FILENAME, EdgeStore.TRACE_FILENAME):
+        shutil.copy(store.data_dir / "ses-decoy" / name, tmp_path / name)
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    with pytest.raises(ValueError):
+        store.get("..")
+    with pytest.raises(EnergyShareError):
+        client.get("..")
+    upload = _dataset_block("UPLOAD ses-up 5", build_dataset(session_id="ses-up"))
+    with socket.create_connection(parse_addr(server.address), timeout=10.0) as conn:
+        conn.sendall(upload.replace("ses-up", "..").encode("utf-8"))
+        reply = conn.makefile("r", encoding="utf-8").readline()
+    assert reply.startswith("ERR ")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files

@@ -6,7 +6,6 @@ from energyshare.battery import BatteryState
 from energyshare.monitor import (
     EmptyTrace,
     MisalignedTraces,
-    MonitorConfig,
     MonitorRecord,
     ROLE_CONSUMER,
     ROLE_PROVIDER,
@@ -49,12 +48,6 @@ def mk_record(tick, role, charge=1000.0, capacity=2000.0, wall=None, session="se
         battery_charge_mah=charge,
         cumulative_transferred_mah=0.25 * tick,
     )
-
-
-def test_monitor_config_requires_positive_interval():
-    MonitorConfig(1.0)
-    with pytest.raises(ValueError):
-        MonitorConfig(0.0)
 
 
 def test_record_tick_emits_synchronized_pair():
@@ -105,23 +98,6 @@ def test_align_reports_missing_tick():
 
 def test_align_empty_traces_is_empty():
     assert align_traces([], []) == []
-
-
-def test_metrics_from_percent_and_capacities():
-    capacities = {ROLE_PROVIDER: 4080.0, ROLE_CONSUMER: 2915.0}
-    first = (
-        mk_record(0, ROLE_PROVIDER, charge=4080.0, capacity=4080.0),
-        mk_record(0, ROLE_CONSUMER, charge=0.40 * 2915.0, capacity=2915.0),
-    )
-    last = (
-        mk_record(1800, ROLE_PROVIDER, charge=0.90 * 4080.0, capacity=4080.0),
-        mk_record(1800, ROLE_CONSUMER, charge=0.52 * 2915.0, capacity=2915.0),
-    )
-    metrics = compute_metrics([first, last], capacities=capacities)
-    assert metrics.provider_loss_mah == pytest.approx(408.0, rel=1e-9)
-    assert metrics.consumer_gain_mah == pytest.approx(349.8, rel=1e-9)
-    assert metrics.energy_loss_mah == pytest.approx(58.2, rel=1e-9)
-    assert metrics.duration_s == 1800.0
 
 
 def test_metrics_identity_when_nothing_changes():

@@ -1,5 +1,6 @@
 """End-to-end scenario runs: happy path, reject walk, aborts, both transports."""
 
+import threading
 import time
 
 import pytest
@@ -254,6 +255,31 @@ def test_wall_mode_sync_receipts_stay_synchronized():
     assert len(result.sync_receipts) == result.dataset.record_count
     for _, wall_time_s, received_at in result.sync_receipts:
         assert abs(received_at - wall_time_s) <= interval / 2
+
+
+def test_wall_mode_ignores_system_clock_steps(monkeypatch):
+    # the system clock steps back an hour 0.3 s into a 1 s run
+    real_time, start = time.time, time.monotonic()
+    monkeypatch.setattr(
+        time, "time", lambda: real_time() - (3600.0 if time.monotonic() - start > 0.3 else 0.0)
+    )
+    interval = 0.2
+    result = run_scenario(build_scenario(clock="wall", value=1.0, interval_s=interval))
+    assert result.outcome == OUTCOME_COMPLETED
+    assert result.dataset.record_count == round(1.0 / interval) + 1
+
+
+def test_wall_run_leaves_no_threads():
+    before = set(threading.enumerate())
+    result = run_scenario(build_scenario(clock="wall", value=2.0), pace=20.0)
+    assert result.outcome == OUTCOME_COMPLETED
+    deadline = time.monotonic() + 2.0
+    while True:
+        left = [t for t in threading.enumerate() if t not in before]
+        if not left or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    assert left == []
 
 
 # --- comparison reports ------------------------------------------------------------------

@@ -10,8 +10,6 @@ from energyshare.transport import (
     PeerUnreachable,
     SimTransport,
     VirtualClock,
-    WallClock,
-    WallClockNotSteppable,
     decode_advert,
     encode_advert,
 )
@@ -46,11 +44,6 @@ def test_virtual_clock_rejects_nonpositive_step():
         clock.advance(0.0)
     with pytest.raises(ValueError):
         clock.advance(-1.0)
-
-
-def test_wall_clock_is_not_steppable():
-    with pytest.raises(WallClockNotSteppable):
-        WallClock().advance(1.0)
 
 
 # --- discovery -------------------------------------------------------------------

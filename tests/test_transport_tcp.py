@@ -40,7 +40,9 @@ def drain(transport, endpoint, expect, deadline_s=5.0):
     messages = []
     deadline = time.monotonic() + deadline_s
     while len(messages) < expect and time.monotonic() < deadline:
-        messages.extend(transport.receive(endpoint, timeout=0.05))
+        transport.arrived.wait(0.05)
+        transport.arrived.clear()
+        messages.extend(transport.receive(endpoint))
     return messages
 
 
