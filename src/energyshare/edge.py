@@ -33,8 +33,8 @@ from .monitor import (
     trace_csv_text,
 )
 from .protocol import EnergyRequest, Reason, RequestKind
-from .transport import close_listener, parse_addr
-from .util import check_id, fmt_float, rel_close
+from .transport import LineServer, parse_addr
+from .util import check_id, fmt_float, parse_fields, rel_close
 
 METRIC_TOLERANCE = 1e-9
 
@@ -89,6 +89,18 @@ class SessionSummary:
     technology: Technology
     terminal_reason: Reason
     energy_loss_mah: float
+
+
+def summary_from_fields(fields: dict[str, str]) -> SessionSummary:
+    """A summary from ``meta.txt`` fields or the fields of a ``SUMMARY`` line."""
+    return SessionSummary(
+        session_id=fields["session_id"],
+        consumer_id=fields["consumer_id"],
+        provider_id=fields["provider_id"],
+        technology=Technology(fields["technology"]),
+        terminal_reason=Reason(fields["terminal_reason"]),
+        energy_loss_mah=float(fields["energy_loss_mah"]),
+    )
 
 
 def validate_dataset(dataset: SessionDataset) -> None:
@@ -329,19 +341,8 @@ class EdgeStore:
     def list(self) -> list[SessionSummary]:
         summaries = []
         for session_id in self._index_ids():
-            meta = parse_meta(
-                (self._session_dir(session_id) / self.META_FILENAME).read_text(encoding="utf-8")
-            )
-            summaries.append(
-                SessionSummary(
-                    session_id=session_id,
-                    consumer_id=meta["consumer_id"],
-                    provider_id=meta["provider_id"],
-                    technology=Technology(meta["technology"]),
-                    terminal_reason=Reason(meta["terminal_reason"]),
-                    energy_loss_mah=float(meta["energy_loss_mah"]),
-                )
-            )
+            meta_path = self._session_dir(session_id) / self.META_FILENAME
+            summaries.append(summary_from_fields(parse_meta(meta_path.read_text(encoding="utf-8"))))
         return summaries
 
 
@@ -389,54 +390,19 @@ def _read_dataset_block(stream) -> SessionDataset:
     raise ValueError("connection closed before END terminator")
 
 
-class EdgeServer:
+class EdgeServer(LineServer):
     """Line-framed TCP front of an :class:`EdgeStore`."""
+
+    thread_name = "edge"
+    handled_errors = (ValueError, EnergyShareError)
 
     def __init__(self, store: EdgeStore, host: str = "127.0.0.1", port: int = 0):
         self.store = store
-        self._server = socket.create_server((host, port))
-        self.address = f"{host}:{self._server.getsockname()[1]}"
-        self._thread = threading.Thread(target=self._accept_loop, name="edge-accept", daemon=True)
+        super().__init__(host, port)
 
-    def start(self) -> "EdgeServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        close_listener(self._server)
-
-    def serve_forever(self) -> None:
-        self._accept_loop()
-
-    def _accept_loop(self) -> None:
-        while True:  # ends when stop() closes the listener
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        try:
-            with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                for raw in stream:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        reply = self._handle(line, stream)
-                    except (ValueError, EnergyShareError) as exc:
-                        code = (
-                            type(exc).__name__
-                            if isinstance(exc, EnergyShareError)
-                            else "Malformed"
-                        )
-                        reply = f"ERR {code} {exc}"
-                    if reply is not None:
-                        stream.write(reply + "\n")
-                    stream.flush()
-        except OSError:
-            return
+    def _error_reply(self, exc: Exception) -> str:
+        code = type(exc).__name__ if isinstance(exc, EnergyShareError) else "Malformed"
+        return f"ERR {code} {exc}"
 
     def _handle(self, line: str, stream) -> str | None:
         command, _, rest = line.partition(" ")
@@ -499,19 +465,8 @@ class EdgeClient:
                         return summaries
                     if not line.startswith("SUMMARY "):
                         self._raise_for(line)
-                    fields = dict(
-                        token.split("=", 1) for token in line[len("SUMMARY "):].split(" ")
-                    )
-                    summaries.append(
-                        SessionSummary(
-                            session_id=fields["session_id"],
-                            consumer_id=fields["consumer_id"],
-                            provider_id=fields["provider_id"],
-                            technology=Technology(fields["technology"]),
-                            terminal_reason=Reason(fields["terminal_reason"]),
-                            energy_loss_mah=float(fields["energy_loss_mah"]),
-                        )
-                    )
+                    fields = parse_fields(line[len("SUMMARY "):].split(" "))
+                    summaries.append(summary_from_fields(fields))
         raise EnergyShareError("edge connection closed mid-listing")
 
     def get(self, session_id: str) -> SessionDataset:

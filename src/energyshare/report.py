@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .edge import parse_meta
 from .errors import EnergyShareError
 from .monitor import MonitorRecord, pairs_from_records, read_trace_csv, write_trace_csv
 from .runner import RunResult
@@ -88,26 +89,24 @@ def load_run(run_dir: Path | str) -> LoadedRun:
     info_path = run_dir / RUN_INFO_FILENAME
     if not info_path.exists():
         raise IncompatibleRuns(f"{run_dir} is not a run directory (missing {RUN_INFO_FILENAME})")
-    info: dict[str, str] = {}
-    for line in info_path.read_text(encoding="utf-8").splitlines():
-        key, sep, value = line.partition(" = ")
-        if sep:
-            info[key] = value
-    if info.get("record_pairs", "0") == "0":
-        raise IncompatibleRuns(f"{info.get('run_id', run_dir)} produced no dataset to compare")
-    records = read_trace_csv(run_dir / TRACE_FILENAME)
-    return LoadedRun(
-        run_id=info["run_id"],
-        technology=info["technology"],
-        interval_s=float(info["interval_s"]),
-        start_level_pct=float(info["consumer_start_level_pct"]),
-        duration_s=float(info["duration_s"]),
-        provider_loss_mah=float(info["provider_loss_mah"]),
-        consumer_gain_mah=float(info["consumer_gain_mah"]),
-        energy_loss_mah=float(info["energy_loss_mah"]),
-        terminal_reason=info["terminal_reason"],
-        pairs=pairs_from_records(records),
-    )
+    try:
+        info = parse_meta(info_path.read_text(encoding="utf-8"))
+        if info.get("record_pairs", "0") == "0":
+            raise IncompatibleRuns(f"{info.get('run_id', run_dir)} produced no dataset to compare")
+        return LoadedRun(
+            run_id=info["run_id"],
+            technology=info["technology"],
+            interval_s=float(info["interval_s"]),
+            start_level_pct=float(info["consumer_start_level_pct"]),
+            duration_s=float(info["duration_s"]),
+            provider_loss_mah=float(info["provider_loss_mah"]),
+            consumer_gain_mah=float(info["consumer_gain_mah"]),
+            energy_loss_mah=float(info["energy_loss_mah"]),
+            terminal_reason=info["terminal_reason"],
+            pairs=pairs_from_records(read_trace_csv(run_dir / TRACE_FILENAME)),
+        )
+    except (KeyError, ValueError) as exc:
+        raise IncompatibleRuns(f"{run_dir} holds a malformed run: {exc!r}") from exc
 
 
 @dataclass

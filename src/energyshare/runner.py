@@ -634,7 +634,7 @@ def _run_wall(scenario: Scenario, pace: float | None) -> RunResult:
     pace = pace or 1.0
     registry = RegistryServer().start()
     transport = TcpTransport(registry.address)
-    clock = WallClock(transport.arrived)
+    clock = WallClock(transport.poll)
     try:
         return _run_agents(
             scenario,

@@ -8,12 +8,14 @@ Two interchangeable transports stand in for the short-range radio link:
 * :class:`TcpTransport`: loopback TCP with one line-encoded message per
   send and a small registry server for discovery. One transport serves
   every device of a run; each device still has its own listening socket
-  and registry entry.
+  and registry entry. All of its sockets sit in one selector, read by
+  :meth:`TcpTransport.poll` on the caller's thread.
 
 Both satisfy the same contract: FIFO per sender/receiver pair, no
 duplication, no loss unless a drop probability is configured. Both tell
 the runner's event loop which devices have a message due, and the
-matching clock's ``wait_until`` moves time on to the next event.
+matching clock's ``wait_until`` moves time on to the next event: the
+:class:`WallClock` waits inside ``poll``, so input wakes it.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import selectors
 import socket
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .battery import Technology
@@ -41,7 +45,7 @@ class DuplicateDevice(EnergyShareError):
 
 
 class PeerUnreachable(EnergyShareError):
-    """The destination device is unknown or has deregistered."""
+    """The destination device is unknown."""
 
 
 @dataclass(frozen=True)
@@ -85,34 +89,21 @@ class WallClock:
     """Real time on the monotonic clock, offset once to read as epoch seconds.
 
     Stepping the system clock mid-run moves nothing. :meth:`wait_until`
-    returns early when ``wake`` is set (a transport saw a message arrive).
+    waits in ``poll`` (a transport's :meth:`TcpTransport.poll`), which
+    returns early once input is ready.
     """
 
-    def __init__(self, wake: threading.Event):
+    def __init__(self, poll: Callable[[float], None]):
         self._offset_s = time.time() - time.monotonic()
-        self._wake = wake
+        self._poll = poll
 
     @property
     def now_s(self) -> float:
         return self._offset_s + time.monotonic()
 
     def wait_until(self, t_s: float) -> None:
-        """Block until ``t_s`` or until a wake-up, whichever comes first."""
-        timeout_s = t_s - self.now_s
-        if timeout_s > 0:
-            self._wake.wait(timeout_s)
-
-
-def close_listener(server: socket.socket) -> None:
-    """Close a listening socket and wake any thread blocked in its accept().
-
-    On Linux close() alone leaves accept() blocked; shutdown() wakes it.
-    """
-    try:
-        server.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    server.close()
+        """Read input until ``t_s`` or until some is ready, whichever comes first."""
+        self._poll(max(t_s - self.now_s, 0.0))
 
 
 # --- advert wire encoding (shared by the registry protocol) ------------------
@@ -182,11 +173,6 @@ class SimTransport:
         self._inboxes[device_id] = []
         return endpoint
 
-    def deregister(self, endpoint: Endpoint) -> None:
-        self._endpoints.pop(endpoint.device_id, None)
-        self._inboxes.pop(endpoint.device_id, None)
-        self._adverts.pop(endpoint.device_id, None)
-
     def _require_registered(self, endpoint: Endpoint) -> None:
         known = self._endpoints.get(endpoint.device_id)
         if known is None or known.address != endpoint.address:
@@ -243,7 +229,7 @@ class SimTransport:
         wake = self._wake
         while wake:
             deliver_at, seq, device_id = wake[0]
-            inbox = self._inboxes.get(device_id)
+            inbox = self._inboxes[device_id]
             # inboxes drain in (deliver_at, seq) order: a head at or before
             # this entry means its message is still queued
             if inbox and inbox[0][:2] <= (deliver_at, seq):
@@ -254,6 +240,11 @@ class SimTransport:
 
 # --- TCP loopback transport ----------------------------------------------------
 
+# connect, registry exchanges and one blocked send give up after this long
+TCP_TIMEOUT_S = 10.0
+# how long a send whose peer buffer is full waits in poll() before retrying
+_SEND_RETRY_S = 0.01
+
 
 def parse_addr(addr: str) -> tuple[str, int]:
     host, _, port = addr.rpartition(":")
@@ -262,13 +253,72 @@ def parse_addr(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class RegistryServer:
+class LineServer:
+    """A listening socket with one accept thread and one thread per connection.
+
+    Subclasses answer each non-blank request line in ``_handle(line,
+    stream)``, which may read further lines from the stream and returns
+    the reply text, or None once it wrote the reply itself. An exception
+    of a type in :attr:`handled_errors` is answered with
+    ``_error_reply(exc)``; an ``OSError`` ends the connection.
+    """
+
+    thread_name: str
+    handled_errors: tuple[type[Exception], ...]
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        self._server = socket.create_server((host, port))
+        self.address = f"{host}:{self._server.getsockname()[1]}"
+        self._thread = threading.Thread(
+            target=self.serve_forever, name=f"{self.thread_name}-accept", daemon=True
+        )
+
+    def start(self) -> "LineServer":
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        # on Linux close() alone leaves accept() blocked; shutdown() wakes it
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._server.close()
+
+    def serve_forever(self) -> None:
+        while True:  # ends when stop() closes the listener
+            try:
+                conn, _ = self._server.accept()
+            except OSError:
+                return
+            threading.Thread(
+                target=self._serve, args=(conn,), name=f"{self.thread_name}-conn", daemon=True
+            ).start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        try:
+            with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
+                for raw in stream:
+                    line = raw.strip()
+                    if not line:
+                        continue
+                    try:
+                        reply = self._handle(line, stream)
+                    except self.handled_errors as exc:
+                        reply = self._error_reply(exc)
+                    if reply is not None:
+                        stream.write(reply + "\n")
+                    stream.flush()
+        except OSError:
+            return
+
+
+class RegistryServer(LineServer):
     """Discovery registry for the TCP transport (the confined-area lookup).
 
     Line protocol, one command per line:
 
         REGISTER device_id=<id> addr=<host:port>
-        DEREGISTER device_id=<id>
         ADVERTISE addr=<host:port> <advert fields>
         DISCOVER
         RESOLVE device_id=<id>
@@ -279,48 +329,19 @@ class RegistryServer:
     lock, so a DISCOVER snapshot never sees a half-applied advert.
     """
 
+    thread_name = "registry"
+    handled_errors = (Exception,)  # malformed input must not kill the registry
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._devices: dict[str, str] = {}
         self._adverts: dict[str, tuple[ProviderAdvert, str]] = {}
         self._lock = threading.Lock()
-        self._server = socket.create_server((host, port))
-        self.address = f"{host}:{self._server.getsockname()[1]}"
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="registry-accept", daemon=True
-        )
+        super().__init__(host, port)
 
-    def start(self) -> "RegistryServer":
-        self._thread.start()
-        return self
+    def _error_reply(self, exc: Exception) -> str:
+        return f"ERR Malformed {exc}"
 
-    def stop(self) -> None:
-        close_listener(self._server)
-
-    def _accept_loop(self) -> None:
-        while True:  # ends when stop() closes the listener
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        try:
-            with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                for raw in stream:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        replies = self._handle(line)
-                    except Exception as exc:  # malformed input must not kill the registry
-                        replies = [f"ERR Malformed {exc}"]
-                    stream.write("\n".join(replies) + "\n")
-                    stream.flush()
-        except OSError:
-            return
-
-    def _handle(self, line: str) -> list[str]:
+    def _handle(self, line: str, stream) -> str:
         command, _, rest = line.partition(" ")
         if command == "REGISTER":
             fields = parse_fields(rest.split(" "))
@@ -328,16 +349,9 @@ class RegistryServer:
             with self._lock:
                 known = self._devices.get(device_id)
                 if known is not None and known != addr:
-                    return [f"ERR DuplicateDevice {device_id} already at {known}"]
+                    return f"ERR DuplicateDevice {device_id} already at {known}"
                 self._devices[device_id] = addr
-            return ["OK"]
-        if command == "DEREGISTER":
-            fields = parse_fields(rest.split(" "))
-            device_id = fields["device_id"]
-            with self._lock:
-                self._devices.pop(device_id, None)
-                self._adverts.pop(device_id, None)
-            return ["OK"]
+            return "OK"
         if command == "ADVERTISE":
             tokens = rest.split(" ")
             addr_field = parse_fields(tokens[:1])
@@ -345,21 +359,19 @@ class RegistryServer:
             with self._lock:
                 existing = self._adverts.get(advert.provider_id)
                 if existing is not None and existing[1] != addr_field["addr"]:
-                    return [
-                        f"ERR DuplicateDevice {advert.provider_id} already at {existing[1]}"
-                    ]
+                    return f"ERR DuplicateDevice {advert.provider_id} already at {existing[1]}"
                 self._adverts[advert.provider_id] = (advert, addr_field["addr"])
-            return ["OK"]
+            return "OK"
         if command == "DISCOVER":
-            return [f"ADVERT {encode_advert(a)}" for a in self.snapshot()] + ["END"]
+            return "".join(f"ADVERT {encode_advert(a)}\n" for a in self.snapshot()) + "END"
         if command == "RESOLVE":
             fields = parse_fields(rest.split(" "))
             with self._lock:
                 addr = self._devices.get(fields["device_id"])
             if addr is None:
-                return [f"ERR Unknown {fields['device_id']}"]
-            return [f"ADDR {addr}"]
-        return [f"ERR Malformed unknown command {command!r}"]
+                return f"ERR Unknown {fields['device_id']}"
+            return f"ADDR {addr}"
+        return f"ERR Malformed unknown command {command!r}"
 
     def snapshot(self) -> list[ProviderAdvert]:
         with self._lock:
@@ -375,7 +387,7 @@ class _RegistryClient:
         self._addr = parse_addr(registry_addr)
 
     def _exchange(self, command: str, multiline: bool = False) -> list[str]:
-        with socket.create_connection(self._addr, timeout=10.0) as conn:
+        with socket.create_connection(self._addr, timeout=TCP_TIMEOUT_S) as conn:
             with conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
                 stream.write(command + "\n")
                 stream.flush()
@@ -412,18 +424,20 @@ class TcpTransport:
     Senders keep a single connection per sender/destination pair (FIFO per
     pair comes from TCP ordering) and reconnect once on a broken pipe.
     Discovery and address resolution go through the shared registry
-    server. Reader threads fill the inboxes and set :attr:`arrived`, which
-    a :class:`WallClock` waits on.
+    server. Every listener and accepted connection sits in one selector
+    that :meth:`poll` serves on the caller's thread; a :class:`WallClock`
+    waits in it. The transport starts no thread.
     """
 
     def __init__(self, registry_addr: str, host: str = "127.0.0.1"):
         self._registry = _RegistryClient(registry_addr)
         self._host = host
+        # selector data: (device_id, None) for a listener, (device_id, unread
+        # tail) for an accepted connection
+        self._selector = selectors.DefaultSelector()
         self._servers: dict[str, socket.socket] = {}
         self._inboxes: dict[str, deque[ProtocolMessage]] = {}
         self._conns: dict[tuple[str, str], socket.socket] = {}
-        self._lock = threading.Lock()
-        self.arrived = threading.Event()
 
     def register(self, device_id: str) -> Endpoint:
         check_id(device_id, "device_id")
@@ -440,62 +454,63 @@ class TcpTransport:
         if not reply.startswith("OK"):
             server.close()
             raise PeerUnreachable(f"registry refused registration: {reply}")
+        server.setblocking(False)
+        self._selector.register(server, selectors.EVENT_READ, (device_id, None))
         self._servers[device_id] = server
         self._inboxes[device_id] = deque()
-        threading.Thread(
-            target=self._accept_loop,
-            args=(device_id, server),
-            name=f"tcp-accept-{device_id}",
-            daemon=True,
-        ).start()
         return Endpoint(device_id, address)
 
-    def deregister(self, endpoint: Endpoint) -> None:
-        self._registry.command(f"DEREGISTER device_id={endpoint.device_id}")
-        server = self._servers.pop(endpoint.device_id, None)
-        if server is not None:
-            close_listener(server)
-        self._inboxes.pop(endpoint.device_id, None)
-
     def close(self) -> None:
-        for server in self._servers.values():
-            close_listener(server)
-        with self._lock:
-            for conn in self._conns.values():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            self._conns.clear()
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+        for conn in self._conns.values():
+            conn.close()
+        self._conns.clear()
         self._servers.clear()
 
-    def _accept_loop(self, device_id: str, server: socket.socket) -> None:
-        while True:  # ends when close() or deregister() closes the listener
-            try:
-                conn, _ = server.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._reader,
-                args=(device_id, conn),
-                name=f"tcp-read-{device_id}",
-                daemon=True,
-            ).start()
+    def poll(self, timeout_s: float) -> None:
+        """Wait up to ``timeout_s`` for input, then take in whatever is ready.
 
-    def _reader(self, device_id: str, conn: socket.socket) -> None:
+        Accepts waiting connections and appends each complete line read to
+        its device's inbox; a connection keeps its partial last line for
+        the next read. Bad input (a malformed or undecodable line, a reset)
+        closes only the connection it came on and never raises.
+        """
+        for key, _ in self._selector.select(timeout_s):
+            device_id, tail = key.data
+            if tail is None:
+                self._accept(key.fileobj, device_id)
+            else:
+                self._read(key.fileobj, device_id, tail)
+
+    def _accept(self, server: socket.socket, device_id: str) -> None:
         try:
-            with conn, conn.makefile("r", encoding="utf-8", newline="\n") as stream:
-                for raw in stream:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    inbox = self._inboxes.get(device_id)
-                    if inbox is None:
-                        return
-                    inbox.append(decode_message(line))
-                    self.arrived.set()
-        except OSError:
+            conn, _ = server.accept()
+        except OSError:  # the client gave up before it was accepted
             return
+        conn.setblocking(False)
+        self._selector.register(conn, selectors.EVENT_READ, (device_id, bytearray()))
+
+    def _read(self, conn: socket.socket, device_id: str, tail: bytearray) -> None:
+        try:
+            chunk = conn.recv(65536)
+            if chunk:
+                tail += chunk
+                *lines, rest = tail.split(b"\n")
+                tail[:] = rest
+                inbox = self._inboxes[device_id]
+                for line in lines:
+                    if line.strip():
+                        inbox.append(decode_message(line.decode("utf-8")))
+                return
+        except BlockingIOError:
+            return
+        except (OSError, ValueError, EnergyShareError):
+            pass
+        # closed by the peer, reset, or unreadable: drop this connection only
+        self._selector.unregister(conn)
+        conn.close()
 
     def advertise(self, endpoint: Endpoint, advert: ProviderAdvert) -> None:
         if endpoint.device_id not in self._servers:
@@ -515,35 +530,44 @@ class TcpTransport:
         address = self._registry.resolve(to)
         if address is None:
             raise PeerUnreachable(f"peer {to!r} is not registered")
-        return socket.create_connection(parse_addr(address), timeout=10.0)
+        conn = socket.create_connection(parse_addr(address), timeout=TCP_TIMEOUT_S)
+        conn.setblocking(False)
+        return conn
+
+    def _send_all(self, conn: socket.socket, payload: bytes) -> None:
+        """Send without blocking; while the peer's buffer is full, :meth:`poll`.
+
+        The peer is usually a device of this transport, read only by
+        :meth:`poll`, so a send blocked on a full buffer would wait forever.
+        """
+        view = memoryview(payload)
+        deadline = time.monotonic() + TCP_TIMEOUT_S
+        while view:
+            try:
+                view = view[conn.send(view):]
+            except BlockingIOError:
+                if time.monotonic() > deadline:
+                    raise TimeoutError("peer stopped reading") from None
+                self.poll(_SEND_RETRY_S)
 
     def send(self, frm: Endpoint, to: str, msg: ProtocolMessage) -> None:
         if frm.device_id not in self._servers:
             raise PeerUnreachable(f"endpoint {frm.device_id!r} is not registered")
         payload = (encode_message(msg) + "\n").encode("utf-8")
         key = (frm.device_id, to)
-        with self._lock:
+        for _ in range(2):  # one reconnect attempt, then give up
             conn = self._conns.get(key)
             try:
                 if conn is None:
-                    conn = self._connect(to)
-                    self._conns[key] = conn
-                conn.sendall(payload)
+                    conn = self._conns[key] = self._connect(to)
+                self._send_all(conn, payload)
                 return
-            except OSError:
+            except OSError as exc:
                 self._conns.pop(key, None)
                 if conn is not None:
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-            # one reconnect attempt, then give up
-            try:
-                conn = self._connect(to)
-                conn.sendall(payload)
-                self._conns[key] = conn
-            except OSError as exc:
-                raise PeerUnreachable(f"cannot deliver to {to!r}: {exc}") from exc
+                    conn.close()
+                error = exc
+        raise PeerUnreachable(f"cannot deliver to {to!r}: {error}") from error
 
     def receive(self, endpoint: Endpoint) -> list[ProtocolMessage]:
         """Drain every message that has arrived for ``endpoint``, in order."""
@@ -556,10 +580,10 @@ class TcpTransport:
         return messages
 
     def due_devices(self) -> set[str]:
-        """Devices with an arrived message; re-arms :attr:`arrived` first."""
-        self.arrived.clear()
+        """Devices with an arrived message, after a :meth:`poll` that does not wait."""
+        self.poll(0)
         return {device_id for device_id, inbox in self._inboxes.items() if inbox}
 
     def next_delivery_time(self) -> None:
-        """Arrivals are not known ahead; they set :attr:`arrived` instead."""
+        """Arrivals are not known ahead; a :class:`WallClock` waits in :meth:`poll`."""
         return None

@@ -282,6 +282,22 @@ def test_wall_run_leaves_no_threads():
     assert left == []
 
 
+def test_wall_run_starts_only_registry_threads(monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    result = run_scenario(build_scenario(clock="wall", value=2.0), pace=20.0)
+    assert result.outcome == OUTCOME_COMPLETED
+    # the transport reads on the loop's thread; only the registry serves in threads:
+    # its accept thread plus one per exchange (2 REGISTER, ADVERTISE, DISCOVER, 2 RESOLVE)
+    assert sorted(started) == ["registry-accept"] + ["registry-conn"] * 6
+
+
 # --- comparison reports ------------------------------------------------------------------
 
 
@@ -327,3 +343,19 @@ def test_load_run_round_trip(tmp_path):
     assert loaded.technology == "wireless_distance"
     assert len(loaded.pairs) == 11
     assert loaded.terminal_reason == "DurationElapsed"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text + "not a key value line\n",
+        lambda text: text.replace("interval_s = ", "interval_s = x"),
+        lambda text: text.replace("technology = ", "technologie = "),
+    ],
+)
+def test_load_run_rejects_malformed_run_txt(tmp_path, edit):
+    run_dir = run_and_write(tmp_path, "broken", value=5.0)
+    info = run_dir / "run.txt"
+    info.write_text(edit(info.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(IncompatibleRuns):
+        load_run(run_dir)

@@ -127,13 +127,6 @@ def test_messages_release_in_timestamp_order():
     assert transport.receive(c) == [Accept("at-0.5"), Reject("at-0.7")]
 
 
-def test_send_to_deregistered_peer(net):
-    _, transport, a, b = net
-    transport.deregister(b)
-    with pytest.raises(PeerUnreachable):
-        transport.send(a, "b", Accept("m"))
-
-
 def test_send_to_unknown_peer(net):
     _, transport, a, _ = net
     with pytest.raises(PeerUnreachable):
