@@ -7,6 +7,8 @@ persisted, written atomically (temp dir + rename) and acknowledged only
 after an fsync, so an acknowledged dataset survives a crash. Re-uploading
 identical content is idempotent; a different dataset under the same
 session id is a conflict, detected by a digest of the canonical encoding.
+A GET serves the stored canonical text as it is, after checking it
+against that digest, so a damaged dataset is refused rather than served.
 
 The network face is the same framed-line TCP discipline as the rest of
 the platform; see docs/wire-format.md for the exact exchange.
@@ -18,6 +20,7 @@ import hashlib
 import os
 import socket
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +52,14 @@ class ConflictingSession(EnergyShareError):
 
 class NotFound(EnergyShareError):
     """No stored dataset under this session id."""
+
+
+class CorruptSession(EnergyShareError):
+    """A stored dataset no longer matches the digest written at upload."""
+
+
+class StorageError(EnergyShareError):
+    """The store's file system failed (full disk, permissions, I/O error)."""
 
 
 @dataclass(frozen=True)
@@ -251,9 +262,17 @@ def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> Se
     )
 
 
+def _digest(meta: bytes, trace: bytes) -> str:
+    """SHA-256 of the canonical encoding: the meta block, then the trace CSV."""
+    hasher = hashlib.sha256(meta)
+    hasher.update(trace)
+    return hasher.hexdigest()
+
+
 def dataset_digest(dataset: SessionDataset) -> str:
-    canonical = encode_meta(dataset) + trace_csv_text(dataset.records)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _digest(
+        encode_meta(dataset).encode("utf-8"), trace_csv_text(dataset.records).encode("utf-8")
+    )
 
 
 # --- file-backed store ----------------------------------------------------------
@@ -295,7 +314,9 @@ class EdgeStore:
     def upload(self, dataset: SessionDataset) -> UploadReceipt:
         """Validate, persist durably, and acknowledge. Idempotent per digest."""
         validate_dataset(dataset)
-        digest = dataset_digest(dataset)
+        meta = encode_meta(dataset).encode("utf-8")
+        trace = trace_csv_text(dataset.records).encode("utf-8")
+        digest = _digest(meta, trace)
         receipt = UploadReceipt(dataset.session_id, dataset.record_count)
         with self._lock:
             session_dir = self._session_dir(dataset.session_id)
@@ -312,10 +333,8 @@ class EdgeStore:
                     stale.unlink()
                 tmp_dir.rmdir()
             tmp_dir.mkdir()
-            (tmp_dir / self.META_FILENAME).write_bytes(encode_meta(dataset).encode("utf-8"))
-            (tmp_dir / self.TRACE_FILENAME).write_bytes(
-                trace_csv_text(dataset.records).encode("utf-8")
-            )
+            (tmp_dir / self.META_FILENAME).write_bytes(meta)
+            (tmp_dir / self.TRACE_FILENAME).write_bytes(trace)
             (tmp_dir / self.DIGEST_FILENAME).write_bytes((digest + "\n").encode("utf-8"))
             for name in (self.META_FILENAME, self.TRACE_FILENAME, self.DIGEST_FILENAME):
                 _fsync_path(tmp_dir / name)
@@ -327,16 +346,23 @@ class EdgeStore:
                 os.fsync(index.fileno())
         return receipt
 
-    def get(self, session_id: str) -> SessionDataset:
+    def get(self, session_id: str) -> tuple[str, str]:
+        """The stored ``(meta_text, trace_text)``, checked against ``digest.txt``.
+
+        These are the canonical texts upload wrote, read once and returned
+        as they are; a session whose files no longer hash to its stored
+        digest raises :class:`CorruptSession`.
+        """
         session_dir = self._session_dir(session_id)
         meta_path = session_dir / self.META_FILENAME
         if not meta_path.exists():
             raise NotFound(f"no stored session {session_id!r}")
-        meta = parse_meta(meta_path.read_text(encoding="utf-8"))
-        records = records_from_csv_text(
-            (session_dir / self.TRACE_FILENAME).read_text(encoding="utf-8")
-        )
-        return dataset_from_parts(meta, records)
+        meta = meta_path.read_bytes()
+        trace = (session_dir / self.TRACE_FILENAME).read_bytes()
+        stored = (session_dir / self.DIGEST_FILENAME).read_text(encoding="utf-8").strip()
+        if _digest(meta, trace) != stored:
+            raise CorruptSession(f"session {session_id} does not match its stored digest")
+        return meta.decode("utf-8"), trace.decode("utf-8")
 
     def list(self) -> list[SessionSummary]:
         summaries = []
@@ -390,11 +416,21 @@ def _read_dataset_block(stream) -> SessionDataset:
     raise ValueError("connection closed before END terminator")
 
 
+@contextmanager
+def _storage_errors():
+    """Turn a file-system failure inside the store into a StorageError reply."""
+    try:
+        yield
+    except OSError as exc:
+        raise StorageError(str(exc)) from exc
+
+
 class EdgeServer(LineServer):
     """Line-framed TCP front of an :class:`EdgeStore`."""
 
     thread_name = "edge"
-    handled_errors = (ValueError, EnergyShareError)
+    # KeyError: an uploaded meta block without one of the canonical keys
+    handled_errors = (ValueError, KeyError, EnergyShareError)
 
     def __init__(self, store: EdgeStore, host: str = "127.0.0.1", port: int = 0):
         self.store = store
@@ -413,17 +449,23 @@ class EdgeServer(LineServer):
                 raise ValueError("header session_id does not match dataset")
             if declared and int(declared) != dataset.record_count:
                 raise ValueError("header record_count does not match dataset")
-            receipt = self.store.upload(dataset)
+            with _storage_errors():
+                receipt = self.store.upload(dataset)
             return f"OK {receipt.session_id} {receipt.record_count}"
         if command == "LIST":
-            for summary in self.store.list():
+            with _storage_errors():
+                summaries = self.store.list()
+            for summary in summaries:
                 stream.write(_summary_line(summary) + "\n")
             return "END"
         if command == "GET":
-            dataset = self.store.get(rest.strip())
-            stream.write(
-                _dataset_block(f"DATASET {dataset.session_id} {dataset.record_count}", dataset)
-            )
+            with _storage_errors():
+                meta, trace = self.store.get(rest.strip())
+            fields = parse_meta(meta)
+            # _dataset_block's framing, written part by part so no joined copy is made
+            for part in (f"DATASET {fields['session_id']} {fields['record_count']}\n",
+                         meta, "\n", trace, "END\n"):
+                stream.write(part)
             return None
         raise ValueError(f"unknown command {command!r}")
 
@@ -489,6 +531,8 @@ class EdgeClient:
                 "ValidationFailed": ValidationFailed,
                 "ConflictingSession": ConflictingSession,
                 "NotFound": NotFound,
+                "CorruptSession": CorruptSession,
+                "StorageError": StorageError,
             }
             raise mapping.get(code, EnergyShareError)(detail)
         raise EnergyShareError(f"unexpected edge reply: {reply!r}")

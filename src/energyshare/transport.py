@@ -381,24 +381,38 @@ class RegistryServer(LineServer):
 
 
 class _RegistryClient:
-    """One-shot command client against the registry server."""
+    """Command client against the registry server, over one kept connection."""
 
     def __init__(self, registry_addr: str):
         self._addr = parse_addr(registry_addr)
+        self._conn: socket.socket | None = None
+        self._stream = None
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._stream.close()
+            self._conn.close()
+            self._conn = None
 
     def _exchange(self, command: str, multiline: bool = False) -> list[str]:
-        with socket.create_connection(self._addr, timeout=TCP_TIMEOUT_S) as conn:
-            with conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                stream.write(command + "\n")
-                stream.flush()
-                lines: list[str] = []
-                for raw in stream:
-                    line = raw.strip()
-                    if not multiline:
-                        return [line]
-                    if line == "END":
-                        return lines
-                    lines.append(line)
+        if self._conn is None:
+            self._conn = socket.create_connection(self._addr, timeout=TCP_TIMEOUT_S)
+            self._stream = self._conn.makefile("rw", encoding="utf-8", newline="\n")
+        try:
+            self._stream.write(command + "\n")
+            self._stream.flush()
+            lines: list[str] = []
+            for raw in self._stream:
+                line = raw.strip()
+                if not multiline:
+                    return [line]
+                if line == "END":
+                    return lines
+                lines.append(line)
+        except OSError:
+            self.close()  # the next command connects afresh
+            raise
+        self.close()
         raise PeerUnreachable("registry connection closed mid-response")
 
     def command(self, line: str) -> str:
@@ -424,9 +438,10 @@ class TcpTransport:
     Senders keep a single connection per sender/destination pair (FIFO per
     pair comes from TCP ordering) and reconnect once on a broken pipe.
     Discovery and address resolution go through the shared registry
-    server. Every listener and accepted connection sits in one selector
-    that :meth:`poll` serves on the caller's thread; a :class:`WallClock`
-    waits in it. The transport starts no thread.
+    server, over one connection the transport keeps until :meth:`close`.
+    Every listener and accepted connection sits in one selector that
+    :meth:`poll` serves on the caller's thread; a :class:`WallClock` waits
+    in it. The transport starts no thread.
     """
 
     def __init__(self, registry_addr: str, host: str = "127.0.0.1"):
@@ -468,6 +483,7 @@ class TcpTransport:
             conn.close()
         self._conns.clear()
         self._servers.clear()
+        self._registry.close()
 
     def poll(self, timeout_s: float) -> None:
         """Wait up to ``timeout_s`` for input, then take in whatever is ready.

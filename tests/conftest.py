@@ -2,6 +2,8 @@
 
 import pytest
 
+from energyshare.edge import EdgeStore, SessionDataset, dataset_from_parts, parse_meta
+from energyshare.monitor import records_from_csv_text
 from energyshare.scenario import Scenario, parse_scenario_text
 
 
@@ -41,3 +43,9 @@ def build_scenario(run_id: str = "test", **kwargs) -> Scenario:
 @pytest.fixture
 def default_scenario() -> Scenario:
     return build_scenario()
+
+
+def stored_dataset(store: EdgeStore, session_id: str) -> SessionDataset:
+    """The dataset a store serves, parsed back from its stored texts."""
+    meta, trace = store.get(session_id)
+    return dataset_from_parts(parse_meta(meta), records_from_csv_text(trace))

@@ -1,15 +1,18 @@
 """Edge store: validation gate, durability, idempotence, TCP protocol."""
 
 import dataclasses
+import errno
 import random
 import shutil
 import socket
 
 import pytest
+from conftest import stored_dataset
 
 from energyshare.battery import DrainParams, Technology, TechnologyParams
 from energyshare.edge import (
     ConflictingSession,
+    CorruptSession,
     EdgeClient,
     EdgeServer,
     EdgeStore,
@@ -22,7 +25,14 @@ from energyshare.edge import (
     validate_dataset,
 )
 from energyshare.errors import EnergyShareError
-from energyshare.monitor import MonitorRecord, ROLE_CONSUMER, ROLE_PROVIDER, compute_metrics
+from energyshare.monitor import (
+    MonitorRecord,
+    ROLE_CONSUMER,
+    ROLE_PROVIDER,
+    TRACE_HEADER,
+    compute_metrics,
+    records_from_csv_text,
+)
 from energyshare.protocol import Reason, RequestKind, make_request
 from energyshare.transport import parse_addr
 
@@ -86,7 +96,7 @@ def test_upload_and_get_round_trip(store):
     dataset = build_dataset()
     receipt = store.upload(dataset)
     assert receipt == UploadReceipt("ses-r1", 5)
-    assert store.get("ses-r1") == dataset
+    assert stored_dataset(store, "ses-r1") == dataset
 
 
 def test_reupload_identical_is_idempotent(store):
@@ -109,7 +119,7 @@ def test_conflicting_reupload_rejected(store):
     tampered = dataclasses.replace(dataset, records=tuple(tampered_pairs))
     with pytest.raises(ConflictingSession):
         store.upload(tampered)
-    assert store.get(dataset.session_id) == dataset
+    assert stored_dataset(store, dataset.session_id) == dataset
 
 
 def test_get_unknown_session(store):
@@ -121,7 +131,7 @@ def test_store_survives_restart(store, tmp_path):
     dataset = build_dataset()
     store.upload(dataset)
     reopened = EdgeStore(tmp_path / "data")
-    assert reopened.get("ses-r1") == dataset
+    assert stored_dataset(reopened, "ses-r1") == dataset
     assert [s.session_id for s in reopened.list()] == ["ses-r1"]
 
 
@@ -133,7 +143,7 @@ def test_list_preserves_upload_order(store):
     summaries = store.list()
     assert [s.session_id for s in summaries] == ids
     for summary, session_id in zip(summaries, ids):
-        assert summary.energy_loss_mah == store.get(session_id).metrics.energy_loss_mah
+        assert summary.energy_loss_mah == stored_dataset(store, session_id).metrics.energy_loss_mah
 
 
 def test_round_trip_fidelity_randomized(store):
@@ -141,7 +151,7 @@ def test_round_trip_fidelity_randomized(store):
     for i in range(10):
         dataset = build_dataset(session_id=f"ses-rand-{i}", ticks=rng.randint(1, 12), rng=rng)
         store.upload(dataset)
-        assert store.get(dataset.session_id) == dataset
+        assert stored_dataset(store, dataset.session_id) == dataset
 
 
 def test_concurrent_uploads_all_stored(store):
@@ -166,7 +176,7 @@ def test_concurrent_uploads_all_stored(store):
     stored = {s.session_id for s in store.list()}
     assert stored == {ds.session_id for ds in datasets}
     for ds in datasets:
-        assert store.get(ds.session_id) == ds
+        assert stored_dataset(store, ds.session_id) == ds
 
 
 # --- validation gate -------------------------------------------------------------
@@ -295,3 +305,65 @@ def test_dot_only_session_ids_refused(served_store, tmp_path):
         reply = conn.makefile("r", encoding="utf-8").readline()
     assert reply.startswith("ERR ")
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+
+
+def raw_exchange(address: str, text: str) -> str:
+    """Send ``text`` on a fresh connection, close our side, read the whole reply."""
+    with socket.create_connection(parse_addr(address), timeout=10.0) as conn:
+        conn.sendall(text.encode("utf-8"))
+        conn.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := conn.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks).decode("utf-8")
+
+
+def test_get_reply_is_the_canonical_dataset_block(served_store):
+    _, server, client = served_store
+    dataset = build_dataset(session_id="ses-wire", ticks=200)
+    client.upload(dataset)
+    reply = raw_exchange(server.address, "GET ses-wire\n")
+    assert reply == _dataset_block("DATASET ses-wire 200", dataset)
+
+
+def test_damaged_stored_trace_is_refused(served_store):
+    store, _, client = served_store
+    rng = random.Random(3)
+    damaged, intact = (build_dataset(session_id=s, rng=rng) for s in ("ses-bad", "ses-ok"))
+    client.upload(damaged)
+    client.upload(intact)
+    trace_path = store.data_dir / "ses-bad" / EdgeStore.TRACE_FILENAME
+    lines = trace_path.read_text(encoding="utf-8").split("\n")
+    fields = lines[3].split(",")
+    charge = fields[6]  # battery_charge_mah, a float with decimals
+    at = charge.index(".") + 1
+    fields[6] = charge[:at] + str((int(charge[at]) + 1) % 10) + charge[at + 1:]
+    lines[3] = ",".join(fields)
+    trace_path.write_text("\n".join(lines), encoding="utf-8")
+    assert len(records_from_csv_text(trace_path.read_text(encoding="utf-8"))) == 10  # parses
+
+    with pytest.raises(CorruptSession):
+        store.get("ses-bad")
+    with pytest.raises(EnergyShareError):
+        client.get("ses-bad")
+    assert client.get("ses-ok") == intact
+
+
+def test_upload_with_missing_meta_key_gets_err_reply(served_store):
+    _, server, client = served_store
+    upload = f"UPLOAD s1 1\nsession_id = s1\n\n{TRACE_HEADER}\nEND\n"
+    reply = raw_exchange(server.address, upload)
+    assert reply.startswith("ERR Malformed ")
+    assert client.list() == []
+
+
+def test_upload_storage_failure_gets_err_reply(served_store, monkeypatch):
+    store, server, _ = served_store
+
+    def full_disk(dataset):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(store, "upload", full_disk)
+    upload = _dataset_block("UPLOAD ses-r1 5", build_dataset())
+    reply = raw_exchange(server.address, upload)
+    assert reply.startswith("ERR StorageError ")

@@ -4,7 +4,7 @@ import threading
 import time
 
 import pytest
-from conftest import build_scenario, scenario_text
+from conftest import build_scenario, scenario_text, stored_dataset
 
 from energyshare.battery import battery_at_level, DrainParams, predict_outcome
 from energyshare.edge import EdgeServer, EdgeStore, validate_dataset
@@ -180,7 +180,7 @@ def test_upload_during_run_reaches_edge(tmp_path):
         scenario = build_scenario(value=15.0)
         result = run_scenario(scenario, upload_addr=server.address)
         assert result.upload_receipt is not None
-        stored = store.get(result.dataset.session_id)
+        stored = stored_dataset(store, result.dataset.session_id)
         assert stored == result.dataset
         assert stored.metrics == result.dataset.metrics
     finally:
@@ -211,7 +211,7 @@ def test_report_metrics_equal_edge_stored_metrics(tmp_path):
             )
             result = run_scenario(scenario, upload_addr=server.address)
             run_dirs.append(write_run_artifacts(result, tmp_path / tech))
-            stored = store.get(result.dataset.session_id)
+            stored = stored_dataset(store, result.dataset.session_id)
             stored_losses[tech] = stored.metrics.energy_loss_mah
     finally:
         server.stop()
@@ -293,9 +293,10 @@ def test_wall_run_starts_only_registry_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
     result = run_scenario(build_scenario(clock="wall", value=2.0), pace=20.0)
     assert result.outcome == OUTCOME_COMPLETED
-    # the transport reads on the loop's thread; only the registry serves in threads:
-    # its accept thread plus one per exchange (2 REGISTER, ADVERTISE, DISCOVER, 2 RESOLVE)
-    assert sorted(started) == ["registry-accept"] + ["registry-conn"] * 6
+    # the transport reads on the loop's thread and sends every registry command over
+    # one connection; only the registry serves in threads: its accept thread plus one
+    # for that connection
+    assert sorted(started) == ["registry-accept", "registry-conn"]
 
 
 # --- comparison reports ------------------------------------------------------------------
