@@ -1,7 +1,8 @@
 """Edge service management: durable storage of uploaded session datasets.
 
 One directory per session under the data dir (``meta.txt`` key-value
-sidecar plus the trace CSV), ordered by an append-only ``index.log``.
+sidecar plus the trace CSV), ordered by an append-only ``index.log`` that
+is read once at open; LIST is served from memory.
 Uploads are validated against the monitor invariants before anything is
 persisted, written atomically (temp dir + rename) and acknowledged only
 after an fsync, so an acknowledged dataset survives a crash. Re-uploading
@@ -217,6 +218,10 @@ def parse_meta(text: str) -> dict[str, str]:
     return values
 
 
+def _summary_of(meta: bytes) -> SessionSummary:
+    return summary_from_fields(parse_meta(meta.decode("utf-8")))
+
+
 def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> SessionDataset:
     """Rebuild a dataset from its sidecar fields and flat record list."""
     kind = RequestKind(meta["request_kind"])
@@ -298,6 +303,13 @@ class EdgeStore:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        # the indexed sessions in index order, loaded once; LIST serves these
+        self._summaries: dict[str, SessionSummary] = {}
+        index = self._index_path()
+        if index.exists():
+            for session_id in index.read_text(encoding="utf-8").split():
+                meta = (self._session_dir(session_id) / self.META_FILENAME).read_bytes()
+                self._summaries[session_id] = _summary_of(meta)
 
     def _session_dir(self, session_id: str) -> Path:
         return self.data_dir / check_id(session_id, "session_id")
@@ -305,11 +317,12 @@ class EdgeStore:
     def _index_path(self) -> Path:
         return self.data_dir / self.INDEX_FILENAME
 
-    def _index_ids(self) -> list[str]:
-        path = self._index_path()
-        if not path.exists():
-            return []
-        return [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+    def _append_index(self, session_id: str, meta: bytes) -> None:
+        with open(self._index_path(), "a", encoding="utf-8") as index:
+            index.write(session_id + "\n")
+            index.flush()
+            os.fsync(index.fileno())
+        self._summaries[session_id] = _summary_of(meta)
 
     def upload(self, dataset: SessionDataset) -> UploadReceipt:
         """Validate, persist durably, and acknowledge. Idempotent per digest."""
@@ -322,11 +335,14 @@ class EdgeStore:
             session_dir = self._session_dir(dataset.session_id)
             if session_dir.exists():
                 stored = (session_dir / self.DIGEST_FILENAME).read_text(encoding="utf-8").strip()
-                if stored == digest:
-                    return receipt
-                raise ConflictingSession(
-                    f"session {dataset.session_id} already stored with different content"
-                )
+                if stored != digest:
+                    raise ConflictingSession(
+                        f"session {dataset.session_id} already stored with different content"
+                    )
+                # stored, but the index append after the rename failed or never ran
+                if dataset.session_id not in self._summaries:
+                    self._append_index(dataset.session_id, meta)
+                return receipt
             tmp_dir = self.data_dir / f".tmp-{dataset.session_id}"
             if tmp_dir.exists():
                 for stale in tmp_dir.iterdir():
@@ -340,10 +356,7 @@ class EdgeStore:
                 _fsync_path(tmp_dir / name)
             tmp_dir.rename(session_dir)
             _fsync_path(self.data_dir)
-            with open(self._index_path(), "a", encoding="utf-8") as index:
-                index.write(dataset.session_id + "\n")
-                index.flush()
-                os.fsync(index.fileno())
+            self._append_index(dataset.session_id, meta)
         return receipt
 
     def get(self, session_id: str) -> tuple[str, str]:
@@ -365,11 +378,9 @@ class EdgeStore:
         return meta.decode("utf-8"), trace.decode("utf-8")
 
     def list(self) -> list[SessionSummary]:
-        summaries = []
-        for session_id in self._index_ids():
-            meta_path = self._session_dir(session_id) / self.META_FILENAME
-            summaries.append(summary_from_fields(parse_meta(meta_path.read_text(encoding="utf-8"))))
-        return summaries
+        """The indexed sessions in upload order."""
+        with self._lock:
+            return list(self._summaries.values())
 
 
 # --- TCP service -----------------------------------------------------------------

@@ -40,6 +40,7 @@ from .protocol import (
     Abort,
     Accept,
     Complete,
+    IllegalTransition,
     MonitorSync,
     ProviderSessions,
     Reason,
@@ -67,13 +68,6 @@ STALL_EPS_MAH = 1e-12
 OUTCOME_COMPLETED = "Completed"
 OUTCOME_ABORTED = "Aborted"
 OUTCOME_NO_PROVIDER = "NoProviderAvailable"
-
-
-@dataclass
-class EngineStep:
-    sync: MonitorSync | None
-    terminal: Reason | None
-    aborted: bool
 
 
 class ChargingEngine:
@@ -142,8 +136,11 @@ class ChargingEngine:
     def initial_sync(self) -> MonitorSync:
         return self.sync_for(0, self.start_time_s)
 
-    def step(self) -> EngineStep:
-        """Advance one tick; on terminal the session transition is applied."""
+    def step(self) -> MonitorSync | None:
+        """Advance one tick and return its sync, or None if the provider ran dry.
+
+        A terminal tick leaves ``session`` Completed or Aborted.
+        """
         k = self.tick_index + 1
         wall_time_s = self.start_time_s + k * self.interval_s
         try:
@@ -157,7 +154,7 @@ class ChargingEngine:
             )
         except ProviderDepleted:
             self.session = abort_session(self.session, Reason.PROVIDER_DEPLETED)
-            return EngineStep(sync=None, terminal=Reason.PROVIDER_DEPLETED, aborted=True)
+            return None
 
         self.ledger.add(tick)
         self.tick_index = k
@@ -167,25 +164,13 @@ class ChargingEngine:
             elapsed_s=k * self.interval_s,
         )
         self.pairs.append(self._record(k, wall_time_s))
-        sync = self.sync_for(k, wall_time_s)
 
         reason = is_complete(self.session)
-        aborted = False
-        if (
-            reason is None
-            and self.session.request.kind is RequestKind.AMOUNT
-            and tick.mah_in <= STALL_EPS_MAH
-        ):
-            reason = Reason.CONSUMER_CANCELLED
-            aborted = True
         if reason is not None:
-            if aborted:
-                self.session = abort_session(self.session, reason)
-            else:
-                self.session = transition(
-                    self.session, Complete(self.session.session_id, reason)
-                )
-        return EngineStep(sync=sync, terminal=reason, aborted=aborted)
+            self.session = transition(self.session, Complete(self.session.session_id, reason))
+        elif self.session.request.kind is RequestKind.AMOUNT and tick.mah_in <= STALL_EPS_MAH:
+            self.session = abort_session(self.session, Reason.CONSUMER_CANCELLED)
+        return self.sync_for(k, wall_time_s)
 
 
 @dataclass
@@ -201,21 +186,31 @@ class RunResult:
     upload_receipt: UploadReceipt | None = None
 
 
-class _ProviderAgent:
-    def __init__(self, spec: DeviceSpec, scenario: Scenario, transport, clock, tick_spacing_s: float):
+class _Agent:
+    """One device: its scenario spec, battery and transport endpoint."""
+
+    def __init__(self, spec: DeviceSpec, scenario: Scenario, transport, clock):
         self.spec = spec
         self.scenario = scenario
         self.transport = transport
         self.clock = clock
-        self.tick_spacing_s = tick_spacing_s
         self.device_id = spec.device_id
         self.battery = battery_at_level(spec.capacity_mah, spec.start_level_pct)
+        self.endpoint = None
+
+    def _send(self, to: str, msg) -> None:
+        self.transport.send(self.endpoint, to, msg)
+
+
+class _ProviderAgent(_Agent):
+    def __init__(self, spec: DeviceSpec, scenario: Scenario, transport, clock, tick_spacing_s: float):
+        super().__init__(spec, scenario, transport, clock)
+        self.tick_spacing_s = tick_spacing_s
         self.drain = DrainParams(spec.baseline_ma)
         self.sessions = ProviderSessions()
         self.engine: ChargingEngine | None = None
         self.next_tick_at: float | None = None
         self.dataset: SessionDataset | None = None
-        self.endpoint = None
 
     def start(self) -> None:
         self.endpoint = self.transport.register(self.device_id)
@@ -228,9 +223,6 @@ class _ProviderAgent:
         )
         self.transport.advertise(self.endpoint, advert)
 
-    def _send(self, to: str, msg) -> None:
-        self.transport.send(self.endpoint, to, msg)
-
     def on_message(self, msg) -> None:
         if isinstance(msg, Request):
             self._on_request(msg)
@@ -240,10 +232,8 @@ class _ProviderAgent:
 
     def _on_request(self, msg: Request) -> None:
         consumer_id = msg.request.consumer_id
-        if (
-            self.engine is not None
-            or self.sessions.busy
-            or not provider_accepts(self.battery.level_pct, self.spec.accept_threshold_pct)
+        if self.sessions.busy or not provider_accepts(
+            self.battery.level_pct, self.spec.accept_threshold_pct
         ):
             self._send(consumer_id, Reject(msg.request.request_id))
             return
@@ -282,38 +272,29 @@ class _ProviderAgent:
         self._finalize()
 
     def on_time(self) -> None:
-        while (
-            self.engine is not None
-            and self.next_tick_at is not None
-            and self.clock.now_s >= self.next_tick_at
-        ):
+        # next_tick_at is set exactly while an engine runs
+        while self.next_tick_at is not None and self.clock.now_s >= self.next_tick_at:
             self._run_tick()
 
     def _run_tick(self) -> None:
         engine = self.engine
-        step = engine.step()
+        sync = engine.step()
         self.battery = engine.provider_battery
-        if step.sync is not None:
-            self._send(engine.consumer_id, step.sync)
-        if step.terminal is None and engine.tick_index >= self.scenario.max_ticks:
-            engine.session = abort_session(engine.session, Reason.CONSUMER_CANCELLED)
-            step = EngineStep(None, Reason.CONSUMER_CANCELLED, aborted=True)
-        if step.terminal is not None:
-            terminal_msg = (
-                Abort(engine.session.session_id, step.terminal)
-                if step.aborted
-                else Complete(engine.session.session_id, step.terminal)
-            )
-            self._send(engine.consumer_id, terminal_msg)
-            self._finalize()
-        else:
+        if sync is not None:
+            self._send(engine.consumer_id, sync)
+        session = engine.session
+        if session.state is SessionPhase.CHARGING and engine.tick_index >= self.scenario.max_ticks:
+            session = engine.session = abort_session(session, Reason.CONSUMER_CANCELLED)
+        if session.state is SessionPhase.CHARGING:
             self.next_tick_at += self.tick_spacing_s
+            return
+        end = Complete if session.state is SessionPhase.COMPLETED else Abort
+        self._send(engine.consumer_id, end(session.session_id, session.terminal_reason))
+        self._finalize()
 
     def _finalize(self) -> None:
         engine = self.engine
-        metrics = compute_metrics(
-            engine.pairs, terminal_reason=engine.session.terminal_reason
-        )
+        metrics = compute_metrics(engine.pairs, terminal_reason=engine.session.terminal_reason)
         self.dataset = SessionDataset(
             session_id=engine.session.session_id,
             request=engine.session.request,
@@ -338,39 +319,30 @@ class _ProviderAgent:
         return self.next_tick_at
 
 
-class _ConsumerAgent:
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        scenario: Scenario,
-        transport,
-        clock,
-        *,
-        sync_timeout_s: float,
-    ):
-        self.spec = spec
-        self.scenario = scenario
-        self.transport = transport
-        self.clock = clock
-        self.device_id = spec.device_id
-        self.battery = battery_at_level(spec.capacity_mah, spec.start_level_pct)
-        self.sync_timeout_s = sync_timeout_s
+class _ConsumerAgent(_Agent):
+    """Walks the ranked providers until one session ends.
 
+    Every message but MonitorSync goes through the session state machine;
+    one the lifecycle graph does not permit (late, duplicate or from an
+    earlier attempt) is ignored. ``deadline`` follows ``view.state``: in
+    Requested a missed one counts as a rejection, in Accepted or Charging
+    it aborts the session with TransportLost.
+    """
+
+    def __init__(
+        self, spec: DeviceSpec, scenario: Scenario, transport, clock, *, sync_timeout_s: float
+    ):
+        super().__init__(spec, scenario, transport, clock)
+        self.sync_timeout_s = sync_timeout_s
         self.ranking: list[str] = []
         self.rejected: list[str] = []
         self.attempt = 0
-        self.current_provider: str | None = None
-        self.request = None
         self.view: SessionState | None = None
-        self.reply_deadline: float | None = None
-        self.start_deadline: float | None = None
-        self.sync_deadline: float | None = None
+        self.deadline: float | None = None
 
         self.records: list[MonitorRecord] = []
         self.sync_receipts: list[tuple[int, float, float]] = []
         self.outcome: str | None = None
-        self.terminal_reason: Reason | None = None
-        self.endpoint = None
 
     @property
     def done(self) -> bool:
@@ -382,18 +354,14 @@ class _ConsumerAgent:
         self.ranking = rank_providers(self.spec.position, adverts)
         self._submit_next()
 
-    def _send(self, to: str, msg) -> None:
-        self.transport.send(self.endpoint, to, msg)
-
     def _submit_next(self) -> None:
         try:
             provider_id = next_after_reject(self.ranking, self.rejected)
         except NoProviderAvailable:
             self.outcome = OUTCOME_NO_PROVIDER
-            self._clear_deadlines()
+            self.deadline = None
             return
         self.attempt += 1
-        self.current_provider = provider_id
         # deterministic per scenario+seed (trace bytes must reproduce),
         # unique across scenarios (shared edge stores must not collide)
         request = make_request(
@@ -402,7 +370,6 @@ class _ConsumerAgent:
             self.device_id,
             request_id=f"req-{self.scenario.run_id}-{self.device_id}-a{self.attempt}",
         )
-        self.request = request
         view = new_session(session_id_for(request.request_id), request, provider_id)
         msg = Request(
             request=request,
@@ -413,61 +380,32 @@ class _ConsumerAgent:
         )
         self.view = transition(view, msg)
         self._send(provider_id, msg)
-        self.reply_deadline = self.clock.now_s + self.scenario.request_timeout_s
-
-    def _clear_deadlines(self) -> None:
-        self.reply_deadline = None
-        self.start_deadline = None
-        self.sync_deadline = None
+        self.deadline = self.clock.now_s + self.scenario.request_timeout_s
 
     def on_message(self, msg) -> None:
-        if self.done:
+        if self.done:  # a walk that ran out of providers may leave the last view Requested
             return
-        if isinstance(msg, (Accept, Reject)):
-            if self.request is None or msg.request_id != self.request.request_id:
-                return
-            if self.view.state is not SessionPhase.REQUESTED:
-                return
-            self.view = transition(self.view, msg)
-            self._clear_deadlines()
-            if isinstance(msg, Accept):
-                self.start_deadline = self.clock.now_s + self.scenario.request_timeout_s
-            else:
-                self.rejected.append(self.current_provider)
-                self._submit_next()
-        elif isinstance(msg, StartTransfer):
-            if self.view is None or msg.session_id != self.view.session_id:
-                return
-            if self.view.state is not SessionPhase.ACCEPTED:
-                return
-            self.view = transition(self.view, msg)
-            self.start_deadline = None
-            self.sync_deadline = self.clock.now_s + self.sync_timeout_s
-        elif isinstance(msg, MonitorSync):
+        if isinstance(msg, MonitorSync):
             self._on_sync(msg)
-        elif isinstance(msg, Complete):
-            if self.view is None or msg.session_id != self.view.session_id:
-                return
-            if self.view.state is not SessionPhase.CHARGING:
-                return
+            return
+        try:
             self.view = transition(self.view, msg)
-            self.outcome = OUTCOME_COMPLETED
-            self.terminal_reason = msg.reason
-            self._clear_deadlines()
-        elif isinstance(msg, Abort):
-            if self.view is None or msg.session_id != self.view.session_id:
-                return
-            if self.view.state not in (SessionPhase.ACCEPTED, SessionPhase.CHARGING):
-                return
-            self.view = transition(self.view, msg)
-            self.outcome = OUTCOME_ABORTED
-            self.terminal_reason = msg.reason
-            self._clear_deadlines()
+        except IllegalTransition:
+            return
+        state = self.view.state
+        if state is SessionPhase.ACCEPTED:
+            self.deadline = self.clock.now_s + self.scenario.request_timeout_s
+        elif state is SessionPhase.CHARGING:
+            self.deadline = self.clock.now_s + self.sync_timeout_s
+        elif state is SessionPhase.REJECTED:
+            self.rejected.append(self.view.provider_id)
+            self._submit_next()
+        else:
+            self.outcome = OUTCOME_COMPLETED if state is SessionPhase.COMPLETED else OUTCOME_ABORTED
+            self.deadline = None
 
     def _on_sync(self, msg: MonitorSync) -> None:
-        if self.view is None or msg.session_id != self.view.session_id:
-            return
-        if self.view.state is not SessionPhase.CHARGING:
+        if msg.session_id != self.view.session_id or self.view.state is not SessionPhase.CHARGING:
             return
         self.battery = BatteryState(self.battery.capacity_mah, msg.consumer_charge_mah)
         self.records.append(
@@ -489,34 +427,27 @@ class _ConsumerAgent:
                 delivered_mah=msg.consumer_cumulative_in_mah,
                 elapsed_s=msg.tick_index * self.scenario.interval_s,
             )
-        self.sync_deadline = self.clock.now_s + self.sync_timeout_s
+        self.deadline = self.clock.now_s + self.sync_timeout_s
 
     def on_time(self) -> None:
-        """Fire at most one due deadline; the event loop calls again while one is due."""
-        if self.done:
+        # every way the walk ends clears the deadline
+        if self.deadline is None or self.clock.now_s < self.deadline:
             return
-        now = self.clock.now_s
-        if self.reply_deadline is not None and now >= self.reply_deadline:
+        if self.view.state is SessionPhase.REQUESTED:
             # no reply counts as a rejection: walk on to the next provider
-            self.reply_deadline = None
-            self.rejected.append(self.current_provider)
+            self.rejected.append(self.view.provider_id)
             self._submit_next()
-        elif any(d is not None and now >= d for d in (self.start_deadline, self.sync_deadline)):
-            self._abort_lost()
-
-    def _abort_lost(self) -> None:
+            return
         self.view = abort_session(self.view, Reason.TRANSPORT_LOST)
         try:
-            self._send(self.current_provider, Abort(self.view.session_id, Reason.TRANSPORT_LOST))
+            self._send(self.view.provider_id, Abort(self.view.session_id, Reason.TRANSPORT_LOST))
         except EnergyShareError:
             pass
         self.outcome = OUTCOME_ABORTED
-        self.terminal_reason = Reason.TRANSPORT_LOST
-        self._clear_deadlines()
+        self.deadline = None
 
     def next_wakeup(self) -> float | None:
-        deadlines = (self.reply_deadline, self.start_deadline, self.sync_deadline)
-        return min((d for d in deadlines if d is not None), default=None)
+        return self.deadline
 
 
 # --- the event loop (both clock modes) -------------------------------------------
@@ -671,7 +602,7 @@ def _collect_result(
         )
     else:
         outcome = consumer.outcome or OUTCOME_NO_PROVIDER
-        reason = consumer.terminal_reason
+        reason = consumer.view.terminal_reason if consumer.view is not None else None
     return RunResult(
         scenario=scenario,
         outcome=outcome,

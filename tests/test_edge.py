@@ -1,5 +1,6 @@
 """Edge store: validation gate, durability, idempotence, TCP protocol."""
 
+import builtins
 import dataclasses
 import errno
 import random
@@ -9,6 +10,7 @@ import socket
 import pytest
 from conftest import stored_dataset
 
+from energyshare import edge
 from energyshare.battery import DrainParams, Technology, TechnologyParams
 from energyshare.edge import (
     ConflictingSession,
@@ -177,6 +179,25 @@ def test_concurrent_uploads_all_stored(store):
     assert stored == {ds.session_id for ds in datasets}
     for ds in datasets:
         assert stored_dataset(store, ds.session_id) == ds
+
+
+def test_upload_retried_after_failed_index_append_is_listed(store, tmp_path, monkeypatch):
+    # the dataset directory is in place when the index append fails, as after
+    # a crash between the rename and the append; the retry must index it
+    failures = [OSError(errno.ENOSPC, "No space left on device")]
+
+    def open_failing_once(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return builtins.open(*args, **kwargs)
+
+    monkeypatch.setattr(edge, "open", open_failing_once, raising=False)
+    dataset = build_dataset()
+    with pytest.raises(OSError):
+        store.upload(dataset)
+    assert store.upload(dataset) == UploadReceipt("ses-r1", 5)
+    assert [s.session_id for s in store.list()] == ["ses-r1"]
+    assert [s.session_id for s in EdgeStore(tmp_path / "data").list()] == ["ses-r1"]
 
 
 # --- validation gate -------------------------------------------------------------

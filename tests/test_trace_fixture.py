@@ -5,7 +5,9 @@ every run with digests recorded from an earlier revision, so a change to
 the runtime that reorders deliveries, drop decisions or timer firings
 shows up here. It covers every bundled virtual scenario and a seeded
 sweep over latency x drop probability with 1-6 providers, some of them
-below their accept threshold.
+below their accept threshold. At 0.8 s latency a round trip outlasts the
+1 s request timeout, so Accept and StartTransfer arrive after the
+consumer has moved on to the next provider.
 
 Regenerate the digests only when a trace change is intended:
 
@@ -26,7 +28,7 @@ HERE = Path(__file__).resolve().parent
 SCENARIO_DIR = HERE.parent / "scenarios"
 DIGESTS = HERE / "trace_digests.json"
 
-LATENCIES = (0.0, 0.05, 0.4)
+LATENCIES = (0.0, 0.05, 0.4, 0.8)
 DROPS = (0.0, 0.05, 0.3)
 PER_CELL = 20
 
