@@ -9,13 +9,19 @@ records.
 
 Trace CSV is bit-exact: fixed header, ``\\n`` line endings, floats printed
 with full round-trip precision.
+
+Records are checked only where they come in from outside the process: by
+:func:`records_from_csv_text` (run artifacts, edge dataset blocks) and by
+the wire decoder (``MONITOR_SYNC``). Records built in-process, by
+:func:`record_tick` and the consumer agent, come from ids already checked
+and are not re-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .battery import BatteryState
 from .errors import EnergyShareError
@@ -51,8 +57,7 @@ class EmptyTrace(EnergyShareError):
     """Metrics were requested over an empty record series."""
 
 
-@dataclass(frozen=True)
-class MonitorRecord:
+class MonitorRecord(NamedTuple):
     """One timestamped battery sample of one device in one session."""
 
     tick_index: int
@@ -63,14 +68,6 @@ class MonitorRecord:
     battery_level_pct: float
     battery_charge_mah: float
     cumulative_transferred_mah: float
-
-    def __post_init__(self) -> None:
-        if self.tick_index < 0:
-            raise ValueError(f"tick_index must be >= 0, got {self.tick_index!r}")
-        if self.role not in (ROLE_PROVIDER, ROLE_CONSUMER):
-            raise ValueError(f"role must be provider|consumer, got {self.role!r}")
-        check_id(self.session_id, "session_id")
-        check_id(self.device_id, "device_id")
 
 
 @dataclass(frozen=True)
@@ -177,22 +174,6 @@ def format_record(record: MonitorRecord) -> str:
     )
 
 
-def parse_record(row: str) -> MonitorRecord:
-    parts = row.split(",")
-    if len(parts) != 8:
-        raise ValueError(f"expected 8 CSV fields, got {len(parts)}: {row!r}")
-    return MonitorRecord(
-        tick_index=int(parts[0]),
-        wall_time_s=float(parts[1]),
-        session_id=parts[2],
-        device_id=parts[3],
-        role=parts[4],
-        battery_level_pct=float(parts[5]),
-        battery_charge_mah=float(parts[6]),
-        cumulative_transferred_mah=float(parts[7]),
-    )
-
-
 def trace_csv_text(pairs: Iterable[tuple[MonitorRecord, MonitorRecord]]) -> str:
     """Canonical CSV for a paired trace: provider row then consumer row per tick."""
     lines = [TRACE_HEADER]
@@ -211,10 +192,37 @@ def read_trace_csv(path: Path) -> list[MonitorRecord]:
 
 
 def records_from_csv_text(text: str) -> list[MonitorRecord]:
+    """Parse trace CSV, checking each row as it comes in from outside.
+
+    Every row needs 8 fields and ``tick_index >= 0``; the ids and role are
+    checked once per distinct (session_id, device_id, role) in the text.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("trace CSV must start with the canonical header")
-    return [parse_record(row) for row in lines[1:] if row]
+    records = []
+    checked: set[tuple[str, str, str]] = set()
+    for row in lines[1:]:
+        if not row:
+            continue
+        parts = row.split(",")
+        if len(parts) != 8:
+            raise ValueError(f"expected 8 CSV fields, got {len(parts)}: {row!r}")
+        tick, wall, session_id, device_id, role, level, charge, cumulative = parts
+        tick_index = int(tick)
+        if tick_index < 0:
+            raise ValueError(f"tick_index must be >= 0, got {tick_index!r}")
+        if (session_id, device_id, role) not in checked:
+            if role not in (ROLE_PROVIDER, ROLE_CONSUMER):
+                raise ValueError(f"role must be provider|consumer, got {role!r}")
+            check_id(session_id, "session_id")
+            check_id(device_id, "device_id")
+            checked.add((session_id, device_id, role))
+        records.append(MonitorRecord(
+            tick_index, float(wall), session_id, device_id, role,
+            float(level), float(charge), float(cumulative),
+        ))
+    return records
 
 
 def pairs_from_records(

@@ -245,9 +245,12 @@ def decode_message(line: str) -> ProtocolMessage:
                 interval_s=float(fields["interval_s"]),
             )
         if msg_type == "MONITOR_SYNC":
+            tick_index = int(fields["tick_index"])
+            if tick_index < 0:
+                raise ValueError(f"tick_index must be >= 0, got {tick_index}")
             return MonitorSync(
                 session_id=check_id(fields["session_id"]),
-                tick_index=int(fields["tick_index"]),
+                tick_index=tick_index,
                 wall_time_s=float(fields["wall_time_s"]),
                 consumer_charge_mah=float(fields["consumer_charge_mah"]),
                 consumer_cumulative_in_mah=float(fields["consumer_cumulative_in_mah"]),

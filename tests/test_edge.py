@@ -115,7 +115,7 @@ def test_conflicting_reupload_rejected(store):
     tampered_pairs = list(dataset.records)
     provider_record, consumer_record = tampered_pairs[-1]
     tampered_pairs[-1] = (
-        dataclasses.replace(provider_record, cumulative_transferred_mah=999.0),
+        provider_record._replace(cumulative_transferred_mah=999.0),
         consumer_record,
     )
     tampered = dataclasses.replace(dataset, records=tuple(tampered_pairs))
@@ -229,7 +229,7 @@ def test_unsynchronized_timestamps_rejected():
     provider_record, consumer_record = dataset.records[0]
     skewed = dataclasses.replace(
         dataset,
-        records=((provider_record, dataclasses.replace(consumer_record, wall_time_s=-1.0)),)
+        records=((provider_record, consumer_record._replace(wall_time_s=-1.0)),)
         + dataset.records[1:],
     )
     with pytest.raises(ValidationFailed):
@@ -286,7 +286,7 @@ def test_tcp_conflict_surfaces(served_store):
     tampered = dataclasses.replace(
         dataset,
         records=dataset.records[:-1]
-        + ((dataclasses.replace(provider_record, cumulative_transferred_mah=5.5),
+        + ((provider_record._replace(cumulative_transferred_mah=5.5),
             consumer_record),),
     )
     with pytest.raises(ConflictingSession):
@@ -374,6 +374,14 @@ def test_upload_with_missing_meta_key_gets_err_reply(served_store):
     _, server, client = served_store
     upload = f"UPLOAD s1 1\nsession_id = s1\n\n{TRACE_HEADER}\nEND\n"
     reply = raw_exchange(server.address, upload)
+    assert reply.startswith("ERR Malformed ")
+    assert client.list() == []
+
+
+def test_upload_with_bad_trace_row_gets_err_reply(served_store):
+    _, server, client = served_store
+    upload = _dataset_block("UPLOAD ses-r1 5", build_dataset())
+    reply = raw_exchange(server.address, upload.replace(",c1,consumer,", ",c1,observer,", 1))
     assert reply.startswith("ERR Malformed ")
     assert client.list() == []
 

@@ -1,6 +1,10 @@
 """Synchronized recording, trace alignment, metrics and the trace CSV."""
 
+import string
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from energyshare.battery import BatteryState
 from energyshare.monitor import (
@@ -147,8 +151,59 @@ def test_trace_csv_rejects_foreign_header():
         records_from_csv_text("time,level\n0,40\n")
 
 
-def test_record_validation():
+GOOD_ROW = "0,0.0,ses-r1,p1,provider,50.0,10.0,0.0"
+BAD_ROWS = [
+    "-1,0.0,ses-r1,p1,provider,50.0,10.0,0.0",  # negative tick_index
+    "0,0.0,ses-r1,p1,observer,50.0,10.0,0.0",  # role neither provider nor consumer
+    "0,0.0,..,p1,provider,50.0,10.0,0.0",  # session_id check_id refuses
+    "0,0.0,ses-r1,a;b,provider,50.0,10.0,0.0",  # device_id check_id refuses
+    "0,0.0,ses-r1,p1,provider,50.0,10.0",  # 7 fields
+]
+
+
+def test_csv_reader_rejects_bad_rows():
+    assert len(records_from_csv_text(f"{TRACE_HEADER}\n{GOOD_ROW}\n")) == 1
+    for bad in BAD_ROWS:
+        for rows in ([bad], [GOOD_ROW, bad], [bad, GOOD_ROW]):
+            with pytest.raises(ValueError):
+                records_from_csv_text("\n".join([TRACE_HEADER, *rows]) + "\n")
+
+
+ID_CHARS = string.ascii_letters + string.digits + "_.:-"
+ids = st.text(ID_CHARS, min_size=1, max_size=12).filter(lambda s: s.strip(".") != "")
+finite = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def record_pairs(draw):
+    session_id, provider_id, consumer_id = draw(ids), draw(ids), draw(ids)
+    ticks = sorted(draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=20, unique=True)))
+    return [
+        (MonitorRecord(t, draw(finite), session_id, provider_id, ROLE_PROVIDER,
+                       draw(finite), draw(finite), draw(finite)),
+         MonitorRecord(t, draw(finite), session_id, consumer_id, ROLE_CONSUMER,
+                       draw(finite), draw(finite), draw(finite)))
+        for t in ticks
+    ]
+
+
+@given(record_pairs())
+def test_trace_csv_codec_round_trips(pairs):
+    text = trace_csv_text(pairs)
+    decoded = pairs_from_records(records_from_csv_text(text))
+    assert decoded == pairs
+    assert trace_csv_text(decoded) == text
+
+
+@given(record_pairs(), st.data())
+def test_trace_csv_refuses_one_bad_role_or_tick(pairs, data):
+    lines = trace_csv_text(pairs).splitlines()
+    at = data.draw(st.integers(1, len(lines) - 1))
+    fields = lines[at].split(",")
+    if data.draw(st.booleans()):
+        fields[4] = data.draw(ids.filter(lambda r: r not in (ROLE_PROVIDER, ROLE_CONSUMER)))
+    else:
+        fields[0] = str(data.draw(st.integers(max_value=-1)))
+    lines[at] = ",".join(fields)
     with pytest.raises(ValueError):
-        mk_record(-1, ROLE_PROVIDER)
-    with pytest.raises(ValueError):
-        MonitorRecord(0, 0.0, "s", "d", "observer", 50.0, 10.0, 0.0)
+        records_from_csv_text("\n".join(lines) + "\n")

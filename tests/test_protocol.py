@@ -116,6 +116,8 @@ def test_wire_field_order_is_fixed():
         "COMPLETE session_id=s reason=NotAReason",
         "MONITOR_SYNC session_id=s tick_index=x wall_time_s=1.0"
         " consumer_charge_mah=1.0 consumer_cumulative_in_mah=0.0",
+        "MONITOR_SYNC session_id=s tick_index=-1 wall_time_s=1.0"
+        " consumer_charge_mah=1.0 consumer_cumulative_in_mah=0.0",
     ],
 )
 def test_decode_rejects_malformed_lines(line):

@@ -10,6 +10,7 @@ from energyshare.battery import battery_at_level, DrainParams, predict_outcome
 from energyshare.edge import EdgeServer, EdgeStore, validate_dataset
 from energyshare.protocol import Reason, RequestKind, make_request
 from energyshare.report import (
+    TRACE_FILENAME,
     IncompatibleRuns,
     compare,
     load_run,
@@ -358,5 +359,15 @@ def test_load_run_rejects_malformed_run_txt(tmp_path, edit):
     run_dir = run_and_write(tmp_path, "broken", value=5.0)
     info = run_dir / "run.txt"
     info.write_text(edit(info.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(IncompatibleRuns):
+        load_run(run_dir)
+
+
+def test_load_run_rejects_negative_tick_in_trace(tmp_path):
+    run_dir = run_and_write(tmp_path, "broken", value=5.0)
+    trace = run_dir / TRACE_FILENAME
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    lines[-1] = "-" + lines[-1]  # the last consumer row, tick 5 -> -5
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(IncompatibleRuns):
         load_run(run_dir)
