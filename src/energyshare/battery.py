@@ -8,6 +8,13 @@ bounds. The fixed order keeps the dynamics deterministic and lets the
 closed-form predictor reproduce the iterated simulation exactly in the
 constant-rate regime.
 
+A ``BatteryState`` is checked where its values enter the process: a
+scenario's start level (:func:`battery_at_level`), the consumer battery a
+provider reads from a decoded ``Request``, and the one a consumer reads
+from a decoded ``MonitorSync``. :func:`transfer_tick` works on the floats
+of batteries checked there and builds its results without re-checking
+them, because each step keeps the charge inside [0, capacity].
+
 Numeric defaults are configuration, not measured truth: the only hard
 constraint they encode is that phone-to-phone reverse charging wastes the
 most energy of the three supported technologies.
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import EnergyShareError
 from .protocol import EnergyRequest, RequestKind
@@ -54,29 +62,42 @@ class OutsideConstantRegime(EnergyShareError):
     """Closed-form prediction requested outside the constant-rate regime."""
 
 
-@dataclass(frozen=True)
-class BatteryState:
-    """A device's charge store. Charge is clamped into [0, capacity] on construction."""
-
+class _Charge(NamedTuple):
     capacity_mah: float
     charge_mah: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.capacity_mah) or self.capacity_mah <= 0:
-            raise ValueError(f"capacity_mah must be > 0, got {self.capacity_mah!r}")
-        if not math.isfinite(self.charge_mah):
-            raise ValueError(f"charge_mah must be finite, got {self.charge_mah!r}")
-        clamped = min(max(self.charge_mah, 0.0), self.capacity_mah)
-        object.__setattr__(self, "charge_mah", clamped)
+
+class BatteryState(_Charge):
+    """A device's charge store.
+
+    ``BatteryState(capacity, charge)`` raises on a capacity that is not
+    finite and > 0 or a charge that is not finite, then clamps charge into
+    [0, capacity]. ``BatteryState._make((capacity, charge))`` builds one
+    unchecked, for values already inside those bounds.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, capacity_mah: float, charge_mah: float) -> "BatteryState":
+        if not math.isfinite(capacity_mah) or capacity_mah <= 0:
+            raise ValueError(f"capacity_mah must be > 0, got {capacity_mah!r}")
+        if not math.isfinite(charge_mah):
+            raise ValueError(f"charge_mah must be finite, got {charge_mah!r}")
+        return super().__new__(cls, capacity_mah, min(max(charge_mah, 0.0), capacity_mah))
 
     @property
     def level_pct(self) -> float:
-        """Charge level in percent, always consistent with charge/capacity.
+        """Charge level in percent, at most 100."""
+        return _level_pct(self.charge_mah, self.capacity_mah)
 
-        Capped at 100: at full charge the division can round one ulp above it.
-        """
-        level = 100.0 * self.charge_mah / self.capacity_mah
-        return level if level <= 100.0 else 100.0
+
+def _level_pct(charge_mah: float, capacity_mah: float) -> float:
+    """Charge level in percent, always consistent with charge/capacity.
+
+    Capped at 100: at full charge the division can round one ulp above it.
+    """
+    level = 100.0 * charge_mah / capacity_mah
+    return level if level <= 100.0 else 100.0
 
 
 def battery_at_level(capacity_mah: float, level_pct: float) -> BatteryState:
@@ -130,8 +151,7 @@ class DrainParams:
             raise ValueError(f"baseline_ma must be >= 0, got {self.baseline_ma!r}")
 
 
-@dataclass(frozen=True)
-class TransferTick:
+class TransferTick(NamedTuple):
     """Per-tick energy breakdown.
 
     ``mah_out`` leaves the provider battery for the transfer, ``mah_in``
@@ -176,17 +196,15 @@ class TickLedger:
         )
 
 
-def drain_baseline(
-    battery: BatteryState, drain: DrainParams, dt_s: float
-) -> tuple[BatteryState, float]:
-    """Apply ``dt_s`` seconds of baseline self-drain, clamped at empty.
+def drain_baseline(charge_mah: float, drain: DrainParams, dt_s: float) -> tuple[float, float]:
+    """Apply ``dt_s`` seconds of baseline self-drain to ``charge_mah``, clamped at empty.
 
-    Returns the drained battery and the amount actually removed in mAh.
+    Returns the charge left and the amount actually removed, both in mAh.
     """
     if dt_s < 0:
         raise ValueError(f"dt_s must be >= 0, got {dt_s!r}")
-    drained = min(battery.charge_mah, drain.baseline_ma * dt_s / 3600.0)
-    return BatteryState(battery.capacity_mah, battery.charge_mah - drained), drained
+    drained = min(charge_mah, drain.baseline_ma * dt_s / 3600.0)
+    return charge_mah - drained, drained
 
 
 def effective_rate(params: TechnologyParams, consumer_level_pct: float) -> float:
@@ -229,24 +247,22 @@ def transfer_tick(
     if provider.charge_mah <= 0.0:
         raise ProviderDepleted("provider battery is empty")
 
-    provider_mid, p_drained = drain_baseline(provider, provider_drain, dt_s)
-    consumer_mid, c_drained = drain_baseline(consumer, consumer_drain, dt_s)
+    # Each subtraction takes off at most what the battery holds (min() caps
+    # the drains and mah_out), so no charge falls below 0 and none but the
+    # consumer's grows. The consumer gains mah_in <= capacity - c_mid, yet
+    # the sum can round one ulp above capacity (1.2 + (3.6 - 1.2) gives
+    # 3.6000000000000005): min() clamps it.
+    p_mid, p_drained = drain_baseline(provider.charge_mah, provider_drain, dt_s)
+    c_mid, c_drained = drain_baseline(consumer.charge_mah, consumer_drain, dt_s)
+    capacity = consumer.capacity_mah
 
-    rate_ma = effective_rate(params, consumer_mid.level_pct)
-    mah_out = min(provider_mid.charge_mah, rate_ma * dt_s / 3600.0)
-    headroom = consumer_mid.capacity_mah - consumer_mid.charge_mah
-    mah_in = min(params.efficiency * mah_out, headroom)
-    mah_lost = mah_out - mah_in
+    rate_ma = effective_rate(params, _level_pct(c_mid, capacity))
+    mah_out = min(p_mid, rate_ma * dt_s / 3600.0)
+    mah_in = min(params.efficiency * mah_out, capacity - c_mid)
 
-    provider_after = BatteryState(provider.capacity_mah, provider_mid.charge_mah - mah_out)
-    consumer_after = BatteryState(consumer.capacity_mah, consumer_mid.charge_mah + mah_in)
-    tick = TransferTick(
-        mah_out=mah_out,
-        mah_in=mah_in,
-        mah_lost=mah_lost,
-        provider_baseline_mah=p_drained,
-        consumer_baseline_mah=c_drained,
-    )
+    provider_after = BatteryState._make((provider.capacity_mah, p_mid - mah_out))
+    consumer_after = BatteryState._make((capacity, min(c_mid + mah_in, capacity)))
+    tick = TransferTick(mah_out, mah_in, mah_out - mah_in, p_drained, c_drained)
     return provider_after, consumer_after, tick
 
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import EnergyShareError
 from .util import check_id, fmt_float, parse_fields
@@ -213,6 +214,13 @@ def encode_message(msg: ProtocolMessage) -> str:
     raise TypeError(f"not a protocol message: {msg!r}")
 
 
+def _finite(fields: dict[str, str], name: str) -> float:
+    value = float(fields[name])
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def decode_message(line: str) -> ProtocolMessage:
     """Inverse of :func:`encode_message`."""
     tokens = line.strip().split(" ")
@@ -227,12 +235,18 @@ def decode_message(line: str) -> ProtocolMessage:
                 kind, float(fields["value"]), fields["consumer_id"],
                 request_id=fields["request_id"],
             )
+            capacity_mah = _finite(fields, "capacity_mah")
+            if capacity_mah <= 0:
+                raise ValueError(f"capacity_mah must be > 0, got {capacity_mah!r}")
+            baseline_ma = _finite(fields, "baseline_ma")
+            if baseline_ma < 0:
+                raise ValueError(f"baseline_ma must be >= 0, got {baseline_ma!r}")
             return Request(
                 request=request,
                 consumer_position=(float(fields["x"]), float(fields["y"])),
-                consumer_capacity_mah=float(fields["capacity_mah"]),
-                consumer_charge_mah=float(fields["charge_mah"]),
-                consumer_baseline_ma=float(fields["baseline_ma"]),
+                consumer_capacity_mah=capacity_mah,
+                consumer_charge_mah=_finite(fields, "charge_mah"),
+                consumer_baseline_ma=baseline_ma,
             )
         if msg_type == "ACCEPT":
             return Accept(request_id=check_id(fields["request_id"]))
@@ -252,8 +266,8 @@ def decode_message(line: str) -> ProtocolMessage:
                 session_id=check_id(fields["session_id"]),
                 tick_index=tick_index,
                 wall_time_s=float(fields["wall_time_s"]),
-                consumer_charge_mah=float(fields["consumer_charge_mah"]),
-                consumer_cumulative_in_mah=float(fields["consumer_cumulative_in_mah"]),
+                consumer_charge_mah=_finite(fields, "consumer_charge_mah"),
+                consumer_cumulative_in_mah=_finite(fields, "consumer_cumulative_in_mah"),
             )
         if msg_type == "COMPLETE":
             return Complete(session_id=check_id(fields["session_id"]), reason=Reason(fields["reason"]))
@@ -284,8 +298,7 @@ TERMINAL_PHASES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SessionState:
+class SessionState(NamedTuple):
     """One charging session's lifecycle state, owned by a single device."""
 
     session_id: str
@@ -333,7 +346,7 @@ def transition(state: SessionState, event: ProtocolMessage) -> SessionState:
     if successor is None:
         raise IllegalTransition(state.state, event)
     reason = getattr(event, "reason", state.terminal_reason)
-    return replace(state, state=successor, terminal_reason=reason)
+    return state._replace(state=successor, terminal_reason=reason)
 
 
 def record_progress(state: SessionState, *, delivered_mah: float, elapsed_s: float) -> SessionState:
@@ -342,7 +355,11 @@ def record_progress(state: SessionState, *, delivered_mah: float, elapsed_s: flo
         raise NotCharging(f"progress update in state {state.state.value}")
     if delivered_mah < state.delivered_mah or elapsed_s < state.elapsed_s:
         raise ValueError("delivered_mah and elapsed_s must be non-decreasing")
-    return replace(state, delivered_mah=delivered_mah, elapsed_s=elapsed_s)
+    # runs every tick: a positional build costs half of _replace
+    return SessionState(
+        state.session_id, state.request, state.provider_id, state.state,
+        delivered_mah, elapsed_s, state.terminal_reason,
+    )
 
 
 def is_complete(state: SessionState) -> Reason | None:
@@ -361,7 +378,7 @@ def abort_session(state: SessionState, reason: Reason) -> SessionState:
     """Abort an Accepted or Charging session, retaining partial progress."""
     if state.state not in (SessionPhase.CHARGING, SessionPhase.ACCEPTED):
         raise IllegalTransition(state.state, reason, "abort is only legal before a terminal state")
-    return replace(state, state=SessionPhase.ABORTED, terminal_reason=reason)
+    return state._replace(state=SessionPhase.ABORTED, terminal_reason=reason)
 
 
 class ProviderSessions:

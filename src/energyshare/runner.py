@@ -74,7 +74,9 @@ class ChargingEngine:
     """Provider-side physics of one charging session.
 
     Holds both batteries (the consumer side is the mirror seeded from the
-    request), the per-tick ledger and the synchronized record pairs.
+    request), the per-tick ledger and the synchronized record pairs. Both
+    batteries come in checked; each tick's successors come from
+    ``transfer_tick`` unchecked, as does the session from ``record_progress``.
     Timestamps are session start plus tick * interval, independent of how
     fast the host actually ticks.
     """

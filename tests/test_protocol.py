@@ -118,6 +118,26 @@ def test_wire_field_order_is_fixed():
         " consumer_charge_mah=1.0 consumer_cumulative_in_mah=0.0",
         "MONITOR_SYNC session_id=s tick_index=-1 wall_time_s=1.0"
         " consumer_charge_mah=1.0 consumer_cumulative_in_mah=0.0",
+        *(
+            "REQUEST request_id=r1 consumer_id=c1 kind=amount value=10.0 x=0.0 y=0.0"
+            f" capacity_mah={capacity} charge_mah={charge} baseline_ma={baseline}"
+            for capacity, charge, baseline in [
+                ("0.0", "1.0", "40.0"),
+                ("-10.0", "1.0", "40.0"),
+                ("nan", "1.0", "40.0"),
+                ("inf", "1.0", "40.0"),
+                ("2915.0", "nan", "40.0"),
+                ("2915.0", "-inf", "40.0"),
+                ("2915.0", "1.0", "nan"),
+                ("2915.0", "1.0", "inf"),
+                ("2915.0", "1.0", "-1.0"),
+            ]
+        ),
+        *(
+            "MONITOR_SYNC session_id=s tick_index=1 wall_time_s=1.0"
+            f" consumer_charge_mah={charge} consumer_cumulative_in_mah={cumulative}"
+            for charge, cumulative in [("nan", "0.0"), ("inf", "0.0"), ("1.0", "nan"), ("1.0", "-inf")]
+        ),
     ],
 )
 def test_decode_rejects_malformed_lines(line):

@@ -1,5 +1,6 @@
 """End-to-end scenario runs: happy path, reject walk, aborts, both transports."""
 
+import socket
 import threading
 import time
 
@@ -8,7 +9,7 @@ from conftest import build_scenario, scenario_text, stored_dataset
 
 from energyshare.battery import battery_at_level, DrainParams, predict_outcome
 from energyshare.edge import EdgeServer, EdgeStore, validate_dataset
-from energyshare.protocol import Reason, RequestKind, make_request
+from energyshare.protocol import Reason, Request, RequestKind, encode_message, make_request
 from energyshare.report import (
     TRACE_FILENAME,
     IncompatibleRuns,
@@ -20,9 +21,11 @@ from energyshare.runner import (
     OUTCOME_ABORTED,
     OUTCOME_COMPLETED,
     OUTCOME_NO_PROVIDER,
+    _ProviderAgent,
     run_scenario,
 )
 from energyshare.scenario import parse_scenario_text
+from energyshare.transport import RegistryServer, TcpTransport, WallClock, parse_addr
 
 
 def test_duration_session_happy_path():
@@ -298,6 +301,48 @@ def test_wall_run_starts_only_registry_threads(monkeypatch):
     # one connection; only the registry serves in threads: its accept thread plus one
     # for that connection
     assert sorted(started) == ["registry-accept", "registry-conn"]
+
+
+@pytest.mark.parametrize(
+    "hostile",
+    [("capacity_mah=2915.0", "capacity_mah=0.0"), ("capacity_mah=2915.0", "capacity_mah=nan"),
+     ("baseline_ma=40.0", "baseline_ma=nan")],
+    ids=lambda edit: edit[1],
+)
+def test_provider_drops_hostile_request_and_serves_the_next(hostile):
+    scenario = build_scenario(clock="wall")
+    registry = RegistryServer().start()
+    transport = TcpTransport(registry.address)
+    try:
+        provider = _ProviderAgent(
+            scenario.providers()[0], scenario, transport, WallClock(transport.poll), 1.0
+        )
+        provider.start()
+        consumer = transport.register("c1")
+
+        def deliver(rounds):
+            for _ in range(rounds):
+                transport.poll(0.02)
+                for msg in transport.receive(provider.endpoint):
+                    provider.on_message(msg)
+
+        def request(request_id):
+            return Request(make_request("amount", 10.0, "c1", request_id=request_id),
+                           (0.0, 0.0), 2915.0, 1166.0, 40.0)
+
+        line = encode_message(request("req-bad")).replace(*hostile)
+        with socket.create_connection(parse_addr(provider.endpoint.address)) as stranger:
+            stranger.sendall((line + "\n").encode("utf-8"))
+            deliver(10)
+        assert provider.engine is None
+        transport.send(consumer, "p1", request("req-good"))
+        deadline = time.monotonic() + 5.0
+        while provider.engine is None and time.monotonic() < deadline:
+            deliver(1)
+        assert provider.engine.session.request.request_id == "req-good"
+    finally:
+        transport.close()
+        registry.stop()
 
 
 # --- comparison reports ------------------------------------------------------------------
