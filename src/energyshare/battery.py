@@ -23,7 +23,7 @@ most energy of the three supported technologies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -176,7 +176,6 @@ class TickLedger:
     total_lost_mah: float = 0.0
     total_provider_baseline_mah: float = 0.0
     total_consumer_baseline_mah: float = 0.0
-    ticks: int = field(default=0)
 
     def add(self, tick: TransferTick) -> None:
         self.total_out_mah += tick.mah_out
@@ -184,7 +183,6 @@ class TickLedger:
         self.total_lost_mah += tick.mah_lost
         self.total_provider_baseline_mah += tick.provider_baseline_mah
         self.total_consumer_baseline_mah += tick.consumer_baseline_mah
-        self.ticks += 1
 
     @property
     def total_overhead_mah(self) -> float:

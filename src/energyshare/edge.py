@@ -38,9 +38,11 @@ from .monitor import (
 )
 from .protocol import EnergyRequest, Reason, RequestKind
 from .transport import LineServer, parse_addr
-from .util import check_id, fmt_float, parse_fields, rel_close
+from .util import check_id, fmt_float, format_meta, parse_fields, parse_meta, rel_close
 
 METRIC_TOLERANCE = 1e-9
+# an EdgeClient's connect and each of its reads give up after this long
+EDGE_TIMEOUT_S = 30.0
 
 
 class ValidationFailed(EnergyShareError):
@@ -151,35 +153,9 @@ def validate_dataset(dataset: SessionDataset) -> None:
 
 # --- canonical metadata encoding ------------------------------------------------
 
-_META_KEYS = (
-    "session_id",
-    "consumer_id",
-    "provider_id",
-    "technology",
-    "transfer_rate_ma",
-    "efficiency",
-    "taper_start_pct",
-    "distance_m",
-    "provider_capacity_mah",
-    "consumer_capacity_mah",
-    "provider_baseline_ma",
-    "consumer_baseline_ma",
-    "request_id",
-    "request_kind",
-    "request_value",
-    "interval_s",
-    "terminal_reason",
-    "provider_loss_mah",
-    "consumer_gain_mah",
-    "energy_loss_mah",
-    "duration_s",
-    "record_count",
-)
-
-
 def encode_meta(dataset: SessionDataset) -> str:
-    """Canonical key-value sidecar (fixed key order; digest input)."""
-    values = {
+    """Canonical key-value sidecar (keys in this fixed order; digest input)."""
+    return format_meta({
         "session_id": dataset.session_id,
         "consumer_id": dataset.consumer_id,
         "provider_id": dataset.provider_id,
@@ -202,20 +178,7 @@ def encode_meta(dataset: SessionDataset) -> str:
         "energy_loss_mah": fmt_float(dataset.metrics.energy_loss_mah),
         "duration_s": fmt_float(dataset.metrics.duration_s),
         "record_count": str(dataset.record_count),
-    }
-    return "\n".join(f"{key} = {values[key]}" for key in _META_KEYS) + "\n"
-
-
-def parse_meta(text: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, sep, value = line.partition(" = ")
-        if not sep:
-            raise ValueError(f"malformed meta line {line!r}")
-        values[key] = value
-    return values
+    })
 
 
 def _summary_of(meta: bytes) -> SessionSummary:
@@ -395,16 +358,12 @@ def _summary_line(s: SessionSummary) -> str:
     )
 
 
-def _dataset_block(header: str, dataset: SessionDataset) -> str:
-    # header line, meta block, blank separator, CSV block, END terminator
-    return (
-        header
-        + "\n"
-        + encode_meta(dataset)
-        + "\n"
-        + trace_csv_text(dataset.records)
-        + "END\n"
-    )
+def _dataset_block(header: str, meta: str, trace: str) -> tuple[str, ...]:
+    """Header line, meta block, blank separator, CSV block, END terminator.
+
+    Returned as parts for the caller to write one by one, so no joined copy is made.
+    """
+    return header + "\n", meta, "\n", trace, "END\n"
 
 
 def _read_dataset_block(stream) -> SessionDataset:
@@ -447,10 +406,6 @@ class EdgeServer(LineServer):
         self.store = store
         super().__init__(host, port)
 
-    def _error_reply(self, exc: Exception) -> str:
-        code = type(exc).__name__ if isinstance(exc, EnergyShareError) else "Malformed"
-        return f"ERR {code} {exc}"
-
     def _handle(self, line: str, stream) -> str | None:
         command, _, rest = line.partition(" ")
         if command == "UPLOAD":
@@ -473,10 +428,8 @@ class EdgeServer(LineServer):
             with _storage_errors():
                 meta, trace = self.store.get(rest.strip())
             fields = parse_meta(meta)
-            # _dataset_block's framing, written part by part so no joined copy is made
-            for part in (f"DATASET {fields['session_id']} {fields['record_count']}\n",
-                         meta, "\n", trace, "END\n"):
-                stream.write(part)
+            header = f"DATASET {fields['session_id']} {fields['record_count']}"
+            stream.writelines(_dataset_block(header, meta, trace))
             return None
         raise ValueError(f"unknown command {command!r}")
 
@@ -484,20 +437,18 @@ class EdgeServer(LineServer):
 class EdgeClient:
     """Client for the edge TCP protocol (upload / list / get)."""
 
-    def __init__(self, address: str, timeout_s: float = 30.0):
+    def __init__(self, address: str):
         self._addr = parse_addr(address)
-        self._timeout_s = timeout_s
 
     def _connect(self):
-        return socket.create_connection(self._addr, timeout=self._timeout_s)
+        return socket.create_connection(self._addr, timeout=EDGE_TIMEOUT_S)
 
     def upload(self, dataset: SessionDataset) -> UploadReceipt:
         with self._connect() as conn:
             with conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                stream.write(
-                    _dataset_block(
-                        f"UPLOAD {dataset.session_id} {dataset.record_count}", dataset
-                    )
+                header = f"UPLOAD {dataset.session_id} {dataset.record_count}"
+                stream.writelines(
+                    _dataset_block(header, encode_meta(dataset), trace_csv_text(dataset.records))
                 )
                 stream.flush()
                 reply = stream.readline().strip()

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .edge import parse_meta
 from .errors import EnergyShareError
 from .monitor import MonitorRecord, pairs_from_records, read_trace_csv, write_trace_csv
 from .runner import RunResult
-from .util import fmt_float
+from .util import fmt_float, format_meta, parse_meta
 
 RUN_INFO_FILENAME = "run.txt"
 TRACE_FILENAME = "trace.csv"
@@ -39,34 +38,34 @@ def write_run_artifacts(result: RunResult, out_dir: Path | str) -> Path:
     consumer = scenario.requesting_consumer()
     reason = result.terminal_reason.value if result.terminal_reason else result.outcome
 
-    lines = [
-        f"run_id = {scenario.run_id}",
-        f"outcome = {result.outcome}",
-        f"terminal_reason = {reason}",
-        f"technology = {scenario.technology.value}",
-        f"interval_s = {fmt_float(scenario.interval_s)}",
-        f"request_kind = {scenario.request_kind.value}",
-        f"request_value = {fmt_float(scenario.request_value)}",
-        f"consumer_id = {consumer.device_id}",
-        f"consumer_start_level_pct = {fmt_float(consumer.start_level_pct)}",
-    ]
+    info = {
+        "run_id": scenario.run_id,
+        "outcome": result.outcome,
+        "terminal_reason": reason,
+        "technology": scenario.technology.value,
+        "interval_s": fmt_float(scenario.interval_s),
+        "request_kind": scenario.request_kind.value,
+        "request_value": fmt_float(scenario.request_value),
+        "consumer_id": consumer.device_id,
+        "consumer_start_level_pct": fmt_float(consumer.start_level_pct),
+    }
     if result.dataset is not None:
         d = result.dataset
-        lines += [
-            f"session_id = {d.session_id}",
-            f"provider_id = {d.provider_id}",
-            f"provider_capacity_mah = {fmt_float(d.provider_capacity_mah)}",
-            f"consumer_capacity_mah = {fmt_float(d.consumer_capacity_mah)}",
-            f"duration_s = {fmt_float(d.metrics.duration_s)}",
-            f"provider_loss_mah = {fmt_float(d.metrics.provider_loss_mah)}",
-            f"consumer_gain_mah = {fmt_float(d.metrics.consumer_gain_mah)}",
-            f"energy_loss_mah = {fmt_float(d.metrics.energy_loss_mah)}",
-            f"record_pairs = {d.record_count}",
-        ]
+        info |= {
+            "session_id": d.session_id,
+            "provider_id": d.provider_id,
+            "provider_capacity_mah": fmt_float(d.provider_capacity_mah),
+            "consumer_capacity_mah": fmt_float(d.consumer_capacity_mah),
+            "duration_s": fmt_float(d.metrics.duration_s),
+            "provider_loss_mah": fmt_float(d.metrics.provider_loss_mah),
+            "consumer_gain_mah": fmt_float(d.metrics.consumer_gain_mah),
+            "energy_loss_mah": fmt_float(d.metrics.energy_loss_mah),
+            "record_pairs": str(d.record_count),
+        }
         write_trace_csv(out_dir / TRACE_FILENAME, d.records)
     else:
-        lines.append("record_pairs = 0")
-    (out_dir / RUN_INFO_FILENAME).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        info["record_pairs"] = "0"
+    (out_dir / RUN_INFO_FILENAME).write_bytes(format_meta(info).encode("utf-8"))
     return out_dir
 
 

@@ -13,6 +13,7 @@ provider, one consumer at 40%, a 1-second recording interval).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,6 +137,14 @@ _DEVICE_KEYS = {
 }
 
 
+def _finite(text: str) -> float:
+    """``float(text)``, refusing ``nan`` and infinities with ``ValueError``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def parse_scenario(path: Path | str) -> Scenario:
     path = Path(path)
     return parse_scenario_text(path.read_text(encoding="utf-8"), run_id=path.stem)
@@ -176,9 +185,9 @@ def parse_scenario_text(text: str, run_id: str = "scenario") -> Scenario:
             return default
         line_no, value = found
         try:
-            return float(value)
+            return _finite(value)
         except ValueError:
-            raise ParseError(line_no, f"expected number for {key}, got {value!r}") from None
+            raise ParseError(line_no, f"expected a finite number for {key}, got {value!r}") from None
 
     def integer(key: str, default: int) -> int:
         found = take(key)
@@ -274,9 +283,9 @@ def parse_scenario_text(text: str, run_id: str = "scenario") -> Scenario:
             if len(parts) != 2:
                 raise ParseError(line_no, f"position must be 'x, y', got {value!r}")
             try:
-                position = (float(parts[0]), float(parts[1]))
+                position = (_finite(parts[0]), _finite(parts[1]))
             except ValueError:
-                raise ParseError(line_no, f"position must be numeric, got {value!r}") from None
+                raise ParseError(line_no, f"position must be finite numbers, got {value!r}") from None
         baseline = number(f"{prefix}.baseline_ma", DEFAULT_BASELINE_MA)
         if baseline < 0:
             raise ValidationError(f"{prefix}.baseline_ma", "must be >= 0")

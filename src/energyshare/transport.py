@@ -12,10 +12,12 @@ Two interchangeable transports stand in for the short-range radio link:
   :meth:`TcpTransport.poll` on the caller's thread.
 
 Both satisfy the same contract: FIFO per sender/receiver pair, no
-duplication, no loss unless a drop probability is configured. Both tell
-the runner's event loop which devices have a message due, and the
-matching clock's ``wait_until`` moves time on to the next event: the
-:class:`WallClock` waits inside ``poll``, so input wakes it.
+duplication, no loss unless a drop probability is configured. Both apply
+the discovery rules of one :class:`Registry`, held in process or behind
+the registry server. Both tell the runner's event loop which devices
+have a message due, and the matching clock's ``wait_until`` moves time
+on to the next event: the :class:`WallClock` waits inside ``poll``, so
+input wakes it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ class DuplicateDevice(EnergyShareError):
 
 class PeerUnreachable(EnergyShareError):
     """The destination device is unknown."""
+
+
+class Unknown(PeerUnreachable):
+    """No device is registered under this id (the registry's ``ERR Unknown``)."""
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,45 @@ def decode_advert(text: str) -> ProviderAdvert:
     )
 
 
+# --- discovery -------------------------------------------------------------------
+
+
+class Registry:
+    """Discovery state and its rules, the same for both transports.
+
+    Registering or advertising an id again from the same address updates
+    it; from another address it is :class:`DuplicateDevice`. Not
+    thread-safe: :class:`RegistryServer` calls it under its lock.
+    """
+
+    def __init__(self) -> None:
+        self._devices: dict[str, str] = {}
+        self._adverts: dict[str, tuple[ProviderAdvert, str]] = {}
+
+    def register(self, device_id: str, address: str) -> None:
+        known = self._devices.setdefault(device_id, address)
+        if known != address:
+            raise DuplicateDevice(f"{device_id} already at {known}")
+
+    def advertise(self, address: str, advert: ProviderAdvert) -> None:
+        existing = self._adverts.get(advert.provider_id)
+        if existing is not None and existing[1] != address:
+            raise DuplicateDevice(f"{advert.provider_id} already at {existing[1]}")
+        self._adverts[advert.provider_id] = (advert, address)
+
+    def resolve(self, device_id: str) -> str:
+        try:
+            return self._devices[device_id]
+        except KeyError:
+            raise Unknown(device_id) from None
+
+    def discover(self) -> list[ProviderAdvert]:
+        """The advertised providers that are available, sorted by id."""
+        available = [a for a, _ in self._adverts.values() if a.available]
+        available.sort(key=lambda a: a.provider_id)
+        return available
+
+
 # --- deterministic in-process transport ---------------------------------------
 
 
@@ -157,8 +202,7 @@ class SimTransport:
         self.latency_s = latency_s
         self.drop_probability = drop_probability
         self._rng = random.Random(seed)
-        self._endpoints: dict[str, Endpoint] = {}
-        self._adverts: dict[str, tuple[ProviderAdvert, str]] = {}
+        self._registry = Registry()
         self._inboxes: dict[str, list[tuple[float, int, str]]] = {}
         # one (deliver_at, seq, device_id) entry per queued message, across inboxes
         self._wake: list[tuple[float, int, str]] = []
@@ -166,39 +210,28 @@ class SimTransport:
 
     def register(self, device_id: str) -> Endpoint:
         check_id(device_id, "device_id")
-        if device_id in self._endpoints:
-            return self._endpoints[device_id]
         endpoint = Endpoint(device_id, f"sim:{device_id}")
-        self._endpoints[device_id] = endpoint
-        self._inboxes[device_id] = []
+        self._registry.register(device_id, endpoint.address)
+        self._inboxes.setdefault(device_id, [])
         return endpoint
 
     def _require_registered(self, endpoint: Endpoint) -> None:
-        known = self._endpoints.get(endpoint.device_id)
-        if known is None or known.address != endpoint.address:
+        if self._registry.resolve(endpoint.device_id) != endpoint.address:
             raise PeerUnreachable(f"endpoint {endpoint.device_id!r} is not registered")
 
     def advertise(self, endpoint: Endpoint, advert: ProviderAdvert) -> None:
         self._require_registered(endpoint)
-        existing = self._adverts.get(advert.provider_id)
-        if existing is not None and existing[1] != endpoint.address:
-            raise DuplicateDevice(
-                f"{advert.provider_id!r} already advertises from {existing[1]}"
-            )
-        self._adverts[advert.provider_id] = (advert, endpoint.address)
+        self._registry.advertise(endpoint.address, advert)
 
     def discover(self, endpoint: Endpoint) -> list[ProviderAdvert]:
         """Snapshot of currently advertised, available providers."""
         self._require_registered(endpoint)
-        available = [a for a, _ in self._adverts.values() if a.available]
-        available.sort(key=lambda a: a.provider_id)
-        return available
+        return self._registry.discover()
 
     def send(self, frm: Endpoint, to: str, msg: ProtocolMessage) -> None:
         """Queue ``msg`` for ``to`` (a device id) at now + latency."""
         self._require_registered(frm)
-        if to not in self._endpoints:
-            raise PeerUnreachable(f"peer {to!r} is not registered")
+        self._registry.resolve(to)
         line = encode_message(msg)
         if self.drop_probability > 0.0 and self._rng.random() < self.drop_probability:
             return
@@ -259,8 +292,8 @@ class LineServer:
     Subclasses answer each non-blank request line in ``_handle(line,
     stream)``, which may read further lines from the stream and returns
     the reply text, or None once it wrote the reply itself. An exception
-    of a type in :attr:`handled_errors` is answered with
-    ``_error_reply(exc)``; an ``OSError`` ends the connection.
+    of a type in :attr:`handled_errors` is answered with one ``ERR`` line
+    (see :meth:`_error_reply`); an ``OSError`` ends the connection.
     """
 
     thread_name: str
@@ -294,6 +327,12 @@ class LineServer:
             threading.Thread(
                 target=self._serve, args=(conn,), name=f"{self.thread_name}-conn", daemon=True
             ).start()
+
+    @staticmethod
+    def _error_reply(exc: Exception) -> str:
+        """``ERR <code> <detail>``: the class name of a domain error, else ``Malformed``."""
+        code = type(exc).__name__ if isinstance(exc, EnergyShareError) else "Malformed"
+        return f"ERR {code} {exc}"
 
     def _serve(self, conn: socket.socket) -> None:
         try:
@@ -333,13 +372,9 @@ class RegistryServer(LineServer):
     handled_errors = (Exception,)  # malformed input must not kill the registry
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._devices: dict[str, str] = {}
-        self._adverts: dict[str, tuple[ProviderAdvert, str]] = {}
+        self._registry = Registry()
         self._lock = threading.Lock()
         super().__init__(host, port)
-
-    def _error_reply(self, exc: Exception) -> str:
-        return f"ERR Malformed {exc}"
 
     def _handle(self, line: str, stream) -> str:
         command, _, rest = line.partition(" ")
@@ -347,37 +382,26 @@ class RegistryServer(LineServer):
             fields = parse_fields(rest.split(" "))
             device_id, addr = check_id(fields["device_id"]), fields["addr"]
             with self._lock:
-                known = self._devices.get(device_id)
-                if known is not None and known != addr:
-                    return f"ERR DuplicateDevice {device_id} already at {known}"
-                self._devices[device_id] = addr
+                self._registry.register(device_id, addr)
             return "OK"
         if command == "ADVERTISE":
             tokens = rest.split(" ")
             addr_field = parse_fields(tokens[:1])
             advert = decode_advert(" ".join(tokens[1:]))
             with self._lock:
-                existing = self._adverts.get(advert.provider_id)
-                if existing is not None and existing[1] != addr_field["addr"]:
-                    return f"ERR DuplicateDevice {advert.provider_id} already at {existing[1]}"
-                self._adverts[advert.provider_id] = (advert, addr_field["addr"])
+                self._registry.advertise(addr_field["addr"], advert)
             return "OK"
         if command == "DISCOVER":
             return "".join(f"ADVERT {encode_advert(a)}\n" for a in self.snapshot()) + "END"
         if command == "RESOLVE":
             fields = parse_fields(rest.split(" "))
             with self._lock:
-                addr = self._devices.get(fields["device_id"])
-            if addr is None:
-                return f"ERR Unknown {fields['device_id']}"
-            return f"ADDR {addr}"
-        return f"ERR Malformed unknown command {command!r}"
+                return f"ADDR {self._registry.resolve(fields['device_id'])}"
+        raise ValueError(f"unknown command {command!r}")
 
     def snapshot(self) -> list[ProviderAdvert]:
         with self._lock:
-            available = [a for a, _ in self._adverts.values() if a.available]
-        available.sort(key=lambda a: a.provider_id)
-        return available
+            return self._registry.discover()
 
 
 class _RegistryClient:
@@ -415,11 +439,13 @@ class _RegistryClient:
         self.close()
         raise PeerUnreachable("registry connection closed mid-response")
 
-    def command(self, line: str) -> str:
+    def command(self, line: str) -> None:
+        """Send a command answered ``OK``; any other reply raises."""
         reply = self._exchange(line)[0]
         if reply.startswith("ERR DuplicateDevice"):
             raise DuplicateDevice(reply)
-        return reply
+        if not reply.startswith("OK"):
+            raise PeerUnreachable(f"registry refused {line.partition(' ')[0]}: {reply}")
 
     def discover(self) -> list[ProviderAdvert]:
         lines = self._exchange("DISCOVER", multiline=True)
@@ -462,13 +488,10 @@ class TcpTransport:
         server = socket.create_server((self._host, 0))
         address = f"{self._host}:{server.getsockname()[1]}"
         try:
-            reply = self._registry.command(f"REGISTER device_id={device_id} addr={address}")
+            self._registry.command(f"REGISTER device_id={device_id} addr={address}")
         except EnergyShareError:
             server.close()
             raise
-        if not reply.startswith("OK"):
-            server.close()
-            raise PeerUnreachable(f"registry refused registration: {reply}")
         server.setblocking(False)
         self._selector.register(server, selectors.EVENT_READ, (device_id, None))
         self._servers[device_id] = server
@@ -531,11 +554,7 @@ class TcpTransport:
     def advertise(self, endpoint: Endpoint, advert: ProviderAdvert) -> None:
         if endpoint.device_id not in self._servers:
             raise PeerUnreachable(f"endpoint {endpoint.device_id!r} is not registered")
-        reply = self._registry.command(
-            f"ADVERTISE addr={endpoint.address} {encode_advert(advert)}"
-        )
-        if not reply.startswith("OK"):
-            raise PeerUnreachable(f"registry refused advert: {reply}")
+        self._registry.command(f"ADVERTISE addr={endpoint.address} {encode_advert(advert)}")
 
     def discover(self, endpoint: Endpoint) -> list[ProviderAdvert]:
         if endpoint.device_id not in self._servers:

@@ -1,4 +1,4 @@
-"""Shared helpers: identifier validation, float formatting, key=value codecs.
+"""Shared helpers: identifier validation, float formatting, key-value codecs.
 
 Every textual artifact in this package (wire messages, trace CSV, metadata
 files) must round-trip bit-exactly, so floats are always printed with
@@ -57,3 +57,21 @@ def parse_fields(tokens: list[str]) -> dict[str, str]:
             raise ValueError(f"duplicate field {key!r}")
         fields[key] = value
     return fields
+
+
+def format_meta(values: dict[str, str]) -> str:
+    """``key = value`` lines in the dict's order, each ending in a newline."""
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+def parse_meta(text: str) -> dict[str, str]:
+    """Parse ``key = value`` lines (blank lines skipped), the inverse of :func:`format_meta`."""
+    values: dict[str, str] = {}
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        key, sep, value = line.partition(" = ")
+        if not sep:
+            raise ValueError(f"malformed meta line {line!r}")
+        values[key] = value
+    return values

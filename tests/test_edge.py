@@ -22,8 +22,8 @@ from energyshare.edge import (
     SessionDataset,
     UploadReceipt,
     ValidationFailed,
-    _dataset_block,
     dataset_digest,
+    encode_meta,
     validate_dataset,
 )
 from energyshare.errors import EnergyShareError
@@ -34,6 +34,7 @@ from energyshare.monitor import (
     TRACE_HEADER,
     compute_metrics,
     records_from_csv_text,
+    trace_csv_text,
 )
 from energyshare.protocol import Reason, RequestKind, make_request
 from energyshare.transport import parse_addr
@@ -244,6 +245,34 @@ def test_digest_is_content_stable():
     assert dataset_digest(a) != dataset_digest(c)
 
 
+def test_encode_meta_bytes_are_pinned():
+    """The meta block is digest input: stores written earlier depend on these bytes."""
+    assert encode_meta(build_dataset()) == (
+        "session_id = ses-r1\n"
+        "consumer_id = c1\n"
+        "provider_id = p1\n"
+        "technology = wireless_distance\n"
+        "transfer_rate_ma = 1200.0\n"
+        "efficiency = 0.8\n"
+        "taper_start_pct = 90.0\n"
+        "distance_m = 0.02\n"
+        "provider_capacity_mah = 4080.0\n"
+        "consumer_capacity_mah = 2915.0\n"
+        "provider_baseline_ma = 40.0\n"
+        "consumer_baseline_ma = 40.0\n"
+        "request_id = r1\n"
+        "request_kind = duration\n"
+        "request_value = 5.0\n"
+        "interval_s = 1.0\n"
+        "terminal_reason = DurationElapsed\n"
+        "provider_loss_mah = 0.8142668004688858\n"
+        "consumer_gain_mah = 0.6514134403749949\n"
+        "energy_loss_mah = 0.16285336009389084\n"
+        "duration_s = 4.0\n"
+        "record_count = 5\n"
+    )
+
+
 # --- TCP protocol -----------------------------------------------------------------
 
 
@@ -320,12 +349,17 @@ def test_dot_only_session_ids_refused(served_store, tmp_path):
         store.get("..")
     with pytest.raises(EnergyShareError):
         client.get("..")
-    upload = _dataset_block("UPLOAD ses-up 5", build_dataset(session_id="ses-up"))
+    upload = dataset_block("UPLOAD ses-up 5", build_dataset(session_id="ses-up"))
     with socket.create_connection(parse_addr(server.address), timeout=10.0) as conn:
         conn.sendall(upload.replace("ses-up", "..").encode("utf-8"))
         reply = conn.makefile("r", encoding="utf-8").readline()
     assert reply.startswith("ERR ")
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+
+
+def dataset_block(header: str, dataset: SessionDataset) -> str:
+    """A header line, the meta block, a blank line, the trace CSV and ``END``."""
+    return f"{header}\n{encode_meta(dataset)}\n{trace_csv_text(dataset.records)}END\n"
 
 
 def raw_exchange(address: str, text: str) -> str:
@@ -344,7 +378,7 @@ def test_get_reply_is_the_canonical_dataset_block(served_store):
     dataset = build_dataset(session_id="ses-wire", ticks=200)
     client.upload(dataset)
     reply = raw_exchange(server.address, "GET ses-wire\n")
-    assert reply == _dataset_block("DATASET ses-wire 200", dataset)
+    assert reply == dataset_block("DATASET ses-wire 200", dataset)
 
 
 def test_damaged_stored_trace_is_refused(served_store):
@@ -380,7 +414,7 @@ def test_upload_with_missing_meta_key_gets_err_reply(served_store):
 
 def test_upload_with_bad_trace_row_gets_err_reply(served_store):
     _, server, client = served_store
-    upload = _dataset_block("UPLOAD ses-r1 5", build_dataset())
+    upload = dataset_block("UPLOAD ses-r1 5", build_dataset())
     reply = raw_exchange(server.address, upload.replace(",c1,consumer,", ",c1,observer,", 1))
     assert reply.startswith("ERR Malformed ")
     assert client.list() == []
@@ -393,6 +427,6 @@ def test_upload_storage_failure_gets_err_reply(served_store, monkeypatch):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(store, "upload", full_disk)
-    upload = _dataset_block("UPLOAD ses-r1 5", build_dataset())
+    upload = dataset_block("UPLOAD ses-r1 5", build_dataset())
     reply = raw_exchange(server.address, upload)
     assert reply.startswith("ERR StorageError ")

@@ -144,6 +144,33 @@ def test_bad_position_is_parse_error():
         parse_scenario_text(MINIMAL + "device.c1.position = 1.0\n")
 
 
+NUMERIC_KEYS = [
+    "monitor.interval_s",
+    "request.value",
+    "technology.transfer_rate_ma",
+    "technology.efficiency",
+    "technology.taper_start_pct",
+    "technology.distance_m",
+    "transport.latency_s",
+    "transport.drop_prob",
+    "transport.request_timeout_s",
+    "device.p1.capacity_mah",
+    "device.p1.start_level_pct",
+    "device.p1.baseline_ma",
+    "device.p1.accept_threshold_pct",
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS + ["device.p1.position"])
+def test_non_finite_number_is_parse_error(key, value):
+    value = f"{value}, 0" if key == "device.p1.position" else value
+    lines = [line for line in MINIMAL.splitlines() if not line.startswith(key + " ")]
+    with pytest.raises(ParseError) as err:
+        parse_scenario_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+    assert err.value.line_no == len(lines) + 1
+
+
 def test_drop_probability_range_checked():
     with pytest.raises(ValidationError):
         parse_scenario_text(MINIMAL + "transport.drop_prob = 1.5\n")

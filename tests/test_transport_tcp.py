@@ -113,6 +113,31 @@ def test_duplicate_registration_same_id(registry):
     tb.close()
 
 
+def test_registry_replies_are_pinned(registry):
+    """Exact reply bytes of each registry command, errors included, on one connection."""
+    advertise = ("ADVERTISE addr=127.0.0.1:{} provider_id=d x=0.0 y=1.5 level_pct=80.0"
+                 " technology=cable available=true")
+    exchange = [
+        ("REGISTER device_id=d addr=127.0.0.1:1", "OK"),
+        ("REGISTER device_id=d addr=127.0.0.1:1", "OK"),
+        ("REGISTER device_id=d addr=127.0.0.1:2", "ERR DuplicateDevice d already at 127.0.0.1:1"),
+        (advertise.format(1), "OK"),
+        (advertise.format(2), "ERR DuplicateDevice d already at 127.0.0.1:1"),
+        ("DISCOVER", "ADVERT provider_id=d x=0.0 y=1.5 level_pct=80.0 technology=cable"
+                     " available=true\nEND"),
+        ("RESOLVE device_id=d", "ADDR 127.0.0.1:1"),
+        ("RESOLVE device_id=ghost", "ERR Unknown ghost"),
+        ("HELLO there", "ERR Malformed unknown command 'HELLO'"),
+        ("REGISTER device_id=e", "ERR Malformed 'addr'"),
+    ]
+    with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn:
+        replies = conn.makefile("r", encoding="utf-8", newline="\n")
+        for request, expected in exchange:
+            conn.sendall((request + "\n").encode("utf-8"))
+            reply = "".join(replies.readline() for _ in range(expected.count("\n") + 1))
+            assert reply == expected + "\n"
+
+
 def test_snapshot_is_never_torn(pair):
     """Concurrent re-advertising: every snapshot equals one whole advert."""
     ta, tb, a, b = pair
