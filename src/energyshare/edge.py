@@ -406,11 +406,11 @@ class EdgeServer(LineServer):
         self.store = store
         super().__init__(host, port)
 
-    def _handle(self, line: str, stream) -> str | None:
+    def _handle(self, line: str, reader, writer) -> str | None:
         command, _, rest = line.partition(" ")
         if command == "UPLOAD":
             session_id, _, declared = rest.partition(" ")
-            dataset = _read_dataset_block(stream)
+            dataset = _read_dataset_block(reader)
             if dataset.session_id != session_id:
                 raise ValueError("header session_id does not match dataset")
             if declared and int(declared) != dataset.record_count:
@@ -422,14 +422,14 @@ class EdgeServer(LineServer):
             with _storage_errors():
                 summaries = self.store.list()
             for summary in summaries:
-                stream.write(_summary_line(summary) + "\n")
+                writer.write(_summary_line(summary) + "\n")
             return "END"
         if command == "GET":
             with _storage_errors():
                 meta, trace = self.store.get(rest.strip())
             fields = parse_meta(meta)
             header = f"DATASET {fields['session_id']} {fields['record_count']}"
-            stream.writelines(_dataset_block(header, meta, trace))
+            writer.writelines(_dataset_block(header, meta, trace))
             return None
         raise ValueError(f"unknown command {command!r}")
 

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import EnergyShareError
-from .util import check_id, fmt_float, parse_fields
+from .util import check_id, fmt_float, parse_fields, parse_finite
 
 
 class RequestKind(Enum):
@@ -214,13 +214,6 @@ def encode_message(msg: ProtocolMessage) -> str:
     raise TypeError(f"not a protocol message: {msg!r}")
 
 
-def _finite(fields: dict[str, str], name: str) -> float:
-    value = float(fields[name])
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def decode_message(line: str) -> ProtocolMessage:
     """Inverse of :func:`encode_message`."""
     tokens = line.strip().split(" ")
@@ -235,17 +228,17 @@ def decode_message(line: str) -> ProtocolMessage:
                 kind, float(fields["value"]), fields["consumer_id"],
                 request_id=fields["request_id"],
             )
-            capacity_mah = _finite(fields, "capacity_mah")
+            capacity_mah = parse_finite(fields["capacity_mah"], "capacity_mah")
             if capacity_mah <= 0:
                 raise ValueError(f"capacity_mah must be > 0, got {capacity_mah!r}")
-            baseline_ma = _finite(fields, "baseline_ma")
+            baseline_ma = parse_finite(fields["baseline_ma"], "baseline_ma")
             if baseline_ma < 0:
                 raise ValueError(f"baseline_ma must be >= 0, got {baseline_ma!r}")
             return Request(
                 request=request,
                 consumer_position=(float(fields["x"]), float(fields["y"])),
                 consumer_capacity_mah=capacity_mah,
-                consumer_charge_mah=_finite(fields, "charge_mah"),
+                consumer_charge_mah=parse_finite(fields["charge_mah"], "charge_mah"),
                 consumer_baseline_ma=baseline_ma,
             )
         if msg_type == "ACCEPT":
@@ -266,8 +259,12 @@ def decode_message(line: str) -> ProtocolMessage:
                 session_id=check_id(fields["session_id"]),
                 tick_index=tick_index,
                 wall_time_s=float(fields["wall_time_s"]),
-                consumer_charge_mah=_finite(fields, "consumer_charge_mah"),
-                consumer_cumulative_in_mah=_finite(fields, "consumer_cumulative_in_mah"),
+                consumer_charge_mah=parse_finite(
+                    fields["consumer_charge_mah"], "consumer_charge_mah"
+                ),
+                consumer_cumulative_in_mah=parse_finite(
+                    fields["consumer_cumulative_in_mah"], "consumer_cumulative_in_mah"
+                ),
             )
         if msg_type == "COMPLETE":
             return Complete(session_id=check_id(fields["session_id"]), reason=Reason(fields["reason"]))

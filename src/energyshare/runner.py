@@ -326,9 +326,11 @@ class _ConsumerAgent(_Agent):
 
     Every message but MonitorSync goes through the session state machine;
     one the lifecycle graph does not permit (late, duplicate or from an
-    earlier attempt) is ignored. ``deadline`` follows ``view.state``: in
-    Requested a missed one counts as a rejection, in Accepted or Charging
-    it aborts the session with TransportLost.
+    earlier attempt) is ignored. A MonitorSync is recorded only for the
+    charging session and a tick past the last recorded one. ``deadline``
+    follows ``view.state``: in Requested a missed one counts as a
+    rejection, in Accepted or Charging it aborts the session with
+    TransportLost.
     """
 
     def __init__(
@@ -409,6 +411,8 @@ class _ConsumerAgent(_Agent):
     def _on_sync(self, msg: MonitorSync) -> None:
         if msg.session_id != self.view.session_id or self.view.state is not SessionPhase.CHARGING:
             return
+        if self.records and msg.tick_index <= self.records[-1].tick_index:
+            return  # stale or repeated: ticks only move forward
         self.battery = BatteryState(self.battery.capacity_mah, msg.consumer_charge_mah)
         self.records.append(
             MonitorRecord(
@@ -423,12 +427,6 @@ class _ConsumerAgent(_Agent):
             )
         )
         self.sync_receipts.append((msg.tick_index, msg.wall_time_s, self.clock.now_s))
-        if msg.tick_index > 0:
-            self.view = record_progress(
-                self.view,
-                delivered_mah=msg.consumer_cumulative_in_mah,
-                elapsed_s=msg.tick_index * self.scenario.interval_s,
-            )
         self.deadline = self.clock.now_s + self.sync_timeout_s
 
     def on_time(self) -> None:

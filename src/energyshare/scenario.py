@@ -6,16 +6,18 @@ Grammar (see docs/scenario-format.md):
     section.key = value
     device.<id>.key = value
 
-Unspecified fields take documented defaults; the built-in defaults
-describe the reference setup of the bundled experiments (one full
-provider, one consumer at 40%, a 1-second recording interval).
+Each key is declared once, in ``_SCENARIO_TABLE`` or ``_DEVICE_TABLE``:
+its parser, its range check and its default. Unspecified keys take those
+defaults, which describe the reference setup of the bundled experiments
+(one full provider, one consumer at 40%, a 1-second recording interval).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .battery import (
     DEFAULT_BASELINE_MA,
@@ -30,15 +32,13 @@ from .matching import DEFAULT_ACCEPT_THRESHOLD_PCT
 from .monitor import ROLE_CONSUMER, ROLE_PROVIDER
 from .protocol import RequestKind
 from .transport import DEFAULT_LATENCY_S
-from .util import check_id
+from .util import check_id, parse_finite
 
 DEFAULT_START_LEVEL_PCT = {ROLE_PROVIDER: 100.0, ROLE_CONSUMER: 40.0}
 DEFAULT_CAPACITY_MAH = {
     ROLE_PROVIDER: DEFAULT_PROVIDER_CAPACITY_MAH,
     ROLE_CONSUMER: DEFAULT_CONSUMER_CAPACITY_MAH,
 }
-DEFAULT_REQUEST_TIMEOUT_S = 5.0
-DEFAULT_MAX_TICKS = 1_000_000
 
 
 class ParseError(EnergyShareError):
@@ -46,7 +46,6 @@ class ParseError(EnergyShareError):
 
     def __init__(self, line_no: int, detail: str):
         self.line_no = line_no
-        self.detail = detail
         super().__init__(f"line {line_no}: {detail}")
 
 
@@ -55,7 +54,6 @@ class ValidationError(EnergyShareError):
 
     def __init__(self, field_name: str, detail: str):
         self.field = field_name
-        self.detail = detail
         super().__init__(f"{field_name}: {detail}")
 
 
@@ -65,40 +63,34 @@ class DeviceSpec:
     role: str
     capacity_mah: float
     start_level_pct: float
-    position: tuple[float, float] = (0.0, 0.0)
-    baseline_ma: float = DEFAULT_BASELINE_MA
-    accept_threshold_pct: float = DEFAULT_ACCEPT_THRESHOLD_PCT
+    position: tuple[float, float]
+    baseline_ma: float
+    accept_threshold_pct: float
 
 
 @dataclass
 class Scenario:
     run_id: str
-    seed: int = 0
-    clock_mode: str = "virtual"
-    interval_s: float = 1.0
-    technology: Technology = Technology.WIRELESS_DISTANCE
-    tech_params: TechnologyParams = field(
-        default_factory=lambda: default_params(Technology.WIRELESS_DISTANCE)
-    )
-    request_kind: RequestKind = RequestKind.DURATION
-    request_value: float = 1800.0
-    request_consumer_id: str = ""
-    devices: list[DeviceSpec] = field(default_factory=list)
-    latency_s: float = DEFAULT_LATENCY_S
-    drop_probability: float = 0.0
-    request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S
-    max_ticks: int = DEFAULT_MAX_TICKS
-    out_dir: Path | None = None
+    seed: int
+    clock_mode: str
+    interval_s: float
+    technology: Technology
+    tech_params: TechnologyParams
+    request_kind: RequestKind
+    request_value: float
+    request_consumer_id: str
+    devices: list[DeviceSpec]  # sorted by device id
+    latency_s: float
+    drop_probability: float
+    request_timeout_s: float
+    max_ticks: int
+    out_dir: Path | None
 
     def providers(self) -> list[DeviceSpec]:
-        return sorted(
-            (d for d in self.devices if d.role == ROLE_PROVIDER), key=lambda d: d.device_id
-        )
+        return [d for d in self.devices if d.role == ROLE_PROVIDER]
 
     def consumers(self) -> list[DeviceSpec]:
-        return sorted(
-            (d for d in self.devices if d.role == ROLE_CONSUMER), key=lambda d: d.device_id
-        )
+        return [d for d in self.devices if d.role == ROLE_CONSUMER]
 
     def requesting_consumer(self) -> DeviceSpec:
         for device in self.consumers():
@@ -107,42 +99,119 @@ class Scenario:
         raise ValidationError("request.consumer", f"{self.request_consumer_id!r} is not a consumer")
 
 
-_SCALAR_KEYS = {
-    "scenario.run_id",
-    "scenario.seed",
-    "scenario.clock",
-    "scenario.out_dir",
-    "scenario.max_ticks",
-    "monitor.interval_s",
-    "request.kind",
-    "request.value",
-    "request.consumer",
-    "technology.name",
-    "technology.transfer_rate_ma",
-    "technology.efficiency",
-    "technology.taper_start_pct",
-    "technology.distance_m",
-    "transport.latency_s",
-    "transport.drop_prob",
-    "transport.request_timeout_s",
+# --- the key tables -----------------------------------------------------------
+
+_REQUIRED = object()  # the key must be given
+_DERIVED = object()  # the default depends on other keys; the parser fills it in
+
+
+class _Key(NamedTuple):
+    """One row of a key table.
+
+    ``parse`` reads the key's text; its ``ValueError`` is a ParseError on
+    the key's line. ``check`` range-checks the parsed value and may convert
+    it; its ``ValueError`` is a ValidationError naming the key. ``field``
+    is the attribute the value fills, when that is not the key itself.
+    """
+
+    parse: Callable[[str], Any]
+    check: Callable[[Any], Any] | None = None
+    default: Any = _DERIVED
+    field: str = ""
+
+
+def _rule(holds: Callable[[Any], bool], text: str) -> Callable[[Any], Any]:
+    """A check passing values for which ``holds`` is true; ``text`` says what they must be."""
+
+    def check(value):
+        if not holds(value):
+            raise ValueError(f"must be {text}, got {value!r}")
+        return value
+
+    return check
+
+
+def _one_of(*names: str) -> Callable[[str], str]:
+    return _rule(lambda value: value in names, "|".join(names))
+
+
+def _member(kind: type[Enum]) -> Callable[[str], Enum]:
+    named = _one_of(*(member.value for member in kind))
+    return lambda value: kind(named(value))
+
+
+def _position(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"position must be 'x, y', got {text!r}")
+    return parse_finite(parts[0], "x"), parse_finite(parts[1], "y")
+
+
+_POSITIVE = _rule(lambda value: value > 0, "> 0")
+_NON_NEGATIVE = _rule(lambda value: value >= 0, ">= 0")
+_FRACTION = _rule(lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
+_PERCENT = _rule(lambda value: 0.0 <= value <= 100.0, "in [0, 100]")
+
+# checked together, and defaulted per technology, by TechnologyParams
+_TECHNOLOGY_PARAMS = ("transfer_rate_ma", "efficiency", "taper_start_pct", "distance_m")
+
+_SCENARIO_TABLE = {
+    "scenario.run_id": _Key(check_id, field="run_id"),  # default: the file stem
+    "scenario.seed": _Key(int, default=0, field="seed"),
+    "scenario.clock": _Key(str, _one_of("virtual", "wall"), "virtual", "clock_mode"),
+    "scenario.out_dir": _Key(
+        lambda text: Path(text) if text else None, default=None, field="out_dir"
+    ),
+    "scenario.max_ticks": _Key(int, _POSITIVE, 1_000_000, "max_ticks"),
+    "monitor.interval_s": _Key(parse_finite, _POSITIVE, 1.0, "interval_s"),
+    "request.kind": _Key(str, _member(RequestKind), _REQUIRED, "request_kind"),
+    "request.value": _Key(parse_finite, _POSITIVE, _REQUIRED, "request_value"),
+    # default: the first consumer by id
+    "request.consumer": _Key(str, field="request_consumer_id"),
+    "technology.name": _Key(str, _member(Technology), Technology.WIRELESS_DISTANCE, "technology"),
+    **{f"technology.{name}": _Key(parse_finite, field=name) for name in _TECHNOLOGY_PARAMS},
+    "transport.latency_s": _Key(parse_finite, _NON_NEGATIVE, DEFAULT_LATENCY_S, "latency_s"),
+    "transport.drop_prob": _Key(parse_finite, _FRACTION, 0.0, "drop_probability"),
+    "transport.request_timeout_s": _Key(parse_finite, _POSITIVE, 5.0, "request_timeout_s"),
 }
 
-_DEVICE_KEYS = {
-    "role",
-    "capacity_mah",
-    "start_level_pct",
-    "position",
-    "baseline_ma",
-    "accept_threshold_pct",
+# the keys after ``device.<id>.``; capacity and start level default per role
+_DEVICE_TABLE = {
+    "role": _Key(str, _one_of(ROLE_PROVIDER, ROLE_CONSUMER), _REQUIRED),
+    "capacity_mah": _Key(parse_finite, _POSITIVE),
+    "start_level_pct": _Key(parse_finite, _PERCENT),
+    "position": _Key(_position, default=(0.0, 0.0)),
+    "baseline_ma": _Key(parse_finite, _NON_NEGATIVE, DEFAULT_BASELINE_MA),
+    "accept_threshold_pct": _Key(parse_finite, default=DEFAULT_ACCEPT_THRESHOLD_PCT),
 }
 
 
-def _finite(text: str) -> float:
-    """``float(text)``, refusing ``nan`` and infinities with ``ValueError``."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
+def _read(
+    table: dict[str, _Key], entries: dict[str, tuple[int, str]], prefix: str = ""
+) -> dict[str, Any]:
+    """Each key of ``table`` (under ``prefix``) by field: parsed and checked
+    where given, else its default; a derived default is left to the caller."""
+    values: dict[str, Any] = {}
+    for name, row in table.items():
+        key = prefix + name
+        if key not in entries:
+            if row.default is _REQUIRED:
+                raise ValidationError(key, "missing")
+            if row.default is not _DERIVED:
+                values[row.field or name] = row.default
+            continue
+        line_no, text = entries[key]
+        try:
+            value = row.parse(text)
+        except ValueError as exc:
+            raise ParseError(line_no, f"{key}: {exc}") from None
+        if row.check is not None:
+            try:
+                value = row.check(value)
+            except ValueError as exc:
+                raise ValidationError(key, str(exc)) from None
+        values[row.field or name] = value
+    return values
 
 
 def parse_scenario(path: Path | str) -> Scenario:
@@ -151,7 +220,9 @@ def parse_scenario(path: Path | str) -> Scenario:
 
 
 def parse_scenario_text(text: str, run_id: str = "scenario") -> Scenario:
+    """Parse a scenario; ``run_id`` is used when the text sets no ``scenario.run_id``."""
     entries: dict[str, tuple[int, str]] = {}
+    device_ids: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -159,178 +230,46 @@ def parse_scenario_text(text: str, run_id: str = "scenario") -> Scenario:
         key, sep, value = line.partition("=")
         if not sep:
             raise ParseError(line_no, "expected 'section.key = value'")
-        key, value = key.strip(), value.strip()
-        if "." not in key:
-            raise ParseError(line_no, f"key {key!r} must be 'section.key'")
+        key = key.strip()
         if key in entries:
             raise ParseError(line_no, f"duplicate key {key!r}")
         if key.startswith("device."):
             parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _DEVICE_KEYS:
+            if len(parts) != 3 or parts[2] not in _DEVICE_TABLE:
                 raise ParseError(line_no, f"unknown device key {key!r}")
-        elif key not in _SCALAR_KEYS:
+            try:
+                device_ids.add(check_id(parts[1], "device id"))
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from None
+        elif key not in _SCENARIO_TABLE:
             raise ParseError(line_no, f"unknown key {key!r}")
-        entries[key] = (line_no, value)
+        entries[key] = (line_no, value.strip())
 
-    def take(key: str) -> tuple[int, str] | None:
-        return entries.get(key)
-
-    def scalar(key: str, default: str | None = None) -> str | None:
-        found = take(key)
-        return found[1] if found else default
-
-    def number(key: str, default: float | None) -> float | None:
-        found = take(key)
-        if found is None:
-            return default
-        line_no, value = found
+    values = _read(_SCENARIO_TABLE, entries)
+    if "run_id" not in values:
         try:
-            return _finite(value)
-        except ValueError:
-            raise ParseError(line_no, f"expected a finite number for {key}, got {value!r}") from None
-
-    def integer(key: str, default: int) -> int:
-        found = take(key)
-        if found is None:
-            return default
-        line_no, value = found
-        try:
-            return int(value)
-        except ValueError:
-            raise ParseError(line_no, f"expected integer for {key}, got {value!r}") from None
-
-    scenario_run_id = scalar("scenario.run_id", run_id)
-    check_id(scenario_run_id, "scenario.run_id")
-    seed = integer("scenario.seed", 0)
-    clock_mode = scalar("scenario.clock", "virtual")
-    if clock_mode not in ("virtual", "wall"):
-        raise ValidationError("scenario.clock", f"must be virtual|wall, got {clock_mode!r}")
-    max_ticks = integer("scenario.max_ticks", DEFAULT_MAX_TICKS)
-    if max_ticks <= 0:
-        raise ValidationError("scenario.max_ticks", "must be > 0")
-    out_dir_value = scalar("scenario.out_dir")
-    out_dir = Path(out_dir_value) if out_dir_value else None
-
-    interval_s = number("monitor.interval_s", 1.0)
-    if interval_s <= 0:
-        raise ValidationError("monitor.interval_s", f"must be > 0, got {interval_s}")
-
-    kind_value = scalar("request.kind")
-    if kind_value is None:
-        raise ValidationError("request.kind", "missing (amount|duration)")
+            values["run_id"] = check_id(run_id, "file stem")
+        except ValueError as exc:
+            raise ValidationError("scenario.run_id", f"not set, and {exc}") from None
+    params = {name: values.pop(name) for name in _TECHNOLOGY_PARAMS if name in values}
     try:
-        request_kind = RequestKind(kind_value)
-    except ValueError:
-        raise ValidationError("request.kind", f"must be amount|duration, got {kind_value!r}") from None
-    request_value = number("request.value", None)
-    if request_value is None:
-        raise ValidationError("request.value", "missing")
-    if request_value <= 0:
-        raise ValidationError("request.value", f"must be > 0, got {request_value}")
-
-    technology_name = scalar("technology.name", Technology.WIRELESS_DISTANCE.value)
-    try:
-        technology = Technology(technology_name)
-    except ValueError:
-        raise ValidationError(
-            "technology.name", f"must be one of {[t.value for t in Technology]}, got {technology_name!r}"
-        ) from None
-    base_params = default_params(technology)
-    try:
-        tech_params = TechnologyParams(
-            technology=technology,
-            transfer_rate_ma=number("technology.transfer_rate_ma", base_params.transfer_rate_ma),
-            efficiency=number("technology.efficiency", base_params.efficiency),
-            taper_start_pct=number("technology.taper_start_pct", base_params.taper_start_pct),
-            distance_m=number("technology.distance_m", base_params.distance_m),
-        )
+        tech_params = replace(default_params(values["technology"]), **params)
     except ValueError as exc:
         raise ValidationError("technology", str(exc)) from None
 
-    latency_s = number("transport.latency_s", DEFAULT_LATENCY_S)
-    if latency_s < 0:
-        raise ValidationError("transport.latency_s", "must be >= 0")
-    drop_probability = number("transport.drop_prob", 0.0)
-    if not 0.0 <= drop_probability <= 1.0:
-        raise ValidationError("transport.drop_prob", "must be in [0, 1]")
-    request_timeout_s = number("transport.request_timeout_s", DEFAULT_REQUEST_TIMEOUT_S)
-    if request_timeout_s <= 0:
-        raise ValidationError("transport.request_timeout_s", "must be > 0")
+    devices = []
+    for device_id in sorted(device_ids):
+        spec = _read(_DEVICE_TABLE, entries, f"device.{device_id}.")
+        spec.setdefault("capacity_mah", DEFAULT_CAPACITY_MAH[spec["role"]])
+        spec.setdefault("start_level_pct", DEFAULT_START_LEVEL_PCT[spec["role"]])
+        devices.append(DeviceSpec(device_id, **spec))
 
-    device_ids = sorted(
-        {key.split(".")[1] for key in entries if key.startswith("device.")}
-    )
-    devices: list[DeviceSpec] = []
-    for device_id in device_ids:
-        check_id(device_id, "device id")
-        prefix = f"device.{device_id}"
-        role = scalar(f"{prefix}.role")
-        if role not in (ROLE_PROVIDER, ROLE_CONSUMER):
-            raise ValidationError(f"{prefix}.role", f"must be provider|consumer, got {role!r}")
-        capacity = number(f"{prefix}.capacity_mah", DEFAULT_CAPACITY_MAH[role])
-        if capacity <= 0:
-            raise ValidationError(f"{prefix}.capacity_mah", "must be > 0")
-        start_level = number(f"{prefix}.start_level_pct", DEFAULT_START_LEVEL_PCT[role])
-        if not 0.0 <= start_level <= 100.0:
-            raise ValidationError(
-                f"{prefix}.start_level_pct", f"must be in [0, 100], got {start_level}"
-            )
-        position_entry = take(f"{prefix}.position")
-        position = (0.0, 0.0)
-        if position_entry is not None:
-            line_no, value = position_entry
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 2:
-                raise ParseError(line_no, f"position must be 'x, y', got {value!r}")
-            try:
-                position = (_finite(parts[0]), _finite(parts[1]))
-            except ValueError:
-                raise ParseError(line_no, f"position must be finite numbers, got {value!r}") from None
-        baseline = number(f"{prefix}.baseline_ma", DEFAULT_BASELINE_MA)
-        if baseline < 0:
-            raise ValidationError(f"{prefix}.baseline_ma", "must be >= 0")
-        threshold = number(f"{prefix}.accept_threshold_pct", DEFAULT_ACCEPT_THRESHOLD_PCT)
-        devices.append(
-            DeviceSpec(
-                device_id=device_id,
-                role=role,
-                capacity_mah=capacity,
-                start_level_pct=start_level,
-                position=position,
-                baseline_ma=baseline,
-                accept_threshold_pct=threshold,
-            )
-        )
-
-    providers = [d for d in devices if d.role == ROLE_PROVIDER]
-    consumers = [d for d in devices if d.role == ROLE_CONSUMER]
-    if not providers:
+    consumer_ids = [d.device_id for d in devices if d.role == ROLE_CONSUMER]
+    if len(consumer_ids) == len(devices):
         raise ValidationError("devices", "at least one provider device is required")
-    if not consumers:
+    if not consumer_ids:
         raise ValidationError("devices", "at least one consumer device is required")
-
-    request_consumer_id = scalar(
-        "request.consumer", sorted(c.device_id for c in consumers)[0]
-    )
-    if request_consumer_id not in {c.device_id for c in consumers}:
-        raise ValidationError(
-            "request.consumer", f"{request_consumer_id!r} is not a consumer device"
-        )
-
-    return Scenario(
-        run_id=scenario_run_id,
-        seed=seed,
-        clock_mode=clock_mode,
-        interval_s=interval_s,
-        technology=technology,
-        tech_params=tech_params,
-        request_kind=request_kind,
-        request_value=request_value,
-        request_consumer_id=request_consumer_id,
-        devices=devices,
-        latency_s=latency_s,
-        drop_probability=drop_probability,
-        request_timeout_s=request_timeout_s,
-        max_ticks=max_ticks,
-        out_dir=out_dir,
-    )
+    consumer_id = values.setdefault("request_consumer_id", consumer_ids[0])
+    if consumer_id not in consumer_ids:
+        raise ValidationError("request.consumer", f"{consumer_id!r} is not a consumer device")
+    return Scenario(**values, tech_params=tech_params, devices=devices)

@@ -22,8 +22,6 @@ input wakes it.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
 import selectors
 import socket
@@ -203,16 +201,17 @@ class SimTransport:
         self.drop_probability = drop_probability
         self._rng = random.Random(seed)
         self._registry = Registry()
-        self._inboxes: dict[str, list[tuple[float, int, str]]] = {}
-        # one (deliver_at, seq, device_id) entry per queued message, across inboxes
-        self._wake: list[tuple[float, int, str]] = []
-        self._seq = itertools.count()
+        # latency is constant and the clock only moves forward, so messages
+        # fall due in send order: every queue below is a FIFO
+        self._inboxes: dict[str, deque[tuple[float, str]]] = {}
+        # one (deliver_at, device_id) entry per queued message, across inboxes
+        self._wake: deque[tuple[float, str]] = deque()
 
     def register(self, device_id: str) -> Endpoint:
         check_id(device_id, "device_id")
         endpoint = Endpoint(device_id, f"sim:{device_id}")
         self._registry.register(device_id, endpoint.address)
-        self._inboxes.setdefault(device_id, [])
+        self._inboxes.setdefault(device_id, deque())
         return endpoint
 
     def _require_registered(self, endpoint: Endpoint) -> None:
@@ -236,9 +235,8 @@ class SimTransport:
         if self.drop_probability > 0.0 and self._rng.random() < self.drop_probability:
             return
         deliver_at = self.clock.now_s + self.latency_s
-        seq = next(self._seq)
-        heapq.heappush(self._inboxes[to], (deliver_at, seq, line))
-        heapq.heappush(self._wake, (deliver_at, seq, to))
+        self._inboxes[to].append((deliver_at, line))
+        self._wake.append((deliver_at, to))
 
     def receive(self, endpoint: Endpoint) -> list[ProtocolMessage]:
         """Drain all messages due at the current virtual time, in order."""
@@ -246,28 +244,27 @@ class SimTransport:
         inbox = self._inboxes[endpoint.device_id]
         due: list[ProtocolMessage] = []
         while inbox and inbox[0][0] <= self.clock.now_s:
-            _, _, line = heapq.heappop(inbox)
-            due.append(decode_message(line))
+            due.append(decode_message(inbox.popleft()[1]))
         return due
 
     def due_devices(self) -> set[str]:
         """Devices with a message deliverable at the current virtual time."""
         due = set()
         while self._wake and self._wake[0][0] <= self.clock.now_s:
-            due.add(heapq.heappop(self._wake)[2])
+            due.add(self._wake.popleft()[1])
         return due
 
     def next_delivery_time(self) -> float | None:
         """Earliest pending delivery time across all inboxes, if any."""
         wake = self._wake
         while wake:
-            deliver_at, seq, device_id = wake[0]
+            deliver_at, device_id = wake[0]
             inbox = self._inboxes[device_id]
-            # inboxes drain in (deliver_at, seq) order: a head at or before
-            # this entry means its message is still queued
-            if inbox and inbox[0][:2] <= (deliver_at, seq):
+            # inboxes drain in time order: a head due no later than this
+            # entry means a message due at its time is still queued
+            if inbox and inbox[0][0] <= deliver_at:
                 return deliver_at
-            heapq.heappop(wake)
+            wake.popleft()
         return None
 
 
@@ -290,10 +287,13 @@ class LineServer:
     """A listening socket with one accept thread and one thread per connection.
 
     Subclasses answer each non-blank request line in ``_handle(line,
-    stream)``, which may read further lines from the stream and returns
-    the reply text, or None once it wrote the reply itself. An exception
-    of a type in :attr:`handled_errors` is answered with one ``ERR`` line
-    (see :meth:`_error_reply`); an ``OSError`` ends the connection.
+    reader, writer)``, which may read further lines from ``reader`` and
+    returns the reply text, or None once it wrote the reply to ``writer``
+    itself. Replies go out through their own stream, so writing one keeps
+    the requests a client sent ahead; they are answered in order. An
+    exception of a type in :attr:`handled_errors` is answered with one
+    ``ERR`` line (see :meth:`_error_reply`); an ``OSError`` ends the
+    connection.
     """
 
     thread_name: str
@@ -336,18 +336,20 @@ class LineServer:
 
     def _serve(self, conn: socket.socket) -> None:
         try:
-            with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                for raw in stream:
+            reader = conn.makefile("r", encoding="utf-8", newline="\n")
+            writer = conn.makefile("w", encoding="utf-8", newline="\n")
+            with conn, reader, writer:
+                for raw in reader:
                     line = raw.strip()
                     if not line:
                         continue
                     try:
-                        reply = self._handle(line, stream)
+                        reply = self._handle(line, reader, writer)
                     except self.handled_errors as exc:
                         reply = self._error_reply(exc)
                     if reply is not None:
-                        stream.write(reply + "\n")
-                    stream.flush()
+                        writer.write(reply + "\n")
+                    writer.flush()
         except OSError:
             return
 
@@ -376,7 +378,7 @@ class RegistryServer(LineServer):
         self._lock = threading.Lock()
         super().__init__(host, port)
 
-    def _handle(self, line: str, stream) -> str:
+    def _handle(self, line: str, reader, writer) -> str:
         command, _, rest = line.partition(" ")
         if command == "REGISTER":
             fields = parse_fields(rest.split(" "))

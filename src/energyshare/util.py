@@ -22,6 +22,14 @@ def check_id(value: str, what: str = "identifier") -> str:
     return value
 
 
+def parse_finite(text: str, what: str = "number") -> float:
+    """``float(text)``, refusing ``nan`` and infinities with ``ValueError``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {text!r}")
+    return value
+
+
 def fmt_float(x: float) -> str:
     """Shortest representation that parses back to exactly the same float."""
     return repr(float(x))

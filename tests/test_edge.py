@@ -381,6 +381,22 @@ def test_get_reply_is_the_canonical_dataset_block(served_store):
     assert reply == dataset_block("DATASET ses-wire 200", dataset)
 
 
+def test_pipelined_requests_each_get_their_reply(served_store):
+    """Commands sent in one write are answered in order, as if sent one at a time."""
+    _, server, _ = served_store
+    requests = [
+        dataset_block("UPLOAD ses-a 5", build_dataset(session_id="ses-a")),
+        "GET ses-a\n",
+        "GET ses-b\n",
+        "LIST\n",
+    ]
+    pipelined = raw_exchange(server.address, "".join(requests))
+    one_at_a_time = [raw_exchange(server.address, request) for request in requests]
+    assert one_at_a_time[0] == "OK ses-a 5\n"
+    assert one_at_a_time[2].startswith("ERR NotFound ")
+    assert pipelined == "".join(one_at_a_time)
+
+
 def test_damaged_stored_trace_is_refused(served_store):
     store, _, client = served_store
     rng = random.Random(3)

@@ -9,7 +9,17 @@ from conftest import build_scenario, scenario_text, stored_dataset
 
 from energyshare.battery import battery_at_level, DrainParams, predict_outcome
 from energyshare.edge import EdgeServer, EdgeStore, validate_dataset
-from energyshare.protocol import Reason, Request, RequestKind, encode_message, make_request
+from energyshare.matching import ProviderAdvert
+from energyshare.protocol import (
+    Accept,
+    MonitorSync,
+    Reason,
+    Request,
+    RequestKind,
+    StartTransfer,
+    encode_message,
+    make_request,
+)
 from energyshare.report import (
     TRACE_FILENAME,
     IncompatibleRuns,
@@ -21,11 +31,19 @@ from energyshare.runner import (
     OUTCOME_ABORTED,
     OUTCOME_COMPLETED,
     OUTCOME_NO_PROVIDER,
+    _ConsumerAgent,
     _ProviderAgent,
     run_scenario,
 )
 from energyshare.scenario import parse_scenario_text
-from energyshare.transport import RegistryServer, TcpTransport, WallClock, parse_addr
+from energyshare.transport import (
+    RegistryServer,
+    SimTransport,
+    TcpTransport,
+    VirtualClock,
+    WallClock,
+    parse_addr,
+)
 
 
 def test_duration_session_happy_path():
@@ -416,3 +434,23 @@ def test_load_run_rejects_negative_tick_in_trace(tmp_path):
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(IncompatibleRuns):
         load_run(run_dir)
+
+
+def test_consumer_ignores_a_sync_whose_tick_goes_backwards():
+    scenario = build_scenario()
+    clock = VirtualClock()
+    transport = SimTransport(clock)
+    provider = transport.register("p1")
+    transport.advertise(provider, ProviderAdvert("p1", (0.0, 1.0), 100.0, scenario.technology))
+    consumer = _ConsumerAgent(
+        scenario.requesting_consumer(), scenario, transport, clock, sync_timeout_s=5.0
+    )
+    consumer.start()
+    request_id, session_id = consumer.view.request.request_id, consumer.view.session_id
+    consumer.on_message(Accept(request_id))
+    consumer.on_message(StartTransfer(session_id, request_id, scenario.interval_s))
+    for tick in (2, 1, 2, 3):
+        consumer.on_message(MonitorSync(session_id, tick, float(tick), 1200.0 + tick, 0.5 * tick))
+    assert [r.tick_index for r in consumer.records] == [2, 3]
+    assert consumer.records[-1].battery_charge_mah == 1203.0
+    assert consumer.outcome is None

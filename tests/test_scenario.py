@@ -1,15 +1,23 @@
 """Scenario file parsing, defaults and validation."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from energyshare.battery import Technology
+from energyshare.cli import EXIT_RUN_FAILURE, main
 from energyshare.protocol import RequestKind
 from energyshare.scenario import (
+    _DEVICE_TABLE,
+    _SCENARIO_TABLE,
     ParseError,
     ValidationError,
     parse_scenario,
     parse_scenario_text,
 )
+
+FORMAT_DOC = Path(__file__).resolve().parents[1] / "docs" / "scenario-format.md"
 
 MINIMAL = """
 monitor.interval_s = 1
@@ -174,3 +182,36 @@ def test_non_finite_number_is_parse_error(key, value):
 def test_drop_probability_range_checked():
     with pytest.raises(ValidationError):
         parse_scenario_text(MINIMAL + "transport.drop_prob = 1.5\n")
+
+
+@pytest.mark.parametrize(
+    ("file_name", "line", "error", "where"),
+    [
+        ("exp.cfg", "device.p;1.role = provider", ParseError, len(MINIMAL.splitlines()) + 1),
+        ("exp.cfg", "device..role = provider", ParseError, len(MINIMAL.splitlines()) + 1),
+        ("exp.cfg", "scenario.run_id = a/b", ParseError, len(MINIMAL.splitlines()) + 1),
+        ("my exp.cfg", "# no scenario.run_id", ValidationError, "scenario.run_id"),
+    ],
+)
+def test_bad_id_is_a_scenario_error(tmp_path, capsys, file_name, line, error, where):
+    """A bad run id or device id is a ParseError on its line; a bad file stem names the key."""
+    path = tmp_path / file_name
+    path.write_text(MINIMAL + line + "\n", encoding="utf-8")
+    with pytest.raises(error) as err:
+        parse_scenario(path)
+    assert (err.value.line_no if error is ParseError else err.value.field) == where
+    assert main(["run", "--scenario", str(path)]) == EXIT_RUN_FAILURE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_docs_tables_list_exactly_the_parsers_keys():
+    """The two key tables of docs/scenario-format.md name the keys the parser accepts."""
+    text = FORMAT_DOC.read_text(encoding="utf-8")
+    keys_part = text.split("## Keys and defaults", 1)[1].split("\n## ", 1)[0]
+    scenario_part, device_part = keys_part.split("Per-device keys", 1)
+
+    def documented(part: str) -> list[str]:
+        return re.findall(r"^\| `([^`]+)` \|", part, flags=re.MULTILINE)
+
+    assert sorted(documented(scenario_part)) == sorted(_SCENARIO_TABLE)
+    assert sorted(documented(device_part)) == sorted(_DEVICE_TABLE)

@@ -138,6 +138,16 @@ def test_registry_replies_are_pinned(registry):
             assert reply == expected + "\n"
 
 
+def test_pipelined_registry_commands_each_get_their_reply(registry):
+    """Commands sent in one write are all answered, in order."""
+    requests = "REGISTER device_id=a addr=h:1\nRESOLVE device_id=a\nRESOLVE device_id=b\nDISCOVER\n"
+    with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn:
+        conn.sendall(requests.encode("utf-8"))
+        conn.shutdown(socket.SHUT_WR)
+        replies = conn.makefile("r", encoding="utf-8", newline="\n").read()
+    assert replies == "OK\nADDR h:1\nERR Unknown b\nEND\n"
+
+
 def test_snapshot_is_never_torn(pair):
     """Concurrent re-advertising: every snapshot equals one whole advert."""
     ta, tb, a, b = pair
