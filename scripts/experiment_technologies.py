@@ -36,7 +36,7 @@ def main() -> int:
         run_dirs.append(run_dir)
         metrics = result.dataset.metrics
         print(
-            f"{scenario.technology.value:18s} {result.outcome:10s} "
+            f"{scenario.tech_params.technology.value:18s} {result.outcome:10s} "
             f"loss={metrics.provider_loss_mah:8.2f} mAh  "
             f"gain={metrics.consumer_gain_mah:8.2f} mAh  "
             f"energy_loss={metrics.energy_loss_mah:8.2f} mAh"

@@ -115,8 +115,8 @@ class TechnologyParams:
     """
 
     technology: Technology
-    transfer_rate_ma: float = DEFAULT_TRANSFER_RATE_MA
-    efficiency: float = 0.80
+    transfer_rate_ma: float
+    efficiency: float
     taper_start_pct: float = DEFAULT_TAPER_START_PCT
     distance_m: float = 0.0
 
@@ -127,6 +127,8 @@ class TechnologyParams:
             raise ValueError(f"transfer_rate_ma must be > 0, got {self.transfer_rate_ma!r}")
         if not 0.0 < self.taper_start_pct <= 100.0:
             raise ValueError(f"taper_start_pct must be in (0, 100], got {self.taper_start_pct!r}")
+        if not self.distance_m >= 0.0:
+            raise ValueError(f"distance_m must be >= 0, got {self.distance_m!r}")
 
 
 def default_params(technology: Technology) -> TechnologyParams:

@@ -72,8 +72,6 @@ class SessionDataset:
     session_id: str
     request: EnergyRequest
     provider_id: str
-    consumer_id: str
-    technology: Technology
     tech_params: TechnologyParams
     provider_drain: DrainParams
     consumer_drain: DrainParams
@@ -138,7 +136,7 @@ def validate_dataset(dataset: SessionDataset) -> None:
             raise ValidationFailed(f"unsynchronized timestamps at tick {expected_tick}")
         if provider_record.session_id != dataset.session_id:
             raise ValidationFailed("record session_id does not match dataset")
-    recomputed = compute_metrics(list(pairs), terminal_reason=dataset.terminal_reason)
+    recomputed = compute_metrics(list(pairs))
     for name in ("provider_loss_mah", "consumer_gain_mah", "energy_loss_mah", "duration_s"):
         stored = getattr(dataset.metrics, name)
         fresh = getattr(recomputed, name)
@@ -147,8 +145,6 @@ def validate_dataset(dataset: SessionDataset) -> None:
                 f"metrics not recomputable from records: {name} stored={stored!r} "
                 f"recomputed={fresh!r}"
             )
-    if dataset.metrics.terminal_reason is not dataset.terminal_reason:
-        raise ValidationFailed("metrics terminal_reason does not match dataset")
 
 
 # --- canonical metadata encoding ------------------------------------------------
@@ -157,9 +153,9 @@ def encode_meta(dataset: SessionDataset) -> str:
     """Canonical key-value sidecar (keys in this fixed order; digest input)."""
     return format_meta({
         "session_id": dataset.session_id,
-        "consumer_id": dataset.consumer_id,
+        "consumer_id": dataset.request.consumer_id,
         "provider_id": dataset.provider_id,
-        "technology": dataset.technology.value,
+        "technology": dataset.tech_params.technology.value,
         "transfer_rate_ma": fmt_float(dataset.tech_params.transfer_rate_ma),
         "efficiency": fmt_float(dataset.tech_params.efficiency),
         "taper_start_pct": fmt_float(dataset.tech_params.taper_start_pct),
@@ -196,24 +192,19 @@ def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> Se
         amount_mah=value if kind is RequestKind.AMOUNT else None,
         duration_s=value if kind is RequestKind.DURATION else None,
     )
-    technology = Technology(meta["technology"])
-    reason = Reason(meta["terminal_reason"])
     metrics = SessionMetrics(
         provider_loss_mah=float(meta["provider_loss_mah"]),
         consumer_gain_mah=float(meta["consumer_gain_mah"]),
         energy_loss_mah=float(meta["energy_loss_mah"]),
         duration_s=float(meta["duration_s"]),
-        terminal_reason=reason,
     )
     pairs = tuple(pairs_from_records(records))
     return SessionDataset(
         session_id=check_id(meta["session_id"]),
         request=request,
         provider_id=meta["provider_id"],
-        consumer_id=meta["consumer_id"],
-        technology=technology,
         tech_params=TechnologyParams(
-            technology=technology,
+            technology=Technology(meta["technology"]),
             transfer_rate_ma=float(meta["transfer_rate_ma"]),
             efficiency=float(meta["efficiency"]),
             taper_start_pct=float(meta["taper_start_pct"]),
@@ -226,7 +217,7 @@ def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> Se
         interval_s=float(meta["interval_s"]),
         records=pairs,
         metrics=metrics,
-        terminal_reason=reason,
+        terminal_reason=Reason(meta["terminal_reason"]),
     )
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .battery import BatteryState
 from .errors import EnergyShareError
-from .protocol import Reason, SessionPhase, SessionState
+from .protocol import SessionPhase, SessionState
 from .util import check_id, fmt_float
 
 ROLE_PROVIDER = "provider"
@@ -78,7 +78,6 @@ class SessionMetrics:
     consumer_gain_mah: float
     energy_loss_mah: float
     duration_s: float
-    terminal_reason: Reason | None = None
 
 
 def record_tick(
@@ -135,11 +134,7 @@ def align_traces(
     ]
 
 
-def compute_metrics(
-    pairs: Sequence[tuple[MonitorRecord, MonitorRecord]],
-    *,
-    terminal_reason: Reason | None = None,
-) -> SessionMetrics:
+def compute_metrics(pairs: Sequence[tuple[MonitorRecord, MonitorRecord]]) -> SessionMetrics:
     """Metrics over an aligned series: endpoint deltas of both batteries."""
     if not pairs:
         raise EmptyTrace("metrics need at least one record pair")
@@ -152,7 +147,6 @@ def compute_metrics(
         consumer_gain_mah=consumer_gain,
         energy_loss_mah=provider_loss - consumer_gain,
         duration_s=last_provider.wall_time_s - first_provider.wall_time_s,
-        terminal_reason=terminal_reason,
     )
 
 

@@ -47,14 +47,8 @@ class IllegalTransition(EnergyShareError):
     """An event arrived that the session state machine does not permit."""
 
     def __init__(self, state: "SessionPhase | str", event: object, detail: str = ""):
-        self.state = state
-        self.event = event
         suffix = f" ({detail})" if detail else ""
         super().__init__(f"illegal transition from {state} on {type(event).__name__}{suffix}")
-
-
-class NotCharging(EnergyShareError):
-    """Completion was queried outside the Charging state."""
 
 
 @dataclass(frozen=True)
@@ -236,7 +230,7 @@ def decode_message(line: str) -> ProtocolMessage:
                 raise ValueError(f"baseline_ma must be >= 0, got {baseline_ma!r}")
             return Request(
                 request=request,
-                consumer_position=(float(fields["x"]), float(fields["y"])),
+                consumer_position=(parse_finite(fields["x"], "x"), parse_finite(fields["y"], "y")),
                 consumer_capacity_mah=capacity_mah,
                 consumer_charge_mah=parse_finite(fields["charge_mah"], "charge_mah"),
                 consumer_baseline_ma=baseline_ma,
@@ -246,10 +240,13 @@ def decode_message(line: str) -> ProtocolMessage:
         if msg_type == "REJECT":
             return Reject(request_id=check_id(fields["request_id"]))
         if msg_type == "START_TRANSFER":
+            interval_s = parse_finite(fields["interval_s"], "interval_s")
+            if interval_s <= 0:
+                raise ValueError(f"interval_s must be > 0, got {interval_s!r}")
             return StartTransfer(
                 session_id=check_id(fields["session_id"]),
                 request_id=check_id(fields["request_id"]),
-                interval_s=float(fields["interval_s"]),
+                interval_s=interval_s,
             )
         if msg_type == "MONITOR_SYNC":
             tick_index = int(fields["tick_index"])
@@ -258,7 +255,7 @@ def decode_message(line: str) -> ProtocolMessage:
             return MonitorSync(
                 session_id=check_id(fields["session_id"]),
                 tick_index=tick_index,
-                wall_time_s=float(fields["wall_time_s"]),
+                wall_time_s=parse_finite(fields["wall_time_s"], "wall_time_s"),
                 consumer_charge_mah=parse_finite(
                     fields["consumer_charge_mah"], "consumer_charge_mah"
                 ),
@@ -302,8 +299,6 @@ class SessionState(NamedTuple):
     request: EnergyRequest
     provider_id: str
     state: SessionPhase = SessionPhase.IDLE
-    delivered_mah: float = 0.0
-    elapsed_s: float = 0.0
     terminal_reason: Reason | None = None
 
 
@@ -346,27 +341,12 @@ def transition(state: SessionState, event: ProtocolMessage) -> SessionState:
     return state._replace(state=successor, terminal_reason=reason)
 
 
-def record_progress(state: SessionState, *, delivered_mah: float, elapsed_s: float) -> SessionState:
-    """Update charging progress; both quantities must be non-decreasing."""
-    if state.state is not SessionPhase.CHARGING:
-        raise NotCharging(f"progress update in state {state.state.value}")
-    if delivered_mah < state.delivered_mah or elapsed_s < state.elapsed_s:
-        raise ValueError("delivered_mah and elapsed_s must be non-decreasing")
-    # runs every tick: a positional build costs half of _replace
-    return SessionState(
-        state.session_id, state.request, state.provider_id, state.state,
-        delivered_mah, elapsed_s, state.terminal_reason,
-    )
-
-
-def is_complete(state: SessionState) -> Reason | None:
-    """Completion decision for a charging session: a reason, or None to continue."""
-    if state.state is not SessionPhase.CHARGING:
-        raise NotCharging(f"completion queried in state {state.state.value}")
-    request = state.request
-    if request.kind is RequestKind.AMOUNT and state.delivered_mah >= request.amount_mah:
+def is_complete(request: EnergyRequest, delivered_mah: float, elapsed_s: float) -> Reason | None:
+    """Completion decision for a charging session that has delivered
+    ``delivered_mah`` over ``elapsed_s``: a reason, or None to continue."""
+    if request.kind is RequestKind.AMOUNT and delivered_mah >= request.amount_mah:
         return Reason.AMOUNT_DELIVERED
-    if request.kind is RequestKind.DURATION and state.elapsed_s >= request.duration_s:
+    if request.kind is RequestKind.DURATION and elapsed_s >= request.duration_s:
         return Reason.DURATION_ELAPSED
     return None
 

@@ -42,7 +42,7 @@ def write_run_artifacts(result: RunResult, out_dir: Path | str) -> Path:
         "run_id": scenario.run_id,
         "outcome": result.outcome,
         "terminal_reason": reason,
-        "technology": scenario.technology.value,
+        "technology": scenario.tech_params.technology.value,
         "interval_s": fmt_float(scenario.interval_s),
         "request_kind": scenario.request_kind.value,
         "request_value": fmt_float(scenario.request_value),

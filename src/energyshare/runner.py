@@ -54,7 +54,6 @@ from .protocol import (
     is_complete,
     make_request,
     new_session,
-    record_progress,
     session_id_for,
     transition,
 )
@@ -76,7 +75,8 @@ class ChargingEngine:
     Holds both batteries (the consumer side is the mirror seeded from the
     request), the per-tick ledger and the synchronized record pairs. Both
     batteries come in checked; each tick's successors come from
-    ``transfer_tick`` unchecked, as does the session from ``record_progress``.
+    ``transfer_tick`` unchecked. The session names both peers; progress is
+    the ledger's ``total_in_mah`` and ``tick_index * interval_s``.
     Timestamps are session start plus tick * interval, independent of how
     fast the host actually ticks.
     """
@@ -86,8 +86,6 @@ class ChargingEngine:
         *,
         session: SessionState,
         tech_params,
-        provider_id: str,
-        consumer_id: str,
         provider_battery: BatteryState,
         consumer_battery: BatteryState,
         provider_drain: DrainParams,
@@ -99,8 +97,6 @@ class ChargingEngine:
             raise ValueError("engine needs a session in Charging state")
         self.session = session
         self.tech_params = tech_params
-        self.provider_id = provider_id
-        self.consumer_id = consumer_id
         self.provider_battery = provider_battery
         self.consumer_battery = consumer_battery
         self.provider_drain = provider_drain
@@ -118,9 +114,9 @@ class ChargingEngine:
             self.session,
             tick_index,
             wall_time_s,
-            provider_id=self.provider_id,
+            provider_id=self.session.provider_id,
             provider_battery=self.provider_battery,
-            consumer_id=self.consumer_id,
+            consumer_id=self.session.request.consumer_id,
             consumer_battery=self.consumer_battery,
             cumulative_out_mah=self.ledger.total_out_mah,
             cumulative_in_mah=self.ledger.total_in_mah,
@@ -160,14 +156,9 @@ class ChargingEngine:
 
         self.ledger.add(tick)
         self.tick_index = k
-        self.session = record_progress(
-            self.session,
-            delivered_mah=self.ledger.total_in_mah,
-            elapsed_s=k * self.interval_s,
-        )
         self.pairs.append(self._record(k, wall_time_s))
 
-        reason = is_complete(self.session)
+        reason = is_complete(self.session.request, self.ledger.total_in_mah, k * self.interval_s)
         if reason is not None:
             self.session = transition(self.session, Complete(self.session.session_id, reason))
         elif self.session.request.kind is RequestKind.AMOUNT and tick.mah_in <= STALL_EPS_MAH:
@@ -220,7 +211,7 @@ class _ProviderAgent(_Agent):
             provider_id=self.device_id,
             position=self.spec.position,
             battery_level_pct=self.battery.level_pct,
-            technology=self.scenario.technology,
+            technology=self.scenario.tech_params.technology,
             available=True,
         )
         self.transport.advertise(self.endpoint, advert)
@@ -253,8 +244,6 @@ class _ProviderAgent(_Agent):
         self.engine = ChargingEngine(
             session=session,
             tech_params=self.scenario.tech_params,
-            provider_id=self.device_id,
-            consumer_id=consumer_id,
             provider_battery=self.battery,
             consumer_battery=BatteryState(msg.consumer_capacity_mah, msg.consumer_charge_mah),
             provider_drain=self.drain,
@@ -280,10 +269,11 @@ class _ProviderAgent(_Agent):
 
     def _run_tick(self) -> None:
         engine = self.engine
+        consumer_id = engine.session.request.consumer_id
         sync = engine.step()
         self.battery = engine.provider_battery
         if sync is not None:
-            self._send(engine.consumer_id, sync)
+            self._send(consumer_id, sync)
         session = engine.session
         if session.state is SessionPhase.CHARGING and engine.tick_index >= self.scenario.max_ticks:
             session = engine.session = abort_session(session, Reason.CONSUMER_CANCELLED)
@@ -291,18 +281,15 @@ class _ProviderAgent(_Agent):
             self.next_tick_at += self.tick_spacing_s
             return
         end = Complete if session.state is SessionPhase.COMPLETED else Abort
-        self._send(engine.consumer_id, end(session.session_id, session.terminal_reason))
+        self._send(consumer_id, end(session.session_id, session.terminal_reason))
         self._finalize()
 
     def _finalize(self) -> None:
         engine = self.engine
-        metrics = compute_metrics(engine.pairs, terminal_reason=engine.session.terminal_reason)
         self.dataset = SessionDataset(
             session_id=engine.session.session_id,
             request=engine.session.request,
             provider_id=self.device_id,
-            consumer_id=engine.consumer_id,
-            technology=self.scenario.technology,
             tech_params=self.scenario.tech_params,
             provider_drain=self.drain,
             consumer_drain=engine.consumer_drain,
@@ -310,7 +297,7 @@ class _ProviderAgent(_Agent):
             consumer_capacity_mah=engine.consumer_battery.capacity_mah,
             interval_s=self.scenario.interval_s,
             records=tuple(engine.pairs),
-            metrics=metrics,
+            metrics=compute_metrics(engine.pairs),
             terminal_reason=engine.session.terminal_reason,
         )
         self.sessions.end(engine.session.session_id)

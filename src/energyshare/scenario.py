@@ -74,7 +74,6 @@ class Scenario:
     seed: int
     clock_mode: str
     interval_s: float
-    technology: Technology
     tech_params: TechnologyParams
     request_kind: RequestKind
     request_value: float
@@ -182,7 +181,7 @@ _DEVICE_TABLE = {
     "start_level_pct": _Key(parse_finite, _PERCENT),
     "position": _Key(_position, default=(0.0, 0.0)),
     "baseline_ma": _Key(parse_finite, _NON_NEGATIVE, DEFAULT_BASELINE_MA),
-    "accept_threshold_pct": _Key(parse_finite, default=DEFAULT_ACCEPT_THRESHOLD_PCT),
+    "accept_threshold_pct": _Key(parse_finite, _NON_NEGATIVE, DEFAULT_ACCEPT_THRESHOLD_PCT),
 }
 
 
@@ -253,7 +252,7 @@ def parse_scenario_text(text: str, run_id: str = "scenario") -> Scenario:
             raise ValidationError("scenario.run_id", f"not set, and {exc}") from None
     params = {name: values.pop(name) for name in _TECHNOLOGY_PARAMS if name in values}
     try:
-        tech_params = replace(default_params(values["technology"]), **params)
+        tech_params = replace(default_params(values.pop("technology")), **params)
     except ValueError as exc:
         raise ValidationError("technology", str(exc)) from None
 

@@ -6,6 +6,7 @@ import errno
 import random
 import shutil
 import socket
+from pathlib import Path
 
 import pytest
 from conftest import stored_dataset
@@ -23,7 +24,9 @@ from energyshare.edge import (
     UploadReceipt,
     ValidationFailed,
     dataset_digest,
+    dataset_from_parts,
     encode_meta,
+    parse_meta,
     validate_dataset,
 )
 from energyshare.errors import EnergyShareError
@@ -37,7 +40,11 @@ from energyshare.monitor import (
     trace_csv_text,
 )
 from energyshare.protocol import Reason, RequestKind, make_request
+from energyshare.runner import run_scenario
+from energyshare.scenario import parse_scenario
 from energyshare.transport import parse_addr
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def build_dataset(
@@ -67,14 +74,12 @@ def build_dataset(
                               c_charge + in_rate * t, in_rate * t),
             )
         )
-    metrics = compute_metrics(pairs, terminal_reason=reason)
+    metrics = compute_metrics(pairs)
     request = make_request(RequestKind.DURATION, float(ticks), "c1", request_id="r1")
     return SessionDataset(
         session_id=session_id,
         request=request,
         provider_id="p1",
-        consumer_id="c1",
-        technology=Technology.WIRELESS_DISTANCE,
         tech_params=TechnologyParams(Technology.WIRELESS_DISTANCE, 1200.0, 0.8, 90.0, 0.02),
         provider_drain=DrainParams(40.0),
         consumer_drain=DrainParams(40.0),
@@ -273,6 +278,18 @@ def test_encode_meta_bytes_are_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SCENARIO_DIR.glob("*.cfg")) if parse_scenario(p).clock_mode == "virtual"],
+    ids=lambda p: p.stem,
+)
+def test_bundled_run_dataset_survives_its_encoding(path):
+    """Every fact a run's dataset holds is in its meta block or its trace CSV."""
+    dataset = run_scenario(parse_scenario(path)).dataset
+    meta, trace = encode_meta(dataset), trace_csv_text(dataset.records)
+    assert dataset_from_parts(parse_meta(meta), records_from_csv_text(trace)) == dataset
+
+
 # --- TCP protocol -----------------------------------------------------------------
 
 
@@ -446,3 +463,13 @@ def test_upload_storage_failure_gets_err_reply(served_store, monkeypatch):
     upload = dataset_block("UPLOAD ses-r1 5", build_dataset())
     reply = raw_exchange(server.address, upload)
     assert reply.startswith("ERR StorageError ")
+
+
+def test_upload_with_negative_distance_gets_err_reply(served_store):
+    """The meta decoder refuses what TechnologyParams refuses: distance_m < 0."""
+    _, server, client = served_store
+    upload = dataset_block("UPLOAD ses-r1 5", build_dataset())
+    upload = upload.replace("distance_m = 0.02\n", "distance_m = -1.0\n")
+    reply = raw_exchange(server.address, upload)
+    assert reply.startswith("ERR Malformed ")
+    assert client.list() == []

@@ -25,7 +25,6 @@ from energyshare.monitor import (
     write_trace_csv,
 )
 from energyshare.protocol import (
-    Reason,
     RequestKind,
     SessionPhase,
     SessionState,
@@ -110,12 +109,6 @@ def test_metrics_identity_when_nothing_changes():
     assert metrics.provider_loss_mah == 0.0
     assert metrics.consumer_gain_mah == 0.0
     assert metrics.energy_loss_mah == 0.0
-
-
-def test_metrics_carry_terminal_reason():
-    pair = (mk_record(0, ROLE_PROVIDER), mk_record(0, ROLE_CONSUMER))
-    metrics = compute_metrics([pair], terminal_reason=Reason.DURATION_ELAPSED)
-    assert metrics.terminal_reason is Reason.DURATION_ELAPSED
 
 
 def test_metrics_reject_empty_series():

@@ -15,14 +15,12 @@ from energyshare.protocol import (
     InvalidRequestValue,
     MessageDecodeError,
     MonitorSync,
-    NotCharging,
     ProviderSessions,
     Reason,
     Reject,
     Request,
     RequestKind,
     SessionPhase,
-    SessionState,
     StartTransfer,
     TERMINAL_PHASES,
     abort_session,
@@ -31,7 +29,6 @@ from energyshare.protocol import (
     is_complete,
     make_request,
     new_session,
-    record_progress,
     session_id_for,
     transition,
 )
@@ -138,6 +135,20 @@ def test_wire_field_order_is_fixed():
             f" consumer_charge_mah={charge} consumer_cumulative_in_mah={cumulative}"
             for charge, cumulative in [("nan", "0.0"), ("inf", "0.0"), ("1.0", "nan"), ("1.0", "-inf")]
         ),
+        *(
+            "MONITOR_SYNC session_id=s tick_index=1"
+            f" wall_time_s={wall} consumer_charge_mah=1.0 consumer_cumulative_in_mah=0.0"
+            for wall in ("nan", "inf", "-inf")
+        ),
+        *(
+            "REQUEST request_id=r1 consumer_id=c1 kind=amount value=10.0"
+            f" x={x} y={y} capacity_mah=2915.0 charge_mah=1.0 baseline_ma=40.0"
+            for x, y in [("nan", "0.0"), ("inf", "0.0"), ("0.0", "nan"), ("0.0", "-inf")]
+        ),
+        *(
+            f"START_TRANSFER session_id=s request_id=r1 interval_s={interval}"
+            for interval in ("nan", "inf", "-inf", "0.0", "-1.0")
+        ),
     ],
 )
 def test_decode_rejects_malformed_lines(line):
@@ -235,42 +246,20 @@ def test_abort_from_terminal_is_illegal():
 # --- completion decisions -----------------------------------------------------------
 
 
-def charging_session(kind, value, delivered=0.0, elapsed=0.0):
-    request = make_request(kind, value, "c1", request_id="r1")
-    session = SessionState(
-        session_id="ses-r1", request=request, provider_id="p1",
-        state=SessionPhase.CHARGING, delivered_mah=delivered, elapsed_s=elapsed,
-    )
-    return session
-
-
 def test_duration_completes_at_requested_time():
-    session = charging_session(RequestKind.DURATION, 1800.0, elapsed=1800.0)
-    assert is_complete(session) is Reason.DURATION_ELAPSED
+    request = make_request(RequestKind.DURATION, 1800.0, "c1", request_id="r1")
+    assert is_complete(request, 0.0, 1799.0) is None
+    assert is_complete(request, 0.0, 1800.0) is Reason.DURATION_ELAPSED
 
 
 def test_amount_below_threshold_continues():
-    session = charging_session(RequestKind.AMOUNT, 1000.0, delivered=999.9)
-    assert is_complete(session) is None
+    request = make_request(RequestKind.AMOUNT, 1000.0, "c1", request_id="r1")
+    assert is_complete(request, 999.9, 0.0) is None
 
 
 def test_amount_over_threshold_completes():
-    session = charging_session(RequestKind.AMOUNT, 1000.0, delivered=1000.2)
-    assert is_complete(session) is Reason.AMOUNT_DELIVERED
-
-
-def test_is_complete_requires_charging():
-    session, msgs = make_chain()
-    with pytest.raises(NotCharging):
-        is_complete(session)
-
-
-def test_progress_must_not_decrease():
-    session = charging_session(RequestKind.DURATION, 60.0, delivered=5.0, elapsed=10.0)
-    with pytest.raises(ValueError):
-        record_progress(session, delivered_mah=4.0, elapsed_s=11.0)
-    updated = record_progress(session, delivered_mah=5.5, elapsed_s=11.0)
-    assert updated.delivered_mah == 5.5
+    request = make_request(RequestKind.AMOUNT, 1000.0, "c1", request_id="r1")
+    assert is_complete(request, 1000.2, 0.0) is Reason.AMOUNT_DELIVERED
 
 
 # --- one-to-one guard ----------------------------------------------------------------

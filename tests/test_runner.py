@@ -441,7 +441,7 @@ def test_consumer_ignores_a_sync_whose_tick_goes_backwards():
     clock = VirtualClock()
     transport = SimTransport(clock)
     provider = transport.register("p1")
-    transport.advertise(provider, ProviderAdvert("p1", (0.0, 1.0), 100.0, scenario.technology))
+    transport.advertise(provider, ProviderAdvert("p1", (0.0, 1.0), 100.0, scenario.tech_params.technology))
     consumer = _ConsumerAgent(
         scenario.requesting_consumer(), scenario, transport, clock, sync_timeout_s=5.0
     )

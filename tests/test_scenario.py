@@ -36,7 +36,7 @@ def test_minimal_file_fills_reference_defaults():
     assert scenario.interval_s == 1.0
     assert scenario.request_kind is RequestKind.DURATION
     assert scenario.request_value == 1800.0
-    assert scenario.technology is Technology.WIRELESS_DISTANCE
+    assert scenario.tech_params.technology is Technology.WIRELESS_DISTANCE
     assert scenario.tech_params.efficiency == 0.80
     assert scenario.tech_params.transfer_rate_ma == 1200.0
     assert scenario.tech_params.distance_m == 0.02
@@ -69,7 +69,7 @@ device.c1.position = 1.5, -2.0
 """
     scenario = parse_scenario_text(text)
     assert scenario.seed == 9
-    assert scenario.technology is Technology.CABLE
+    assert scenario.tech_params.technology is Technology.CABLE
     assert scenario.tech_params.efficiency == 0.5
     assert scenario.latency_s == 0.1
     consumer = scenario.consumers()[0]
@@ -182,6 +182,22 @@ def test_non_finite_number_is_parse_error(key, value):
 def test_drop_probability_range_checked():
     with pytest.raises(ValidationError):
         parse_scenario_text(MINIMAL + "transport.drop_prob = 1.5\n")
+
+
+def test_negative_distance_rejected():
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text(MINIMAL + "technology.distance_m = -1\n")
+    assert err.value.field == "technology"
+    assert parse_scenario_text(MINIMAL + "technology.distance_m = 0\n").tech_params.distance_m == 0.0
+
+
+def test_negative_accept_threshold_rejected():
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text(MINIMAL + "device.p1.accept_threshold_pct = -1\n")
+    assert err.value.field == "device.p1.accept_threshold_pct"
+    # above 100 stays legal: a provider that never accepts
+    never = parse_scenario_text(MINIMAL + "device.p1.accept_threshold_pct = 101\n")
+    assert never.providers()[0].accept_threshold_pct == 101.0
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,10 @@ be referenced in the package besides its own definition: read as a name
 or an attribute, or passed as a keyword. Names are matched by spelling,
 across modules, so this finds dead code and write-only state, not every
 unused attribute. Dunder names are exempt, since Python calls them.
+
+Likewise every attribute a method sets on ``self`` must be read as an
+attribute somewhere in ``src/`` (matched by spelling), so an instance
+keeps no write-only state.
 """
 
 import ast
@@ -19,6 +23,12 @@ ALLOWED_UNUSED = {
     "total_overhead_mah": "named by acceptance criterion 5",
     "predict_outcome": "the closed-form oracle of acceptance criterion 6",
     "dataset_digest": "read by the benchmark in bench/",
+}
+
+# attribute -> why it stays although nothing in src/ reads it
+ALLOWED_WRITE_ONLY = {
+    "line_no": "ParseError's line number; tests/test_scenario.py checks it",
+    "missing_ticks": "MisalignedTraces' unpaired ticks; tests/test_monitor.py checks them",
 }
 
 
@@ -65,3 +75,31 @@ def test_every_defined_name_is_used_in_src():
     assert {n: w for n, w in unused.items() if n not in ALLOWED_UNUSED} == {}
     # the allow-list stays exact: an entry that is used again, or gone, is removed
     assert set(unused) == set(ALLOWED_UNUSED)
+
+
+def _self_attributes() -> tuple[dict[str, list[str]], set[str]]:
+    """Attributes assigned on ``self`` (with where), and every attribute read."""
+    writes: dict[str, list[str]] = {}
+    reads: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (
+                isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                writes.setdefault(node.attr, []).append(f"{path.name}:{node.lineno}")
+    return writes, reads
+
+
+def test_every_attribute_set_on_self_is_read_in_src():
+    writes, reads = _self_attributes()
+    write_only = {attr: where for attr, where in writes.items() if attr not in reads}
+    assert {a: w for a, w in write_only.items() if a not in ALLOWED_WRITE_ONLY} == {}
+    # the allow-list stays exact, as above
+    assert set(write_only) == set(ALLOWED_WRITE_ONLY)
