@@ -38,7 +38,7 @@ from .monitor import (
 )
 from .protocol import EnergyRequest, Reason, RequestKind
 from .transport import LineServer, parse_addr
-from .util import check_id, fmt_float, format_meta, parse_fields, parse_meta, rel_close
+from .util import check_id, fmt_float, format_meta, parse_fields, parse_finite, parse_meta, rel_close
 
 METRIC_TOLERANCE = 1e-9
 # an EdgeClient's connect and each of its reads give up after this long
@@ -136,6 +136,10 @@ def validate_dataset(dataset: SessionDataset) -> None:
             raise ValidationFailed(f"unsynchronized timestamps at tick {expected_tick}")
         if provider_record.session_id != dataset.session_id:
             raise ValidationFailed("record session_id does not match dataset")
+        if provider_record.device_id != dataset.provider_id:
+            raise ValidationFailed("provider row device_id does not match dataset")
+        if consumer_record.device_id != dataset.request.consumer_id:
+            raise ValidationFailed("consumer row device_id does not match dataset")
     recomputed = compute_metrics(list(pairs))
     for name in ("provider_loss_mah", "consumer_gain_mah", "energy_loss_mah", "duration_s"):
         stored = getattr(dataset.metrics, name)
@@ -183,8 +187,12 @@ def _summary_of(meta: bytes) -> SessionSummary:
 
 def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> SessionDataset:
     """Rebuild a dataset from its sidecar fields and flat record list."""
+
+    def number(key: str) -> float:
+        return parse_finite(meta[key], key)
+
     kind = RequestKind(meta["request_kind"])
-    value = float(meta["request_value"])
+    value = number("request_value")
     request = EnergyRequest(
         request_id=meta["request_id"],
         consumer_id=meta["consumer_id"],
@@ -193,28 +201,28 @@ def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> Se
         duration_s=value if kind is RequestKind.DURATION else None,
     )
     metrics = SessionMetrics(
-        provider_loss_mah=float(meta["provider_loss_mah"]),
-        consumer_gain_mah=float(meta["consumer_gain_mah"]),
-        energy_loss_mah=float(meta["energy_loss_mah"]),
-        duration_s=float(meta["duration_s"]),
+        provider_loss_mah=number("provider_loss_mah"),
+        consumer_gain_mah=number("consumer_gain_mah"),
+        energy_loss_mah=number("energy_loss_mah"),
+        duration_s=number("duration_s"),
     )
     pairs = tuple(pairs_from_records(records))
     return SessionDataset(
         session_id=check_id(meta["session_id"]),
         request=request,
-        provider_id=meta["provider_id"],
+        provider_id=check_id(meta["provider_id"], "provider_id"),
         tech_params=TechnologyParams(
             technology=Technology(meta["technology"]),
-            transfer_rate_ma=float(meta["transfer_rate_ma"]),
-            efficiency=float(meta["efficiency"]),
-            taper_start_pct=float(meta["taper_start_pct"]),
-            distance_m=float(meta["distance_m"]),
+            transfer_rate_ma=number("transfer_rate_ma"),
+            efficiency=number("efficiency"),
+            taper_start_pct=number("taper_start_pct"),
+            distance_m=number("distance_m"),
         ),
-        provider_drain=DrainParams(float(meta["provider_baseline_ma"])),
-        consumer_drain=DrainParams(float(meta["consumer_baseline_ma"])),
-        provider_capacity_mah=float(meta["provider_capacity_mah"]),
-        consumer_capacity_mah=float(meta["consumer_capacity_mah"]),
-        interval_s=float(meta["interval_s"]),
+        provider_drain=DrainParams(number("provider_baseline_ma")),
+        consumer_drain=DrainParams(number("consumer_baseline_ma")),
+        provider_capacity_mah=number("provider_capacity_mah"),
+        consumer_capacity_mah=number("consumer_capacity_mah"),
+        interval_s=number("interval_s"),
         records=pairs,
         metrics=metrics,
         terminal_reason=Reason(meta["terminal_reason"]),

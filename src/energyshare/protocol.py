@@ -138,8 +138,7 @@ class StartTransfer:
     interval_s: float
 
 
-@dataclass(frozen=True)
-class MonitorSync:
+class MonitorSync(NamedTuple):
     """Per-tick synchronization pulse from provider to consumer.
 
     ``wall_time_s`` is the shared timestamp both peers record under. The

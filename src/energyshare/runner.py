@@ -15,6 +15,7 @@ per-tick synchronization messages.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass, field
 
@@ -131,9 +132,6 @@ class ChargingEngine:
             consumer_cumulative_in_mah=self.ledger.total_in_mah,
         )
 
-    def initial_sync(self) -> MonitorSync:
-        return self.sync_for(0, self.start_time_s)
-
     def step(self) -> MonitorSync | None:
         """Advance one tick and return its sync, or None if the provider ran dry.
 
@@ -180,7 +178,7 @@ class RunResult:
 
 
 class _Agent:
-    """One device: its scenario spec, battery and transport endpoint."""
+    """One device: its scenario spec and battery, addressed on the transport by id."""
 
     def __init__(self, spec: DeviceSpec, scenario: Scenario, transport, clock):
         self.spec = spec
@@ -189,10 +187,9 @@ class _Agent:
         self.clock = clock
         self.device_id = spec.device_id
         self.battery = battery_at_level(spec.capacity_mah, spec.start_level_pct)
-        self.endpoint = None
 
     def _send(self, to: str, msg) -> None:
-        self.transport.send(self.endpoint, to, msg)
+        self.transport.send(self.device_id, to, msg)
 
 
 class _ProviderAgent(_Agent):
@@ -206,7 +203,7 @@ class _ProviderAgent(_Agent):
         self.dataset: SessionDataset | None = None
 
     def start(self) -> None:
-        self.endpoint = self.transport.register(self.device_id)
+        self.transport.register(self.device_id)
         advert = ProviderAdvert(
             provider_id=self.device_id,
             position=self.spec.position,
@@ -214,7 +211,7 @@ class _ProviderAgent(_Agent):
             technology=self.scenario.tech_params.technology,
             available=True,
         )
-        self.transport.advertise(self.endpoint, advert)
+        self.transport.advertise(self.device_id, advert)
 
     def on_message(self, msg) -> None:
         if isinstance(msg, Request):
@@ -253,7 +250,7 @@ class _ProviderAgent(_Agent):
         )
         self._send(consumer_id, Accept(request.request_id))
         self._send(consumer_id, start)
-        self._send(consumer_id, self.engine.initial_sync())
+        self._send(consumer_id, self.engine.sync_for(0, now))
         self.next_tick_at = now + self.tick_spacing_s
 
     def _on_abort(self, msg: Abort) -> None:
@@ -340,8 +337,8 @@ class _ConsumerAgent(_Agent):
         return self.outcome is not None
 
     def start(self) -> None:
-        self.endpoint = self.transport.register(self.device_id)
-        adverts = self.transport.discover(self.endpoint)
+        self.transport.register(self.device_id)
+        adverts = self.transport.discover(self.device_id)
         self.ranking = rank_providers(self.spec.position, adverts)
         self._submit_next()
 
@@ -446,13 +443,16 @@ def _drive(agents: list, transport, clock, stop_at: float) -> None:
     Ordering rule (virtual traces depend on it): at each instant, serve
     every device with a due message or timer in device order (providers in
     scenario order, then the consumer), a device's messages before its
-    timer; a device that becomes due behind the current one waits for the
-    next pass over the instant. Repeat until nothing more is due, and only
-    then advance time. Plain (time, seq) heap order is not equivalent:
-    SimTransport draws its drop decisions in send order.
+    timer. A device that becomes due ahead of the current one is served in
+    this pass; one that becomes due behind it waits for the next pass over
+    the instant. Repeat until nothing more is due, and only then advance
+    time. Plain (time, seq) heap order is not equivalent: SimTransport
+    draws its drop decisions in send order.
 
-    Returns once nothing is pending or the next event lies past
-    ``stop_at``, checked after each instant and before waiting.
+    An instant gathers its due devices once, and again after serving a
+    device only if the transport's next delivery or the timer heap's head
+    has fallen due. Returns once nothing is pending or the next event lies
+    past ``stop_at``, checked after each instant and before waiting.
     """
     index = {agent.device_id: i for i, agent in enumerate(agents)}
     timers: list[tuple[float, int]] = []  # (wake-up, agent index)
@@ -466,9 +466,8 @@ def _drive(agents: list, transport, clock, stop_at: float) -> None:
             if wake_at is not None:
                 heapq.heappush(timers, (wake_at, i))
 
-    def due_now() -> set[int]:
+    def gather(now: float) -> set[int]:
         due = {index[device_id] for device_id in transport.due_devices()}
-        now = clock.now_s
         while timers and timers[0][0] <= now:
             wake_at, i = heapq.heappop(timers)
             if current[i] == wake_at:
@@ -479,22 +478,25 @@ def _drive(agents: list, transport, clock, stop_at: float) -> None:
     for i in range(len(agents)):
         schedule(i)
     while True:
-        due, last = due_now(), -1
+        now = clock.now_s
+        due, last = sorted(gather(now)), -1
+        # the transport's next delivery, read again after each device served
+        t_msg = None if due else transport.next_delivery_time()
         while due:
-            i = min(due)
-            if i <= last:  # finish the current pass first; else start a new one
-                i = min((j for j in due if j > last), default=i)
-            due.discard(i)
+            at = bisect.bisect_right(due, last)  # none after the last served: a new pass
+            i = due.pop(at if at < len(due) else 0)
             agent = agents[i]
-            for msg in transport.receive(agent.endpoint):
+            for msg in transport.receive(agent.device_id):
                 agent.on_message(msg)
             agent.on_time()
             schedule(i)
-            due |= due_now()
+            t_msg = transport.next_delivery_time()
+            if (t_msg is not None and t_msg <= now) or (timers and timers[0][0] <= now):
+                due = sorted(set(due).union(gather(now)))
             last = i
         while timers and current[timers[0][1]] != timers[0][0]:
             heapq.heappop(timers)
-        t_next = transport.next_delivery_time()
+        t_next = t_msg
         if timers and (t_next is None or timers[0][0] < t_next):
             t_next = timers[0][0]
         if t_next is None or t_next > stop_at:

@@ -11,6 +11,9 @@ Two interchangeable transports stand in for the short-range radio link:
   and registry entry. All of its sockets sit in one selector, read by
   :meth:`TcpTransport.poll` on the caller's thread.
 
+Devices are addressed by id: ``send(frm_id, to, msg)``, ``receive``,
+``advertise`` and ``discover`` name the registered device they act for.
+
 Both satisfy the same contract: FIFO per sender/receiver pair, no
 duplication, no loss unless a drop probability is configured. Both apply
 the discovery rules of one :class:`Registry`, held in process or behind
@@ -29,7 +32,6 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .battery import Technology
 from .errors import EnergyShareError
@@ -52,10 +54,12 @@ class Unknown(PeerUnreachable):
     """No device is registered under this id (the registry's ``ERR Unknown``)."""
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    device_id: str
-    address: str
+def _inbox(inboxes: dict[str, deque], device_id: str) -> deque:
+    """The inbox of ``device_id``; :class:`PeerUnreachable` if it never registered."""
+    inbox = inboxes.get(device_id)
+    if inbox is None:
+        raise PeerUnreachable(f"device {device_id!r} is not registered")
+    return inbox
 
 
 class VirtualClock:
@@ -67,23 +71,18 @@ class VirtualClock:
     """
 
     def __init__(self, start_s: float = 0.0, pace: float | None = None):
-        self._now_s = start_s
+        self.now_s = start_s
         self._pace = pace
 
-    @property
-    def now_s(self) -> float:
-        return self._now_s
-
-    def advance(self, dt_s: float) -> float:
+    def advance(self, dt_s: float) -> None:
         if dt_s <= 0:
             raise ValueError(f"dt_s must be > 0, got {dt_s!r}")
-        self._now_s += dt_s
-        return self._now_s
+        self.now_s += dt_s
 
     def wait_until(self, t_s: float) -> None:
-        """Jump to ``t_s`` if it lies ahead."""
-        if t_s > self._now_s:
-            dt_s = t_s - self._now_s
+        """Jump to ``t_s`` if it lies ahead, through :meth:`advance` (traces pin its float sum)."""
+        if t_s > self.now_s:
+            dt_s = t_s - self.now_s
             self.advance(dt_s)
             if self._pace:
                 time.sleep(dt_s / self._pace)
@@ -207,43 +206,35 @@ class SimTransport:
         # one (deliver_at, device_id) entry per queued message, across inboxes
         self._wake: deque[tuple[float, str]] = deque()
 
-    def register(self, device_id: str) -> Endpoint:
-        check_id(device_id, "device_id")
-        endpoint = Endpoint(device_id, f"sim:{device_id}")
-        self._registry.register(device_id, endpoint.address)
-        self._inboxes.setdefault(device_id, deque())
-        return endpoint
+    def register(self, device_id: str) -> None:
+        self._inboxes.setdefault(check_id(device_id, "device_id"), deque())
 
-    def _require_registered(self, endpoint: Endpoint) -> None:
-        if self._registry.resolve(endpoint.device_id) != endpoint.address:
-            raise PeerUnreachable(f"endpoint {endpoint.device_id!r} is not registered")
+    def advertise(self, device_id: str, advert: ProviderAdvert) -> None:
+        _inbox(self._inboxes, device_id)
+        self._registry.advertise(f"sim:{device_id}", advert)
 
-    def advertise(self, endpoint: Endpoint, advert: ProviderAdvert) -> None:
-        self._require_registered(endpoint)
-        self._registry.advertise(endpoint.address, advert)
-
-    def discover(self, endpoint: Endpoint) -> list[ProviderAdvert]:
+    def discover(self, device_id: str) -> list[ProviderAdvert]:
         """Snapshot of currently advertised, available providers."""
-        self._require_registered(endpoint)
+        _inbox(self._inboxes, device_id)
         return self._registry.discover()
 
-    def send(self, frm: Endpoint, to: str, msg: ProtocolMessage) -> None:
-        """Queue ``msg`` for ``to`` (a device id) at now + latency."""
-        self._require_registered(frm)
-        self._registry.resolve(to)
+    def send(self, frm: str, to: str, msg: ProtocolMessage) -> None:
+        """Queue ``msg`` from device ``frm`` for device ``to`` at now + latency."""
+        _inbox(self._inboxes, frm)
+        inbox = _inbox(self._inboxes, to)
         line = encode_message(msg)
         if self.drop_probability > 0.0 and self._rng.random() < self.drop_probability:
             return
         deliver_at = self.clock.now_s + self.latency_s
-        self._inboxes[to].append((deliver_at, line))
+        inbox.append((deliver_at, line))
         self._wake.append((deliver_at, to))
 
-    def receive(self, endpoint: Endpoint) -> list[ProtocolMessage]:
+    def receive(self, device_id: str) -> list[ProtocolMessage]:
         """Drain all messages due at the current virtual time, in order."""
-        self._require_registered(endpoint)
-        inbox = self._inboxes[endpoint.device_id]
+        inbox = _inbox(self._inboxes, device_id)
+        now = self.clock.now_s
         due: list[ProtocolMessage] = []
-        while inbox and inbox[0][0] <= self.clock.now_s:
+        while inbox and inbox[0][0] <= now:
             due.append(decode_message(inbox.popleft()[1]))
         return due
 
@@ -461,7 +452,7 @@ class _RegistryClient:
 
 
 class TcpTransport:
-    """Loopback-TCP transport: one listening socket and inbox per endpoint.
+    """Loopback-TCP transport: one listening socket and inbox per device.
 
     Senders keep a single connection per sender/destination pair (FIFO per
     pair comes from TCP ordering) and reconnect once on a broken pipe.
@@ -482,11 +473,8 @@ class TcpTransport:
         self._inboxes: dict[str, deque[ProtocolMessage]] = {}
         self._conns: dict[tuple[str, str], socket.socket] = {}
 
-    def register(self, device_id: str) -> Endpoint:
+    def register(self, device_id: str) -> None:
         check_id(device_id, "device_id")
-        if device_id in self._servers:
-            server = self._servers[device_id]
-            return Endpoint(device_id, f"{self._host}:{server.getsockname()[1]}")
         server = socket.create_server((self._host, 0))
         address = f"{self._host}:{server.getsockname()[1]}"
         try:
@@ -498,7 +486,6 @@ class TcpTransport:
         self._selector.register(server, selectors.EVENT_READ, (device_id, None))
         self._servers[device_id] = server
         self._inboxes[device_id] = deque()
-        return Endpoint(device_id, address)
 
     def close(self) -> None:
         for key in list(self._selector.get_map().values()):
@@ -553,14 +540,13 @@ class TcpTransport:
         self._selector.unregister(conn)
         conn.close()
 
-    def advertise(self, endpoint: Endpoint, advert: ProviderAdvert) -> None:
-        if endpoint.device_id not in self._servers:
-            raise PeerUnreachable(f"endpoint {endpoint.device_id!r} is not registered")
-        self._registry.command(f"ADVERTISE addr={endpoint.address} {encode_advert(advert)}")
+    def advertise(self, device_id: str, advert: ProviderAdvert) -> None:
+        _inbox(self._inboxes, device_id)
+        port = self._servers[device_id].getsockname()[1]
+        self._registry.command(f"ADVERTISE addr={self._host}:{port} {encode_advert(advert)}")
 
-    def discover(self, endpoint: Endpoint) -> list[ProviderAdvert]:
-        if endpoint.device_id not in self._servers:
-            raise PeerUnreachable(f"endpoint {endpoint.device_id!r} is not registered")
+    def discover(self, device_id: str) -> list[ProviderAdvert]:
+        _inbox(self._inboxes, device_id)
         return self._registry.discover()
 
     def _connect(self, to: str) -> socket.socket:
@@ -587,11 +573,10 @@ class TcpTransport:
                     raise TimeoutError("peer stopped reading") from None
                 self.poll(_SEND_RETRY_S)
 
-    def send(self, frm: Endpoint, to: str, msg: ProtocolMessage) -> None:
-        if frm.device_id not in self._servers:
-            raise PeerUnreachable(f"endpoint {frm.device_id!r} is not registered")
+    def send(self, frm: str, to: str, msg: ProtocolMessage) -> None:
+        _inbox(self._inboxes, frm)
         payload = (encode_message(msg) + "\n").encode("utf-8")
-        key = (frm.device_id, to)
+        key = (frm, to)
         for _ in range(2):  # one reconnect attempt, then give up
             conn = self._conns.get(key)
             try:
@@ -606,11 +591,9 @@ class TcpTransport:
                 error = exc
         raise PeerUnreachable(f"cannot deliver to {to!r}: {error}") from error
 
-    def receive(self, endpoint: Endpoint) -> list[ProtocolMessage]:
-        """Drain every message that has arrived for ``endpoint``, in order."""
-        inbox = self._inboxes.get(endpoint.device_id)
-        if inbox is None:
-            raise PeerUnreachable(f"endpoint {endpoint.device_id!r} is not registered")
+    def receive(self, device_id: str) -> list[ProtocolMessage]:
+        """Drain every message that has arrived for ``device_id``, in order."""
+        inbox = _inbox(self._inboxes, device_id)
         messages: list[ProtocolMessage] = []
         while inbox:
             messages.append(inbox.popleft())

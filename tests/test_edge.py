@@ -242,6 +242,27 @@ def test_unsynchronized_timestamps_rejected():
         validate_dataset(skewed)
 
 
+def test_provider_rows_naming_another_provider_rejected(store):
+    dataset = build_dataset()
+    renamed = dataclasses.replace(
+        dataset, records=tuple((p._replace(device_id="p9"), c) for p, c in dataset.records)
+    )
+    assert renamed.provider_id == "p1"
+    with pytest.raises(ValidationFailed):
+        store.upload(renamed)
+    assert store.list() == []
+
+
+def test_consumer_rows_naming_another_consumer_rejected(store):
+    dataset = build_dataset()
+    request = make_request(RequestKind.DURATION, 5.0, "c9", request_id="r1")
+    renamed = dataclasses.replace(dataset, request=request)
+    assert {c.device_id for _, c in renamed.records} == {"c1"}
+    with pytest.raises(ValidationFailed):
+        store.upload(renamed)
+    assert store.list() == []
+
+
 def test_digest_is_content_stable():
     a = build_dataset(rng=random.Random(5))
     b = build_dataset(rng=random.Random(5))
@@ -463,6 +484,25 @@ def test_upload_storage_failure_gets_err_reply(served_store, monkeypatch):
     upload = dataset_block("UPLOAD ses-r1 5", build_dataset())
     reply = raw_exchange(server.address, upload)
     assert reply.startswith("ERR StorageError ")
+
+
+def test_upload_with_non_finite_meta_numbers_gets_err_reply(served_store):
+    """nan passes TechnologyParams' rate check and inf its distance check; the decoder refuses both."""
+    _, server, client = served_store
+    upload = dataset_block("UPLOAD ses-r1 5", build_dataset())
+    upload = upload.replace("transfer_rate_ma = 1200.0\n", "transfer_rate_ma = nan\n")
+    upload = upload.replace("distance_m = 0.02\n", "distance_m = inf\n")
+    reply = raw_exchange(server.address, upload)
+    assert reply.startswith("ERR Malformed ")
+    assert client.list() == []
+
+
+def test_upload_with_bad_provider_id_gets_err_reply(served_store):
+    _, server, client = served_store
+    upload = dataset_block("UPLOAD ses-r1 5", build_dataset())
+    reply = raw_exchange(server.address, upload.replace("provider_id = p1\n", "provider_id = p/1\n"))
+    assert reply.startswith("ERR Malformed ")
+    assert client.list() == []
 
 
 def test_upload_with_negative_distance_gets_err_reply(served_store):

@@ -33,6 +33,7 @@ from energyshare.runner import (
     OUTCOME_NO_PROVIDER,
     _ConsumerAgent,
     _ProviderAgent,
+    _drive,
     run_scenario,
 )
 from energyshare.scenario import parse_scenario_text
@@ -42,7 +43,6 @@ from energyshare.transport import (
     TcpTransport,
     VirtualClock,
     WallClock,
-    parse_addr,
 )
 
 
@@ -336,12 +336,13 @@ def test_provider_drops_hostile_request_and_serves_the_next(hostile):
             scenario.providers()[0], scenario, transport, WallClock(transport.poll), 1.0
         )
         provider.start()
-        consumer = transport.register("c1")
+        consumer = "c1"
+        transport.register(consumer)
 
         def deliver(rounds):
             for _ in range(rounds):
                 transport.poll(0.02)
-                for msg in transport.receive(provider.endpoint):
+                for msg in transport.receive(provider.device_id):
                     provider.on_message(msg)
 
         def request(request_id):
@@ -349,7 +350,7 @@ def test_provider_drops_hostile_request_and_serves_the_next(hostile):
                            (0.0, 0.0), 2915.0, 1166.0, 40.0)
 
         line = encode_message(request("req-bad")).replace(*hostile)
-        with socket.create_connection(parse_addr(provider.endpoint.address)) as stranger:
+        with socket.create_connection(transport._servers[provider.device_id].getsockname()) as stranger:
             stranger.sendall((line + "\n").encode("utf-8"))
             deliver(10)
         assert provider.engine is None
@@ -440,7 +441,8 @@ def test_consumer_ignores_a_sync_whose_tick_goes_backwards():
     scenario = build_scenario()
     clock = VirtualClock()
     transport = SimTransport(clock)
-    provider = transport.register("p1")
+    provider = "p1"
+    transport.register(provider)
     transport.advertise(provider, ProviderAdvert("p1", (0.0, 1.0), 100.0, scenario.tech_params.technology))
     consumer = _ConsumerAgent(
         scenario.requesting_consumer(), scenario, transport, clock, sync_timeout_s=5.0
@@ -454,3 +456,82 @@ def test_consumer_ignores_a_sync_whose_tick_goes_backwards():
     assert [r.tick_index for r in consumer.records] == [2, 3]
     assert consumer.records[-1].battery_charge_mah == 1203.0
     assert consumer.outcome is None
+
+
+# --- the event loop's ordering rule ------------------------------------------------------
+
+
+class _ScriptedDevice:
+    """A device for ``_drive`` that logs each message and timer it is served.
+
+    Its one timer, if any, fires at ``wake_at`` and sends to ``on_timer``;
+    its first message makes it send to ``on_message``. Each send carries
+    the sender's id.
+    """
+
+    def __init__(self, device_id, transport, log, wake_at=None, on_timer=(), on_message=()):
+        transport.register(device_id)
+        self.device_id = device_id
+        self.transport = transport
+        self.log = log
+        self.wake_at = wake_at
+        self.timer_sends = on_timer
+        self.message_sends = on_message
+
+    def _send_all(self, targets):
+        for to in targets:
+            self.transport.send(self.device_id, to, Accept(self.device_id))
+
+    def on_message(self, msg):
+        self.log.append(f"{self.device_id}<-{msg.request_id}")
+        targets, self.message_sends = self.message_sends, ()
+        self._send_all(targets)
+
+    def on_time(self):
+        if self.wake_at is not None and self.transport.clock.now_s >= self.wake_at:
+            self.log.append(f"{self.device_id}:timer")
+            self.wake_at = None
+            self._send_all(self.timer_sends)
+
+    def next_wakeup(self):
+        return self.wake_at
+
+
+def test_drive_serves_an_instant_in_passes_in_device_order():
+    """Latency 0: every send falls due in the instant it is made."""
+    clock = VirtualClock()
+    transport = SimTransport(clock, latency_s=0.0)
+    log = []
+    devices = [
+        _ScriptedDevice("a", transport, log, on_message=("b",)),
+        _ScriptedDevice("b", transport, log, wake_at=1.0, on_timer=("a", "c", "d")),
+        _ScriptedDevice("c", transport, log),
+        _ScriptedDevice("d", transport, log, wake_at=1.0),
+    ]
+    _drive(devices, transport, clock, stop_at=10.0)
+    assert log == [
+        "b:timer",  # the first due device; makes a (behind it), c and d (ahead) due
+        "c<-b",  # due ahead of b: served in this pass
+        "d<-b", "d:timer",  # a device's messages before its timer
+        "a<-b",  # due behind b: the next pass; makes b due ahead of a
+        "b<-a",  # ... so b is served again in that pass
+    ]
+    assert clock.now_s == 1.0
+
+
+def test_virtual_run_gathers_due_devices_once_per_instant(monkeypatch):
+    """A tick is two instants (the provider's timer, the consumer's sync): one gather each."""
+    gathers = 0
+    due_devices = SimTransport.due_devices
+
+    def counting(self):
+        nonlocal gathers
+        gathers += 1
+        return due_devices(self)
+
+    monkeypatch.setattr(SimTransport, "due_devices", counting)
+    result = run_scenario(build_scenario(value=300.0))
+    ticks = result.dataset.record_count - 1
+    assert ticks == 300
+    # plus the start instant, the request's arrival and the reply's arrival
+    assert gathers <= 2 * ticks + 3

@@ -23,9 +23,9 @@ def advert(pid="p1", level=80.0, available=True, x=0.0, y=0.0):
 def net():
     clock = VirtualClock()
     transport = SimTransport(clock, latency_s=0.25)
-    a = transport.register("a")
-    b = transport.register("b")
-    return clock, transport, a, b
+    transport.register("a")
+    transport.register("b")
+    return clock, transport, "a", "b"
 
 
 # --- clock --------------------------------------------------------------------
@@ -107,7 +107,9 @@ def test_delivery_waits_for_latency(net):
 def test_default_latency_example():
     clock = VirtualClock(start_s=1.0)
     transport = SimTransport(clock, latency_s=0.05)
-    a, b = transport.register("a"), transport.register("b")
+    a, b = "a", "b"
+    transport.register(a)
+    transport.register(b)
     transport.send(a, "b", Accept("m"))
     clock.advance(0.04)
     assert transport.receive(b) == []
@@ -118,7 +120,9 @@ def test_default_latency_example():
 def test_messages_release_in_timestamp_order():
     clock = VirtualClock()
     transport = SimTransport(clock, latency_s=0.0)
-    a, b, c = transport.register("a"), transport.register("b"), transport.register("c")
+    a, b, c = "a", "b", "c"
+    for device_id in (a, b, c):
+        transport.register(device_id)
     clock.advance(0.5)
     transport.send(a, "c", Accept("at-0.5"))
     clock.advance(0.2)
@@ -146,7 +150,9 @@ def test_next_delivery_time(net):
 def test_drop_probability_one_loses_everything(net_args=None):
     clock = VirtualClock()
     transport = SimTransport(clock, latency_s=0.0, drop_probability=1.0, seed=3)
-    a, b = transport.register("a"), transport.register("b")
+    a, b = "a", "b"
+    transport.register(a)
+    transport.register(b)
     for i in range(10):
         transport.send(a, "b", Accept(f"m{i}"))
     clock.advance(1.0)
@@ -157,7 +163,9 @@ def test_drop_pattern_is_seed_deterministic():
     def pattern(seed):
         clock = VirtualClock()
         transport = SimTransport(clock, latency_s=0.0, drop_probability=0.5, seed=seed)
-        a, b = transport.register("a"), transport.register("b")
+        a, b = "a", "b"
+        transport.register(a)
+        transport.register(b)
         for i in range(30):
             transport.send(a, "b", Accept(f"m{i}"))
         clock.advance(1.0)

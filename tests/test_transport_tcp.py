@@ -39,19 +39,25 @@ def registry():
 @pytest.fixture
 def pair(registry):
     ta, tb = TcpTransport(registry.address), TcpTransport(registry.address)
-    a, b = ta.register("a"), tb.register("b")
-    yield ta, tb, a, b
+    ta.register("a")
+    tb.register("b")
+    yield ta, tb, "a", "b"
     ta.close()
     tb.close()
 
 
-def drain(transport, endpoint, expect, deadline_s=5.0):
+def drain(transport, device_id, expect, deadline_s=5.0):
     messages = []
     deadline = time.monotonic() + deadline_s
     while len(messages) < expect and time.monotonic() < deadline:
         transport.poll(0.05)
-        messages.extend(transport.receive(endpoint))
+        messages.extend(transport.receive(device_id))
     return messages
+
+
+def listener_address(transport, device_id):
+    """The (host, port) a device of ``transport`` accepts connections on."""
+    return transport._servers[device_id].getsockname()
 
 
 def test_send_receive_round_trip(pair):
@@ -175,7 +181,9 @@ def test_snapshot_is_never_torn(pair):
 def test_burst_overflowing_socket_buffers_arrives_in_order(registry, monkeypatch):
     """Sender and receiver share one transport and so one thread: no deadlock."""
     transport = TcpTransport(registry.address)
-    a, b = transport.register("a"), transport.register("b")
+    a, b = "a", "b"
+    transport.register(a)
+    transport.register(b)
     # accepted connections inherit the listener's receive buffer
     transport._servers["b"].setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     real_connect = socket.create_connection
@@ -224,7 +232,7 @@ def test_burst_overflowing_socket_buffers_arrives_in_order(registry, monkeypatch
 def test_bad_input_from_a_stranger_drops_only_its_connection(pair):
     ta, tb, a, b = pair
     line = (encode_message(Accept("stranger")) + "\n").encode("utf-8")
-    with socket.create_connection(parse_addr(b.address)) as garbage:
+    with socket.create_connection(listener_address(tb, b)) as garbage:
         garbage.sendall(b"\xff\xfe not utf-8\n")
         garbage.sendall(line[:6])
         tb.poll(0.05)
@@ -233,7 +241,7 @@ def test_bad_input_from_a_stranger_drops_only_its_connection(pair):
         assert drain(tb, b, 1) == [Accept("m1")]
         # the valid line behind the garbage never arrives: that connection is gone
         assert drain(tb, b, 1, deadline_s=0.3) == []
-    with socket.create_connection(parse_addr(b.address)) as stranger:
+    with socket.create_connection(listener_address(tb, b)) as stranger:
         stranger.sendall(line[:6])
         assert drain(tb, b, 1, deadline_s=0.3) == []
         stranger.sendall(line[6:])
