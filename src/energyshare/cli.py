@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .edge import EdgeClient, EdgeServer, EdgeStore, encode_meta
+from .edge import EdgeClient, EdgeServer, EdgeStore, encode_meta, summary_text
 from .errors import EnergyShareError
 from .monitor import trace_csv_text
 from .report import compare, write_run_artifacts
@@ -109,12 +109,8 @@ def _cmd_edge(args) -> int:
         return EXIT_OK
     client = EdgeClient(args.addr)
     if args.edge_command == "list":
-        for s in client.list():
-            print(
-                f"{s.session_id} consumer={s.consumer_id} provider={s.provider_id} "
-                f"technology={s.technology.value} terminal={s.terminal_reason.value} "
-                f"energy_loss_mah={s.energy_loss_mah}"
-            )
+        for summary in client.list():
+            print(summary_text(summary))
         return EXIT_OK
     if args.edge_command == "get":
         dataset = client.get(args.session_id)

@@ -18,27 +18,32 @@ the platform; see docs/wire-format.md for the exact exchange.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import socket
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
-from .battery import DrainParams, TechnologyParams, Technology
+from .battery import DrainParams, Technology, TechnologyParams
 from .errors import EnergyShareError
 from .monitor import (
+    MisalignedTraces,
     MonitorRecord,
     SessionMetrics,
-    align_traces,
     compute_metrics,
     pairs_from_records,
     records_from_csv_text,
     trace_csv_text,
 )
-from .protocol import EnergyRequest, Reason, RequestKind
+from .protocol import EnergyRequest, Reason, RequestKind, make_request
 from .transport import LineServer, parse_addr
-from .util import check_id, fmt_float, format_meta, parse_fields, parse_finite, parse_meta, rel_close
+from .util import POSITIVE, check_id, fmt_float, format_meta, member, parse_fields, parse_finite
+from .util import parse_meta, rel_close
 
 METRIC_TOLERANCE = 1e-9
 # an EdgeClient's connect and each of its reads give up after this long
@@ -93,8 +98,9 @@ class UploadReceipt:
     record_count: int
 
 
-@dataclass(frozen=True)
-class SessionSummary:
+class SessionSummary(NamedTuple):
+    """One LIST entry; the field names are its ``SUMMARY`` keys, in order."""
+
     session_id: str
     consumer_id: str
     provider_id: str
@@ -103,45 +109,30 @@ class SessionSummary:
     energy_loss_mah: float
 
 
-def summary_from_fields(fields: dict[str, str]) -> SessionSummary:
-    """A summary from ``meta.txt`` fields or the fields of a ``SUMMARY`` line."""
-    return SessionSummary(
-        session_id=fields["session_id"],
-        consumer_id=fields["consumer_id"],
-        provider_id=fields["provider_id"],
-        technology=Technology(fields["technology"]),
-        terminal_reason=Reason(fields["terminal_reason"]),
-        energy_loss_mah=float(fields["energy_loss_mah"]),
-    )
-
-
 def validate_dataset(dataset: SessionDataset) -> None:
-    """Gate kept in front of persistence: alignment plus metric recomputation."""
+    """Gate kept in front of persistence: each record pair, then metric recomputation."""
     pairs = dataset.records
     if not pairs:
         raise ValidationFailed("dataset has no records")
-    try:
-        realigned = align_traces([p for p, _ in pairs], [c for _, c in pairs])
-    except EnergyShareError as exc:
-        raise ValidationFailed(f"trace alignment failed: {exc}") from exc
-    if len(realigned) != len(pairs):
-        raise ValidationFailed("duplicate tick indices in trace")
-    for expected_tick, (provider_record, consumer_record) in enumerate(pairs):
-        if provider_record.tick_index != expected_tick:
-            raise ValidationFailed(
-                f"tick indices must be dense from 0, found {provider_record.tick_index} "
-                f"at position {expected_tick}"
-            )
-        if provider_record.wall_time_s != consumer_record.wall_time_s:
-            raise ValidationFailed(f"unsynchronized timestamps at tick {expected_tick}")
-        if provider_record.session_id != dataset.session_id:
-            raise ValidationFailed("record session_id does not match dataset")
-        if provider_record.device_id != dataset.provider_id:
-            raise ValidationFailed("provider row device_id does not match dataset")
-        if consumer_record.device_id != dataset.request.consumer_id:
-            raise ValidationFailed("consumer row device_id does not match dataset")
-    recomputed = compute_metrics(list(pairs))
-    for name in ("provider_loss_mah", "consumer_gain_mah", "energy_loss_mah", "duration_s"):
+    ids = (dataset.session_id, dataset.session_id, dataset.provider_id, dataset.request.consumer_id)
+    provider_cap, consumer_cap = dataset.provider_capacity_mah, dataset.consumer_capacity_mah
+    for tick, (p, c) in enumerate(pairs):
+        if (p.tick_index, c.tick_index, c.wall_time_s) != (tick, tick, p.wall_time_s):
+            raise ValidationFailed(f"tick {tick}: indices not dense from 0, or timestamps differ")
+        if (p.session_id, c.session_id, p.device_id, c.device_id) != ids:
+            raise ValidationFailed(f"tick {tick}: session_id or device_id differs from the dataset")
+        if not (
+            math.isfinite(p.wall_time_s)
+            and 0.0 <= p.battery_charge_mah <= provider_cap
+            and 0.0 <= c.battery_charge_mah <= consumer_cap
+            and 0.0 <= p.battery_level_pct <= 100.0
+            and 0.0 <= c.battery_level_pct <= 100.0
+            and math.isfinite(p.cumulative_transferred_mah)
+            and math.isfinite(c.cumulative_transferred_mah)
+        ):
+            raise ValidationFailed(f"tick {tick}: a time, charge, level or cumulative out of range")
+    recomputed = compute_metrics(pairs)
+    for name in (f.name for f in dataclass_fields(SessionMetrics)):
         stored = getattr(dataset.metrics, name)
         fresh = getattr(recomputed, name)
         if not rel_close(stored, fresh, METRIC_TOLERANCE):
@@ -151,82 +142,106 @@ def validate_dataset(dataset: SessionDataset) -> None:
             )
 
 
-# --- canonical metadata encoding ------------------------------------------------
+# --- the meta key table ------------------------------------------------------------
+
+
+def _positive(text: str) -> float:
+    return POSITIVE(parse_finite(text))
+
+
+class _Meta(NamedTuple):
+    """One meta key: its parser, which range-checks and raises ``ValueError``, and its place."""
+
+    parse: Callable[[str], Any]
+    place: str = ""  # the value's attribute path in a SessionDataset, if not the key
+
+
+# every key of meta.txt, in its canonical order; a range a constructor
+# checks (TechnologyParams, DrainParams, EnergyRequest) is left to it
+_META = {
+    "session_id": _Meta(check_id),
+    "consumer_id": _Meta(check_id, "request.consumer_id"),
+    "provider_id": _Meta(check_id),
+    "technology": _Meta(member(Technology), "tech_params.technology"),
+    "transfer_rate_ma": _Meta(parse_finite, "tech_params.transfer_rate_ma"),
+    "efficiency": _Meta(parse_finite, "tech_params.efficiency"),
+    "taper_start_pct": _Meta(parse_finite, "tech_params.taper_start_pct"),
+    "distance_m": _Meta(parse_finite, "tech_params.distance_m"),
+    "provider_capacity_mah": _Meta(_positive),
+    "consumer_capacity_mah": _Meta(_positive),
+    "provider_baseline_ma": _Meta(parse_finite, "provider_drain.baseline_ma"),
+    "consumer_baseline_ma": _Meta(parse_finite, "consumer_drain.baseline_ma"),
+    "request_id": _Meta(check_id, "request.request_id"),
+    "request_kind": _Meta(member(RequestKind), "request.kind"),
+    "request_value": _Meta(_positive, "request.value"),
+    "interval_s": _Meta(_positive),
+    "terminal_reason": _Meta(member(Reason)),
+    "provider_loss_mah": _Meta(parse_finite, "metrics.provider_loss_mah"),
+    "consumer_gain_mah": _Meta(parse_finite, "metrics.consumer_gain_mah"),
+    "energy_loss_mah": _Meta(parse_finite, "metrics.energy_loss_mah"),
+    "duration_s": _Meta(parse_finite, "metrics.duration_s"),
+    # a property of the dataset, derived from its records: checked, not stored
+    "record_count": _Meta(int),
+}
+_GETTERS = {key: attrgetter(row.place or key) for key, row in _META.items()}
+# what builds the part of a dataset that a place's first step names
+_PARTS = {"request": make_request, "tech_params": TechnologyParams, "metrics": SessionMetrics,
+          "provider_drain": DrainParams, "consumer_drain": DrainParams}
+# the dataset's constructor fields; a place outside them (record_count) is derived
+_STORED = {f.name for f in dataclass_fields(SessionDataset)}
+
+
+def _text(value: Any) -> str:
+    """A meta or SUMMARY value as text: an enum by its value, a float round-trip exact."""
+    if isinstance(value, Enum):
+        return value.value
+    return fmt_float(value) if isinstance(value, float) else str(value)
+
 
 def encode_meta(dataset: SessionDataset) -> str:
-    """Canonical key-value sidecar (keys in this fixed order; digest input)."""
-    return format_meta({
-        "session_id": dataset.session_id,
-        "consumer_id": dataset.request.consumer_id,
-        "provider_id": dataset.provider_id,
-        "technology": dataset.tech_params.technology.value,
-        "transfer_rate_ma": fmt_float(dataset.tech_params.transfer_rate_ma),
-        "efficiency": fmt_float(dataset.tech_params.efficiency),
-        "taper_start_pct": fmt_float(dataset.tech_params.taper_start_pct),
-        "distance_m": fmt_float(dataset.tech_params.distance_m),
-        "provider_capacity_mah": fmt_float(dataset.provider_capacity_mah),
-        "consumer_capacity_mah": fmt_float(dataset.consumer_capacity_mah),
-        "provider_baseline_ma": fmt_float(dataset.provider_drain.baseline_ma),
-        "consumer_baseline_ma": fmt_float(dataset.consumer_drain.baseline_ma),
-        "request_id": dataset.request.request_id,
-        "request_kind": dataset.request.kind.value,
-        "request_value": fmt_float(dataset.request.value),
-        "interval_s": fmt_float(dataset.interval_s),
-        "terminal_reason": dataset.terminal_reason.value,
-        "provider_loss_mah": fmt_float(dataset.metrics.provider_loss_mah),
-        "consumer_gain_mah": fmt_float(dataset.metrics.consumer_gain_mah),
-        "energy_loss_mah": fmt_float(dataset.metrics.energy_loss_mah),
-        "duration_s": fmt_float(dataset.metrics.duration_s),
-        "record_count": str(dataset.record_count),
-    })
+    """Canonical key-value sidecar (keys in the table's order; digest input)."""
+    return format_meta({key: _text(get(dataset)) for key, get in _GETTERS.items()})
 
 
-def _summary_of(meta: bytes) -> SessionSummary:
-    return summary_from_fields(parse_meta(meta.decode("utf-8")))
+def summary_from_fields(fields: dict[str, str]) -> SessionSummary:
+    """A summary from ``meta.txt`` fields or the fields of a ``SUMMARY`` line."""
+    return SessionSummary._make(_META[key].parse(fields[key]) for key in SessionSummary._fields)
 
 
 def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> SessionDataset:
-    """Rebuild a dataset from its sidecar fields and flat record list."""
+    """Rebuild a dataset from its sidecar fields and flat record list.
 
-    def number(key: str) -> float:
-        return parse_finite(meta[key], key)
-
-    kind = RequestKind(meta["request_kind"])
-    value = number("request_value")
-    request = EnergyRequest(
-        request_id=meta["request_id"],
-        consumer_id=meta["consumer_id"],
-        kind=kind,
-        amount_mah=value if kind is RequestKind.AMOUNT else None,
-        duration_s=value if kind is RequestKind.DURATION else None,
-    )
-    metrics = SessionMetrics(
-        provider_loss_mah=number("provider_loss_mah"),
-        consumer_gain_mah=number("consumer_gain_mah"),
-        energy_loss_mah=number("energy_loss_mah"),
-        duration_s=number("duration_s"),
-    )
-    pairs = tuple(pairs_from_records(records))
-    return SessionDataset(
-        session_id=check_id(meta["session_id"]),
-        request=request,
-        provider_id=check_id(meta["provider_id"], "provider_id"),
-        tech_params=TechnologyParams(
-            technology=Technology(meta["technology"]),
-            transfer_rate_ma=number("transfer_rate_ma"),
-            efficiency=number("efficiency"),
-            taper_start_pct=number("taper_start_pct"),
-            distance_m=number("distance_m"),
-        ),
-        provider_drain=DrainParams(number("provider_baseline_ma")),
-        consumer_drain=DrainParams(number("consumer_baseline_ma")),
-        provider_capacity_mah=number("provider_capacity_mah"),
-        consumer_capacity_mah=number("consumer_capacity_mah"),
-        interval_s=number("interval_s"),
+    A missing, unknown or unreadable key, or a value the dataset does not
+    hold as given (a ``record_count`` other than the paired ticks), is a
+    ``ValueError``; records that do not pair up are :class:`ValidationFailed`.
+    """
+    if meta.keys() != _META.keys():
+        raise ValueError(f"meta keys missing or unknown: {sorted(meta.keys() ^ _META.keys())}")
+    try:
+        pairs = tuple(pairs_from_records(records))
+    except MisalignedTraces as exc:
+        raise ValidationFailed(str(exc)) from None
+    values: dict[str, Any] = {}
+    args: dict[str, Any] = {}
+    for key, row in _META.items():
+        try:
+            values[key] = value = row.parse(meta[key])
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+        head, _, attr = (row.place or key).partition(".")
+        if attr:
+            args.setdefault(head, {})[attr] = value
+        else:
+            args[head] = value
+    dataset = SessionDataset(
         records=pairs,
-        metrics=metrics,
-        terminal_reason=Reason(meta["terminal_reason"]),
+        **{name: _PARTS[name](**arg) if name in _PARTS else arg
+           for name, arg in args.items() if name in _STORED},
     )
+    for key, get in _GETTERS.items():
+        if get(dataset) != values[key]:
+            raise ValueError(f"{key} is {values[key]!r}, the dataset holds {get(dataset)!r}")
+    return dataset
 
 
 def _digest(meta: bytes, trace: bytes) -> str:
@@ -271,20 +286,21 @@ class EdgeStore:
         if index.exists():
             for session_id in index.read_text(encoding="utf-8").split():
                 meta = (self._session_dir(session_id) / self.META_FILENAME).read_bytes()
-                self._summaries[session_id] = _summary_of(meta)
+                self._summaries[session_id] = summary_from_fields(parse_meta(meta.decode("utf-8")))
 
     def _session_dir(self, session_id: str) -> Path:
-        return self.data_dir / check_id(session_id, "session_id")
+        return self.data_dir / check_id(session_id, "session id")
 
     def _index_path(self) -> Path:
         return self.data_dir / self.INDEX_FILENAME
 
-    def _append_index(self, session_id: str, meta: bytes) -> None:
+    def _append_index(self, dataset: SessionDataset) -> None:
         with open(self._index_path(), "a", encoding="utf-8") as index:
-            index.write(session_id + "\n")
+            index.write(dataset.session_id + "\n")
             index.flush()
             os.fsync(index.fileno())
-        self._summaries[session_id] = _summary_of(meta)
+        summary = (_GETTERS[key](dataset) for key in SessionSummary._fields)
+        self._summaries[dataset.session_id] = SessionSummary._make(summary)
 
     def upload(self, dataset: SessionDataset) -> UploadReceipt:
         """Validate, persist durably, and acknowledge. Idempotent per digest."""
@@ -303,7 +319,7 @@ class EdgeStore:
                     )
                 # stored, but the index append after the rename failed or never ran
                 if dataset.session_id not in self._summaries:
-                    self._append_index(dataset.session_id, meta)
+                    self._append_index(dataset)
                 return receipt
             tmp_dir = self.data_dir / f".tmp-{dataset.session_id}"
             if tmp_dir.exists():
@@ -318,7 +334,7 @@ class EdgeStore:
                 _fsync_path(tmp_dir / name)
             tmp_dir.rename(session_dir)
             _fsync_path(self.data_dir)
-            self._append_index(dataset.session_id, meta)
+            self._append_index(dataset)
         return receipt
 
     def get(self, session_id: str) -> tuple[str, str]:
@@ -348,13 +364,9 @@ class EdgeStore:
 # --- TCP service -----------------------------------------------------------------
 
 
-def _summary_line(s: SessionSummary) -> str:
-    return (
-        f"SUMMARY session_id={s.session_id} consumer_id={s.consumer_id}"
-        f" provider_id={s.provider_id} technology={s.technology.value}"
-        f" terminal_reason={s.terminal_reason.value}"
-        f" energy_loss_mah={fmt_float(s.energy_loss_mah)}"
-    )
+def summary_text(summary: SessionSummary) -> str:
+    """The ``key=value`` fields of a ``SUMMARY`` line."""
+    return " ".join(f"{key}={_text(value)}" for key, value in zip(summary._fields, summary))
 
 
 def _dataset_block(header: str, meta: str, trace: str) -> tuple[str, ...]:
@@ -398,8 +410,7 @@ class EdgeServer(LineServer):
     """Line-framed TCP front of an :class:`EdgeStore`."""
 
     thread_name = "edge"
-    # KeyError: an uploaded meta block without one of the canonical keys
-    handled_errors = (ValueError, KeyError, EnergyShareError)
+    handled_errors = (ValueError, EnergyShareError)
 
     def __init__(self, store: EdgeStore, host: str = "127.0.0.1", port: int = 0):
         self.store = store
@@ -408,27 +419,23 @@ class EdgeServer(LineServer):
     def _handle(self, line: str, reader, writer) -> str | None:
         command, _, rest = line.partition(" ")
         if command == "UPLOAD":
-            session_id, _, declared = rest.partition(" ")
             dataset = _read_dataset_block(reader)
-            if dataset.session_id != session_id:
-                raise ValueError("header session_id does not match dataset")
-            if declared and int(declared) != dataset.record_count:
-                raise ValueError("header record_count does not match dataset")
+            if rest != f"{dataset.session_id} {dataset.record_count}":
+                raise ValueError("header session_id and record_count do not match the dataset")
             with _storage_errors():
                 receipt = self.store.upload(dataset)
             return f"OK {receipt.session_id} {receipt.record_count}"
         if command == "LIST":
-            with _storage_errors():
-                summaries = self.store.list()
-            for summary in summaries:
-                writer.write(_summary_line(summary) + "\n")
+            for summary in self.store.list():
+                writer.write(f"SUMMARY {summary_text(summary)}\n")
             return "END"
         if command == "GET":
+            session_id = rest.strip()
             with _storage_errors():
-                meta, trace = self.store.get(rest.strip())
-            fields = parse_meta(meta)
-            header = f"DATASET {fields['session_id']} {fields['record_count']}"
-            writer.writelines(_dataset_block(header, meta, trace))
+                meta, trace = self.store.get(session_id)
+            # the canonical trace: a header line, then two rows per record pair
+            record_count = trace.count("\n") // 2
+            writer.writelines(_dataset_block(f"DATASET {session_id} {record_count}", meta, trace))
             return None
         raise ValueError(f"unknown command {command!r}")
 
@@ -439,61 +446,49 @@ class EdgeClient:
     def __init__(self, address: str):
         self._addr = parse_addr(address)
 
-    def _connect(self):
-        return socket.create_connection(self._addr, timeout=EDGE_TIMEOUT_S)
+    @contextmanager
+    def _exchange(self, *request: str):
+        """A fresh connection's stream, after the request parts were sent on it."""
+        with socket.create_connection(self._addr, timeout=EDGE_TIMEOUT_S) as conn:
+            with conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
+                stream.writelines(request)
+                stream.flush()
+                yield stream
 
     def upload(self, dataset: SessionDataset) -> UploadReceipt:
-        with self._connect() as conn:
-            with conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                header = f"UPLOAD {dataset.session_id} {dataset.record_count}"
-                stream.writelines(
-                    _dataset_block(header, encode_meta(dataset), trace_csv_text(dataset.records))
-                )
-                stream.flush()
-                reply = stream.readline().strip()
+        header = f"UPLOAD {dataset.session_id} {dataset.record_count}"
+        meta, trace = encode_meta(dataset), trace_csv_text(dataset.records)
+        with self._exchange(*_dataset_block(header, meta, trace)) as stream:
+            reply = stream.readline().strip()
         if reply.startswith("OK "):
             _, session_id, count = reply.split(" ")
             return UploadReceipt(session_id, int(count))
         self._raise_for(reply)
 
     def list(self) -> list[SessionSummary]:
-        with self._connect() as conn:
-            with conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                stream.write("LIST\n")
-                stream.flush()
-                summaries = []
-                for raw in stream:
-                    line = raw.strip()
-                    if line == "END":
-                        return summaries
-                    if not line.startswith("SUMMARY "):
-                        self._raise_for(line)
-                    fields = parse_fields(line[len("SUMMARY "):].split(" "))
-                    summaries.append(summary_from_fields(fields))
+        summaries = []
+        with self._exchange("LIST\n") as stream:
+            for raw in stream:
+                line = raw.strip()
+                if line == "END":
+                    return summaries
+                if not line.startswith("SUMMARY "):
+                    self._raise_for(line)
+                summaries.append(summary_from_fields(parse_fields(line.split(" ")[1:])))
         raise EnergyShareError("edge connection closed mid-listing")
 
     def get(self, session_id: str) -> SessionDataset:
-        with self._connect() as conn:
-            with conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                stream.write(f"GET {session_id}\n")
-                stream.flush()
-                header = stream.readline().strip()
-                if not header.startswith("DATASET "):
-                    self._raise_for(header)
-                return _read_dataset_block(stream)
+        with self._exchange(f"GET {session_id}\n") as stream:
+            header = stream.readline().strip()
+            if not header.startswith("DATASET "):
+                self._raise_for(header)
+            return _read_dataset_block(stream)
 
     @staticmethod
     def _raise_for(reply: str):
         if reply.startswith("ERR "):
-            parts = reply.split(" ", 2)
-            code = parts[1] if len(parts) > 1 else ""
-            detail = parts[2] if len(parts) > 2 else reply
-            mapping = {
-                "ValidationFailed": ValidationFailed,
-                "ConflictingSession": ConflictingSession,
-                "NotFound": NotFound,
-                "CorruptSession": CorruptSession,
-                "StorageError": StorageError,
-            }
-            raise mapping.get(code, EnergyShareError)(detail)
+            _, code, *detail = reply.split(" ", 2)
+            known = (ValidationFailed, ConflictingSession, NotFound, CorruptSession, StorageError)
+            error = {cls.__name__: cls for cls in known}.get(code, EnergyShareError)
+            raise error(detail[0] if detail else reply)
         raise EnergyShareError(f"unexpected edge reply: {reply!r}")

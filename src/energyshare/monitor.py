@@ -19,6 +19,7 @@ and are not re-checked.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -46,11 +47,11 @@ class SessionNotActive(EnergyShareError):
 
 
 class MisalignedTraces(EnergyShareError):
-    """Provider/consumer traces disagree on which tick indices exist."""
+    """Provider/consumer traces disagree on which tick indices exist, or repeat one."""
 
-    def __init__(self, missing_ticks: list[int]):
-        self.missing_ticks = missing_ticks
-        super().__init__(f"unpaired tick indices: {missing_ticks}")
+    def __init__(self, tick_indices: list[int], what: str = "unpaired"):
+        self.tick_indices = tick_indices
+        super().__init__(f"{what} tick indices: {tick_indices}")
 
 
 class EmptyTrace(EnergyShareError):
@@ -122,12 +123,15 @@ def align_traces(
     provider_records: Sequence[MonitorRecord],
     consumer_records: Sequence[MonitorRecord],
 ) -> list[tuple[MonitorRecord, MonitorRecord]]:
-    """Pair records with equal tick_index; report any unpaired tick."""
+    """Pair records with equal tick_index; report any unpaired or repeated tick."""
     by_tick_provider = {r.tick_index: r for r in provider_records}
     by_tick_consumer = {r.tick_index: r for r in consumer_records}
     missing = sorted(set(by_tick_provider) ^ set(by_tick_consumer))
     if missing:
         raise MisalignedTraces(missing)
+    if len(provider_records) + len(consumer_records) > 2 * len(by_tick_provider):
+        counts = Counter(r.tick_index for r in (*provider_records, *consumer_records))
+        raise MisalignedTraces(sorted(t for t, n in counts.items() if n > 2), "repeated")
     return [
         (by_tick_provider[tick], by_tick_consumer[tick])
         for tick in sorted(by_tick_provider)

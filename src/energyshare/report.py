@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EnergyShareError
-from .monitor import MonitorRecord, pairs_from_records, read_trace_csv, write_trace_csv
+from .monitor import MisalignedTraces, MonitorRecord, pairs_from_records, read_trace_csv
+from .monitor import write_trace_csv
 from .runner import RunResult
 from .util import fmt_float, format_meta, parse_meta
 
@@ -104,7 +105,7 @@ def load_run(run_dir: Path | str) -> LoadedRun:
             terminal_reason=info["terminal_reason"],
             pairs=pairs_from_records(read_trace_csv(run_dir / TRACE_FILENAME)),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, MisalignedTraces) as exc:
         raise IncompatibleRuns(f"{run_dir} holds a malformed run: {exc!r}") from exc
 
 

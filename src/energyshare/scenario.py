@@ -15,7 +15,6 @@ defaults, which describe the reference setup of the bundled experiments
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -32,7 +31,7 @@ from .matching import DEFAULT_ACCEPT_THRESHOLD_PCT
 from .monitor import ROLE_CONSUMER, ROLE_PROVIDER
 from .protocol import RequestKind
 from .transport import DEFAULT_LATENCY_S
-from .util import check_id, parse_finite
+from .util import POSITIVE, check_id, member, one_of, parse_finite, rule
 
 DEFAULT_START_LEVEL_PCT = {ROLE_PROVIDER: 100.0, ROLE_CONSUMER: 40.0}
 DEFAULT_CAPACITY_MAH = {
@@ -119,26 +118,6 @@ class _Key(NamedTuple):
     field: str = ""
 
 
-def _rule(holds: Callable[[Any], bool], text: str) -> Callable[[Any], Any]:
-    """A check passing values for which ``holds`` is true; ``text`` says what they must be."""
-
-    def check(value):
-        if not holds(value):
-            raise ValueError(f"must be {text}, got {value!r}")
-        return value
-
-    return check
-
-
-def _one_of(*names: str) -> Callable[[str], str]:
-    return _rule(lambda value: value in names, "|".join(names))
-
-
-def _member(kind: type[Enum]) -> Callable[[str], Enum]:
-    named = _one_of(*(member.value for member in kind))
-    return lambda value: kind(named(value))
-
-
 def _position(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -146,10 +125,9 @@ def _position(text: str) -> tuple[float, float]:
     return parse_finite(parts[0], "x"), parse_finite(parts[1], "y")
 
 
-_POSITIVE = _rule(lambda value: value > 0, "> 0")
-_NON_NEGATIVE = _rule(lambda value: value >= 0, ">= 0")
-_FRACTION = _rule(lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
-_PERCENT = _rule(lambda value: 0.0 <= value <= 100.0, "in [0, 100]")
+_NON_NEGATIVE = rule(lambda value: value >= 0, ">= 0")
+_FRACTION = rule(lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
+_PERCENT = rule(lambda value: 0.0 <= value <= 100.0, "in [0, 100]")
 
 # checked together, and defaulted per technology, by TechnologyParams
 _TECHNOLOGY_PARAMS = ("transfer_rate_ma", "efficiency", "taper_start_pct", "distance_m")
@@ -157,27 +135,27 @@ _TECHNOLOGY_PARAMS = ("transfer_rate_ma", "efficiency", "taper_start_pct", "dist
 _SCENARIO_TABLE = {
     "scenario.run_id": _Key(check_id, field="run_id"),  # default: the file stem
     "scenario.seed": _Key(int, default=0, field="seed"),
-    "scenario.clock": _Key(str, _one_of("virtual", "wall"), "virtual", "clock_mode"),
+    "scenario.clock": _Key(str, one_of("virtual", "wall"), "virtual", "clock_mode"),
     "scenario.out_dir": _Key(
         lambda text: Path(text) if text else None, default=None, field="out_dir"
     ),
-    "scenario.max_ticks": _Key(int, _POSITIVE, 1_000_000, "max_ticks"),
-    "monitor.interval_s": _Key(parse_finite, _POSITIVE, 1.0, "interval_s"),
-    "request.kind": _Key(str, _member(RequestKind), _REQUIRED, "request_kind"),
-    "request.value": _Key(parse_finite, _POSITIVE, _REQUIRED, "request_value"),
+    "scenario.max_ticks": _Key(int, POSITIVE, 1_000_000, "max_ticks"),
+    "monitor.interval_s": _Key(parse_finite, POSITIVE, 1.0, "interval_s"),
+    "request.kind": _Key(str, member(RequestKind), _REQUIRED, "request_kind"),
+    "request.value": _Key(parse_finite, POSITIVE, _REQUIRED, "request_value"),
     # default: the first consumer by id
     "request.consumer": _Key(str, field="request_consumer_id"),
-    "technology.name": _Key(str, _member(Technology), Technology.WIRELESS_DISTANCE, "technology"),
+    "technology.name": _Key(str, member(Technology), Technology.WIRELESS_DISTANCE, "technology"),
     **{f"technology.{name}": _Key(parse_finite, field=name) for name in _TECHNOLOGY_PARAMS},
     "transport.latency_s": _Key(parse_finite, _NON_NEGATIVE, DEFAULT_LATENCY_S, "latency_s"),
     "transport.drop_prob": _Key(parse_finite, _FRACTION, 0.0, "drop_probability"),
-    "transport.request_timeout_s": _Key(parse_finite, _POSITIVE, 5.0, "request_timeout_s"),
+    "transport.request_timeout_s": _Key(parse_finite, POSITIVE, 5.0, "request_timeout_s"),
 }
 
 # the keys after ``device.<id>.``; capacity and start level default per role
 _DEVICE_TABLE = {
-    "role": _Key(str, _one_of(ROLE_PROVIDER, ROLE_CONSUMER), _REQUIRED),
-    "capacity_mah": _Key(parse_finite, _POSITIVE),
+    "role": _Key(str, one_of(ROLE_PROVIDER, ROLE_CONSUMER), _REQUIRED),
+    "capacity_mah": _Key(parse_finite, POSITIVE),
     "start_level_pct": _Key(parse_finite, _PERCENT),
     "position": _Key(_position, default=(0.0, 0.0)),
     "baseline_ma": _Key(parse_finite, _NON_NEGATIVE, DEFAULT_BASELINE_MA),

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import re
+from enum import Enum
+from typing import Any, Callable
 
 # ids name files and directories, so an id of only dots ("." or "..") is refused
 _ID_RE = re.compile(r"(?!\.+\Z)[A-Za-z0-9_.:-]+\Z")
@@ -28,6 +30,29 @@ def parse_finite(text: str, what: str = "number") -> float:
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {text!r}")
     return value
+
+
+def rule(holds: Callable[[Any], bool], text: str) -> Callable[[Any], Any]:
+    """A check passing values for which ``holds`` is true; ``text`` says what they must be."""
+
+    def check(value):
+        if not holds(value):
+            raise ValueError(f"must be {text}, got {value!r}")
+        return value
+
+    return check
+
+
+def one_of(*names: str) -> Callable[[str], str]:
+    return rule(lambda value: value in names, "|".join(names))
+
+
+def member(kind: type[Enum]) -> Callable[[str], Enum]:
+    named = one_of(*(m.value for m in kind))
+    return lambda value: kind(named(value))
+
+
+POSITIVE = rule(lambda value: value > 0, "> 0")
 
 
 def fmt_float(x: float) -> str:
@@ -79,7 +104,7 @@ def parse_meta(text: str) -> dict[str, str]:
         if not line.strip():
             continue
         key, sep, value = line.partition(" = ")
-        if not sep:
-            raise ValueError(f"malformed meta line {line!r}")
+        if not sep or key in values:
+            raise ValueError(f"malformed or repeated meta line {line!r}")
         values[key] = value
     return values

@@ -1,15 +1,21 @@
 """Edge store: validation gate, durability, idempotence, TCP protocol."""
 
+import ast
 import builtins
 import dataclasses
 import errno
+import itertools
 import random
+import re
 import shutil
 import socket
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from conftest import stored_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from energyshare import edge
 from energyshare.battery import DrainParams, Technology, TechnologyParams
@@ -45,6 +51,7 @@ from energyshare.scenario import parse_scenario
 from energyshare.transport import parse_addr
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+WIRE_DOC = Path(__file__).resolve().parents[1] / "docs" / "wire-format.md"
 
 
 def build_dataset(
@@ -140,6 +147,7 @@ def test_store_survives_restart(store, tmp_path):
     store.upload(dataset)
     reopened = EdgeStore(tmp_path / "data")
     assert stored_dataset(reopened, "ses-r1") == dataset
+    assert reopened.list() == store.list()
     assert [s.session_id for s in reopened.list()] == ["ses-r1"]
 
 
@@ -513,3 +521,170 @@ def test_upload_with_negative_distance_gets_err_reply(served_store):
     reply = raw_exchange(server.address, upload)
     assert reply.startswith("ERR Malformed ")
     assert client.list() == []
+
+
+def test_list_reply_bytes_are_pinned(served_store):
+    _, server, client = served_store
+    client.upload(build_dataset())
+    assert raw_exchange(server.address, "LIST\n") == (
+        "SUMMARY session_id=ses-r1 consumer_id=c1 provider_id=p1 technology=wireless_distance "
+        "terminal_reason=DurationElapsed energy_loss_mah=0.16285336009389084\nEND\n"
+    )
+
+
+# --- the meta key table and upload refusals -------------------------------------
+
+
+def test_docs_meta_table_lists_the_codes_keys_in_order():
+    text = WIRE_DOC.read_text(encoding="utf-8")
+    table = text.split("### Dataset metadata", 1)[1].split("\n### ", 1)[0]
+    assert re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE) == list(edge._META)
+
+
+def test_each_meta_key_is_spelled_once_in_edge_py():
+    """Encoding, decoding, LIST and the checks read the key table; no other code names a key."""
+    tree = ast.parse(Path(edge.__file__).read_text(encoding="utf-8"))
+    strings = Counter(
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    assert {key: strings[key] for key in edge._META if strings[key] != 1} == {}
+
+
+def edit_row(trace: str, row: int, **values: str) -> str:
+    """``trace`` with fields of data row ``row`` (0 is the row after the header) replaced."""
+    lines = trace.split("\n")
+    fields = lines[row + 1].split(",")
+    for name, value in values.items():
+        fields[MonitorRecord._fields.index(name)] = value
+    lines[row + 1] = ",".join(fields)
+    return "\n".join(lines)
+
+
+def repeat_row(trace: str, row: int) -> str:
+    lines = trace.split("\n")
+    return "\n".join(lines[:row + 2] + lines[row + 1:])
+
+
+# the reply code, and an edit of build_dataset()'s meta block and trace CSV changing one thing
+WRONG_FACTS = {
+    "wrong_record_count": ("Malformed", lambda m, t: (
+        m.replace("record_count = 5\n", "record_count = 999\n"), t)),
+    "unknown_key": ("Malformed", lambda m, t: (m + "colour = blue\n", t)),
+    "negative_capacity": ("Malformed", lambda m, t: (
+        m.replace("provider_capacity_mah = ", "provider_capacity_mah = -"), t)),
+    "zero_interval": ("Malformed", lambda m, t: (
+        m.replace("interval_s = 1.0\n", "interval_s = 0.0\n"), t)),
+    "negative_request_value": ("Malformed", lambda m, t: (
+        m.replace("request_value = ", "request_value = -"), t)),
+    "repeated_meta_key": ("Malformed", lambda m, t: (
+        m.replace("provider_id = p1\n", "provider_id = p1\n" * 2), t)),
+    "nan_level_inf_charge": ("ValidationFailed", lambda m, t: (
+        m, edit_row(t, 2, battery_level_pct="nan", battery_charge_mah="inf"))),
+    "level_above_100": ("ValidationFailed", lambda m, t: (
+        m, edit_row(t, 3, battery_level_pct="250.0"))),
+    "repeated_provider_row": ("ValidationFailed", lambda m, t: (m, repeat_row(t, 4))),
+}
+
+
+@pytest.mark.parametrize("code, edit", WRONG_FACTS.values(), ids=WRONG_FACTS)
+def test_upload_with_a_wrong_fact_is_refused_and_not_listed(served_store, code, edit):
+    _, server, client = served_store
+    dataset = build_dataset()
+    meta, trace = edit(encode_meta(dataset), trace_csv_text(dataset.records))
+    assert (meta, trace) != (encode_meta(dataset), trace_csv_text(dataset.records))
+    reply = raw_exchange(server.address, f"UPLOAD ses-r1 5\n{meta}\n{trace}END\n")
+    assert reply.startswith(f"ERR {code} ")
+    assert client.list() == []
+
+
+def test_upload_with_unpaired_tick_gets_validation_failed(served_store):
+    _, server, client = served_store
+    trace = trace_csv_text(build_dataset().records).split("\n")
+    del trace[6]  # the consumer row of tick 2
+    upload = f"UPLOAD ses-r1 5\n{encode_meta(build_dataset())}\n" + "\n".join(trace) + "END\n"
+    reply = raw_exchange(server.address, upload)
+    assert reply.startswith("ERR ValidationFailed unpaired tick indices: [2]")
+    assert client.list() == []
+
+
+def test_upload_header_without_record_count_gets_err_reply(served_store):
+    _, server, client = served_store
+    reply = raw_exchange(server.address, dataset_block("UPLOAD ses-r1", build_dataset()))
+    assert reply.startswith("ERR Malformed ")
+    assert client.list() == []
+
+
+# --- single-field edits: refused, or stored with the facts as sent -----------------
+
+# texts a field is set to: numbers in and out of every range, non-finite
+# numbers, ids, enum values, and short junk (never a newline)
+FIELD_TEXTS = st.one_of(
+    st.sampled_from([
+        "", "0", "-1", "0.0", "-0.0", "nan", "inf", "-inf", "1e308", "1e-300", "5", "+5",
+        "1_0", "999", "p1", "c1", "p/1", "..", "amount", "cable", "AmountDelivered", "consumer",
+    ]),
+    st.integers(-2, 12).map(str),
+    st.floats().map(repr),
+    st.text("abcp019.-_:=, e", max_size=6),
+)
+EDITED = build_dataset()
+EDITED_META, EDITED_TRACE = encode_meta(EDITED), trace_csv_text(EDITED.records)
+EDIT_SETTINGS = settings(max_examples=12, derandomize=True, database=None, deadline=None)
+
+
+def same_fact(sent: str, kept: str) -> bool:
+    """Equal as numbers when both read as numbers (``1e3`` is ``1000.0``), else as text."""
+    try:
+        return float(sent) == float(kept)
+    except ValueError:
+        return sent == kept
+
+
+def check_refused_or_kept(served, session_id: str, meta: str, trace: str) -> None:
+    """An UPLOAD is refused with a documented code and not listed, or it is
+    stored with every fact it sent and reads back as a valid dataset."""
+    store, server, client = served
+    before = client.list()
+    reply = raw_exchange(server.address, f"UPLOAD {session_id} 5\n{meta}\n{trace}END\n")
+    if not reply.startswith("OK "):
+        assert reply.startswith(("ERR Malformed ", "ERR ValidationFailed ")), reply
+        assert client.list() == before
+        return
+    assert session_id in [s.session_id for s in client.list()]
+    validate_dataset(client.get(session_id))
+    kept_meta, kept_trace = store.get(session_id)
+    sent, kept = parse_meta(meta), parse_meta(kept_meta)
+    assert sent.keys() == kept.keys()
+    assert [key for key in sent if not same_fact(sent[key], kept[key])] == []
+    assert sorted(records_from_csv_text(trace)) == sorted(records_from_csv_text(kept_trace))
+
+
+@pytest.mark.parametrize("key", list(parse_meta(EDITED_META)))
+def test_meta_field_edit_is_refused_or_kept(served_store, key):
+    examples = itertools.count()
+
+    @EDIT_SETTINGS
+    @given(text=st.none() | FIELD_TEXTS)  # None drops the key's line
+    def check(text):
+        session_id = f"ses-m{next(examples)}"
+        meta, trace = (part.replace("ses-r1", session_id) for part in (EDITED_META, EDITED_TRACE))
+        line = next(line for line in meta.split("\n") if line.startswith(f"{key} = "))
+        meta = meta.replace(line + "\n", "" if text is None else f"{key} = {text}\n")
+        check_refused_or_kept(served_store, session_id, meta, trace)
+
+    check()
+
+
+@pytest.mark.parametrize("column", MonitorRecord._fields)
+def test_trace_field_edit_is_refused_or_kept(served_store, column):
+    examples = itertools.count()
+
+    @EDIT_SETTINGS
+    @given(row=st.integers(0, 2 * EDITED.record_count - 1), text=FIELD_TEXTS)
+    def check(row, text):
+        session_id = f"ses-t{next(examples)}"
+        meta, trace = (part.replace("ses-r1", session_id) for part in (EDITED_META, EDITED_TRACE))
+        check_refused_or_kept(served_store, session_id, meta, edit_row(trace, row, **{column: text}))
+
+    check()

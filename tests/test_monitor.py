@@ -96,7 +96,15 @@ def test_align_reports_missing_tick():
     consumers = [mk_record(t, ROLE_CONSUMER) for t in range(10) if t != 7]
     with pytest.raises(MisalignedTraces) as err:
         align_traces(providers, consumers)
-    assert err.value.missing_ticks == [7]
+    assert err.value.tick_indices == [7]
+
+
+def test_align_refuses_a_repeated_tick():
+    providers = [mk_record(t, ROLE_PROVIDER) for t in (0, 1, 2, 2, 3)]
+    consumers = [mk_record(t, ROLE_CONSUMER) for t in range(4)]
+    with pytest.raises(MisalignedTraces, match="repeated") as err:
+        align_traces(providers, consumers)
+    assert err.value.tick_indices == [2]
 
 
 def test_align_empty_traces_is_empty():

@@ -417,6 +417,7 @@ def test_load_run_round_trip(tmp_path):
         lambda text: text + "not a key value line\n",
         lambda text: text.replace("interval_s = ", "interval_s = x"),
         lambda text: text.replace("technology = ", "technologie = "),
+        lambda text: text + text.splitlines()[0] + "\n",  # the first key, repeated
     ],
 )
 def test_load_run_rejects_malformed_run_txt(tmp_path, edit):
@@ -432,6 +433,20 @@ def test_load_run_rejects_negative_tick_in_trace(tmp_path):
     trace = run_dir / TRACE_FILENAME
     lines = trace.read_text(encoding="utf-8").splitlines()
     lines[-1] = "-" + lines[-1]  # the last consumer row, tick 5 -> -5
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IncompatibleRuns):
+        load_run(run_dir)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda lines: lines + lines[-1:], lambda lines: lines[:-1]],  # the last consumer row
+    ids=["repeated", "dropped"],
+)
+def test_load_run_rejects_a_tick_that_does_not_pair(tmp_path, edit):
+    run_dir = run_and_write(tmp_path, "broken", value=5.0)
+    trace = run_dir / TRACE_FILENAME
+    lines = edit(trace.read_text(encoding="utf-8").splitlines())
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(IncompatibleRuns):
         load_run(run_dir)

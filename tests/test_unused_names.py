@@ -28,7 +28,7 @@ ALLOWED_UNUSED = {
 # attribute -> why it stays although nothing in src/ reads it
 ALLOWED_WRITE_ONLY = {
     "line_no": "ParseError's line number; tests/test_scenario.py checks it",
-    "missing_ticks": "MisalignedTraces' unpaired ticks; tests/test_monitor.py checks them",
+    "tick_indices": "MisalignedTraces' unpaired or repeated ticks; tests/test_monitor.py checks them",
 }
 
 
