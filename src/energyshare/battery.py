@@ -88,10 +88,10 @@ class BatteryState(_Charge):
     @property
     def level_pct(self) -> float:
         """Charge level in percent, at most 100."""
-        return _level_pct(self.charge_mah, self.capacity_mah)
+        return level_pct_of(self.charge_mah, self.capacity_mah)
 
 
-def _level_pct(charge_mah: float, capacity_mah: float) -> float:
+def level_pct_of(charge_mah: float, capacity_mah: float) -> float:
     """Charge level in percent, always consistent with charge/capacity.
 
     Capped at 100: at full charge the division can round one ulp above it.
@@ -256,7 +256,7 @@ def transfer_tick(
     c_mid, c_drained = drain_baseline(consumer.charge_mah, consumer_drain, dt_s)
     capacity = consumer.capacity_mah
 
-    rate_ma = effective_rate(params, _level_pct(c_mid, capacity))
+    rate_ma = effective_rate(params, level_pct_of(c_mid, capacity))
     mah_out = min(p_mid, rate_ma * dt_s / 3600.0)
     mah_in = min(params.efficiency * mah_out, capacity - c_mid)
 

@@ -9,9 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .edge import EdgeClient, EdgeServer, EdgeStore, encode_meta, summary_text
+from .edge import EdgeClient, EdgeServer, EdgeStore, encode_dataset, summary_text
 from .errors import EnergyShareError
-from .monitor import trace_csv_text
 from .report import compare, write_run_artifacts
 from .runner import run_scenario
 from .scenario import parse_scenario
@@ -113,9 +112,7 @@ def _cmd_edge(args) -> int:
             print(summary_text(summary))
         return EXIT_OK
     if args.edge_command == "get":
-        dataset = client.get(args.session_id)
-        sys.stdout.write(encode_meta(dataset))
-        sys.stdout.write(trace_csv_text(dataset.records))
+        sys.stdout.writelines(encode_dataset(client.get(args.session_id)))
         return EXIT_OK
     return EXIT_USAGE
 

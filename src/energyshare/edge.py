@@ -29,7 +29,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .battery import DrainParams, Technology, TechnologyParams
+from .battery import DrainParams, Technology, TechnologyParams, level_pct_of
 from .errors import EnergyShareError
 from .monitor import (
     MisalignedTraces,
@@ -46,6 +46,9 @@ from .util import POSITIVE, check_id, fmt_float, format_meta, member, parse_fiel
 from .util import parse_meta, rel_close
 
 METRIC_TOLERANCE = 1e-9
+# a dataset's two files, in an edge session directory and in a run directory
+META_FILENAME = "meta.txt"
+TRACE_FILENAME = "trace.csv"
 # an EdgeClient's connect and each of its reads give up after this long
 EDGE_TIMEOUT_S = 30.0
 
@@ -109,29 +112,11 @@ class SessionSummary(NamedTuple):
     energy_loss_mah: float
 
 
-def validate_dataset(dataset: SessionDataset) -> None:
-    """Gate kept in front of persistence: each record pair, then metric recomputation."""
-    pairs = dataset.records
-    if not pairs:
+def check_metrics(dataset: SessionDataset) -> None:
+    """The dataset has records, and its stored metrics are the ones they give."""
+    if not dataset.records:
         raise ValidationFailed("dataset has no records")
-    ids = (dataset.session_id, dataset.session_id, dataset.provider_id, dataset.request.consumer_id)
-    provider_cap, consumer_cap = dataset.provider_capacity_mah, dataset.consumer_capacity_mah
-    for tick, (p, c) in enumerate(pairs):
-        if (p.tick_index, c.tick_index, c.wall_time_s) != (tick, tick, p.wall_time_s):
-            raise ValidationFailed(f"tick {tick}: indices not dense from 0, or timestamps differ")
-        if (p.session_id, c.session_id, p.device_id, c.device_id) != ids:
-            raise ValidationFailed(f"tick {tick}: session_id or device_id differs from the dataset")
-        if not (
-            math.isfinite(p.wall_time_s)
-            and 0.0 <= p.battery_charge_mah <= provider_cap
-            and 0.0 <= c.battery_charge_mah <= consumer_cap
-            and 0.0 <= p.battery_level_pct <= 100.0
-            and 0.0 <= c.battery_level_pct <= 100.0
-            and math.isfinite(p.cumulative_transferred_mah)
-            and math.isfinite(c.cumulative_transferred_mah)
-        ):
-            raise ValidationFailed(f"tick {tick}: a time, charge, level or cumulative out of range")
-    recomputed = compute_metrics(pairs)
+    recomputed = compute_metrics(dataset.records)
     for name in (f.name for f in dataclass_fields(SessionMetrics)):
         stored = getattr(dataset.metrics, name)
         fresh = getattr(recomputed, name)
@@ -139,6 +124,35 @@ def validate_dataset(dataset: SessionDataset) -> None:
             raise ValidationFailed(
                 f"metrics not recomputable from records: {name} stored={stored!r} "
                 f"recomputed={fresh!r}"
+            )
+
+
+def validate_dataset(dataset: SessionDataset) -> None:
+    """Gate kept in front of persistence: the metrics, then each record pair."""
+    check_metrics(dataset)
+    pairs = dataset.records
+    ids = (dataset.session_id, dataset.session_id, dataset.provider_id, dataset.request.consumer_id)
+    provider_cap, consumer_cap = dataset.provider_capacity_mah, dataset.consumer_capacity_mah
+    start, interval_s = pairs[0][0].wall_time_s, dataset.interval_s
+    for tick, (p, c) in enumerate(pairs):
+        wall = start + tick * interval_s
+        if (p.tick_index, c.tick_index, p.wall_time_s, c.wall_time_s) != (tick, tick, wall, wall):
+            raise ValidationFailed(
+                f"tick {tick}: indices not dense from 0, or a timestamp not start + tick * interval"
+            )
+        if (p.session_id, c.session_id, p.device_id, c.device_id) != ids:
+            raise ValidationFailed(f"tick {tick}: session_id or device_id differs from the dataset")
+        if not (
+            math.isfinite(p.wall_time_s)
+            and 0.0 <= p.battery_charge_mah <= provider_cap
+            and 0.0 <= c.battery_charge_mah <= consumer_cap
+            and p.battery_level_pct == level_pct_of(p.battery_charge_mah, provider_cap)
+            and c.battery_level_pct == level_pct_of(c.battery_charge_mah, consumer_cap)
+            and math.isfinite(p.cumulative_transferred_mah)
+            and math.isfinite(c.cumulative_transferred_mah)
+        ):
+            raise ValidationFailed(
+                f"tick {tick}: a time, charge or cumulative out of range, or a level off its charge"
             )
 
 
@@ -208,6 +222,16 @@ def summary_from_fields(fields: dict[str, str]) -> SessionSummary:
     return SessionSummary._make(_META[key].parse(fields[key]) for key in SessionSummary._fields)
 
 
+def encode_dataset(dataset: SessionDataset) -> tuple[str, str]:
+    """The dataset's canonical ``meta.txt`` and ``trace.csv`` texts."""
+    return encode_meta(dataset), trace_csv_text(dataset.records)
+
+
+def decode_dataset(meta: str, trace: str) -> SessionDataset:
+    """The dataset a ``meta.txt`` and a ``trace.csv`` text hold; see :func:`dataset_from_parts`."""
+    return dataset_from_parts(parse_meta(meta), records_from_csv_text(trace))
+
+
 def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> SessionDataset:
     """Rebuild a dataset from its sidecar fields and flat record list.
 
@@ -252,9 +276,7 @@ def _digest(meta: bytes, trace: bytes) -> str:
 
 
 def dataset_digest(dataset: SessionDataset) -> str:
-    return _digest(
-        encode_meta(dataset).encode("utf-8"), trace_csv_text(dataset.records).encode("utf-8")
-    )
+    return _digest(*(text.encode("utf-8") for text in encode_dataset(dataset)))
 
 
 # --- file-backed store ----------------------------------------------------------
@@ -271,8 +293,6 @@ def _fsync_path(path: Path) -> None:
 class EdgeStore:
     """Durable session store: one directory per session plus an index log."""
 
-    META_FILENAME = "meta.txt"
-    TRACE_FILENAME = "trace.csv"
     DIGEST_FILENAME = "digest.txt"
     INDEX_FILENAME = "index.log"
 
@@ -285,7 +305,7 @@ class EdgeStore:
         index = self._index_path()
         if index.exists():
             for session_id in index.read_text(encoding="utf-8").split():
-                meta = (self._session_dir(session_id) / self.META_FILENAME).read_bytes()
+                meta = (self._session_dir(session_id) / META_FILENAME).read_bytes()
                 self._summaries[session_id] = summary_from_fields(parse_meta(meta.decode("utf-8")))
 
     def _session_dir(self, session_id: str) -> Path:
@@ -305,8 +325,7 @@ class EdgeStore:
     def upload(self, dataset: SessionDataset) -> UploadReceipt:
         """Validate, persist durably, and acknowledge. Idempotent per digest."""
         validate_dataset(dataset)
-        meta = encode_meta(dataset).encode("utf-8")
-        trace = trace_csv_text(dataset.records).encode("utf-8")
+        meta, trace = (text.encode("utf-8") for text in encode_dataset(dataset))
         digest = _digest(meta, trace)
         receipt = UploadReceipt(dataset.session_id, dataset.record_count)
         with self._lock:
@@ -327,10 +346,10 @@ class EdgeStore:
                     stale.unlink()
                 tmp_dir.rmdir()
             tmp_dir.mkdir()
-            (tmp_dir / self.META_FILENAME).write_bytes(meta)
-            (tmp_dir / self.TRACE_FILENAME).write_bytes(trace)
+            (tmp_dir / META_FILENAME).write_bytes(meta)
+            (tmp_dir / TRACE_FILENAME).write_bytes(trace)
             (tmp_dir / self.DIGEST_FILENAME).write_bytes((digest + "\n").encode("utf-8"))
-            for name in (self.META_FILENAME, self.TRACE_FILENAME, self.DIGEST_FILENAME):
+            for name in (META_FILENAME, TRACE_FILENAME, self.DIGEST_FILENAME):
                 _fsync_path(tmp_dir / name)
             tmp_dir.rename(session_dir)
             _fsync_path(self.data_dir)
@@ -345,11 +364,11 @@ class EdgeStore:
         digest raises :class:`CorruptSession`.
         """
         session_dir = self._session_dir(session_id)
-        meta_path = session_dir / self.META_FILENAME
+        meta_path = session_dir / META_FILENAME
         if not meta_path.exists():
             raise NotFound(f"no stored session {session_id!r}")
         meta = meta_path.read_bytes()
-        trace = (session_dir / self.TRACE_FILENAME).read_bytes()
+        trace = (session_dir / TRACE_FILENAME).read_bytes()
         stored = (session_dir / self.DIGEST_FILENAME).read_text(encoding="utf-8").strip()
         if _digest(meta, trace) != stored:
             raise CorruptSession(f"session {session_id} does not match its stored digest")
@@ -390,9 +409,7 @@ def _read_dataset_block(stream) -> SessionDataset:
     for raw in stream:
         line = raw.rstrip("\n")
         if line == "END":
-            meta = parse_meta("\n".join(meta_lines) + "\n")
-            records = records_from_csv_text("\n".join(csv_lines) + "\n")
-            return dataset_from_parts(meta, records)
+            return decode_dataset("\n".join(meta_lines) + "\n", "\n".join(csv_lines) + "\n")
         csv_lines.append(line)
     raise ValueError("connection closed before END terminator")
 
@@ -440,6 +457,10 @@ class EdgeServer(LineServer):
         raise ValueError(f"unknown command {command!r}")
 
 
+# the ERR codes an EdgeClient raises as themselves; any other reply is an EnergyShareError
+_EDGE_ERRORS = (ValidationFailed, ConflictingSession, NotFound, CorruptSession, StorageError)
+
+
 class EdgeClient:
     """Client for the edge TCP protocol (upload / list / get)."""
 
@@ -457,13 +478,12 @@ class EdgeClient:
 
     def upload(self, dataset: SessionDataset) -> UploadReceipt:
         header = f"UPLOAD {dataset.session_id} {dataset.record_count}"
-        meta, trace = encode_meta(dataset), trace_csv_text(dataset.records)
-        with self._exchange(*_dataset_block(header, meta, trace)) as stream:
+        with self._exchange(*_dataset_block(header, *encode_dataset(dataset))) as stream:
             reply = stream.readline().strip()
         if reply.startswith("OK "):
             _, session_id, count = reply.split(" ")
             return UploadReceipt(session_id, int(count))
-        self._raise_for(reply)
+        raise LineServer.error_from_reply(reply, _EDGE_ERRORS, EnergyShareError)
 
     def list(self) -> list[SessionSummary]:
         summaries = []
@@ -473,7 +493,7 @@ class EdgeClient:
                 if line == "END":
                     return summaries
                 if not line.startswith("SUMMARY "):
-                    self._raise_for(line)
+                    raise LineServer.error_from_reply(line, _EDGE_ERRORS, EnergyShareError)
                 summaries.append(summary_from_fields(parse_fields(line.split(" ")[1:])))
         raise EnergyShareError("edge connection closed mid-listing")
 
@@ -481,14 +501,5 @@ class EdgeClient:
         with self._exchange(f"GET {session_id}\n") as stream:
             header = stream.readline().strip()
             if not header.startswith("DATASET "):
-                self._raise_for(header)
+                raise LineServer.error_from_reply(header, _EDGE_ERRORS, EnergyShareError)
             return _read_dataset_block(stream)
-
-    @staticmethod
-    def _raise_for(reply: str):
-        if reply.startswith("ERR "):
-            _, code, *detail = reply.split(" ", 2)
-            known = (ValidationFailed, ConflictingSession, NotFound, CorruptSession, StorageError)
-            error = {cls.__name__: cls for cls in known}.get(code, EnergyShareError)
-            raise error(detail[0] if detail else reply)
-        raise EnergyShareError(f"unexpected edge reply: {reply!r}")

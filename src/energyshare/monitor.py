@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .battery import BatteryState
@@ -179,14 +178,6 @@ def trace_csv_text(pairs: Iterable[tuple[MonitorRecord, MonitorRecord]]) -> str:
         lines.append(format_record(provider_record))
         lines.append(format_record(consumer_record))
     return "\n".join(lines) + "\n"
-
-
-def write_trace_csv(path: Path, pairs: Iterable[tuple[MonitorRecord, MonitorRecord]]) -> None:
-    Path(path).write_bytes(trace_csv_text(pairs).encode("utf-8"))
-
-
-def read_trace_csv(path: Path) -> list[MonitorRecord]:
-    return records_from_csv_text(Path(path).read_text(encoding="utf-8"))
 
 
 def records_from_csv_text(text: str) -> list[MonitorRecord]:

@@ -1,10 +1,11 @@
 """Run artifacts on disk and multi-run comparison reports.
 
-A run directory holds ``trace.csv`` (the synchronized record pairs) and
-``run.txt`` (key-value run summary). ``compare`` reads several run
-directories recorded at the same interval and writes two CSVs: a summary
-table (one row per run) and per-tick battery-level curves suitable for
-external plotting.
+A run directory holds the session dataset as the edge stores it
+(``meta.txt`` and ``trace.csv``, the bytes ``EdgeStore.upload`` writes)
+and ``run.txt``, the facts of the run that no dataset holds. ``compare``
+reads several run directories recorded at the same interval and writes
+two CSVs: a summary table (one row per run) and per-tick battery-level
+curves suitable for external plotting.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .edge import META_FILENAME, TRACE_FILENAME, SessionDataset, ValidationFailed, check_metrics
+from .edge import decode_dataset, encode_dataset
 from .errors import EnergyShareError
-from .monitor import MisalignedTraces, MonitorRecord, pairs_from_records, read_trace_csv
-from .monitor import write_trace_csv
+from .monitor import MonitorRecord
 from .runner import RunResult
-from .util import fmt_float, format_meta, parse_meta
+from .util import fmt_float, format_meta, parse_finite, parse_meta
 
 RUN_INFO_FILENAME = "run.txt"
-TRACE_FILENAME = "trace.csv"
 
 COMPARISON_HEADER = (
     "run_id,technology,start_level_pct,duration_s,"
@@ -28,84 +29,75 @@ COMPARISON_HEADER = (
 
 
 class IncompatibleRuns(EnergyShareError):
-    """The runs cannot be compared (fewer than two, or differing intervals)."""
+    """The runs cannot be compared (fewer than two, differing intervals, or a malformed run)."""
 
 
 def write_run_artifacts(result: RunResult, out_dir: Path | str) -> Path:
-    """Persist one run's trace and summary; returns the run directory."""
+    """Persist one run's dataset and summary; returns the run directory."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    dataset_files = (out_dir / META_FILENAME, out_dir / TRACE_FILENAME)
+    if result.dataset is None:
+        for path in dataset_files:
+            path.unlink(missing_ok=True)
+    else:
+        for path, text in zip(dataset_files, encode_dataset(result.dataset)):
+            path.write_bytes(text.encode("utf-8"))
     scenario = result.scenario
-    consumer = scenario.requesting_consumer()
     reason = result.terminal_reason.value if result.terminal_reason else result.outcome
-
     info = {
         "run_id": scenario.run_id,
         "outcome": result.outcome,
         "terminal_reason": reason,
-        "technology": scenario.tech_params.technology.value,
-        "interval_s": fmt_float(scenario.interval_s),
-        "request_kind": scenario.request_kind.value,
-        "request_value": fmt_float(scenario.request_value),
-        "consumer_id": consumer.device_id,
-        "consumer_start_level_pct": fmt_float(consumer.start_level_pct),
+        "consumer_start_level_pct": fmt_float(scenario.requesting_consumer().start_level_pct),
     }
-    if result.dataset is not None:
-        d = result.dataset
-        info |= {
-            "session_id": d.session_id,
-            "provider_id": d.provider_id,
-            "provider_capacity_mah": fmt_float(d.provider_capacity_mah),
-            "consumer_capacity_mah": fmt_float(d.consumer_capacity_mah),
-            "duration_s": fmt_float(d.metrics.duration_s),
-            "provider_loss_mah": fmt_float(d.metrics.provider_loss_mah),
-            "consumer_gain_mah": fmt_float(d.metrics.consumer_gain_mah),
-            "energy_loss_mah": fmt_float(d.metrics.energy_loss_mah),
-            "record_pairs": str(d.record_count),
-        }
-        write_trace_csv(out_dir / TRACE_FILENAME, d.records)
-    else:
-        info["record_pairs"] = "0"
     (out_dir / RUN_INFO_FILENAME).write_bytes(format_meta(info).encode("utf-8"))
     return out_dir
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoadedRun:
+    """One run directory read back: the run's id, its consumer's start level, its dataset."""
+
     run_id: str
-    technology: str
-    interval_s: float
     start_level_pct: float
-    duration_s: float
-    provider_loss_mah: float
-    consumer_gain_mah: float
-    energy_loss_mah: float
-    terminal_reason: str
-    pairs: list[tuple[MonitorRecord, MonitorRecord]]
+    dataset: SessionDataset
+
+    @property
+    def technology(self) -> str:
+        return self.dataset.tech_params.technology.value
+
+    @property
+    def energy_loss_mah(self) -> float:
+        return self.dataset.metrics.energy_loss_mah
+
+    @property
+    def pairs(self) -> tuple[tuple[MonitorRecord, MonitorRecord], ...]:
+        return self.dataset.records
 
 
 def load_run(run_dir: Path | str) -> LoadedRun:
+    """A run directory read back through the edge's dataset codec.
+
+    As for an edge upload, the dataset must decode and its metrics must be
+    the ones its trace gives. The per-pair checks of ``validate_dataset``
+    are left out: they would add about a sixth to the time of a read.
+    """
     run_dir = Path(run_dir)
-    info_path = run_dir / RUN_INFO_FILENAME
-    if not info_path.exists():
-        raise IncompatibleRuns(f"{run_dir} is not a run directory (missing {RUN_INFO_FILENAME})")
     try:
-        info = parse_meta(info_path.read_text(encoding="utf-8"))
-        if info.get("record_pairs", "0") == "0":
-            raise IncompatibleRuns(f"{info.get('run_id', run_dir)} produced no dataset to compare")
-        return LoadedRun(
-            run_id=info["run_id"],
-            technology=info["technology"],
-            interval_s=float(info["interval_s"]),
-            start_level_pct=float(info["consumer_start_level_pct"]),
-            duration_s=float(info["duration_s"]),
-            provider_loss_mah=float(info["provider_loss_mah"]),
-            consumer_gain_mah=float(info["consumer_gain_mah"]),
-            energy_loss_mah=float(info["energy_loss_mah"]),
-            terminal_reason=info["terminal_reason"],
-            pairs=pairs_from_records(read_trace_csv(run_dir / TRACE_FILENAME)),
+        info, meta, trace = (
+            (run_dir / name).read_text(encoding="utf-8")
+            for name in (RUN_INFO_FILENAME, META_FILENAME, TRACE_FILENAME)
         )
-    except (KeyError, ValueError, MisalignedTraces) as exc:
+    except FileNotFoundError as exc:
+        raise IncompatibleRuns(f"{run_dir} holds no run with a dataset: {exc}") from exc
+    try:
+        fields = parse_meta(info)
+        dataset = decode_dataset(meta, trace)
+        check_metrics(dataset)
+        start_level_pct = parse_finite(fields["consumer_start_level_pct"])
+        return LoadedRun(fields["run_id"], start_level_pct, dataset)
+    except (KeyError, ValueError, ValidationFailed) as exc:
         raise IncompatibleRuns(f"{run_dir} holds a malformed run: {exc!r}") from exc
 
 
@@ -128,7 +120,7 @@ def compare(run_dirs: list[Path | str], out_csv: Path | str) -> ComparisonReport
     if len(run_dirs) < 2:
         raise IncompatibleRuns("need at least two runs to compare")
     runs = [load_run(d) for d in run_dirs]
-    intervals = {r.interval_s for r in runs}
+    intervals = {r.dataset.interval_s for r in runs}
     if len(intervals) != 1:
         raise IncompatibleRuns(f"runs use different recording intervals: {sorted(intervals)}")
     interval_s = intervals.pop()
@@ -137,20 +129,12 @@ def compare(run_dirs: list[Path | str], out_csv: Path | str) -> ComparisonReport
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     summary_lines = [COMPARISON_HEADER]
     for r in runs:
-        summary_lines.append(
-            ",".join(
-                (
-                    r.run_id,
-                    r.technology,
-                    fmt_float(r.start_level_pct),
-                    fmt_float(r.duration_s),
-                    fmt_float(r.provider_loss_mah),
-                    fmt_float(r.consumer_gain_mah),
-                    fmt_float(r.energy_loss_mah),
-                    r.terminal_reason,
-                )
-            )
-        )
+        m = r.dataset.metrics
+        summary_lines.append(",".join((
+            r.run_id, r.technology, fmt_float(r.start_level_pct), fmt_float(m.duration_s),
+            fmt_float(m.provider_loss_mah), fmt_float(m.consumer_gain_mah),
+            fmt_float(r.energy_loss_mah), r.dataset.terminal_reason.value,
+        )))
     out_csv.write_bytes(("\n".join(summary_lines) + "\n").encode("utf-8"))
 
     curves_path = curves_path_for(out_csv)

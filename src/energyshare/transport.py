@@ -325,6 +325,15 @@ class LineServer:
         code = type(exc).__name__ if isinstance(exc, EnergyShareError) else "Malformed"
         return f"ERR {code} {exc}"
 
+    @staticmethod
+    def error_from_reply(reply: str, known: tuple[type, ...], other: type) -> EnergyShareError:
+        """The inverse of :meth:`_error_reply`: ``ERR <code> <detail>`` whose code names a
+        class in ``known`` is that class with the detail, any other reply ``other(reply)``."""
+        tag, _, rest = reply.partition(" ")
+        code, _, detail = rest.partition(" ")
+        error = {cls.__name__: cls for cls in known}.get(code) if tag == "ERR" else None
+        return error(detail) if error else other(reply)
+
     def _serve(self, conn: socket.socket) -> None:
         try:
             reader = conn.makefile("r", encoding="utf-8", newline="\n")
@@ -397,6 +406,10 @@ class RegistryServer(LineServer):
             return self._registry.discover()
 
 
+# the registry's ERR codes a client raises as themselves
+_REGISTRY_ERRORS = (DuplicateDevice, Unknown)
+
+
 class _RegistryClient:
     """Command client against the registry server, over one kept connection."""
 
@@ -435,20 +448,18 @@ class _RegistryClient:
     def command(self, line: str) -> None:
         """Send a command answered ``OK``; any other reply raises."""
         reply = self._exchange(line)[0]
-        if reply.startswith("ERR DuplicateDevice"):
-            raise DuplicateDevice(reply)
         if not reply.startswith("OK"):
-            raise PeerUnreachable(f"registry refused {line.partition(' ')[0]}: {reply}")
+            raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
 
     def discover(self) -> list[ProviderAdvert]:
         lines = self._exchange("DISCOVER", multiline=True)
         return [decode_advert(line[len("ADVERT "):]) for line in lines]
 
-    def resolve(self, device_id: str) -> str | None:
+    def resolve(self, device_id: str) -> str:
         reply = self._exchange(f"RESOLVE device_id={device_id}")[0]
-        if reply.startswith("ADDR "):
-            return reply[len("ADDR "):]
-        return None
+        if not reply.startswith("ADDR "):
+            raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
+        return reply[len("ADDR "):]
 
 
 class TcpTransport:
@@ -550,10 +561,8 @@ class TcpTransport:
         return self._registry.discover()
 
     def _connect(self, to: str) -> socket.socket:
-        address = self._registry.resolve(to)
-        if address is None:
-            raise PeerUnreachable(f"peer {to!r} is not registered")
-        conn = socket.create_connection(parse_addr(address), timeout=TCP_TIMEOUT_S)
+        address = parse_addr(self._registry.resolve(to))
+        conn = socket.create_connection(address, timeout=TCP_TIMEOUT_S)
         conn.setblocking(False)
         return conn
 

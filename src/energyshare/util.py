@@ -74,7 +74,8 @@ def parse_bool(token: str) -> bool:
 
 def rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
     """Relative closeness with a floor of 1.0 so near-zero values compare sanely."""
-    if math.isnan(a) or math.isnan(b):
+    # not finite is close to nothing: a tolerance scaled by an infinity admits every number
+    if not (math.isfinite(a) and math.isfinite(b)):
         return False
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from energyshare.edge import EdgeStore, SessionDataset, dataset_from_parts, parse_meta
-from energyshare.monitor import records_from_csv_text
+from energyshare.edge import EdgeStore, SessionDataset, decode_dataset
 from energyshare.scenario import Scenario, parse_scenario_text
 
 
@@ -47,5 +46,4 @@ def default_scenario() -> Scenario:
 
 def stored_dataset(store: EdgeStore, session_id: str) -> SessionDataset:
     """The dataset a store serves, parsed back from its stored texts."""
-    meta, trace = store.get(session_id)
-    return dataset_from_parts(parse_meta(meta), records_from_csv_text(trace))
+    return decode_dataset(*store.get(session_id))

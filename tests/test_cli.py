@@ -1,8 +1,17 @@
 """CLI surface: subcommands, artifacts, exit codes."""
 
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from conftest import scenario_text
 
+import energyshare
 from energyshare.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, main
 from energyshare.edge import EdgeServer, EdgeStore
 
@@ -63,26 +72,41 @@ def test_compare_command(scenario_file, tmp_path, capsys):
 
 
 def test_run_with_upload_and_edge_queries(scenario_file, tmp_path, capsys):
-    store = EdgeStore(tmp_path / "edge-data")
-    server = EdgeServer(store).start()
+    """``edge serve`` in its own process answers ``run --upload``, ``edge list`` and
+    ``edge get``, and exits 0 on SIGINT."""
+    # the package this test imports, whatever the working directory
+    env = dict(os.environ, PYTHONPATH=str(Path(energyshare.__file__).resolve().parents[1]))
+    server = subprocess.Popen(
+        [sys.executable, "-u", "-m", "energyshare.cli", "edge", "serve", "--port", "0",
+         "--data-dir", str(tmp_path / "edge-data")],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
     try:
+        assert select.select([server.stdout], [], [], 30.0)[0], "edge serve printed nothing"
+        address = re.search(r"listening on (\S+),", server.stdout.readline()).group(1)
         code = main([
             "run", "--scenario", str(scenario_file),
-            "--out", str(tmp_path / "out"), "--upload", server.address,
+            "--out", str(tmp_path / "out"), "--upload", address,
         ])
         assert code == EXIT_OK
         capsys.readouterr()
 
-        assert main(["edge", "list", "--addr", server.address]) == EXIT_OK
+        assert main(["edge", "list", "--addr", address]) == EXIT_OK
         listing = capsys.readouterr().out
         assert "ses-req-short-c1-a1" in listing
 
-        assert main(["edge", "get", "--addr", server.address, "ses-req-short-c1-a1"]) == EXIT_OK
+        assert main(["edge", "get", "--addr", address, "ses-req-short-c1-a1"]) == EXIT_OK
         dump = capsys.readouterr().out
         assert "session_id = ses-req-short-c1-a1" in dump
         assert "tick_index,wall_time_s" in dump
+
+        server.send_signal(signal.SIGINT)
+        assert server.wait(timeout=30.0) == EXIT_OK
     finally:
-        server.stop()
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()
 
 
 def test_edge_get_unknown_session(tmp_path, capsys):

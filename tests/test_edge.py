@@ -387,7 +387,7 @@ def test_dot_only_session_ids_refused(served_store, tmp_path):
     store, server, client = served_store
     # a readable session one level up, where GET .. would look (data_dir/..)
     client.upload(build_dataset(session_id="ses-decoy"))
-    for name in (EdgeStore.META_FILENAME, EdgeStore.TRACE_FILENAME):
+    for name in (edge.META_FILENAME, edge.TRACE_FILENAME):
         shutil.copy(store.data_dir / "ses-decoy" / name, tmp_path / name)
     files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
 
@@ -449,7 +449,7 @@ def test_damaged_stored_trace_is_refused(served_store):
     damaged, intact = (build_dataset(session_id=s, rng=rng) for s in ("ses-bad", "ses-ok"))
     client.upload(damaged)
     client.upload(intact)
-    trace_path = store.data_dir / "ses-bad" / EdgeStore.TRACE_FILENAME
+    trace_path = store.data_dir / "ses-bad" / edge.TRACE_FILENAME
     lines = trace_path.read_text(encoding="utf-8").split("\n")
     fields = lines[3].split(",")
     charge = fields[6]  # battery_charge_mah, a float with decimals
@@ -584,6 +584,12 @@ WRONG_FACTS = {
     "level_above_100": ("ValidationFailed", lambda m, t: (
         m, edit_row(t, 3, battery_level_pct="250.0"))),
     "repeated_provider_row": ("ValidationFailed", lambda m, t: (m, repeat_row(t, 4))),
+    # tick 1's consumer row: its charge is about 30% of the consumer's capacity
+    "level_not_its_charge": ("ValidationFailed", lambda m, t: (
+        m, edit_row(t, 3, battery_level_pct="99.0"))),
+    # the rows stay 1 s apart
+    "interval_not_the_row_spacing": ("ValidationFailed", lambda m, t: (
+        m.replace("interval_s = 1.0\n", "interval_s = 7.0\n"), t)),
 }
 
 

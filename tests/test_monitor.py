@@ -18,11 +18,9 @@ from energyshare.monitor import (
     align_traces,
     compute_metrics,
     pairs_from_records,
-    read_trace_csv,
     record_tick,
     records_from_csv_text,
     trace_csv_text,
-    write_trace_csv,
 )
 from energyshare.protocol import (
     RequestKind,
@@ -135,14 +133,12 @@ def sample_pairs(n=4):
     ]
 
 
-def test_trace_csv_round_trip_is_bit_exact(tmp_path):
+def test_trace_csv_round_trip_is_bit_exact():
     pairs = sample_pairs()
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, pairs)
-    text = path.read_text(encoding="utf-8")
+    text = trace_csv_text(pairs)
     assert text.startswith(TRACE_HEADER + "\n")
     assert text.endswith("\n")
-    records = read_trace_csv(path)
+    records = records_from_csv_text(text)
     assert pairs_from_records(records) == pairs
     assert trace_csv_text(pairs_from_records(records)) == text
 

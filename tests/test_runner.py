@@ -1,5 +1,6 @@
 """End-to-end scenario runs: happy path, reject walk, aborts, both transports."""
 
+import re
 import socket
 import threading
 import time
@@ -8,7 +9,7 @@ import pytest
 from conftest import build_scenario, scenario_text, stored_dataset
 
 from energyshare.battery import battery_at_level, DrainParams, predict_outcome
-from energyshare.edge import EdgeServer, EdgeStore, validate_dataset
+from energyshare.edge import META_FILENAME, EdgeServer, EdgeStore, parse_meta, validate_dataset
 from energyshare.matching import ProviderAdvert
 from energyshare.protocol import (
     Accept,
@@ -408,22 +409,75 @@ def test_load_run_round_trip(tmp_path):
     assert loaded.run_id == "roundtrip"
     assert loaded.technology == "wireless_distance"
     assert len(loaded.pairs) == 11
-    assert loaded.terminal_reason == "DurationElapsed"
+    assert loaded.dataset.terminal_reason is Reason.DURATION_ELAPSED
+
+
+def test_run_directory_holds_the_edge_files_and_the_run_facts(tmp_path):
+    result = run_scenario(build_scenario(value=10.0))
+    run_dir = write_run_artifacts(result, tmp_path / "run")
+    store = EdgeStore(tmp_path / "edge-data")
+    store.upload(result.dataset)
+    for name in (META_FILENAME, TRACE_FILENAME):
+        stored = store.data_dir / result.dataset.session_id / name
+        assert (run_dir / name).read_bytes() == stored.read_bytes()
+    info = parse_meta((run_dir / "run.txt").read_text(encoding="utf-8"))
+    assert list(info) == ["run_id", "outcome", "terminal_reason", "consumer_start_level_pct"]
+
+
+def test_a_run_without_a_dataset_leaves_none_in_its_directory(tmp_path):
+    run_dir = run_and_write(tmp_path, "reused", value=5.0)
+    rejected = scenario_text(value=5.0, extra="device.p1.accept_threshold_pct = 101\n")
+    result = run_scenario(parse_scenario_text(rejected, run_id="reused"))
+    assert result.dataset is None
+    write_run_artifacts(result, run_dir)
+    assert sorted(path.name for path in run_dir.iterdir()) == ["run.txt"]
+    with pytest.raises(IncompatibleRuns):
+        load_run(run_dir)
 
 
 @pytest.mark.parametrize(
-    "edit",
-    [
-        lambda text: text + "not a key value line\n",
-        lambda text: text.replace("interval_s = ", "interval_s = x"),
-        lambda text: text.replace("technology = ", "technologie = "),
-        lambda text: text + text.splitlines()[0] + "\n",  # the first key, repeated
-    ],
+    "key, value",
+    [("energy_loss_mah", "nan"), ("energy_loss_mah", "1.5"), ("duration_s", "-5.0"),
+     ("consumer_gain_mah", "9999.0")],
 )
-def test_load_run_rejects_malformed_run_txt(tmp_path, edit):
+def test_load_run_rejects_a_metric_its_trace_does_not_give(tmp_path, key, value):
+    run_dir = run_and_write(tmp_path, "edited", value=10.0)
+    # the file that holds the metric, whichever it is
+    (path,) = [p for p in run_dir.iterdir() if f"\n{key} = " in p.read_text(encoding="utf-8")]
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", path.read_text(encoding="utf-8"),
+                  flags=re.MULTILINE)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(IncompatibleRuns):
+        load_run(run_dir)
+
+
+def test_load_run_rejects_an_infinite_charge_at_the_trace_end(tmp_path):
+    run_dir = run_and_write(tmp_path, "edited", value=10.0)
+    trace = run_dir / TRACE_FILENAME
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    fields = lines[-1].split(",")
+    fields[6] = "inf"  # the last consumer row's battery_charge_mah
+    lines[-1] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IncompatibleRuns):
+        load_run(run_dir)
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("run.txt", lambda text: text + "not a key value line\n"),
+        (META_FILENAME, lambda text: text.replace("interval_s = ", "interval_s = x")),
+        (META_FILENAME, lambda text: text.replace("technology = ", "technologie = ")),
+        ("run.txt", lambda text: text + text.splitlines()[0] + "\n"),  # the first key, repeated
+    ],
+    ids=["run_txt_line_not_key_value", "meta_interval_not_a_number", "meta_key_misspelt",
+         "run_txt_key_repeated"],
+)
+def test_load_run_rejects_malformed_run_txt(tmp_path, name, edit):
     run_dir = run_and_write(tmp_path, "broken", value=5.0)
-    info = run_dir / "run.txt"
-    info.write_text(edit(info.read_text(encoding="utf-8")), encoding="utf-8")
+    path = run_dir / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(IncompatibleRuns):
         load_run(run_dir)
 
