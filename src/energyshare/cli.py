@@ -12,7 +12,7 @@ from pathlib import Path
 from .edge import EdgeClient, EdgeServer, EdgeStore, encode_dataset, summary_text
 from .errors import EnergyShareError
 from .report import compare, write_run_artifacts
-from .runner import run_scenario
+from .runner import check_pace, run_scenario
 from .scenario import parse_scenario
 
 EXIT_OK = 0
@@ -26,6 +26,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _pace(text: str) -> float:
+    try:
+        return check_pace(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="energyshare", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -35,7 +42,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", type=Path, default=None, help="run output directory")
     run.add_argument("--upload", default=None, metavar="HOST:PORT",
                      help="upload the session dataset to an edge service")
-    run.add_argument("--pace", type=float, default=None,
+    run.add_argument("--pace", type=_pace, default=None,
                      help="real-time pacing factor (affects wall duration only)")
 
     cmp_parser = sub.add_parser("compare", help="compare several finished runs")

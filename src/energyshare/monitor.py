@@ -23,10 +23,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .battery import BatteryState
+from .battery import BatteryState, level_pct_of
 from .errors import EnergyShareError
 from .protocol import SessionPhase, SessionState
-from .util import check_id, fmt_float
+from .util import check_id
 
 ROLE_PROVIDER = "provider"
 ROLE_CONSUMER = "consumer"
@@ -95,27 +95,19 @@ def record_tick(
     """Emit the synchronized provider/consumer record pair for one tick."""
     if session.state not in _RECORDABLE_PHASES:
         raise SessionNotActive(f"cannot record in state {session.state.value}")
-    provider_record = MonitorRecord(
-        tick_index=tick_index,
-        wall_time_s=wall_time_s,
-        session_id=session.session_id,
-        device_id=provider_id,
-        role=ROLE_PROVIDER,
-        battery_level_pct=provider_battery.level_pct,
-        battery_charge_mah=provider_battery.charge_mah,
-        cumulative_transferred_mah=cumulative_out_mah,
+    session_id = session.session_id
+    provider_capacity, provider_charge = provider_battery
+    consumer_capacity, consumer_charge = consumer_battery
+    return (
+        MonitorRecord(
+            tick_index, wall_time_s, session_id, provider_id, ROLE_PROVIDER,
+            level_pct_of(provider_charge, provider_capacity), provider_charge, cumulative_out_mah,
+        ),
+        MonitorRecord(
+            tick_index, wall_time_s, session_id, consumer_id, ROLE_CONSUMER,
+            level_pct_of(consumer_charge, consumer_capacity), consumer_charge, cumulative_in_mah,
+        ),
     )
-    consumer_record = MonitorRecord(
-        tick_index=tick_index,
-        wall_time_s=wall_time_s,
-        session_id=session.session_id,
-        device_id=consumer_id,
-        role=ROLE_CONSUMER,
-        battery_level_pct=consumer_battery.level_pct,
-        battery_charge_mah=consumer_battery.charge_mah,
-        cumulative_transferred_mah=cumulative_in_mah,
-    )
-    return provider_record, consumer_record
 
 
 def align_traces(
@@ -157,17 +149,11 @@ def compute_metrics(pairs: Sequence[tuple[MonitorRecord, MonitorRecord]]) -> Ses
 
 
 def format_record(record: MonitorRecord) -> str:
-    return ",".join(
-        (
-            str(record.tick_index),
-            fmt_float(record.wall_time_s),
-            record.session_id,
-            record.device_id,
-            record.role,
-            fmt_float(record.battery_level_pct),
-            fmt_float(record.battery_charge_mah),
-            fmt_float(record.cumulative_transferred_mah),
-        )
+    """One CSV row; a float prints as ``repr(float(x))`` (util.fmt_float)."""
+    tick, wall, session_id, device_id, role, level, charge, cumulative = record
+    return (
+        f"{tick},{float(wall)!r},{session_id},{device_id},{role},"
+        f"{float(level)!r},{float(charge)!r},{float(cumulative)!r}"
     )
 
 

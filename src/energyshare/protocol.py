@@ -15,13 +15,14 @@ docs/wire-format.md):
 from __future__ import annotations
 
 import math
+import re
 import uuid
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import EnergyShareError
-from .util import check_id, fmt_float, parse_fields, parse_finite
+from .util import ID_PATTERN, NON_NEGATIVE, POSITIVE, check_id, parse_finite
 
 
 class RequestKind(Enum):
@@ -172,105 +173,107 @@ class MessageDecodeError(EnergyShareError):
     """A wire line could not be decoded into a protocol message."""
 
 
+# Each type's line, fields in the order docs/wire-format.md lists. A float
+# prints as ``repr(float(x))`` (util.fmt_float), so an int prints as 3.0.
+_ENCODERS = {
+    Request: lambda m: (
+        f"REQUEST request_id={m.request.request_id} consumer_id={m.request.consumer_id}"
+        f" kind={m.request.kind.value} value={float(m.request.value)!r}"
+        f" x={float(m.consumer_position[0])!r} y={float(m.consumer_position[1])!r}"
+        f" capacity_mah={float(m.consumer_capacity_mah)!r}"
+        f" charge_mah={float(m.consumer_charge_mah)!r} baseline_ma={float(m.consumer_baseline_ma)!r}"
+    ),
+    Accept: lambda m: f"ACCEPT request_id={m.request_id}",
+    Reject: lambda m: f"REJECT request_id={m.request_id}",
+    StartTransfer: lambda m: (
+        f"START_TRANSFER session_id={m.session_id} request_id={m.request_id}"
+        f" interval_s={float(m.interval_s)!r}"
+    ),
+    MonitorSync: lambda m: (
+        f"MONITOR_SYNC session_id={m.session_id} tick_index={m.tick_index}"
+        f" wall_time_s={float(m.wall_time_s)!r} consumer_charge_mah={float(m.consumer_charge_mah)!r}"
+        f" consumer_cumulative_in_mah={float(m.consumer_cumulative_in_mah)!r}"
+    ),
+    Complete: lambda m: f"COMPLETE session_id={m.session_id} reason={m.reason.value}",
+    Abort: lambda m: f"ABORT session_id={m.session_id} reason={m.reason.value}",
+}
+
+
 def encode_message(msg: ProtocolMessage) -> str:
     """Single-line textual encoding with fields in fixed order."""
-    if isinstance(msg, Request):
-        r = msg.request
-        return (
-            f"REQUEST request_id={r.request_id} consumer_id={r.consumer_id}"
-            f" kind={r.kind.value} value={fmt_float(r.value)}"
-            f" x={fmt_float(msg.consumer_position[0])} y={fmt_float(msg.consumer_position[1])}"
-            f" capacity_mah={fmt_float(msg.consumer_capacity_mah)}"
-            f" charge_mah={fmt_float(msg.consumer_charge_mah)}"
-            f" baseline_ma={fmt_float(msg.consumer_baseline_ma)}"
-        )
-    if isinstance(msg, Accept):
-        return f"ACCEPT request_id={msg.request_id}"
-    if isinstance(msg, Reject):
-        return f"REJECT request_id={msg.request_id}"
-    if isinstance(msg, StartTransfer):
-        return (
-            f"START_TRANSFER session_id={msg.session_id} request_id={msg.request_id}"
-            f" interval_s={fmt_float(msg.interval_s)}"
-        )
-    if isinstance(msg, MonitorSync):
-        return (
-            f"MONITOR_SYNC session_id={msg.session_id} tick_index={msg.tick_index}"
-            f" wall_time_s={fmt_float(msg.wall_time_s)}"
-            f" consumer_charge_mah={fmt_float(msg.consumer_charge_mah)}"
-            f" consumer_cumulative_in_mah={fmt_float(msg.consumer_cumulative_in_mah)}"
-        )
-    if isinstance(msg, Complete):
-        return f"COMPLETE session_id={msg.session_id} reason={msg.reason.value}"
-    if isinstance(msg, Abort):
-        return f"ABORT session_id={msg.session_id} reason={msg.reason.value}"
-    raise TypeError(f"not a protocol message: {msg!r}")
+    encode = _ENCODERS.get(type(msg))
+    if encode is None:
+        raise TypeError(f"not a protocol message: {msg!r}")
+    return encode(msg)
+
+
+def _line(**fields: str) -> re.Pattern:
+    """One type's fields, ``name=value`` in this order, each value a group named after it."""
+    return re.compile(" ".join(f"{name}=(?P<{name}>{value})" for name, value in fields.items()))
+
+
+_NUMBER = "[^ ]+"  # read by float() and range-checked by the builder
+_KINDS = "|".join(kind.value for kind in RequestKind)
+_REASONS = "|".join(reason.value for reason in Reason)
+
+
+def _request(request_id, consumer_id, kind, value, x, y, capacity_mah, charge_mah, baseline_ma):
+    return Request(
+        make_request(RequestKind(kind), float(value), consumer_id, request_id=request_id),
+        (parse_finite(x, "x"), parse_finite(y, "y")),
+        POSITIVE(parse_finite(capacity_mah, "capacity_mah")),
+        parse_finite(charge_mah, "charge_mah"),
+        NON_NEGATIVE(parse_finite(baseline_ma, "baseline_ma")),
+    )
+
+
+def _start_transfer(session_id, request_id, interval_s):
+    return StartTransfer(session_id, request_id, POSITIVE(parse_finite(interval_s, "interval_s")))
+
+
+def _monitor_sync(session_id, tick_index, wall_time_s, charge_mah, cumulative_in_mah):
+    return MonitorSync(
+        session_id, int(tick_index), parse_finite(wall_time_s, "wall_time_s"),
+        parse_finite(charge_mah, "consumer_charge_mah"),
+        parse_finite(cumulative_in_mah, "consumer_cumulative_in_mah"),
+    )
+
+
+# message type -> (the rest of its line, fullmatched; the builder of its groups)
+_DECODERS = {
+    "REQUEST": (_line(
+        request_id=ID_PATTERN, consumer_id=ID_PATTERN, kind=_KINDS, value=_NUMBER,
+        x=_NUMBER, y=_NUMBER, capacity_mah=_NUMBER, charge_mah=_NUMBER, baseline_ma=_NUMBER,
+    ), _request),
+    "ACCEPT": (_line(request_id=ID_PATTERN), Accept),
+    "REJECT": (_line(request_id=ID_PATTERN), Reject),
+    "START_TRANSFER": (
+        _line(session_id=ID_PATTERN, request_id=ID_PATTERN, interval_s=_NUMBER), _start_transfer
+    ),
+    "MONITOR_SYNC": (_line(
+        session_id=ID_PATTERN, tick_index="[0-9]+", wall_time_s=_NUMBER,
+        consumer_charge_mah=_NUMBER, consumer_cumulative_in_mah=_NUMBER,
+    ), _monitor_sync),
+    "COMPLETE": (_line(session_id=ID_PATTERN, reason=_REASONS), lambda s, r: Complete(s, Reason(r))),
+    "ABORT": (_line(session_id=ID_PATTERN, reason=_REASONS), lambda s, r: Abort(s, Reason(r))),
+}
 
 
 def decode_message(line: str) -> ProtocolMessage:
-    """Inverse of :func:`encode_message`."""
-    tokens = line.strip().split(" ")
-    if not tokens or not tokens[0]:
-        raise MessageDecodeError("empty message line")
-    msg_type, raw_fields = tokens[0], tokens[1:]
+    """Inverse of :func:`encode_message`: a line with exactly its type's fields, in order."""
+    msg_type, _, rest = line.strip().partition(" ")
+    entry = _DECODERS.get(msg_type)
+    if entry is None:
+        raise MessageDecodeError(f"unknown message type {msg_type!r}")
+    pattern, build = entry
+    match = pattern.fullmatch(rest)
+    if match is None:
+        fields = " ".join(pattern.groupindex)
+        raise MessageDecodeError(f"bad {msg_type} message: fields must be exactly {fields}")
     try:
-        fields = parse_fields(raw_fields)
-        if msg_type == "REQUEST":
-            kind = RequestKind(fields["kind"])
-            request = make_request(
-                kind, float(fields["value"]), fields["consumer_id"],
-                request_id=fields["request_id"],
-            )
-            capacity_mah = parse_finite(fields["capacity_mah"], "capacity_mah")
-            if capacity_mah <= 0:
-                raise ValueError(f"capacity_mah must be > 0, got {capacity_mah!r}")
-            baseline_ma = parse_finite(fields["baseline_ma"], "baseline_ma")
-            if baseline_ma < 0:
-                raise ValueError(f"baseline_ma must be >= 0, got {baseline_ma!r}")
-            return Request(
-                request=request,
-                consumer_position=(parse_finite(fields["x"], "x"), parse_finite(fields["y"], "y")),
-                consumer_capacity_mah=capacity_mah,
-                consumer_charge_mah=parse_finite(fields["charge_mah"], "charge_mah"),
-                consumer_baseline_ma=baseline_ma,
-            )
-        if msg_type == "ACCEPT":
-            return Accept(request_id=check_id(fields["request_id"]))
-        if msg_type == "REJECT":
-            return Reject(request_id=check_id(fields["request_id"]))
-        if msg_type == "START_TRANSFER":
-            interval_s = parse_finite(fields["interval_s"], "interval_s")
-            if interval_s <= 0:
-                raise ValueError(f"interval_s must be > 0, got {interval_s!r}")
-            return StartTransfer(
-                session_id=check_id(fields["session_id"]),
-                request_id=check_id(fields["request_id"]),
-                interval_s=interval_s,
-            )
-        if msg_type == "MONITOR_SYNC":
-            tick_index = int(fields["tick_index"])
-            if tick_index < 0:
-                raise ValueError(f"tick_index must be >= 0, got {tick_index}")
-            return MonitorSync(
-                session_id=check_id(fields["session_id"]),
-                tick_index=tick_index,
-                wall_time_s=parse_finite(fields["wall_time_s"], "wall_time_s"),
-                consumer_charge_mah=parse_finite(
-                    fields["consumer_charge_mah"], "consumer_charge_mah"
-                ),
-                consumer_cumulative_in_mah=parse_finite(
-                    fields["consumer_cumulative_in_mah"], "consumer_cumulative_in_mah"
-                ),
-            )
-        if msg_type == "COMPLETE":
-            return Complete(session_id=check_id(fields["session_id"]), reason=Reason(fields["reason"]))
-        if msg_type == "ABORT":
-            return Abort(session_id=check_id(fields["session_id"]), reason=Reason(fields["reason"]))
-    except MessageDecodeError:
-        raise
-    except (KeyError, ValueError, InvalidRequestValue) as exc:
+        return build(*match.groups())
+    except (ValueError, InvalidRequestValue) as exc:
         raise MessageDecodeError(f"bad {msg_type} message: {exc}") from exc
-    raise MessageDecodeError(f"unknown message type {msg_type!r}")
 
 
 # --- session state machine ---------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .battery import (
@@ -24,6 +25,7 @@ from .battery import (
     DrainParams,
     TickLedger,
     battery_at_level,
+    level_pct_of,
     transfer_tick,
     ProviderDepleted,
 )
@@ -125,11 +127,8 @@ class ChargingEngine:
 
     def sync_for(self, tick_index: int, wall_time_s: float) -> MonitorSync:
         return MonitorSync(
-            session_id=self.session.session_id,
-            tick_index=tick_index,
-            wall_time_s=wall_time_s,
-            consumer_charge_mah=self.consumer_battery.charge_mah,
-            consumer_cumulative_in_mah=self.ledger.total_in_mah,
+            self.session.session_id, tick_index, wall_time_s,
+            self.consumer_battery.charge_mah, self.ledger.total_in_mah,
         )
 
     def step(self) -> MonitorSync | None:
@@ -397,19 +396,12 @@ class _ConsumerAgent(_Agent):
             return
         if self.records and msg.tick_index <= self.records[-1].tick_index:
             return  # stale or repeated: ticks only move forward
-        self.battery = BatteryState(self.battery.capacity_mah, msg.consumer_charge_mah)
-        self.records.append(
-            MonitorRecord(
-                tick_index=msg.tick_index,
-                wall_time_s=msg.wall_time_s,
-                session_id=msg.session_id,
-                device_id=self.device_id,
-                role=ROLE_CONSUMER,
-                battery_level_pct=self.battery.level_pct,
-                battery_charge_mah=self.battery.charge_mah,
-                cumulative_transferred_mah=msg.consumer_cumulative_in_mah,
-            )
-        )
+        battery = self.battery = BatteryState(self.battery.capacity_mah, msg.consumer_charge_mah)
+        self.records.append(MonitorRecord(
+            msg.tick_index, msg.wall_time_s, msg.session_id, self.device_id, ROLE_CONSUMER,
+            level_pct_of(battery.charge_mah, battery.capacity_mah), battery.charge_mah,
+            msg.consumer_cumulative_in_mah,
+        ))
         self.sync_receipts.append((msg.tick_index, msg.wall_time_s, self.clock.now_s))
         self.deadline = self.clock.now_s + self.sync_timeout_s
 
@@ -602,6 +594,13 @@ def _collect_result(
     )
 
 
+def check_pace(pace: float) -> float:
+    """A pace, in simulated seconds per real second, must be finite and > 0."""
+    if not (math.isfinite(pace) and pace > 0):
+        raise ValueError(f"pace must be finite and > 0, got {pace!r}")
+    return pace
+
+
 def run_scenario(
     scenario: Scenario,
     *,
@@ -609,8 +608,8 @@ def run_scenario(
     upload_addr: str | None = None,
 ) -> RunResult:
     """Execute one scenario end to end and optionally upload the dataset."""
-    if pace is not None and pace <= 0:
-        raise ValueError(f"pace must be > 0, got {pace!r}")
+    if pace is not None:
+        check_pace(pace)
     if scenario.clock_mode == "virtual":
         result = _run_virtual(scenario, pace)
     else:

@@ -31,7 +31,7 @@ from .matching import DEFAULT_ACCEPT_THRESHOLD_PCT
 from .monitor import ROLE_CONSUMER, ROLE_PROVIDER
 from .protocol import RequestKind
 from .transport import DEFAULT_LATENCY_S
-from .util import POSITIVE, check_id, member, one_of, parse_finite, rule
+from .util import NON_NEGATIVE, POSITIVE, check_id, member, one_of, parse_finite, rule
 
 DEFAULT_START_LEVEL_PCT = {ROLE_PROVIDER: 100.0, ROLE_CONSUMER: 40.0}
 DEFAULT_CAPACITY_MAH = {
@@ -125,7 +125,6 @@ def _position(text: str) -> tuple[float, float]:
     return parse_finite(parts[0], "x"), parse_finite(parts[1], "y")
 
 
-_NON_NEGATIVE = rule(lambda value: value >= 0, ">= 0")
 _FRACTION = rule(lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
 _PERCENT = rule(lambda value: 0.0 <= value <= 100.0, "in [0, 100]")
 
@@ -147,7 +146,7 @@ _SCENARIO_TABLE = {
     "request.consumer": _Key(str, field="request_consumer_id"),
     "technology.name": _Key(str, member(Technology), Technology.WIRELESS_DISTANCE, "technology"),
     **{f"technology.{name}": _Key(parse_finite, field=name) for name in _TECHNOLOGY_PARAMS},
-    "transport.latency_s": _Key(parse_finite, _NON_NEGATIVE, DEFAULT_LATENCY_S, "latency_s"),
+    "transport.latency_s": _Key(parse_finite, NON_NEGATIVE, DEFAULT_LATENCY_S, "latency_s"),
     "transport.drop_prob": _Key(parse_finite, _FRACTION, 0.0, "drop_probability"),
     "transport.request_timeout_s": _Key(parse_finite, POSITIVE, 5.0, "request_timeout_s"),
 }
@@ -158,8 +157,8 @@ _DEVICE_TABLE = {
     "capacity_mah": _Key(parse_finite, POSITIVE),
     "start_level_pct": _Key(parse_finite, _PERCENT),
     "position": _Key(_position, default=(0.0, 0.0)),
-    "baseline_ma": _Key(parse_finite, _NON_NEGATIVE, DEFAULT_BASELINE_MA),
-    "accept_threshold_pct": _Key(parse_finite, _NON_NEGATIVE, DEFAULT_ACCEPT_THRESHOLD_PCT),
+    "baseline_ma": _Key(parse_finite, NON_NEGATIVE, DEFAULT_BASELINE_MA),
+    "accept_threshold_pct": _Key(parse_finite, NON_NEGATIVE, DEFAULT_ACCEPT_THRESHOLD_PCT),
 }
 
 

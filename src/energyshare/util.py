@@ -13,8 +13,10 @@ import re
 from enum import Enum
 from typing import Any, Callable
 
-# ids name files and directories, so an id of only dots ("." or "..") is refused
-_ID_RE = re.compile(r"(?!\.+\Z)[A-Za-z0-9_.:-]+\Z")
+# An id token, also inside a longer line: the charset, and not only dots,
+# since ids name files and directories ("." or ".." is refused).
+ID_PATTERN = r"(?!\.+(?![A-Za-z0-9_.:-]))[A-Za-z0-9_.:-]+"
+_ID_RE = re.compile(ID_PATTERN + r"\Z")
 
 
 def check_id(value: str, what: str = "identifier") -> str:
@@ -53,6 +55,7 @@ def member(kind: type[Enum]) -> Callable[[str], Enum]:
 
 
 POSITIVE = rule(lambda value: value > 0, "> 0")
+NON_NEGATIVE = rule(lambda value: value >= 0, ">= 0")
 
 
 def fmt_float(x: float) -> str:

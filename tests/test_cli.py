@@ -55,6 +55,21 @@ def test_usage_error_exit_code():
     assert err.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("pace", ["0", "-1", "nan", "inf"])
+def test_a_bad_pace_is_a_usage_error(scenario_file, pace):
+    env = dict(os.environ, PYTHONPATH=str(Path(energyshare.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "energyshare.cli", "run", "--scenario", str(scenario_file),
+         "--pace", pace],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert [line for line in done.stderr.splitlines() if "error:" in line] == [
+        f"energyshare run: error: argument --pace: pace must be finite and > 0, got {float(pace)!r}"
+    ]
+
+
 def test_compare_command(scenario_file, tmp_path, capsys):
     runs = []
     for tech in ("cable", "reverse"):

@@ -17,6 +17,7 @@ from energyshare.monitor import (
     TRACE_HEADER,
     align_traces,
     compute_metrics,
+    format_record,
     pairs_from_records,
     record_tick,
     records_from_csv_text,
@@ -141,6 +142,15 @@ def test_trace_csv_round_trip_is_bit_exact():
     records = records_from_csv_text(text)
     assert pairs_from_records(records) == pairs
     assert trace_csv_text(pairs_from_records(records)) == text
+
+
+def test_format_record_prints_each_float_field_as_a_float():
+    record = MonitorRecord(7, 7, "ses-r1", "c1", ROLE_CONSUMER, 50, 1000, 0)
+    assert format_record(record) == "7,7.0,ses-r1,c1,consumer,50.0,1000.0,0.0"
+    record = MonitorRecord(3, 0.1 + 0.2, "ses-r1", "p1", ROLE_PROVIDER, 100.0, 1e-12, 1166.0000000001)
+    assert format_record(record) == (
+        "3,0.30000000000000004,ses-r1,p1,provider,100.0,1e-12,1166.0000000001"
+    )
 
 
 def test_trace_csv_rejects_foreign_header():

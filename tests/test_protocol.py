@@ -1,9 +1,12 @@
 """Session protocol: requests, wire codec, lifecycle machine, one-to-one guard."""
 
 import random
+import re
+import string
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energyshare.protocol import (
@@ -32,6 +35,7 @@ from energyshare.protocol import (
     session_id_for,
     transition,
 )
+from energyshare.protocol import _DECODERS
 
 
 # --- make_request -----------------------------------------------------------
@@ -93,14 +97,78 @@ def test_wire_round_trip(msg):
     assert decode_message(line) == msg
 
 
-def test_wire_field_order_is_fixed():
-    msg = StartTransfer("ses-req-1", "req-1", 1.0)
-    assert encode_message(msg) == "START_TRANSFER session_id=ses-req-1 request_id=req-1 interval_s=1.0"
-    sync = MonitorSync("s", 3, 3.5, 10.25, 0.75)
-    assert encode_message(sync) == (
+WIRE_LINES = [
+    (
+        Request(make_request(RequestKind.AMOUNT, 1000, "c1", request_id="req-1"),
+                (0, -1.25), 2915, 1166, 40),
+        "REQUEST request_id=req-1 consumer_id=c1 kind=amount value=1000.0 x=0.0 y=-1.25"
+        " capacity_mah=2915.0 charge_mah=1166.0 baseline_ma=40.0",
+    ),
+    (
+        Request(make_request(RequestKind.DURATION, 600.0, "c1", request_id="req-2"),
+                (0.1, 2.0), 2915.0, 291.5, 0.0),
+        "REQUEST request_id=req-2 consumer_id=c1 kind=duration value=600.0 x=0.1 y=2.0"
+        " capacity_mah=2915.0 charge_mah=291.5 baseline_ma=0.0",
+    ),
+    (Accept("req-1"), "ACCEPT request_id=req-1"),
+    (Reject("req-1"), "REJECT request_id=req-1"),
+    (StartTransfer("ses-req-1", "req-1", 1), "START_TRANSFER session_id=ses-req-1 request_id=req-1 interval_s=1.0"),
+    (
+        MonitorSync("s", 3, 3.5, 10.25, 0.75),
         "MONITOR_SYNC session_id=s tick_index=3 wall_time_s=3.5"
-        " consumer_charge_mah=10.25 consumer_cumulative_in_mah=0.75"
-    )
+        " consumer_charge_mah=10.25 consumer_cumulative_in_mah=0.75",
+    ),
+    (
+        MonitorSync("s", 3, 3, 10, 0),
+        "MONITOR_SYNC session_id=s tick_index=3 wall_time_s=3.0"
+        " consumer_charge_mah=10.0 consumer_cumulative_in_mah=0.0",
+    ),
+    (Complete("ses-req-1", Reason.AMOUNT_DELIVERED), "COMPLETE session_id=ses-req-1 reason=AmountDelivered"),
+    (Abort("ses-req-1", Reason.TRANSPORT_LOST), "ABORT session_id=ses-req-1 reason=TransportLost"),
+]
+
+
+@pytest.mark.parametrize("msg, line", WIRE_LINES, ids=lambda v: type(v).__name__)
+def test_wire_field_order_is_fixed(msg, line):
+    """The bytes of every message type; an int in a float field prints as a float."""
+    assert encode_message(msg) == line
+    assert encode_message(decode_message(line)) == line
+
+
+def test_encode_refuses_a_value_that_is_not_a_message():
+    with pytest.raises(TypeError):
+        encode_message(("s", 3, 3.0, 10.0, 0.0))
+
+
+ids = st.text(string.ascii_letters + string.digits + "_.:-", min_size=1, max_size=12).filter(
+    lambda text: text.strip(".")
+)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+messages = st.one_of(
+    st.builds(
+        lambda kind, value, consumer_id, request_id, x, y, capacity, charge, baseline: Request(
+            make_request(kind, value, consumer_id, request_id=request_id),
+            (x, y), capacity, charge, baseline,
+        ),
+        st.sampled_from(RequestKind), positive, ids, ids, finite, finite, positive, finite, non_negative,
+    ),
+    st.builds(Accept, ids),
+    st.builds(Reject, ids),
+    st.builds(StartTransfer, ids, ids, positive),
+    st.builds(MonitorSync, ids, st.integers(min_value=0, max_value=10**12), finite, finite, finite),
+    st.builds(Complete, ids, st.sampled_from(Reason)),
+    st.builds(Abort, ids, st.sampled_from(Reason)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(messages)
+def test_every_encoded_message_decodes_to_itself(msg):
+    line = encode_message(msg)
+    assert decode_message(line) == msg
+    assert encode_message(decode_message(line)) == line
 
 
 @pytest.mark.parametrize(
@@ -111,6 +179,25 @@ def test_wire_field_order_is_fixed():
         "ACCEPT",
         "ACCEPT request_id",
         "COMPLETE session_id=s reason=NotAReason",
+        # the fields are fixed: reordered, repeated, extra, missing or empty ones are refused
+        "COMPLETE reason=DurationElapsed session_id=s",
+        "START_TRANSFER request_id=r1 session_id=s interval_s=1.0",
+        "ACCEPT request_id=r1 request_id=r1",
+        "ACCEPT request_id=r1 extra=1",
+        "ACCEPT request_id=r1 request_id",
+        "START_TRANSFER session_id=s interval_s=1.0",
+        "MONITOR_SYNC session_id=s tick_index=1 wall_time_s=1.0 consumer_charge_mah=1.0",
+        "ACCEPT request_id=",
+        "MONITOR_SYNC session_id=s tick_index=1 wall_time_s= consumer_charge_mah=1.0"
+        " consumer_cumulative_in_mah=0.0",
+        "ACCEPT  request_id=r1",
+        "ACCEPT request_id=..",
+        "ACCEPT request_id=r,1",
+        *(
+            f"MONITOR_SYNC session_id=s tick_index={tick} wall_time_s=1.0"
+            " consumer_charge_mah=1.0 consumer_cumulative_in_mah=0.0"
+            for tick in ("+5", "-0", "5_0", "1.0", "", "\u0663")
+        ),
         "MONITOR_SYNC session_id=s tick_index=x wall_time_s=1.0"
         " consumer_charge_mah=1.0 consumer_cumulative_in_mah=0.0",
         "MONITOR_SYNC session_id=s tick_index=-1 wall_time_s=1.0"
@@ -154,6 +241,16 @@ def test_wire_field_order_is_fixed():
 def test_decode_rejects_malformed_lines(line):
     with pytest.raises(MessageDecodeError):
         decode_message(line)
+
+
+WIRE_DOC = Path(__file__).resolve().parents[1] / "docs" / "wire-format.md"
+
+
+def test_docs_protocol_table_lists_the_codecs_fields_in_order():
+    table = WIRE_DOC.read_text(encoding="utf-8").split("## Protocol messages", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([A-Z_]+)((?: \w+=<[^>]*>)*)` \|", table, flags=re.MULTILINE)
+    documented = [(msg_type, re.findall(r"(\w+)=<", fields)) for msg_type, fields in rows]
+    assert documented == [(msg_type, list(pattern.groupindex)) for msg_type, (pattern, _) in _DECODERS.items()]
 
 
 def test_round_trip_preserves_float_precision():

@@ -196,6 +196,12 @@ def test_pacing_does_not_change_virtual_results(tmp_path):
     assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("pace", [0.0, -1.0, float("nan"), float("inf")])
+def test_a_pace_not_finite_and_positive_is_refused_before_the_run(pace):
+    with pytest.raises(ValueError, match="pace must be finite and > 0"):
+        run_scenario(build_scenario(value=5.0), pace=pace)
+
+
 def test_upload_during_run_reaches_edge(tmp_path):
     store = EdgeStore(tmp_path / "edge-data")
     server = EdgeServer(store).start()
