@@ -32,7 +32,6 @@ from typing import Any, Callable, NamedTuple
 from .battery import DrainParams, Technology, TechnologyParams, level_pct_of
 from .errors import EnergyShareError
 from .monitor import (
-    MisalignedTraces,
     MonitorRecord,
     SessionMetrics,
     compute_metrics,
@@ -237,13 +236,14 @@ def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> Se
 
     A missing, unknown or unreadable key, or a value the dataset does not
     hold as given (a ``record_count`` other than the paired ticks), is a
-    ``ValueError``; records that do not pair up are :class:`ValidationFailed`.
+    ``ValueError``; records out of their written order (see
+    :func:`pairs_from_records`) are :class:`ValidationFailed`.
     """
     if meta.keys() != _META.keys():
         raise ValueError(f"meta keys missing or unknown: {sorted(meta.keys() ^ _META.keys())}")
     try:
-        pairs = tuple(pairs_from_records(records))
-    except MisalignedTraces as exc:
+        pairs = pairs_from_records(records)
+    except ValueError as exc:
         raise ValidationFailed(str(exc)) from None
     values: dict[str, Any] = {}
     args: dict[str, Any] = {}
@@ -397,20 +397,13 @@ def _dataset_block(header: str, meta: str, trace: str) -> tuple[str, ...]:
 
 
 def _read_dataset_block(stream) -> SessionDataset:
-    meta_lines: list[str] = []
-    for raw in stream:
-        line = raw.rstrip("\n")
-        if line == "":
-            break
-        meta_lines.append(line)
-    else:
-        raise ValueError("connection closed inside metadata block")
-    csv_lines: list[str] = []
-    for raw in stream:
-        line = raw.rstrip("\n")
-        if line == "END":
-            return decode_dataset("\n".join(meta_lines) + "\n", "\n".join(csv_lines) + "\n")
-        csv_lines.append(line)
+    """Read up to ``END``, then split the lines at the first blank one: meta, then trace."""
+    lines: list[str] = []
+    for line in stream:
+        if line.rstrip("\n") == "END":
+            blank = lines.index("\n") if "\n" in lines else len(lines)
+            return decode_dataset("".join(lines[:blank]), "".join(lines[blank + 1:]))
+        lines.append(line)
     raise ValueError("connection closed before END terminator")
 
 
@@ -474,15 +467,18 @@ class EdgeClient:
             with conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
                 stream.writelines(request)
                 stream.flush()
-                yield stream
+                try:
+                    yield stream
+                except (ValueError, KeyError) as exc:  # a reply that does not decode
+                    raise EnergyShareError(f"unreadable edge reply: {exc!r}") from exc
 
     def upload(self, dataset: SessionDataset) -> UploadReceipt:
         header = f"UPLOAD {dataset.session_id} {dataset.record_count}"
         with self._exchange(*_dataset_block(header, *encode_dataset(dataset))) as stream:
             reply = stream.readline().strip()
-        if reply.startswith("OK "):
-            _, session_id, count = reply.split(" ")
-            return UploadReceipt(session_id, int(count))
+            if reply.startswith("OK "):
+                _, session_id, count = reply.split(" ")
+                return UploadReceipt(session_id, int(count))
         raise LineServer.error_from_reply(reply, _EDGE_ERRORS, EnergyShareError)
 
     def list(self) -> list[SessionSummary]:

@@ -2,10 +2,11 @@
 
 Every charging tick emits one record per role under an identical tick
 index and timestamp; the timestamp is session start plus tick * interval,
-so both sides of a session log against the same grid. Traces are aligned
-by tick index after collection, and session metrics (provider loss,
-consumer gain, energy loss) come straight from the first/last aligned
-records.
+so both sides of a session log against the same grid. A trace is written
+and read in one order, per tick the provider row then the consumer row,
+ticks rising, so a reader pairs rows by position; session metrics
+(provider loss, consumer gain, energy loss) come straight from the
+first/last pairs.
 
 Trace CSV is bit-exact: fixed header, ``\\n`` line endings, floats printed
 with full round-trip precision.
@@ -19,7 +20,6 @@ and are not re-checked.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -43,14 +43,6 @@ _RECORDABLE_PHASES = frozenset(
 
 class SessionNotActive(EnergyShareError):
     """Recording requested outside the charging lifetime of a session."""
-
-
-class MisalignedTraces(EnergyShareError):
-    """Provider/consumer traces disagree on which tick indices exist, or repeat one."""
-
-    def __init__(self, tick_indices: list[int], what: str = "unpaired"):
-        self.tick_indices = tick_indices
-        super().__init__(f"{what} tick indices: {tick_indices}")
 
 
 class EmptyTrace(EnergyShareError):
@@ -110,27 +102,8 @@ def record_tick(
     )
 
 
-def align_traces(
-    provider_records: Sequence[MonitorRecord],
-    consumer_records: Sequence[MonitorRecord],
-) -> list[tuple[MonitorRecord, MonitorRecord]]:
-    """Pair records with equal tick_index; report any unpaired or repeated tick."""
-    by_tick_provider = {r.tick_index: r for r in provider_records}
-    by_tick_consumer = {r.tick_index: r for r in consumer_records}
-    missing = sorted(set(by_tick_provider) ^ set(by_tick_consumer))
-    if missing:
-        raise MisalignedTraces(missing)
-    if len(provider_records) + len(consumer_records) > 2 * len(by_tick_provider):
-        counts = Counter(r.tick_index for r in (*provider_records, *consumer_records))
-        raise MisalignedTraces(sorted(t for t, n in counts.items() if n > 2), "repeated")
-    return [
-        (by_tick_provider[tick], by_tick_consumer[tick])
-        for tick in sorted(by_tick_provider)
-    ]
-
-
 def compute_metrics(pairs: Sequence[tuple[MonitorRecord, MonitorRecord]]) -> SessionMetrics:
-    """Metrics over an aligned series: endpoint deltas of both batteries."""
+    """Metrics over a paired series: endpoint deltas of both batteries."""
     if not pairs:
         raise EmptyTrace("metrics need at least one record pair")
     first_provider, first_consumer = pairs[0]
@@ -202,8 +175,19 @@ def records_from_csv_text(text: str) -> list[MonitorRecord]:
 
 def pairs_from_records(
     records: Sequence[MonitorRecord],
-) -> list[tuple[MonitorRecord, MonitorRecord]]:
-    """Rebuild the aligned pair series from a flat record list."""
-    providers = [r for r in records if r.role == ROLE_PROVIDER]
-    consumers = [r for r in records if r.role == ROLE_CONSUMER]
-    return align_traces(providers, consumers)
+) -> tuple[tuple[MonitorRecord, MonitorRecord], ...]:
+    """Pair rows 2k and 2k+1 as :func:`trace_csv_text` writes them.
+
+    A pair is a provider row then a consumer row of one tick, each tick above
+    the last; any other row order is a ``ValueError`` that names the tick.
+    """
+    pairs = tuple(zip(records[::2], records[1::2]))
+    last = -1
+    for p, c in pairs:
+        tick = p.tick_index
+        if not last < tick == c.tick_index or (p.role, c.role) != (ROLE_PROVIDER, ROLE_CONSUMER):
+            raise ValueError(f"tick {tick}: not a provider then a consumer row after a lower tick")
+        last = tick
+    if len(records) % 2:
+        raise ValueError(f"tick {records[-1].tick_index}: a row without its pair")
+    return pairs

@@ -212,7 +212,9 @@ def _line(**fields: str) -> re.Pattern:
     return re.compile(" ".join(f"{name}=(?P<{name}>{value})" for name, value in fields.items()))
 
 
-_NUMBER = "[^ ]+"  # read by float() and range-checked by the builder
+# repr(float)'s grammar, read by float() and range-checked by the builder; the
+# form without an exponent, the one the wire carries, is tried first
+_NUMBER = r"-?[0-9]+\.[0-9]+|-?[0-9]+(?:\.[0-9]+)?e[+-][0-9]+"
 _KINDS = "|".join(kind.value for kind in RequestKind)
 _REASONS = "|".join(reason.value for reason in Reason)
 

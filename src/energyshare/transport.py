@@ -490,7 +490,7 @@ class TcpTransport:
         address = f"{self._host}:{server.getsockname()[1]}"
         try:
             self._registry.command(f"REGISTER device_id={device_id} addr={address}")
-        except EnergyShareError:
+        except BaseException:
             server.close()
             raise
         server.setblocking(False)

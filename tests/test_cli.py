@@ -4,8 +4,10 @@ import os
 import re
 import select
 import signal
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -132,3 +134,31 @@ def test_edge_get_unknown_session(tmp_path, capsys):
         assert code == EXIT_RUN_FAILURE
     finally:
         server.stop()
+
+
+# replies an edge client cannot read: one that ends early, one that does not decode
+UNREADABLE_REPLIES = {
+    "get_closed_inside_meta": (["get", "s1"], "DATASET s1 1\nsession_id = s1\n"),
+    "get_without_a_trace": (["get", "s1"], "DATASET s1 1\nfoo = bar\n\nEND\n"),
+    "list_with_a_short_summary": (["list"], "SUMMARY session_id=s1\n"),
+}
+
+
+@pytest.mark.parametrize("command, reply", UNREADABLE_REPLIES.values(), ids=UNREADABLE_REPLIES)
+def test_edge_queries_report_an_unreadable_reply_in_one_line(command, reply, capsys):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("r", encoding="utf-8", newline="\n") as request:
+                request.readline()
+                conn.sendall(reply.encode("utf-8"))
+
+        server = threading.Thread(target=answer_once, daemon=True)
+        server.start()
+        address = f"127.0.0.1:{listener.getsockname()[1]}"
+        code = main(["edge", command[0], "--addr", address, *command[1:]])
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+    assert code == EXIT_RUN_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

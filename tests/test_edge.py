@@ -604,13 +604,24 @@ def test_upload_with_a_wrong_fact_is_refused_and_not_listed(served_store, code, 
     assert client.list() == []
 
 
-def test_upload_with_unpaired_tick_gets_validation_failed(served_store):
+# rows pair by position, so a missing row and complete pairs in an order
+# trace_csv_text never writes are refused alike; row 2t is tick t's provider row
+REORDERED = {
+    "consumer_row_of_tick_2_missing": (lambda rows: rows[:5] + rows[6:], 2),
+    "all_provider_rows_first": (lambda rows: rows[::2] + rows[1::2], 0),
+    "ticks_descending": (lambda rows: [row for t in range(4, -1, -1) for row in rows[2 * t:2 * t + 2]], 3),
+    "consumer_row_first": (lambda rows: [rows[i ^ 1] for i in range(len(rows))], 0),
+}
+
+
+@pytest.mark.parametrize("reorder, tick", REORDERED.values(), ids=REORDERED)
+def test_upload_with_rows_out_of_written_order_gets_validation_failed(served_store, reorder, tick):
     _, server, client = served_store
-    trace = trace_csv_text(build_dataset().records).split("\n")
-    del trace[6]  # the consumer row of tick 2
-    upload = f"UPLOAD ses-r1 5\n{encode_meta(build_dataset())}\n" + "\n".join(trace) + "END\n"
-    reply = raw_exchange(server.address, upload)
-    assert reply.startswith("ERR ValidationFailed unpaired tick indices: [2]")
+    dataset = build_dataset()
+    header, *rows = trace_csv_text(dataset.records).splitlines()
+    trace = "\n".join([header, *reorder(rows)])
+    reply = raw_exchange(server.address, f"UPLOAD ses-r1 5\n{encode_meta(dataset)}\n{trace}\nEND\n")
+    assert reply.startswith(f"ERR ValidationFailed tick {tick}: ")
     assert client.list() == []
 
 

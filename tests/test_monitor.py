@@ -1,21 +1,19 @@
-"""Synchronized recording, trace alignment, metrics and the trace CSV."""
+"""Synchronized recording, pairing trace rows, metrics and the trace CSV."""
 
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energyshare.battery import BatteryState
 from energyshare.monitor import (
     EmptyTrace,
-    MisalignedTraces,
     MonitorRecord,
     ROLE_CONSUMER,
     ROLE_PROVIDER,
     SessionNotActive,
     TRACE_HEADER,
-    align_traces,
     compute_metrics,
     format_record,
     pairs_from_records,
@@ -82,32 +80,41 @@ def test_record_tick_outside_charging_raises():
         )
 
 
-def test_align_dense_traces():
-    providers = [mk_record(t, ROLE_PROVIDER) for t in range(5)]
-    consumers = [mk_record(t, ROLE_CONSUMER) for t in range(5)]
-    pairs = align_traces(providers, consumers)
-    assert len(pairs) == 5
-    assert all(p.tick_index == c.tick_index for p, c in pairs)
+def canonical_records(n=5):
+    """Rows as trace_csv_text writes them: per tick the provider row, then the consumer row."""
+    return [mk_record(t, role) for t in range(n) for role in (ROLE_PROVIDER, ROLE_CONSUMER)]
 
 
-def test_align_reports_missing_tick():
-    providers = [mk_record(t, ROLE_PROVIDER) for t in range(10)]
-    consumers = [mk_record(t, ROLE_CONSUMER) for t in range(10) if t != 7]
-    with pytest.raises(MisalignedTraces) as err:
-        align_traces(providers, consumers)
-    assert err.value.tick_indices == [7]
+def test_pairs_are_the_rows_in_written_order():
+    records = canonical_records()
+    pairs = pairs_from_records(records)
+    assert pairs == tuple(zip(records[::2], records[1::2]))
+    assert [(p.tick_index, p.role, c.tick_index, c.role) for p, c in pairs] == [
+        (t, ROLE_PROVIDER, t, ROLE_CONSUMER) for t in range(5)
+    ]
 
 
-def test_align_refuses_a_repeated_tick():
-    providers = [mk_record(t, ROLE_PROVIDER) for t in (0, 1, 2, 2, 3)]
-    consumers = [mk_record(t, ROLE_CONSUMER) for t in range(4)]
-    with pytest.raises(MisalignedTraces, match="repeated") as err:
-        align_traces(providers, consumers)
-    assert err.value.tick_indices == [2]
+# row 2t is the provider row of tick t, row 2t + 1 its consumer row
+MISORDERED = {
+    "missing_consumer_row": (lambda rows: rows[:5] + rows[6:], 2),
+    "missing_provider_row": (lambda rows: rows[:4] + rows[5:], 2),
+    "missing_last_row": (lambda rows: rows[:-1], 4),
+    "repeated_row": (lambda rows: rows[:5] + rows[4:], 2),
+    "repeated_tick": (lambda rows: rows[:6] + rows[4:], 2),
+    "rows_of_a_tick_swapped": (lambda rows: rows[:4] + [rows[5], rows[4]] + rows[6:], 2),
+    "ticks_not_rising": (lambda rows: rows[:4] + rows[6:8] + rows[4:6] + rows[8:], 2),
+    "all_provider_rows_first": (lambda rows: rows[::2] + rows[1::2], 0),
+}
 
 
-def test_align_empty_traces_is_empty():
-    assert align_traces([], []) == []
+@pytest.mark.parametrize("edit, tick", MISORDERED.values(), ids=MISORDERED)
+def test_pairing_refuses_rows_out_of_written_order_naming_the_tick(edit, tick):
+    with pytest.raises(ValueError, match=rf"^tick {tick}: "):
+        pairs_from_records(edit(canonical_records()))
+
+
+def test_no_rows_pair_to_no_pairs():
+    assert pairs_from_records([]) == ()
 
 
 def test_metrics_identity_when_nothing_changes():
@@ -140,7 +147,7 @@ def test_trace_csv_round_trip_is_bit_exact():
     assert text.startswith(TRACE_HEADER + "\n")
     assert text.endswith("\n")
     records = records_from_csv_text(text)
-    assert pairs_from_records(records) == pairs
+    assert pairs_from_records(records) == tuple(pairs)
     assert trace_csv_text(pairs_from_records(records)) == text
 
 
@@ -194,12 +201,19 @@ def record_pairs(draw):
     ]
 
 
-@given(record_pairs())
-def test_trace_csv_codec_round_trips(pairs):
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(record_pairs(), st.data())
+def test_trace_csv_codec_round_trips(pairs, data):
+    """A canonical trace round-trips; swapping any two of its rows is refused."""
     text = trace_csv_text(pairs)
-    decoded = pairs_from_records(records_from_csv_text(text))
-    assert decoded == pairs
+    records = records_from_csv_text(text)
+    decoded = pairs_from_records(records)
+    assert decoded == tuple(pairs)
     assert trace_csv_text(decoded) == text
+    i, j = data.draw(st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=2, unique=True))
+    records[i], records[j] = records[j], records[i]
+    with pytest.raises(ValueError, match=r"^tick [0-9]+: "):
+        pairs_from_records(records)
 
 
 @given(record_pairs(), st.data())

@@ -236,6 +236,14 @@ def test_every_encoded_message_decodes_to_itself(msg):
             f"START_TRANSFER session_id=s request_id=r1 interval_s={interval}"
             for interval in ("nan", "inf", "-inf", "0.0", "-1.0")
         ),
+        # float() reads these, but repr(float) never writes them
+        "MONITOR_SYNC session_id=s tick_index=1 wall_time_s=1_0"
+        " consumer_charge_mah=1.0 consumer_cumulative_in_mah=0.0",
+        "MONITOR_SYNC session_id=s tick_index=1 wall_time_s=1.0"
+        " consumer_charge_mah=+1.5 consumer_cumulative_in_mah=0.0",
+        "MONITOR_SYNC session_id=s tick_index=1 wall_time_s=1.0"
+        " consumer_charge_mah=1.0 consumer_cumulative_in_mah=\u0663",
+        "START_TRANSFER session_id=s request_id=r1 interval_s=1e0",
     ],
 )
 def test_decode_rejects_malformed_lines(line):

@@ -488,6 +488,16 @@ def test_load_run_rejects_malformed_run_txt(tmp_path, name, edit):
         load_run(run_dir)
 
 
+def test_load_run_rejects_a_consumer_row_before_its_provider_row(tmp_path):
+    run_dir = run_and_write(tmp_path, "swapped", value=5.0)
+    trace = run_dir / TRACE_FILENAME
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    lines[5], lines[6] = lines[6], lines[5]  # the two rows of tick 2
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IncompatibleRuns, match="tick 2: "):
+        load_run(run_dir)
+
+
 def test_load_run_rejects_negative_tick_in_trace(tmp_path):
     run_dir = run_and_write(tmp_path, "broken", value=5.0)
     trace = run_dir / TRACE_FILENAME

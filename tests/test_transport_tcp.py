@@ -1,6 +1,8 @@
 """TCP loopback transport: same delivery contract over real sockets."""
 
+import gc
 import socket
+import struct
 import threading
 import time
 
@@ -21,6 +23,7 @@ from energyshare.transport import (
     PeerUnreachable,
     RegistryServer,
     TcpTransport,
+    _RegistryClient,
     parse_addr,
 )
 
@@ -117,6 +120,72 @@ def test_duplicate_registration_same_id(registry):
         tb.register("dev")
     ta.close()
     tb.close()
+
+
+def test_register_closes_its_listener_when_the_registry_is_unreachable():
+    registry = RegistryServer().start()
+    registry.stop()
+    transport = TcpTransport(registry.address)
+    with pytest.raises(OSError):
+        transport.register("a")
+    transport.close()
+    gc.collect()  # a listener left open warns here, an error under the suite's filters
+
+
+@pytest.fixture
+def stand_in_registry():
+    """``serve(*handlers)`` starts a registry stand-in; its n-th connection gets the n-th handler."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    threads = []
+
+    def serve(*handlers):
+        def accept_each():
+            for handle in handlers:
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
+                    handle(conn, stream)
+
+        threads.append(threading.Thread(target=accept_each, daemon=True))
+        threads[-1].start()
+        return f"127.0.0.1:{listener.getsockname()[1]}"
+
+    yield serve
+    for thread in threads:
+        thread.join(timeout=10.0)
+    listener.close()
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def close_after_a_command(conn, stream):
+    stream.readline()
+
+
+def reset_after_a_command(conn, stream):
+    stream.readline()
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+
+def answer_ok(conn, stream):
+    for _ in stream:
+        stream.write("OK\n")
+        stream.flush()
+
+
+def test_registry_client_reconnects_after_a_registry_that_closed_mid_reply(stand_in_registry):
+    client = _RegistryClient(stand_in_registry(close_after_a_command, answer_ok))
+    with pytest.raises(PeerUnreachable, match="closed mid-response"):
+        client.command("REGISTER device_id=a addr=h:1")
+    client.command("REGISTER device_id=a addr=h:1")
+    client.close()
+
+
+def test_registry_client_drops_a_reset_connection(stand_in_registry):
+    client = _RegistryClient(stand_in_registry(reset_after_a_command, answer_ok))
+    with pytest.raises(ConnectionResetError):
+        client.command("REGISTER device_id=a addr=h:1")
+    assert client._conn is None
+    client.command("REGISTER device_id=a addr=h:1")
+    client.close()
 
 
 def test_registry_replies_are_pinned(registry):
