@@ -3,8 +3,11 @@
 One directory per session under the data dir (``meta.txt`` key-value
 sidecar plus the trace CSV), ordered by an append-only ``index.log`` that
 is read once at open; LIST is served from memory.
-Uploads are validated against the monitor invariants before anything is
-persisted, written atomically (temp dir + rename) and acknowledged only
+A dataset's row rules live in one gate, :func:`validate_dataset`, and
+every path from a dataset text to a dataset runs it once: an UPLOAD in
+:meth:`EdgeStore.upload`, before anything is persisted; an
+:meth:`EdgeClient.get` and ``report.load_run`` in :func:`decode_dataset`.
+Uploads are written atomically (temp dir + rename) and acknowledged only
 after an fsync, so an acknowledged dataset survives a crash. Re-uploading
 identical content is idempotent; a different dataset under the same
 session id is a conflict, detected by a digest of the canonical encoding.
@@ -32,6 +35,8 @@ from typing import Any, Callable, NamedTuple
 from .battery import DrainParams, Technology, TechnologyParams, level_pct_of
 from .errors import EnergyShareError
 from .monitor import (
+    ROLE_CONSUMER,
+    ROLE_PROVIDER,
     MonitorRecord,
     SessionMetrics,
     compute_metrics,
@@ -111,38 +116,30 @@ class SessionSummary(NamedTuple):
     energy_loss_mah: float
 
 
-def check_metrics(dataset: SessionDataset) -> None:
-    """The dataset has records, and its stored metrics are the ones they give."""
-    if not dataset.records:
-        raise ValidationFailed("dataset has no records")
-    recomputed = compute_metrics(dataset.records)
-    for name in (f.name for f in dataclass_fields(SessionMetrics)):
-        stored = getattr(dataset.metrics, name)
-        fresh = getattr(recomputed, name)
-        if not rel_close(stored, fresh, METRIC_TOLERANCE):
-            raise ValidationFailed(
-                f"metrics not recomputable from records: {name} stored={stored!r} "
-                f"recomputed={fresh!r}"
-            )
-
-
 def validate_dataset(dataset: SessionDataset) -> None:
-    """Gate kept in front of persistence: the metrics, then each record pair."""
-    check_metrics(dataset)
+    """The one gate on a dataset's rows: each record pair, then the metrics.
+
+    Every path from a dataset text to a dataset runs it once (:func:`decode_dataset`,
+    and :meth:`EdgeStore.upload` for an UPLOAD), so a rule is added or changed here alone.
+    """
     pairs = dataset.records
-    ids = (dataset.session_id, dataset.session_id, dataset.provider_id, dataset.request.consumer_id)
+    if not pairs:
+        raise ValidationFailed("dataset has no records")
+    session_id, provider_id = dataset.session_id, dataset.provider_id
+    consumer_id = dataset.request.consumer_id
     provider_cap, consumer_cap = dataset.provider_capacity_mah, dataset.consumer_capacity_mah
     start, interval_s = pairs[0][0].wall_time_s, dataset.interval_s
     for tick, (p, c) in enumerate(pairs):
         wall = start + tick * interval_s
-        if (p.tick_index, c.tick_index, p.wall_time_s, c.wall_time_s) != (tick, tick, wall, wall):
+        # tick_index, wall_time_s, session_id, device_id, role: the row's place in the dataset
+        if (p[:5] != (tick, wall, session_id, provider_id, ROLE_PROVIDER)
+                or c[:5] != (tick, wall, session_id, consumer_id, ROLE_CONSUMER)):
             raise ValidationFailed(
-                f"tick {tick}: indices not dense from 0, or a timestamp not start + tick * interval"
+                f"tick {tick}: a row's tick_index, time, session_id, device_id or role is not "
+                f"the one its position in the dataset gives"
             )
-        if (p.session_id, c.session_id, p.device_id, c.device_id) != ids:
-            raise ValidationFailed(f"tick {tick}: session_id or device_id differs from the dataset")
         if not (
-            math.isfinite(p.wall_time_s)
+            math.isfinite(wall)
             and 0.0 <= p.battery_charge_mah <= provider_cap
             and 0.0 <= c.battery_charge_mah <= consumer_cap
             and p.battery_level_pct == level_pct_of(p.battery_charge_mah, provider_cap)
@@ -152,6 +149,15 @@ def validate_dataset(dataset: SessionDataset) -> None:
         ):
             raise ValidationFailed(
                 f"tick {tick}: a time, charge or cumulative out of range, or a level off its charge"
+            )
+    recomputed = compute_metrics(pairs)
+    for name in (f.name for f in dataclass_fields(SessionMetrics)):
+        stored = getattr(dataset.metrics, name)
+        fresh = getattr(recomputed, name)
+        if not rel_close(stored, fresh, METRIC_TOLERANCE):
+            raise ValidationFailed(
+                f"metrics not recomputable from records: {name} stored={stored!r} "
+                f"recomputed={fresh!r}"
             )
 
 
@@ -169,6 +175,7 @@ class _Meta(NamedTuple):
     place: str = ""  # the value's attribute path in a SessionDataset, if not the key
 
 
+_COUNT_KEY = "record_count"  # the one derived key: dataset_from_parts checks it
 # every key of meta.txt, in its canonical order; a range a constructor
 # checks (TechnologyParams, DrainParams, EnergyRequest) is left to it
 _META = {
@@ -194,14 +201,12 @@ _META = {
     "energy_loss_mah": _Meta(parse_finite, "metrics.energy_loss_mah"),
     "duration_s": _Meta(parse_finite, "metrics.duration_s"),
     # a property of the dataset, derived from its records: checked, not stored
-    "record_count": _Meta(int),
+    _COUNT_KEY: _Meta(int),
 }
 _GETTERS = {key: attrgetter(row.place or key) for key, row in _META.items()}
 # what builds the part of a dataset that a place's first step names
 _PARTS = {"request": make_request, "tech_params": TechnologyParams, "metrics": SessionMetrics,
           "provider_drain": DrainParams, "consumer_drain": DrainParams}
-# the dataset's constructor fields; a place outside them (record_count) is derived
-_STORED = {f.name for f in dataclass_fields(SessionDataset)}
 
 
 def _text(value: Any) -> str:
@@ -227,17 +232,21 @@ def encode_dataset(dataset: SessionDataset) -> tuple[str, str]:
 
 
 def decode_dataset(meta: str, trace: str) -> SessionDataset:
-    """The dataset a ``meta.txt`` and a ``trace.csv`` text hold; see :func:`dataset_from_parts`."""
-    return dataset_from_parts(parse_meta(meta), records_from_csv_text(trace))
+    """The dataset a ``meta.txt`` and a ``trace.csv`` text hold, through :func:`validate_dataset`.
+
+    See :func:`dataset_from_parts` for what is refused before the gate.
+    """
+    dataset = dataset_from_parts(parse_meta(meta), records_from_csv_text(trace))
+    validate_dataset(dataset)
+    return dataset
 
 
 def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> SessionDataset:
-    """Rebuild a dataset from its sidecar fields and flat record list.
+    """Rebuild a dataset from its sidecar fields and flat record list, without the gate.
 
-    A missing, unknown or unreadable key, or a value the dataset does not
-    hold as given (a ``record_count`` other than the paired ticks), is a
-    ``ValueError``; records out of their written order (see
-    :func:`pairs_from_records`) are :class:`ValidationFailed`.
+    A missing, unknown or unreadable key, or a ``record_count`` other than
+    the paired ticks, is a ``ValueError``; a row without its pair is
+    :class:`ValidationFailed`. The rows' facts are left to :func:`validate_dataset`.
     """
     if meta.keys() != _META.keys():
         raise ValueError(f"meta keys missing or unknown: {sorted(meta.keys() ^ _META.keys())}")
@@ -245,11 +254,10 @@ def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> Se
         pairs = pairs_from_records(records)
     except ValueError as exc:
         raise ValidationFailed(str(exc)) from None
-    values: dict[str, Any] = {}
     args: dict[str, Any] = {}
     for key, row in _META.items():
         try:
-            values[key] = value = row.parse(meta[key])
+            value = row.parse(meta[key])
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
         head, _, attr = (row.place or key).partition(".")
@@ -257,15 +265,13 @@ def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> Se
             args.setdefault(head, {})[attr] = value
         else:
             args[head] = value
-    dataset = SessionDataset(
+    count = args.pop(_COUNT_KEY)
+    if count != len(pairs):
+        raise ValueError(f"{_COUNT_KEY} is {count!r}, the trace holds {len(pairs)} pairs")
+    return SessionDataset(
         records=pairs,
-        **{name: _PARTS[name](**arg) if name in _PARTS else arg
-           for name, arg in args.items() if name in _STORED},
+        **{name: _PARTS[name](**arg) if name in _PARTS else arg for name, arg in args.items()},
     )
-    for key, get in _GETTERS.items():
-        if get(dataset) != values[key]:
-            raise ValueError(f"{key} is {values[key]!r}, the dataset holds {get(dataset)!r}")
-    return dataset
 
 
 def _digest(meta: bytes, trace: bytes) -> str:
@@ -396,13 +402,13 @@ def _dataset_block(header: str, meta: str, trace: str) -> tuple[str, ...]:
     return header + "\n", meta, "\n", trace, "END\n"
 
 
-def _read_dataset_block(stream) -> SessionDataset:
-    """Read up to ``END``, then split the lines at the first blank one: meta, then trace."""
+def _read_dataset_block(stream) -> tuple[str, str]:
+    """Read up to ``END``, then split the lines at the first blank one: the meta and trace texts."""
     lines: list[str] = []
     for line in stream:
         if line.rstrip("\n") == "END":
             blank = lines.index("\n") if "\n" in lines else len(lines)
-            return decode_dataset("".join(lines[:blank]), "".join(lines[blank + 1:]))
+            return "".join(lines[:blank]), "".join(lines[blank + 1:])
         lines.append(line)
     raise ValueError("connection closed before END terminator")
 
@@ -429,7 +435,9 @@ class EdgeServer(LineServer):
     def _handle(self, line: str, reader, writer) -> str | None:
         command, _, rest = line.partition(" ")
         if command == "UPLOAD":
-            dataset = _read_dataset_block(reader)
+            meta, trace = _read_dataset_block(reader)
+            # built without the gate: the store's upload runs it
+            dataset = dataset_from_parts(parse_meta(meta), records_from_csv_text(trace))
             if rest != f"{dataset.session_id} {dataset.record_count}":
                 raise ValueError("header session_id and record_count do not match the dataset")
             with _storage_errors():
@@ -498,4 +506,4 @@ class EdgeClient:
             header = stream.readline().strip()
             if not header.startswith("DATASET "):
                 raise LineServer.error_from_reply(header, _EDGE_ERRORS, EnergyShareError)
-            return _read_dataset_block(stream)
+            return decode_dataset(*_read_dataset_block(stream))

@@ -11,11 +11,13 @@ first/last pairs.
 Trace CSV is bit-exact: fixed header, ``\\n`` line endings, floats printed
 with full round-trip precision.
 
-Records are checked only where they come in from outside the process: by
-:func:`records_from_csv_text` (run artifacts, edge dataset blocks) and by
-the wire decoder (``MONITOR_SYNC``). Records built in-process, by
-:func:`record_tick` and the consumer agent, come from ids already checked
-and are not re-checked.
+Reading a trace text back is a codec only: the reader checks the header,
+8 fields a row and their numbers, and pairing checks the row count.
+Whether the rows are right (ticks, timestamps, ids, roles, ranges,
+levels) is decided in one place, ``edge.validate_dataset``, which every
+path from a trace text to a dataset runs (run artifacts, edge dataset
+blocks). Records built in-process, by :func:`record_tick` and the
+consumer agent, come from ids already checked and are not re-checked.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .battery import BatteryState, level_pct_of
 from .errors import EnergyShareError
 from .protocol import SessionPhase, SessionState
-from .util import check_id
 
 ROLE_PROVIDER = "provider"
 ROLE_CONSUMER = "consumer"
@@ -140,54 +141,32 @@ def trace_csv_text(pairs: Iterable[tuple[MonitorRecord, MonitorRecord]]) -> str:
 
 
 def records_from_csv_text(text: str) -> list[MonitorRecord]:
-    """Parse trace CSV, checking each row as it comes in from outside.
+    """Parse trace CSV: the canonical header, then rows of 8 fields with their numbers.
 
-    Every row needs 8 fields and ``tick_index >= 0``; the ids and role are
-    checked once per distinct (session_id, device_id, role) in the text.
+    A row is read as it is written; its facts are checked by ``edge.validate_dataset``.
     """
     lines = text.splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("trace CSV must start with the canonical header")
-    records = []
-    checked: set[tuple[str, str, str]] = set()
-    for row in lines[1:]:
-        if not row:
-            continue
-        parts = row.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"expected 8 CSV fields, got {len(parts)}: {row!r}")
-        tick, wall, session_id, device_id, role, level, charge, cumulative = parts
-        tick_index = int(tick)
-        if tick_index < 0:
-            raise ValueError(f"tick_index must be >= 0, got {tick_index!r}")
-        if (session_id, device_id, role) not in checked:
-            if role not in (ROLE_PROVIDER, ROLE_CONSUMER):
-                raise ValueError(f"role must be provider|consumer, got {role!r}")
-            check_id(session_id, "session_id")
-            check_id(device_id, "device_id")
-            checked.add((session_id, device_id, role))
-        records.append(MonitorRecord(
-            tick_index, float(wall), session_id, device_id, role,
-            float(level), float(charge), float(cumulative),
-        ))
+    records: list[MonitorRecord] = []
+    append, make = records.append, MonitorRecord._make
+    try:
+        for row in lines[1:]:
+            tick, wall, session_id, device_id, role, level, charge, cumulative = row.split(",")
+            append(make((int(tick), float(wall), session_id, device_id, role,
+                         float(level), float(charge), float(cumulative))))
+    except ValueError as exc:  # not 8 fields, or a number that does not read
+        raise ValueError(f"trace row {row!r}: {exc}") from None
     return records
 
 
 def pairs_from_records(
     records: Sequence[MonitorRecord],
 ) -> tuple[tuple[MonitorRecord, MonitorRecord], ...]:
-    """Pair rows 2k and 2k+1 as :func:`trace_csv_text` writes them.
+    """Pair rows 2k and 2k+1, as :func:`trace_csv_text` writes tick k's two rows.
 
-    A pair is a provider row then a consumer row of one tick, each tick above
-    the last; any other row order is a ``ValueError`` that names the tick.
+    An odd row count is a ``ValueError`` naming the pair position of the row left over.
     """
-    pairs = tuple(zip(records[::2], records[1::2]))
-    last = -1
-    for p, c in pairs:
-        tick = p.tick_index
-        if not last < tick == c.tick_index or (p.role, c.role) != (ROLE_PROVIDER, ROLE_CONSUMER):
-            raise ValueError(f"tick {tick}: not a provider then a consumer row after a lower tick")
-        last = tick
     if len(records) % 2:
-        raise ValueError(f"tick {records[-1].tick_index}: a row without its pair")
-    return pairs
+        raise ValueError(f"tick {len(records) // 2}: a row without its pair")
+    return tuple(zip(records[::2], records[1::2]))

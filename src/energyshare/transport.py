@@ -284,7 +284,8 @@ class LineServer:
     the requests a client sent ahead; they are answered in order. An
     exception of a type in :attr:`handled_errors` is answered with one
     ``ERR`` line (see :meth:`_error_reply`); an ``OSError`` ends the
-    connection.
+    connection, and so does a byte that is not UTF-8, after its
+    ``ERR Malformed`` reply.
     """
 
     thread_name: str
@@ -339,17 +340,23 @@ class LineServer:
             reader = conn.makefile("r", encoding="utf-8", newline="\n")
             writer = conn.makefile("w", encoding="utf-8", newline="\n")
             with conn, reader, writer:
-                for raw in reader:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        reply = self._handle(line, reader, writer)
-                    except self.handled_errors as exc:
-                        reply = self._error_reply(exc)
-                    if reply is not None:
-                        writer.write(reply + "\n")
-                    writer.flush()
+                try:
+                    for raw in reader:
+                        line = raw.strip()
+                        if not line:
+                            continue
+                        try:
+                            reply = self._handle(line, reader, writer)
+                        except UnicodeDecodeError:
+                            raise
+                        except self.handled_errors as exc:
+                            reply = self._error_reply(exc)
+                        if reply is not None:
+                            writer.write(reply + "\n")
+                        writer.flush()
+                except UnicodeDecodeError as exc:
+                    # the stream cannot be read on past a byte that is not UTF-8
+                    writer.write(self._error_reply(exc) + "\n")
         except OSError:
             return
 

@@ -9,6 +9,7 @@ import random
 import re
 import shutil
 import socket
+import string
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from energyshare.edge import (
     ValidationFailed,
     dataset_digest,
     dataset_from_parts,
+    decode_dataset,
     encode_meta,
     parse_meta,
     validate_dataset,
@@ -478,8 +480,20 @@ def test_upload_with_bad_trace_row_gets_err_reply(served_store):
     _, server, client = served_store
     upload = dataset_block("UPLOAD ses-r1 5", build_dataset())
     reply = raw_exchange(server.address, upload.replace(",c1,consumer,", ",c1,observer,", 1))
-    assert reply.startswith("ERR Malformed ")
+    assert reply.startswith("ERR ValidationFailed tick 0: ")
     assert client.list() == []
+
+
+@pytest.mark.parametrize("request_line", [b"LIST\xff\n", b"GET \xffx\n"], ids=["LIST", "GET"])
+def test_request_line_not_utf8_gets_err_and_closes_only_its_connection(served_store, request_line):
+    _, server, client = served_store
+    with socket.create_connection(parse_addr(server.address), timeout=10.0) as conn:
+        conn.sendall(request_line)
+        reply = conn.makefile("rb").read()  # to EOF: the server closes this connection
+    assert reply.startswith(b"ERR Malformed ")
+    assert reply.count(b"\n") == 1
+    assert client.upload(build_dataset()) == UploadReceipt("ses-r1", 5)
+    assert [s.session_id for s in client.list()] == ["ses-r1"]
 
 
 def test_upload_storage_failure_gets_err_reply(served_store, monkeypatch):
@@ -605,11 +619,12 @@ def test_upload_with_a_wrong_fact_is_refused_and_not_listed(served_store, code, 
 
 
 # rows pair by position, so a missing row and complete pairs in an order
-# trace_csv_text never writes are refused alike; row 2t is tick t's provider row
+# trace_csv_text never writes are refused alike; row 2t is tick t's provider row,
+# and a row left without its pair is named by its pair position
 REORDERED = {
-    "consumer_row_of_tick_2_missing": (lambda rows: rows[:5] + rows[6:], 2),
+    "consumer_row_of_tick_2_missing": (lambda rows: rows[:5] + rows[6:], 4),
     "all_provider_rows_first": (lambda rows: rows[::2] + rows[1::2], 0),
-    "ticks_descending": (lambda rows: [row for t in range(4, -1, -1) for row in rows[2 * t:2 * t + 2]], 3),
+    "ticks_descending": (lambda rows: [row for t in range(4, -1, -1) for row in rows[2 * t:2 * t + 2]], 0),
     "consumer_row_first": (lambda rows: [rows[i ^ 1] for i in range(len(rows))], 0),
 }
 
@@ -623,6 +638,96 @@ def test_upload_with_rows_out_of_written_order_gets_validation_failed(served_sto
     reply = raw_exchange(server.address, f"UPLOAD ses-r1 5\n{encode_meta(dataset)}\n{trace}\nEND\n")
     assert reply.startswith(f"ERR ValidationFailed tick {tick}: ")
     assert client.list() == []
+
+
+# --- the dataset gate: every row rule, whichever reader a trace text comes in by ------
+
+
+def trace_rows(dataset: SessionDataset) -> list[str]:
+    return trace_csv_text(dataset.records).splitlines()[1:]
+
+
+def decode_rows(dataset: SessionDataset, rows: list[str]) -> SessionDataset:
+    """``decode_dataset`` of ``dataset``'s meta block, its ``record_count`` set to the
+    pairs ``rows`` make, and a trace of ``rows``."""
+    meta = encode_meta(dataset).replace(
+        f"record_count = {dataset.record_count}\n", f"record_count = {len(rows) // 2}\n"
+    )
+    return decode_dataset(meta, "\n".join([TRACE_HEADER, *rows]) + "\n")
+
+
+def test_decoding_runs_the_gate_on_rows_as_written():
+    dataset = build_dataset()
+    assert decode_rows(dataset, trace_rows(dataset)) == dataset
+
+
+# row 2t is the provider row of tick t; a row without its pair is named by its pair position
+MISORDERED = {
+    "missing_consumer_row": (lambda rows: rows[:5] + rows[6:], 4),
+    "missing_provider_row": (lambda rows: rows[:4] + rows[5:], 4),
+    "missing_last_row": (lambda rows: rows[:-1], 4),
+    "repeated_row": (lambda rows: rows[:5] + rows[4:], 5),
+    "repeated_tick": (lambda rows: rows[:6] + rows[4:], 3),
+    "rows_of_a_tick_swapped": (lambda rows: rows[:4] + [rows[5], rows[4]] + rows[6:], 2),
+    "ticks_not_rising": (lambda rows: rows[:4] + rows[6:8] + rows[4:6] + rows[8:], 2),
+    "all_provider_rows_first": (lambda rows: rows[::2] + rows[1::2], 0),
+}
+
+
+@pytest.mark.parametrize("edit, tick", MISORDERED.values(), ids=MISORDERED)
+def test_gate_refuses_rows_out_of_written_order_naming_the_tick(edit, tick):
+    dataset = build_dataset()
+    with pytest.raises(ValidationFailed, match=rf"^tick {tick}: "):
+        decode_rows(dataset, edit(trace_rows(dataset)))
+
+
+# one field of one row set to a value no row of the dataset may hold
+BAD_FIELDS = {
+    "negative_tick_index": ("tick_index", "-1"),
+    "role_neither_provider_nor_consumer": ("role", "observer"),
+    "session_id_check_id_refuses": ("session_id", ".."),
+    "device_id_check_id_refuses": ("device_id", "a;b"),
+}
+
+
+@pytest.mark.parametrize("row", [0, 5, 9], ids=["first_row", "middle_row", "last_row"])
+@pytest.mark.parametrize("column, value", BAD_FIELDS.values(), ids=BAD_FIELDS)
+def test_gate_refuses_a_bad_field_naming_the_tick(column, value, row):
+    dataset = build_dataset()
+    trace = edit_row(trace_csv_text(dataset.records), row, **{column: value})
+    with pytest.raises(ValidationFailed, match=rf"^tick {row // 2}: "):
+        decode_dataset(encode_meta(dataset), trace)
+
+
+valid_datasets = st.builds(build_dataset, ticks=st.integers(1, 12), rng=st.randoms(use_true_random=False))
+ID_CHARS = string.ascii_letters + string.digits + "_.:-"
+role_texts = st.text(ID_CHARS, min_size=1, max_size=12).filter(
+    lambda s: s not in (ROLE_PROVIDER, ROLE_CONSUMER)
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(valid_datasets, st.data())
+def test_gate_refuses_any_two_rows_swapped_naming_the_first(dataset, data):
+    rows = trace_rows(dataset)
+    pick = st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True)
+    i, j = sorted(data.draw(pick))
+    rows[i], rows[j] = rows[j], rows[i]
+    with pytest.raises(ValidationFailed, match=rf"^tick {i // 2}: "):
+        decode_rows(dataset, rows)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(valid_datasets, st.data())
+def test_gate_refuses_one_bad_role_or_tick_naming_the_tick(dataset, data):
+    at = data.draw(st.integers(0, 2 * dataset.record_count - 1))
+    if data.draw(st.booleans()):
+        edit = {"role": data.draw(role_texts)}
+    else:
+        edit = {"tick_index": str(data.draw(st.integers(max_value=-1)))}
+    trace = edit_row(trace_csv_text(dataset.records), at, **edit)
+    with pytest.raises(ValidationFailed, match=rf"^tick {at // 2}: "):
+        decode_dataset(encode_meta(dataset), trace)
 
 
 def test_upload_header_without_record_count_gets_err_reply(served_store):

@@ -1,5 +1,10 @@
-"""Synchronized recording, pairing trace rows, metrics and the trace CSV."""
+"""Synchronized recording, pairing trace rows, metrics and the trace CSV codec.
 
+Whether a trace's rows are right is the dataset gate's to decide; its
+refusals are tested in test_edge.py.
+"""
+
+import re
 import string
 
 import pytest
@@ -94,23 +99,9 @@ def test_pairs_are_the_rows_in_written_order():
     ]
 
 
-# row 2t is the provider row of tick t, row 2t + 1 its consumer row
-MISORDERED = {
-    "missing_consumer_row": (lambda rows: rows[:5] + rows[6:], 2),
-    "missing_provider_row": (lambda rows: rows[:4] + rows[5:], 2),
-    "missing_last_row": (lambda rows: rows[:-1], 4),
-    "repeated_row": (lambda rows: rows[:5] + rows[4:], 2),
-    "repeated_tick": (lambda rows: rows[:6] + rows[4:], 2),
-    "rows_of_a_tick_swapped": (lambda rows: rows[:4] + [rows[5], rows[4]] + rows[6:], 2),
-    "ticks_not_rising": (lambda rows: rows[:4] + rows[6:8] + rows[4:6] + rows[8:], 2),
-    "all_provider_rows_first": (lambda rows: rows[::2] + rows[1::2], 0),
-}
-
-
-@pytest.mark.parametrize("edit, tick", MISORDERED.values(), ids=MISORDERED)
-def test_pairing_refuses_rows_out_of_written_order_naming_the_tick(edit, tick):
-    with pytest.raises(ValueError, match=rf"^tick {tick}: "):
-        pairs_from_records(edit(canonical_records()))
+def test_pairing_refuses_an_odd_row_count_naming_the_row_left_over():
+    with pytest.raises(ValueError, match=r"^tick 4: "):
+        pairs_from_records(canonical_records()[:-1])
 
 
 def test_no_rows_pair_to_no_pairs():
@@ -166,20 +157,21 @@ def test_trace_csv_rejects_foreign_header():
 
 
 GOOD_ROW = "0,0.0,ses-r1,p1,provider,50.0,10.0,0.0"
-BAD_ROWS = [
-    "-1,0.0,ses-r1,p1,provider,50.0,10.0,0.0",  # negative tick_index
-    "0,0.0,ses-r1,p1,observer,50.0,10.0,0.0",  # role neither provider nor consumer
-    "0,0.0,..,p1,provider,50.0,10.0,0.0",  # session_id check_id refuses
-    "0,0.0,ses-r1,a;b,provider,50.0,10.0,0.0",  # device_id check_id refuses
+UNREADABLE_ROWS = [
     "0,0.0,ses-r1,p1,provider,50.0,10.0",  # 7 fields
+    "0,0.0,ses-r1,p1,provider,50.0,10.0,0.0,0.0",  # 9 fields
+    "",  # a blank row
+    "x,0.0,ses-r1,p1,provider,50.0,10.0,0.0",  # tick_index not an integer
+    "0.5,0.0,ses-r1,p1,provider,50.0,10.0,0.0",
+    "0,0.0,ses-r1,p1,provider,half,10.0,0.0",  # battery_level_pct not a number
 ]
 
 
-def test_csv_reader_rejects_bad_rows():
+def test_csv_reader_refuses_a_row_it_cannot_read_naming_it():
     assert len(records_from_csv_text(f"{TRACE_HEADER}\n{GOOD_ROW}\n")) == 1
-    for bad in BAD_ROWS:
+    for bad in UNREADABLE_ROWS:
         for rows in ([bad], [GOOD_ROW, bad], [bad, GOOD_ROW]):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^trace row {re.escape(repr(bad))}: "):
                 records_from_csv_text("\n".join([TRACE_HEADER, *rows]) + "\n")
 
 
@@ -202,29 +194,10 @@ def record_pairs(draw):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(record_pairs(), st.data())
-def test_trace_csv_codec_round_trips(pairs, data):
-    """A canonical trace round-trips; swapping any two of its rows is refused."""
+@given(record_pairs())
+def test_trace_csv_codec_round_trips(pairs):
+    """A canonical trace round-trips through the reader and the pairing, bit for bit."""
     text = trace_csv_text(pairs)
-    records = records_from_csv_text(text)
-    decoded = pairs_from_records(records)
+    decoded = pairs_from_records(records_from_csv_text(text))
     assert decoded == tuple(pairs)
     assert trace_csv_text(decoded) == text
-    i, j = data.draw(st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=2, unique=True))
-    records[i], records[j] = records[j], records[i]
-    with pytest.raises(ValueError, match=r"^tick [0-9]+: "):
-        pairs_from_records(records)
-
-
-@given(record_pairs(), st.data())
-def test_trace_csv_refuses_one_bad_role_or_tick(pairs, data):
-    lines = trace_csv_text(pairs).splitlines()
-    at = data.draw(st.integers(1, len(lines) - 1))
-    fields = lines[at].split(",")
-    if data.draw(st.booleans()):
-        fields[4] = data.draw(ids.filter(lambda r: r not in (ROLE_PROVIDER, ROLE_CONSUMER)))
-    else:
-        fields[0] = str(data.draw(st.integers(max_value=-1)))
-    lines[at] = ",".join(fields)
-    with pytest.raises(ValueError):
-        records_from_csv_text("\n".join(lines) + "\n")

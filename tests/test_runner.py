@@ -9,7 +9,15 @@ import pytest
 from conftest import build_scenario, scenario_text, stored_dataset
 
 from energyshare.battery import battery_at_level, DrainParams, predict_outcome
-from energyshare.edge import META_FILENAME, EdgeServer, EdgeStore, parse_meta, validate_dataset
+from energyshare import edge
+from energyshare.edge import (
+    META_FILENAME,
+    EdgeClient,
+    EdgeServer,
+    EdgeStore,
+    parse_meta,
+    validate_dataset,
+)
 from energyshare.matching import ProviderAdvert
 from energyshare.protocol import (
     Accept,
@@ -166,6 +174,15 @@ def test_full_consumer_amount_session_cancels():
     result = run_scenario(scenario)
     assert result.outcome == OUTCOME_ABORTED
     assert result.terminal_reason is Reason.CONSUMER_CANCELLED
+
+
+def test_provider_cancels_a_session_at_max_ticks():
+    scenario = build_scenario(value=60.0, extra="scenario.max_ticks = 3\n")
+    result = run_scenario(scenario)
+    assert result.outcome == OUTCOME_ABORTED
+    assert result.terminal_reason is Reason.CONSUMER_CANCELLED
+    assert result.dataset.record_count == 4
+    validate_dataset(result.dataset)
 
 
 def test_message_loss_aborts_with_transport_lost():
@@ -407,6 +424,68 @@ def test_compare_rejects_mixed_intervals(tmp_path):
     d2 = run_and_write(tmp_path, "two", value=6.0, interval_s=2.0)
     with pytest.raises(IncompatibleRuns):
         compare([d1, d2], tmp_path / "summary.csv")
+
+
+def test_compare_pads_the_shorter_runs_curve_cells_with_blanks(tmp_path):
+    short = run_and_write(tmp_path, "short", value=3.0)  # 4 record pairs
+    long = run_and_write(tmp_path, "long", value=5.0)  # 6 record pairs
+    report = compare([short, long], tmp_path / "summary.csv")
+    header, *rows = report.curves_path.read_text(encoding="utf-8").splitlines()
+    assert header.split(",")[2:] == [
+        "short_provider_level_pct", "short_consumer_level_pct",
+        "long_provider_level_pct", "long_consumer_level_pct",
+    ]
+    cells = [row.split(",") for row in rows]
+    assert [row[0] for row in cells] == [str(tick) for tick in range(6)]
+    assert all(cell for row in cells[:4] for cell in row)
+    assert [row[2:4] for row in cells[4:]] == [["", ""], ["", ""]]
+    assert all(cell for row in cells[4:] for cell in row[4:])
+
+
+def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, monkeypatch):
+    result = run_scenario(build_scenario(value=10.0))
+    run_dir = write_run_artifacts(result, tmp_path / "run")
+    gate = edge.validate_dataset
+    calls = []
+
+    def counted(dataset):
+        calls.append(dataset.session_id)
+        gate(dataset)
+
+    monkeypatch.setattr(edge, "validate_dataset", counted)
+    server = EdgeServer(EdgeStore(tmp_path / "edge-data")).start()
+    client = EdgeClient(server.address)
+    reads = {
+        "tcp_upload": lambda: client.upload(result.dataset),
+        "tcp_reupload": lambda: client.upload(result.dataset),
+        "client_get": lambda: client.get(result.dataset.session_id),
+        "load_run": lambda: load_run(run_dir),
+    }
+    gates = {}
+    try:
+        for name, read in reads.items():
+            calls.clear()
+            read()
+            gates[name] = len(calls)
+    finally:
+        server.stop()
+    assert gates == dict.fromkeys(reads, 1)
+
+
+def test_load_run_and_compare_refuse_a_middle_row_out_of_range(tmp_path):
+    run_dir = run_and_write(tmp_path, "edited", value=10.0)
+    other = run_and_write(tmp_path, "other", value=10.0)
+    trace = run_dir / TRACE_FILENAME
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    fields = lines[12].split(",")  # after the header, two rows a tick: tick 5's consumer row
+    assert (fields[0], fields[4]) == ("5", "consumer")
+    fields[5:7] = ["250.0", "99999.0"]  # battery_level_pct, battery_charge_mah
+    lines[12] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IncompatibleRuns, match="tick 5: "):
+        load_run(run_dir)
+    with pytest.raises(IncompatibleRuns, match="tick 5: "):
+        compare([other, run_dir], tmp_path / "summary.csv")
 
 
 def test_load_run_round_trip(tmp_path):

@@ -223,6 +223,17 @@ def test_pipelined_registry_commands_each_get_their_reply(registry):
     assert replies == "OK\nADDR h:1\nERR Unknown b\nEND\n"
 
 
+def test_request_line_not_utf8_gets_err_and_closes_only_its_connection(registry):
+    with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn:
+        conn.sendall(b"RESOLVE device_id=\xff\n")
+        reply = conn.makefile("rb").read()  # to EOF: the registry closes this connection
+    assert reply.startswith(b"ERR Malformed ")
+    assert reply.count(b"\n") == 1
+    client = _RegistryClient(registry.address)
+    client.command("REGISTER device_id=a addr=h:1")
+    client.close()
+
+
 def test_snapshot_is_never_torn(pair):
     """Concurrent re-advertising: every snapshot equals one whole advert."""
     ta, tb, a, b = pair
