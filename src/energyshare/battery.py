@@ -212,10 +212,8 @@ def effective_rate(params: TechnologyParams, consumer_level_pct: float) -> float
 
     Constant below the taper threshold, then linearly tapered to zero at a
     full battery: start level barely matters to the charging rate until
-    the battery is nearly full.
+    the battery is nearly full. The level is a battery's, in [0, 100].
     """
-    if not 0.0 <= consumer_level_pct <= 100.0:
-        raise ValueError(f"consumer_level_pct must be in [0, 100], got {consumer_level_pct!r}")
     if consumer_level_pct >= 100.0:
         return 0.0
     if consumer_level_pct <= params.taper_start_pct:

@@ -14,6 +14,7 @@ from .errors import EnergyShareError
 from .report import compare, write_run_artifacts
 from .runner import check_pace, run_scenario
 from .scenario import parse_scenario
+from .transport import LOOPBACK_HOST, parse_addr
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -26,11 +27,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _pace(text: str) -> float:
-    try:
-        return check_pace(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _usage_checked(parse):
+    """An argparse type: ``parse``, with its ``ValueError`` a usage error naming the argument."""
+
+    def check(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return check
+
+
+_pace = _usage_checked(lambda text: check_pace(float(text)))
+_address = _usage_checked(lambda text: parse_addr(text) and text)  # checked, kept as written
+_port = _usage_checked(lambda text: parse_addr(f"{LOOPBACK_HOST}:{text}")[1])
 
 
 def _build_parser() -> _Parser:
@@ -40,7 +51,7 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="run one scenario end to end")
     run.add_argument("--scenario", required=True, type=Path, help="scenario file")
     run.add_argument("--out", type=Path, default=None, help="run output directory")
-    run.add_argument("--upload", default=None, metavar="HOST:PORT",
+    run.add_argument("--upload", type=_address, default=None, metavar="HOST:PORT",
                      help="upload the session dataset to an edge service")
     run.add_argument("--pace", type=_pace, default=None,
                      help="real-time pacing factor (affects wall duration only)")
@@ -53,15 +64,15 @@ def _build_parser() -> _Parser:
     edge_sub = edge.add_subparsers(dest="edge_command", required=True, parser_class=_Parser)
 
     serve = edge_sub.add_parser("serve", help="serve the edge store over TCP")
-    serve.add_argument("--port", type=int, required=True)
+    serve.add_argument("--port", type=_port, required=True)
     serve.add_argument("--data-dir", type=Path, required=True)
-    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--host", default=LOOPBACK_HOST)
 
     lst = edge_sub.add_parser("list", help="list stored sessions")
-    lst.add_argument("--addr", required=True, metavar="HOST:PORT")
+    lst.add_argument("--addr", type=_address, required=True, metavar="HOST:PORT")
 
     get = edge_sub.add_parser("get", help="fetch one stored session dataset")
-    get.add_argument("--addr", required=True, metavar="HOST:PORT")
+    get.add_argument("--addr", type=_address, required=True, metavar="HOST:PORT")
     get.add_argument("session_id")
 
     return parser
@@ -118,29 +129,19 @@ def _cmd_edge(args) -> int:
         for summary in client.list():
             print(summary_text(summary))
         return EXIT_OK
-    if args.edge_command == "get":
-        sys.stdout.writelines(encode_dataset(client.get(args.session_id)))
-        return EXIT_OK
-    return EXIT_USAGE
+    sys.stdout.writelines(encode_dataset(client.get(args.session_id)))  # "get", the one left
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # the required subparsers leave no other command
+    command = {"run": _cmd_run, "compare": _cmd_compare, "edge": _cmd_edge}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "edge":
-            return _cmd_edge(args)
-    except EnergyShareError as exc:
+        return command(args)
+    except (EnergyShareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUN_FAILURE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

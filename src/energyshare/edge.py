@@ -45,7 +45,7 @@ from .monitor import (
     trace_csv_text,
 )
 from .protocol import EnergyRequest, Reason, RequestKind, make_request
-from .transport import LineServer, parse_addr
+from .transport import LOOPBACK_HOST, LineServer, parse_addr
 from .util import POSITIVE, check_id, fmt_float, format_meta, member, parse_fields, parse_finite
 from .util import parse_meta, rel_close
 
@@ -310,7 +310,12 @@ class EdgeStore:
         self._summaries: dict[str, SessionSummary] = {}
         index = self._index_path()
         if index.exists():
-            for session_id in index.read_text(encoding="utf-8").split():
+            text = index.read_bytes()
+            # a torn last line was never acknowledged (see _append_index): drop it for good
+            complete = text[:text.rfind(b"\n") + 1]
+            if len(complete) < len(text):
+                os.truncate(index, len(complete))
+            for session_id in complete.decode("utf-8").split():
                 meta = (self._session_dir(session_id) / META_FILENAME).read_bytes()
                 self._summaries[session_id] = summary_from_fields(parse_meta(meta.decode("utf-8")))
 
@@ -428,14 +433,14 @@ class EdgeServer(LineServer):
     thread_name = "edge"
     handled_errors = (ValueError, EnergyShareError)
 
-    def __init__(self, store: EdgeStore, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, store: EdgeStore, host: str = LOOPBACK_HOST, port: int = 0):
         self.store = store
         super().__init__(host, port)
 
-    def _handle(self, line: str, reader, writer) -> str | None:
+    def _handle(self, line: str, lines, writer) -> str | None:
         command, _, rest = line.partition(" ")
         if command == "UPLOAD":
-            meta, trace = _read_dataset_block(reader)
+            meta, trace = _read_dataset_block(lines)
             # built without the gate: the store's upload runs it
             dataset = dataset_from_parts(parse_meta(meta), records_from_csv_text(trace))
             if rest != f"{dataset.session_id} {dataset.record_count}":

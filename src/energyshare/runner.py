@@ -96,8 +96,6 @@ class ChargingEngine:
         interval_s: float,
         start_time_s: float,
     ):
-        if session.state is not SessionPhase.CHARGING:
-            raise ValueError("engine needs a session in Charging state")
         self.session = session
         self.tech_params = tech_params
         self.provider_battery = provider_battery

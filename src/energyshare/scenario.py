@@ -87,14 +87,9 @@ class Scenario:
     def providers(self) -> list[DeviceSpec]:
         return [d for d in self.devices if d.role == ROLE_PROVIDER]
 
-    def consumers(self) -> list[DeviceSpec]:
-        return [d for d in self.devices if d.role == ROLE_CONSUMER]
-
     def requesting_consumer(self) -> DeviceSpec:
-        for device in self.consumers():
-            if device.device_id == self.request_consumer_id:
-                return device
-        raise ValidationError("request.consumer", f"{self.request_consumer_id!r} is not a consumer")
+        """The consumer device named by ``request_consumer_id``; the parser checked it is one."""
+        return next(d for d in self.devices if d.device_id == self.request_consumer_id)
 
 
 # --- the key tables -----------------------------------------------------------

@@ -70,8 +70,8 @@ class VirtualClock:
     a run takes and nothing else.
     """
 
-    def __init__(self, start_s: float = 0.0, pace: float | None = None):
-        self.now_s = start_s
+    def __init__(self, pace: float | None = None):
+        self.now_s = 0.0
         self._pace = pace
 
     def advance(self, dt_s: float) -> None:
@@ -191,10 +191,6 @@ class SimTransport:
         drop_probability: float = 0.0,
         seed: int = 0,
     ):
-        if latency_s < 0:
-            raise ValueError(f"latency_s must be >= 0, got {latency_s!r}")
-        if not 0.0 <= drop_probability <= 1.0:
-            raise ValueError(f"drop_probability must be in [0, 1], got {drop_probability!r}")
         self.clock = clock
         self.latency_s = latency_s
         self.drop_probability = drop_probability
@@ -265,12 +261,15 @@ class SimTransport:
 TCP_TIMEOUT_S = 10.0
 # how long a send whose peer buffer is full waits in poll() before retrying
 _SEND_RETRY_S = 0.01
+# the host every listener of a run binds to
+LOOPBACK_HOST = "127.0.0.1"
 
 
 def parse_addr(addr: str) -> tuple[str, int]:
+    """``HOST:PORT`` as ``(host, port)``; ``ValueError`` unless the port is a number in 0-65535."""
     host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"expected host:port, got {addr!r}")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ValueError(f"expected host:port with a port in 0-65535, got {addr!r}")
     return host, int(port)
 
 
@@ -278,20 +277,21 @@ class LineServer:
     """A listening socket with one accept thread and one thread per connection.
 
     Subclasses answer each non-blank request line in ``_handle(line,
-    reader, writer)``, which may read further lines from ``reader`` and
-    returns the reply text, or None once it wrote the reply to ``writer``
-    itself. Replies go out through their own stream, so writing one keeps
-    the requests a client sent ahead; they are answered in order. An
-    exception of a type in :attr:`handled_errors` is answered with one
-    ``ERR`` line (see :meth:`_error_reply`); an ``OSError`` ends the
-    connection, and so does a byte that is not UTF-8, after its
-    ``ERR Malformed`` reply.
+    lines, writer)``, which may take further lines from the iterator
+    ``lines`` and returns the reply text, or None once it wrote the reply
+    to ``writer`` itself. Replies go out through their own stream, so
+    writing one keeps the requests a client sent ahead; they are answered
+    in order. An exception of a type in :attr:`handled_errors` is answered
+    with one ``ERR`` line (see :meth:`_error_reply`); an ``OSError`` ends
+    the connection. Each line is decoded from UTF-8 on its own: a line
+    that is not UTF-8 is answered ``ERR Malformed`` after every line
+    before it, and ends the connection.
     """
 
     thread_name: str
     handled_errors: tuple[type[Exception], ...]
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, host: str = LOOPBACK_HOST, port: int = 0):
         self._server = socket.create_server((host, port))
         self.address = f"{host}:{self._server.getsockname()[1]}"
         self._thread = threading.Thread(
@@ -337,16 +337,17 @@ class LineServer:
 
     def _serve(self, conn: socket.socket) -> None:
         try:
-            reader = conn.makefile("r", encoding="utf-8", newline="\n")
+            reader = conn.makefile("rb")
             writer = conn.makefile("w", encoding="utf-8", newline="\n")
             with conn, reader, writer:
+                lines = (raw.decode("utf-8") for raw in reader)
                 try:
-                    for raw in reader:
+                    for raw in lines:
                         line = raw.strip()
                         if not line:
                             continue
                         try:
-                            reply = self._handle(line, reader, writer)
+                            reply = self._handle(line, lines, writer)
                         except UnicodeDecodeError:
                             raise
                         except self.handled_errors as exc:
@@ -355,7 +356,7 @@ class LineServer:
                             writer.write(reply + "\n")
                         writer.flush()
                 except UnicodeDecodeError as exc:
-                    # the stream cannot be read on past a byte that is not UTF-8
+                    # a line that is not UTF-8 leaves no way to tell what the next one is
                     writer.write(self._error_reply(exc) + "\n")
         except OSError:
             return
@@ -380,12 +381,12 @@ class RegistryServer(LineServer):
     thread_name = "registry"
     handled_errors = (Exception,)  # malformed input must not kill the registry
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self) -> None:
         self._registry = Registry()
         self._lock = threading.Lock()
-        super().__init__(host, port)
+        super().__init__()
 
-    def _handle(self, line: str, reader, writer) -> str:
+    def _handle(self, line: str, lines, writer) -> str:
         command, _, rest = line.partition(" ")
         if command == "REGISTER":
             fields = parse_fields(rest.split(" "))
@@ -473,7 +474,7 @@ class TcpTransport:
     """Loopback-TCP transport: one listening socket and inbox per device.
 
     Senders keep a single connection per sender/destination pair (FIFO per
-    pair comes from TCP ordering) and reconnect once on a broken pipe.
+    pair comes from TCP ordering); it stays open until :meth:`close`.
     Discovery and address resolution go through the shared registry
     server, over one connection the transport keeps until :meth:`close`.
     Every listener and accepted connection sits in one selector that
@@ -481,9 +482,8 @@ class TcpTransport:
     in it. The transport starts no thread.
     """
 
-    def __init__(self, registry_addr: str, host: str = "127.0.0.1"):
+    def __init__(self, registry_addr: str):
         self._registry = _RegistryClient(registry_addr)
-        self._host = host
         # selector data: (device_id, None) for a listener, (device_id, unread
         # tail) for an accepted connection
         self._selector = selectors.DefaultSelector()
@@ -493,8 +493,8 @@ class TcpTransport:
 
     def register(self, device_id: str) -> None:
         check_id(device_id, "device_id")
-        server = socket.create_server((self._host, 0))
-        address = f"{self._host}:{server.getsockname()[1]}"
+        server = socket.create_server((LOOPBACK_HOST, 0))
+        address = f"{LOOPBACK_HOST}:{server.getsockname()[1]}"
         try:
             self._registry.command(f"REGISTER device_id={device_id} addr={address}")
         except BaseException:
@@ -561,7 +561,7 @@ class TcpTransport:
     def advertise(self, device_id: str, advert: ProviderAdvert) -> None:
         _inbox(self._inboxes, device_id)
         port = self._servers[device_id].getsockname()[1]
-        self._registry.command(f"ADVERTISE addr={self._host}:{port} {encode_advert(advert)}")
+        self._registry.command(f"ADVERTISE addr={LOOPBACK_HOST}:{port} {encode_advert(advert)}")
 
     def discover(self, device_id: str) -> list[ProviderAdvert]:
         _inbox(self._inboxes, device_id)
@@ -593,19 +593,17 @@ class TcpTransport:
         _inbox(self._inboxes, frm)
         payload = (encode_message(msg) + "\n").encode("utf-8")
         key = (frm, to)
-        for _ in range(2):  # one reconnect attempt, then give up
-            conn = self._conns.get(key)
-            try:
-                if conn is None:
-                    conn = self._conns[key] = self._connect(to)
-                self._send_all(conn, payload)
-                return
-            except OSError as exc:
-                self._conns.pop(key, None)
-                if conn is not None:
-                    conn.close()
-                error = exc
-        raise PeerUnreachable(f"cannot deliver to {to!r}: {error}") from error
+        conn = self._conns.get(key)
+        try:
+            if conn is None:
+                conn = self._conns[key] = self._connect(to)
+            self._send_all(conn, payload)
+        except OSError as exc:
+            # a run's peers all live on this transport: a fresh connection would fail too
+            self._conns.pop(key, None)
+            if conn is not None:
+                conn.close()
+            raise PeerUnreachable(f"cannot deliver to {to!r}: {exc}") from exc
 
     def receive(self, device_id: str) -> list[ProtocolMessage]:
         """Drain every message that has arrived for ``device_id``, in order."""

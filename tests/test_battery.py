@@ -60,6 +60,12 @@ def test_battery_rejects_bad_capacity():
         BatteryState(-10.0, 0.0)
 
 
+@pytest.mark.parametrize("charge", [math.nan, math.inf, -math.inf])
+def test_battery_rejects_a_charge_that_is_not_finite(charge):
+    with pytest.raises(ValueError, match="charge_mah must be finite"):
+        BatteryState(100.0, charge)
+
+
 # --- drain_baseline -----------------------------------------------------------
 
 
@@ -370,6 +376,24 @@ def test_predict_rejects_provider_depletion():
         )
 
 
+def test_predict_rejects_consumer_draining_to_empty():
+    request = make_request(RequestKind.DURATION, 3600.0, "c1")
+    with pytest.raises(OutsideConstantRegime, match="consumer would drain to empty"):
+        predict_outcome(
+            BatteryState(4080.0, 4080.0), BatteryState(2915.0, 10.0),
+            cable(), NO_DRAIN, DrainParams(baseline_ma=2000.0), request, 1.0,
+        )
+
+
+def test_predict_rejects_nonpositive_dt():
+    request = make_request(RequestKind.DURATION, 60.0, "c1")
+    with pytest.raises(ValueError, match="dt_s must be > 0"):
+        predict_outcome(
+            BatteryState(4080.0, 4080.0), BatteryState(2915.0, 1166.0),
+            cable(), NO_DRAIN, NO_DRAIN, request, 0.0,
+        )
+
+
 def test_predict_rejects_session_ending_in_taper():
     request = make_request(RequestKind.DURATION, 3 * 3600.0, "c1")
     with pytest.raises(OutsideConstantRegime):
@@ -383,6 +407,7 @@ def test_duration_ticks_handles_float_grid():
     assert duration_ticks(1800.0, 1.0) == 1800
     assert duration_ticks(0.0, 1.0) == 0
     assert duration_ticks(9.0, 2.0) == 5
+    assert duration_ticks(0.9, 0.3) == 4  # 0.9 / 0.3 rounds to 3.0, but 3 * 0.3 < 0.9
     for t in (3, 7, 13, 600):
         dt = 0.3
         assert duration_ticks(t * dt, dt) == t

@@ -14,6 +14,7 @@ import pytest
 from conftest import scenario_text
 
 import energyshare
+from energyshare import cli
 from energyshare.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, main
 from energyshare.edge import EdgeServer, EdgeStore
 
@@ -58,18 +59,40 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize("pace", ["0", "-1", "nan", "inf"])
-def test_a_bad_pace_is_a_usage_error(scenario_file, pace):
-    env = dict(os.environ, PYTHONPATH=str(Path(energyshare.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "energyshare.cli", "run", "--scenario", str(scenario_file),
-         "--pace", pace],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == EXIT_USAGE
-    assert "Traceback" not in done.stderr
-    assert [line for line in done.stderr.splitlines() if "error:" in line] == [
+def test_a_bad_pace_is_a_usage_error(scenario_file, pace, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--scenario", str(scenario_file), "--pace", pace])
+    assert err.value.code == EXIT_USAGE
+    assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [
         f"energyshare run: error: argument --pace: pace must be finite and > 0, got {float(pace)!r}"
     ]
+
+
+# (command, option, value, the address the error names) for each HOST:PORT argument
+BAD_ADDRESSES = {
+    "list_addr": (["edge", "list"], "--addr", "nonsense", "nonsense"),
+    "get_addr": (["edge", "get", "s1"], "--addr", "h:99999", "h:99999"),
+    "run_upload": (["run", "--scenario", "{scenario}", "--out", "{tmp}/out"], "--upload", "h:", "h:"),
+    "serve_port": (["edge", "serve", "--data-dir", "{tmp}/edge-data"], "--port", "99999",
+                   "127.0.0.1:99999"),
+}
+
+
+@pytest.mark.parametrize("command, option, value, named", BAD_ADDRESSES.values(), ids=BAD_ADDRESSES)
+def test_a_malformed_address_is_a_usage_error_before_anything_runs(
+    scenario_file, tmp_path, capsys, monkeypatch, command, option, value, named
+):
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("the run started"))
+    argv = [arg.format(scenario=scenario_file, tmp=tmp_path) for arg in command] + [option, value]
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    prog = " ".join(["energyshare", *command[:2 if command[0] == "edge" else 1]])
+    assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [
+        f"{prog}: error: argument {option}: expected host:port with a port in 0-65535, got {named!r}"
+    ]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_compare_command(scenario_file, tmp_path, capsys):
@@ -136,8 +159,12 @@ def test_edge_get_unknown_session(tmp_path, capsys):
         server.stop()
 
 
-# replies an edge client cannot read: one that ends early, one that does not decode
+# replies an edge query fails on: an error, one that ends early, one that does not decode
 UNREADABLE_REPLIES = {
+    "list_with_an_err_line": (["list"], "ERR StorageError disk gone\n"),
+    "list_closed_before_end": (["list"], "SUMMARY session_id=s1 consumer_id=c1 provider_id=p1 "
+                               "technology=cable terminal_reason=DurationElapsed "
+                               "energy_loss_mah=0.5\n"),
     "get_closed_inside_meta": (["get", "s1"], "DATASET s1 1\nsession_id = s1\n"),
     "get_without_a_trace": (["get", "s1"], "DATASET s1 1\nfoo = bar\n\nEND\n"),
     "list_with_a_short_summary": (["list"], "SUMMARY session_id=s1\n"),

@@ -40,6 +40,7 @@ from energyshare.edge import (
 from energyshare.errors import EnergyShareError
 from energyshare.monitor import (
     MonitorRecord,
+    SessionMetrics,
     ROLE_CONSUMER,
     ROLE_PROVIDER,
     TRACE_HEADER,
@@ -214,6 +215,36 @@ def test_upload_retried_after_failed_index_append_is_listed(store, tmp_path, mon
     assert store.upload(dataset) == UploadReceipt("ses-r1", 5)
     assert [s.session_id for s in store.list()] == ["ses-r1"]
     assert [s.session_id for s in EdgeStore(tmp_path / "data").list()] == ["ses-r1"]
+
+
+def test_upload_replaces_a_stale_temp_dir_of_its_session(store):
+    """A crash mid-upload leaves ``.tmp-<id>``; the next upload of that id starts it afresh."""
+    stale = store.data_dir / ".tmp-ses-r1"
+    stale.mkdir()
+    (stale / edge.META_FILENAME).write_bytes(b"session_id = ses-r1\n")
+    dataset = build_dataset()
+    assert store.upload(dataset) == UploadReceipt("ses-r1", 5)
+    assert not stale.exists()
+    assert stored_dataset(store, "ses-r1") == dataset
+
+
+def test_a_torn_last_index_line_is_dropped_at_open(tmp_path):
+    """Each cut of the last line's id leaves the store openable, listing every complete line."""
+    data = tmp_path / "data"
+    first, torn = build_dataset(session_id="ses-first"), build_dataset(session_id="ses-torn")
+    store = EdgeStore(data)
+    store.upload(first)
+    store.upload(torn)
+    index = data / EdgeStore.INDEX_FILENAME
+    intact = index.read_bytes()
+    assert intact == b"ses-first\nses-torn\n"
+    for cut in range(1, len(b"ses-torn\n") + 1):
+        index.write_bytes(intact[:-cut])
+        assert [s.session_id for s in EdgeStore(data).list()] == ["ses-first"]
+        assert index.read_bytes() == b"ses-first\n"
+        EdgeStore(data).upload(torn)  # its directory is in place: the retry indexes it
+        assert [s.session_id for s in EdgeStore(data).list()] == ["ses-first", "ses-torn"]
+        assert index.read_bytes() == intact
 
 
 # --- validation gate -------------------------------------------------------------
@@ -486,14 +517,40 @@ def test_upload_with_bad_trace_row_gets_err_reply(served_store):
 
 @pytest.mark.parametrize("request_line", [b"LIST\xff\n", b"GET \xffx\n"], ids=["LIST", "GET"])
 def test_request_line_not_utf8_gets_err_and_closes_only_its_connection(served_store, request_line):
+    """The lines before it are answered first; the line after it is not read."""
     _, server, client = served_store
     with socket.create_connection(parse_addr(server.address), timeout=10.0) as conn:
-        conn.sendall(request_line)
+        conn.sendall(b"LIST\n" + request_line + b"LIST\n")
         reply = conn.makefile("rb").read()  # to EOF: the server closes this connection
-    assert reply.startswith(b"ERR Malformed ")
-    assert reply.count(b"\n") == 1
+    assert reply.startswith(b"END\nERR Malformed ")
+    assert reply.count(b"\n") == 2
     assert client.upload(build_dataset()) == UploadReceipt("ses-r1", 5)
     assert [s.session_id for s in client.list()] == ["ses-r1"]
+
+
+def test_upload_block_line_not_utf8_gets_err_and_closes_its_connection(served_store):
+    _, server, client = served_store
+    upload = dataset_block("UPLOAD ses-r1 5", build_dataset()).encode("utf-8")
+    upload = upload.replace(b",c1,consumer,", b",c1,consumer\xff,", 1)
+    with socket.create_connection(parse_addr(server.address), timeout=10.0) as conn:
+        conn.sendall(upload + b"LIST\n")
+        reply = conn.makefile("rb").read()
+    assert reply.startswith(b"ERR Malformed ")
+    assert reply.count(b"\n") == 1
+    assert client.list() == []
+
+
+def test_upload_without_records_gets_validation_failed(served_store):
+    _, server, client = served_store
+    meta = encode_meta(build_dataset()).replace("record_count = 5\n", "record_count = 0\n")
+    reply = raw_exchange(server.address, f"UPLOAD ses-r1 0\n{meta}\n{TRACE_HEADER}\nEND\n")
+    assert reply == "ERR ValidationFailed dataset has no records\n"
+    assert client.list() == []
+
+
+def test_unknown_command_gets_err_reply(served_store):
+    _, server, _ = served_store
+    assert raw_exchange(server.address, "HELLO there\n") == "ERR Malformed unknown command 'HELLO'\n"
 
 
 def test_upload_storage_failure_gets_err_reply(served_store, monkeypatch):
@@ -654,6 +711,22 @@ def decode_rows(dataset: SessionDataset, rows: list[str]) -> SessionDataset:
         f"record_count = {dataset.record_count}\n", f"record_count = {len(rows) // 2}\n"
     )
     return decode_dataset(meta, "\n".join([TRACE_HEADER, *rows]) + "\n")
+
+
+def test_gate_refuses_a_metric_that_recomputes_to_infinity():
+    """Charges near the float range make ``energy_loss_mah`` overflow; no stored value matches."""
+    cap = 1e308
+    dataset = build_dataset(ticks=2)
+    (p0, c0), (p1, c1) = dataset.records
+    full = dict(battery_level_pct=100.0, battery_charge_mah=cap)
+    empty = dict(battery_level_pct=0.0, battery_charge_mah=0.0)
+    huge = dataclasses.replace(
+        dataset, provider_capacity_mah=cap, consumer_capacity_mah=cap,
+        records=((p0._replace(**full), c0._replace(**full)), (p1._replace(**empty), c1._replace(**empty))),
+        metrics=SessionMetrics(cap, -cap, 1.7976931348623157e308, 1.0),
+    )
+    with pytest.raises(ValidationFailed, match=r"energy_loss_mah stored=.* recomputed=inf"):
+        decode_dataset(encode_meta(huge), trace_csv_text(huge.records))
 
 
 def test_decoding_runs_the_gate_on_rows_as_written():

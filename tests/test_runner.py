@@ -20,6 +20,7 @@ from energyshare.edge import (
 )
 from energyshare.matching import ProviderAdvert
 from energyshare.protocol import (
+    Abort,
     Accept,
     MonitorSync,
     Reason,
@@ -47,6 +48,7 @@ from energyshare.runner import (
 )
 from energyshare.scenario import parse_scenario_text
 from energyshare.transport import (
+    PeerUnreachable,
     RegistryServer,
     SimTransport,
     TcpTransport,
@@ -488,6 +490,14 @@ def test_load_run_and_compare_refuse_a_middle_row_out_of_range(tmp_path):
         compare([other, run_dir], tmp_path / "summary.csv")
 
 
+def test_load_run_skips_blank_lines_in_its_key_value_files(tmp_path):
+    run_dir = run_and_write(tmp_path, "spaced", value=10.0)
+    loaded = load_run(run_dir)
+    for path in (run_dir / "run.txt", run_dir / META_FILENAME):
+        path.write_text("\n" + path.read_text(encoding="utf-8").replace("\n", "\n \n"), encoding="utf-8")
+    assert load_run(run_dir) == loaded
+
+
 def test_load_run_round_trip(tmp_path):
     run_dir = run_and_write(tmp_path, "roundtrip", value=10.0)
     loaded = load_run(run_dir)
@@ -620,6 +630,34 @@ def test_consumer_ignores_a_sync_whose_tick_goes_backwards():
     assert [r.tick_index for r in consumer.records] == [2, 3]
     assert consumer.records[-1].battery_charge_mah == 1203.0
     assert consumer.outcome is None
+
+
+def test_consumer_ends_transport_lost_when_its_abort_cannot_be_sent(monkeypatch):
+    scenario = build_scenario()
+    clock = VirtualClock()
+    transport = SimTransport(clock)
+    transport.register("p1")
+    transport.advertise("p1", ProviderAdvert("p1", (0.0, 1.0), 100.0, scenario.tech_params.technology))
+    consumer = _ConsumerAgent(
+        scenario.requesting_consumer(), scenario, transport, clock, sync_timeout_s=5.0
+    )
+    consumer.start()
+    request_id, session_id = consumer.view.request.request_id, consumer.view.session_id
+    consumer.on_message(Accept(request_id))
+    consumer.on_message(StartTransfer(session_id, request_id, scenario.interval_s))
+    sent = []
+
+    def unreachable(frm, to, msg):
+        sent.append(msg)
+        raise PeerUnreachable(to)
+
+    monkeypatch.setattr(transport, "send", unreachable)
+    clock.advance(5.0)  # the sync deadline passes with no sync
+    consumer.on_time()
+    assert sent == [Abort(session_id, Reason.TRANSPORT_LOST)]
+    assert consumer.outcome == OUTCOME_ABORTED
+    assert consumer.view.terminal_reason is Reason.TRANSPORT_LOST
+    assert consumer.next_wakeup() is None
 
 
 # --- the event loop's ordering rule ------------------------------------------------------

@@ -41,7 +41,7 @@ def test_minimal_file_fills_reference_defaults():
     assert scenario.tech_params.transfer_rate_ma == 1200.0
     assert scenario.tech_params.distance_m == 0.02
     provider = scenario.providers()[0]
-    consumer = scenario.consumers()[0]
+    consumer = scenario.requesting_consumer()
     assert provider.start_level_pct == 100.0
     assert provider.capacity_mah == 4080.0
     assert provider.baseline_ma == 40.0
@@ -72,7 +72,7 @@ device.c1.position = 1.5, -2.0
     assert scenario.tech_params.technology is Technology.CABLE
     assert scenario.tech_params.efficiency == 0.5
     assert scenario.latency_s == 0.1
-    consumer = scenario.consumers()[0]
+    consumer = scenario.requesting_consumer()
     assert consumer.start_level_pct == 10.0
     assert consumer.position == (1.5, -2.0)
 
@@ -102,6 +102,12 @@ def test_unknown_key_is_parse_error_with_line():
     with pytest.raises(ParseError) as err:
         parse_scenario_text("request.kindd = duration\n")
     assert err.value.line_no == 1
+
+
+def test_unknown_device_key_is_parse_error_with_line():
+    with pytest.raises(ParseError, match="unknown device key 'device.c1.colour'") as err:
+        parse_scenario_text(MINIMAL + "device.c1.colour = red\n")
+    assert err.value.line_no == len(MINIMAL.splitlines()) + 1
 
 
 def test_missing_equals_is_parse_error():

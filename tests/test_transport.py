@@ -105,7 +105,8 @@ def test_delivery_waits_for_latency(net):
 
 
 def test_default_latency_example():
-    clock = VirtualClock(start_s=1.0)
+    clock = VirtualClock()
+    clock.advance(1.0)
     transport = SimTransport(clock, latency_s=0.05)
     a, b = "a", "b"
     transport.register(a)
@@ -142,6 +143,15 @@ def test_next_delivery_time(net):
     assert transport.next_delivery_time() is None
     transport.send(a, "b", Accept("m"))
     assert transport.next_delivery_time() == 0.25
+
+
+def test_next_delivery_time_skips_a_message_received_without_due_devices(net):
+    """A receive outside the event loop leaves its wake entry behind; it is not a delivery."""
+    clock, transport, a, b = net
+    transport.send(a, "b", Accept("m"))
+    clock.advance(0.25)
+    assert transport.receive(b) == [Accept("m")]
+    assert transport.next_delivery_time() is None
 
 
 # --- loss ----------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from energyshare import transport as transport_module
 from energyshare.battery import Technology
 from energyshare.matching import ProviderAdvert
 from energyshare.protocol import (
@@ -204,6 +205,10 @@ def test_registry_replies_are_pinned(registry):
         ("RESOLVE device_id=ghost", "ERR Unknown ghost"),
         ("HELLO there", "ERR Malformed unknown command 'HELLO'"),
         ("REGISTER device_id=e", "ERR Malformed 'addr'"),
+        ("REGISTER device_id", "ERR Malformed malformed field token 'device_id'"),
+        ("REGISTER device_id=e device_id=f addr=h:1", "ERR Malformed duplicate field 'device_id'"),
+        (advertise.format(1).replace("available=true", "available=yes"),
+         "ERR Malformed expected 'true' or 'false', got 'yes'"),
     ]
     with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn:
         replies = conn.makefile("r", encoding="utf-8", newline="\n")
@@ -214,8 +219,8 @@ def test_registry_replies_are_pinned(registry):
 
 
 def test_pipelined_registry_commands_each_get_their_reply(registry):
-    """Commands sent in one write are all answered, in order."""
-    requests = "REGISTER device_id=a addr=h:1\nRESOLVE device_id=a\nRESOLVE device_id=b\nDISCOVER\n"
+    """Commands sent in one write are all answered, in order; a blank line gets no reply."""
+    requests = "REGISTER device_id=a addr=h:1\nRESOLVE device_id=a\n\nRESOLVE device_id=b\nDISCOVER\n"
     with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn:
         conn.sendall(requests.encode("utf-8"))
         conn.shutdown(socket.SHUT_WR)
@@ -224,14 +229,85 @@ def test_pipelined_registry_commands_each_get_their_reply(registry):
 
 
 def test_request_line_not_utf8_gets_err_and_closes_only_its_connection(registry):
+    """The lines before it are answered first; the line after it is not read."""
     with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn:
-        conn.sendall(b"RESOLVE device_id=\xff\n")
+        conn.sendall(b"DISCOVER\nRESOLVE device_id=\xff\nDISCOVER\n")
         reply = conn.makefile("rb").read()  # to EOF: the registry closes this connection
-    assert reply.startswith(b"ERR Malformed ")
-    assert reply.count(b"\n") == 1
+    assert reply.startswith(b"END\nERR Malformed ")
+    assert reply.count(b"\n") == 2
     client = _RegistryClient(registry.address)
     client.command("REGISTER device_id=a addr=h:1")
     client.close()
+
+
+def test_a_client_reset_ends_only_its_connection(registry, monkeypatch):
+    ended = threading.Event()
+    real_serve = RegistryServer._serve
+
+    def serve(self, conn):
+        real_serve(self, conn)  # returns, not raises, on the reset
+        ended.set()
+
+    monkeypatch.setattr(RegistryServer, "_serve", serve)
+    with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn:
+        conn.sendall(b"DISCOVER\n")
+        assert conn.recv(64) == b"END\n"  # the server now waits for the next line
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    assert ended.wait(timeout=10.0)
+    client = _RegistryClient(registry.address)
+    client.command("REGISTER device_id=a addr=h:1")
+    client.close()
+
+
+def test_stop_ends_the_accept_thread_and_may_be_repeated():
+    server = RegistryServer().start()
+    server.stop()
+    server.stop()
+    server._thread.join(timeout=10.0)
+    assert not server._thread.is_alive()
+
+
+@pytest.mark.parametrize("addr", ["nonsense", "h:", ":1", "h:x1", "h:-1", "h:65536", "h:\u0663"])
+def test_parse_addr_refuses_a_malformed_address(addr):
+    with pytest.raises(ValueError, match="expected host:port with a port in 0-65535"):
+        parse_addr(addr)
+
+
+def test_parse_addr_splits_at_the_last_colon():
+    assert parse_addr("::1:0") == ("::1", 0)
+    assert parse_addr("127.0.0.1:65535") == ("127.0.0.1", 65535)
+
+
+def test_a_send_after_the_peer_transport_closed_is_peer_unreachable(registry):
+    ta, tb = TcpTransport(registry.address), TcpTransport(registry.address)
+    ta.register("a")
+    tb.register("b")
+    ta.send("a", "b", Accept("m1"))
+    assert drain(tb, "b", 1) == [Accept("m1")]
+    tb.close()
+    try:
+        # a send may still fit in the closed connection's buffers; the peer's reset ends it
+        with pytest.raises(PeerUnreachable, match="cannot deliver to 'b'"):
+            for _ in range(100):
+                ta.send("a", "b", Accept("late"))
+                time.sleep(0.01)
+        assert ("a", "b") not in ta._conns
+    finally:
+        ta.close()
+
+
+def test_a_send_to_a_peer_that_stopped_reading_times_out(pair, monkeypatch):
+    ta, tb, a, b = pair
+    monkeypatch.setattr(transport_module, "TCP_TIMEOUT_S", 0.2)
+    # tb never polls: its buffers fill and stay full
+    tb._servers["b"].setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    request = Request(make_request(RequestKind.AMOUNT, 100.0, "a", "r1"),
+                      (0.0, 0.0), 2915.0, 1166.0, 40.0)
+    started = time.monotonic()
+    with pytest.raises(PeerUnreachable, match="peer stopped reading"):
+        for _ in range(100_000):
+            ta.send(a, "b", request)
+    assert time.monotonic() - started < 5.0
 
 
 def test_snapshot_is_never_torn(pair):
