@@ -25,12 +25,13 @@ import math
 import os
 import socket
 import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .battery import DrainParams, Technology, TechnologyParams, level_pct_of
 from .errors import EnergyShareError
@@ -55,6 +56,8 @@ META_FILENAME = "meta.txt"
 TRACE_FILENAME = "trace.csv"
 # an EdgeClient's connect and each of its reads give up after this long
 EDGE_TIMEOUT_S = 30.0
+# trace lines of a dataset block joined into one piece before the trace reader splits them
+_LINES_PER_PIECE = 256
 
 
 class ValidationFailed(EnergyShareError):
@@ -231,8 +234,9 @@ def encode_dataset(dataset: SessionDataset) -> tuple[str, str]:
     return encode_meta(dataset), trace_csv_text(dataset.records)
 
 
-def decode_dataset(meta: str, trace: str) -> SessionDataset:
-    """The dataset a ``meta.txt`` and a ``trace.csv`` text hold, through :func:`validate_dataset`.
+def decode_dataset(meta: str, trace: str | Iterable[str]) -> SessionDataset:
+    """The dataset a ``meta.txt`` text and a ``trace.csv`` text or its lines hold,
+    through :func:`validate_dataset`.
 
     See :func:`dataset_from_parts` for what is refused before the gate.
     """
@@ -407,14 +411,23 @@ def _dataset_block(header: str, meta: str, trace: str) -> tuple[str, ...]:
     return header + "\n", meta, "\n", trace, "END\n"
 
 
-def _read_dataset_block(stream) -> tuple[str, str]:
-    """Read up to ``END``, then split the lines at the first blank one: the meta and trace texts."""
-    lines: list[str] = []
-    for line in stream:
+def _block_pieces(lines):
+    """A dataset block's text as its lines arrive, up to its ``END`` line, which is read, not
+    given: first its meta text (the lines before the first blank one), then its trace text
+    in pieces of whole lines, so that the trace is never held, nor split, at once."""
+    piece, limit = [], None  # the meta text is one piece
+    for line in lines:
         if line.rstrip("\n") == "END":
-            blank = lines.index("\n") if "\n" in lines else len(lines)
-            return "".join(lines[:blank]), "".join(lines[blank + 1:])
-        lines.append(line)
+            yield "".join(piece)
+            return
+        if limit is None and line == "\n":
+            yield "".join(piece)
+            piece, limit = [], _LINES_PER_PIECE
+            continue
+        piece.append(line)
+        if len(piece) == limit:
+            yield "".join(piece)
+            piece = []
     raise ValueError("connection closed before END terminator")
 
 
@@ -440,9 +453,13 @@ class EdgeServer(LineServer):
     def _handle(self, line: str, lines, writer) -> str | None:
         command, _, rest = line.partition(" ")
         if command == "UPLOAD":
-            meta, trace = _read_dataset_block(lines)
-            # built without the gate: the store's upload runs it
-            dataset = dataset_from_parts(parse_meta(meta), records_from_csv_text(trace))
+            block = _block_pieces(lines)
+            try:
+                meta = parse_meta(next(block))
+                # built without the gate: the store's upload runs it
+                dataset = dataset_from_parts(meta, records_from_csv_text(block))
+            finally:
+                deque(block, maxlen=0)  # a block refused part-way is still read to its END
             if rest != f"{dataset.session_id} {dataset.record_count}":
                 raise ValueError("header session_id and record_count do not match the dataset")
             with _storage_errors():
@@ -511,4 +528,8 @@ class EdgeClient:
             header = stream.readline().strip()
             if not header.startswith("DATASET "):
                 raise LineServer.error_from_reply(header, _EDGE_ERRORS, EnergyShareError)
-            return decode_dataset(*_read_dataset_block(stream))
+            block = _block_pieces(stream)
+            dataset = decode_dataset(next(block), block)
+        if header != f"DATASET {session_id} {dataset.record_count}" or dataset.session_id != session_id:
+            raise EnergyShareError(f"edge reply {header!r} does not hold session {session_id}")
+        return dataset

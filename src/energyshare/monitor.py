@@ -23,6 +23,7 @@ consumer agent, come from ids already checked and are not re-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .battery import BatteryState, level_pct_of
@@ -36,6 +37,9 @@ TRACE_HEADER = (
     "tick_index,wall_time_s,session_id,device_id,role,"
     "battery_level_pct,battery_charge_mah,cumulative_transferred_mah"
 )
+
+# pairs of rows trace_csv_text joins into one string before joining the blocks
+_PAIRS_PER_BLOCK = 1024
 
 _RECORDABLE_PHASES = frozenset(
     {SessionPhase.CHARGING, SessionPhase.COMPLETED, SessionPhase.ABORTED}
@@ -131,32 +135,49 @@ def format_record(record: MonitorRecord) -> str:
     )
 
 
-def trace_csv_text(pairs: Iterable[tuple[MonitorRecord, MonitorRecord]]) -> str:
-    """Canonical CSV for a paired trace: provider row then consumer row per tick."""
-    lines = [TRACE_HEADER]
-    for provider_record, consumer_record in pairs:
-        lines.append(format_record(provider_record))
-        lines.append(format_record(consumer_record))
-    return "\n".join(lines) + "\n"
+def trace_csv_text(pairs: Sequence[tuple[MonitorRecord, MonitorRecord]]) -> str:
+    """Canonical CSV for a paired trace: provider row then consumer row per tick.
+
+    Rows are joined a block of pairs at a time, so no string of every row is held at once.
+    """
+    blocks = [TRACE_HEADER]
+    for start in range(0, len(pairs), _PAIRS_PER_BLOCK):
+        block = pairs[start:start + _PAIRS_PER_BLOCK]
+        blocks.append("\n".join(map(format_record, chain.from_iterable(block))))
+    blocks.append("")  # the last line's end
+    return "\n".join(blocks)
 
 
-def records_from_csv_text(text: str) -> list[MonitorRecord]:
+def records_from_csv_text(trace: str | Iterable[str]) -> list[MonitorRecord]:
     """Parse trace CSV: the canonical header, then rows of 8 fields with their numbers.
 
+    ``trace`` is a trace's text, or its pieces as they arrive, each ending at
+    a line end (a connection's lines, a file's blocks of lines); each piece
+    is split with ``str.splitlines``, so the rows are the same either way.
+    Rows share one object per distinct session id, device id and role, and
+    a row whose tick or time text is the previous row's reuses its number.
     A row is read as it is written; its facts are checked by ``edge.validate_dataset``.
     """
-    lines = text.splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
+    rows = chain.from_iterable(map(str.splitlines, [trace] if isinstance(trace, str) else trace))
+    if next(rows, None) != TRACE_HEADER:
         raise ValueError("trace CSV must start with the canonical header")
     records: list[MonitorRecord] = []
-    append, make = records.append, MonitorRecord._make
-    try:
-        for row in lines[1:]:
+    append, new, share = records.append, tuple.__new__, {}.setdefault
+    tick_text = wall_text = None
+    for row in rows:
+        try:
             tick, wall, session_id, device_id, role, level, charge, cumulative = row.split(",")
-            append(make((int(tick), float(wall), session_id, device_id, role,
-                         float(level), float(charge), float(cumulative))))
-    except ValueError as exc:  # not 8 fields, or a number that does not read
-        raise ValueError(f"trace row {row!r}: {exc}") from None
+            if tick != tick_text:
+                tick_text, tick_index = tick, int(tick)
+            if wall != wall_text:
+                wall_text, wall_time_s = wall, float(wall)
+            append(new(MonitorRecord, (
+                tick_index, wall_time_s, share(session_id, session_id),
+                share(device_id, device_id), share(role, role),
+                float(level), float(charge), float(cumulative),
+            )))
+        except ValueError as exc:  # not 8 fields, or a number that does not read
+            raise ValueError(f"trace row {row!r}: {exc}") from None
     return records
 
 

@@ -76,21 +76,33 @@ class LoadedRun:
         return self.dataset.records
 
 
+def _line_blocks(file):
+    """A binary file's UTF-8 text in blocks of about 64 KiB, each cut after a line end."""
+    tail = b""
+    while chunk := file.read(1 << 16):
+        block = tail + chunk
+        cut = block.rfind(b"\n") + 1
+        yield block[:cut].decode("utf-8")
+        tail = block[cut:]
+    yield tail.decode("utf-8")
+
+
 def load_run(run_dir: Path | str) -> LoadedRun:
-    """A run directory read back through the edge's dataset codec and its gate."""
+    """A run directory read back through the edge's dataset codec and its gate.
+
+    The trace is read from its open file a block of lines at a time, never held as one text.
+    """
     run_dir = Path(run_dir)
     try:
-        info, meta, trace = (
-            (run_dir / name).read_text(encoding="utf-8")
-            for name in (RUN_INFO_FILENAME, META_FILENAME, TRACE_FILENAME)
-        )
-    except FileNotFoundError as exc:
-        raise IncompatibleRuns(f"{run_dir} holds no run with a dataset: {exc}") from exc
-    try:
+        info, meta = ((run_dir / name).read_text(encoding="utf-8")
+                      for name in (RUN_INFO_FILENAME, META_FILENAME))
         fields = parse_meta(info)
-        dataset = decode_dataset(meta, trace)
+        with open(run_dir / TRACE_FILENAME, "rb") as trace:
+            dataset = decode_dataset(meta, _line_blocks(trace))
         start_level_pct = parse_finite(fields["consumer_start_level_pct"])
         return LoadedRun(fields["run_id"], start_level_pct, dataset)
+    except FileNotFoundError as exc:
+        raise IncompatibleRuns(f"{run_dir} holds no run with a dataset: {exc}") from exc
     except (KeyError, ValueError, ValidationFailed) as exc:
         raise IncompatibleRuns(f"{run_dir} holds a malformed run: {exc!r}") from exc
 

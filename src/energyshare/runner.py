@@ -396,7 +396,7 @@ class _ConsumerAgent(_Agent):
             return  # stale or repeated: ticks only move forward
         battery = self.battery = BatteryState(self.battery.capacity_mah, msg.consumer_charge_mah)
         self.records.append(MonitorRecord(
-            msg.tick_index, msg.wall_time_s, msg.session_id, self.device_id, ROLE_CONSUMER,
+            msg.tick_index, msg.wall_time_s, self.view.session_id, self.device_id, ROLE_CONSUMER,
             level_pct_of(battery.charge_mah, battery.capacity_mah), battery.charge_mah,
             msg.consumer_cumulative_in_mah,
         ))

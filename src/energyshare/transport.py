@@ -506,7 +506,8 @@ class TcpTransport:
         self._inboxes[device_id] = deque()
 
     def close(self) -> None:
-        for key in list(self._selector.get_map().values()):
+        # a closed selector's map is None: a second close finds nothing left to close
+        for key in list((self._selector.get_map() or {}).values()):
             key.fileobj.close()
         self._selector.close()
         for conn in self._conns.values():

@@ -4,12 +4,15 @@ import ast
 import builtins
 import dataclasses
 import errno
+import gc
 import itertools
 import random
 import re
 import shutil
 import socket
 import string
+import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -49,6 +52,7 @@ from energyshare.monitor import (
     trace_csv_text,
 )
 from energyshare.protocol import Reason, RequestKind, make_request
+from energyshare.report import IncompatibleRuns, load_run
 from energyshare.runner import run_scenario
 from energyshare.scenario import parse_scenario
 from energyshare.transport import parse_addr
@@ -883,3 +887,133 @@ def test_trace_field_edit_is_refused_or_kept(served_store, column):
         check_refused_or_kept(served_store, session_id, meta, edit_row(trace, row, **{column: text}))
 
     check()
+
+
+# --- dataset blocks and trace files read as their lines arrive ---------------------
+
+
+@pytest.mark.parametrize("session_id, header", [
+    ("ses-asked", "DATASET ses-asked 5"),
+    ("ses-other", "DATASET ses-other 5"),
+    ("ses-other", "DATASET ses-asked 5"),
+    ("ses-asked", "DATASET ses-asked 4"),
+], ids=["asked", "other_session", "other_session_under_the_asked_header", "wrong_record_count"])
+def test_get_returns_only_the_dataset_it_asked_for(session_id, header):
+    """A stand-in server answers ``GET ses-asked`` with ``header`` and a 5-pair dataset block."""
+    dataset = build_dataset(session_id=session_id)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as request:
+                request.readline()
+                conn.sendall(dataset_block(header, dataset).encode("utf-8"))
+
+        server = threading.Thread(target=answer_once, daemon=True)
+        server.start()
+        client = EdgeClient(f"127.0.0.1:{listener.getsockname()[1]}")
+        if (header, session_id) == ("DATASET ses-asked 5", "ses-asked"):
+            assert client.get("ses-asked") == dataset
+        else:
+            with pytest.raises(EnergyShareError, match="does not hold session ses-asked"):
+                client.get("ses-asked")
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+
+
+def test_an_upload_refused_mid_block_leaves_the_next_requests_their_replies(served_store):
+    """The server reads a refused block to its END, so what follows is read as requests."""
+    _, server, client = served_store
+    client.upload(build_dataset(session_id="ses-a"))
+    dataset = build_dataset(session_id="ses-b", ticks=10)
+    trace = edit_row(trace_csv_text(dataset.records), 9, battery_charge_mah="x")  # row 9 of 20
+    requests = [f"UPLOAD ses-b 10\n{encode_meta(dataset)}\n{trace}END\n", "GET ses-a\n", "LIST\n"]
+    pipelined = raw_exchange(server.address, "".join(requests))
+    one_at_a_time = [raw_exchange(server.address, request) for request in requests]
+    assert one_at_a_time[0].startswith("ERR Malformed trace row ")
+    assert one_at_a_time[1].startswith("DATASET ses-a 5\n")
+    assert one_at_a_time[2].startswith("SUMMARY session_id=ses-a ")
+    assert pipelined == "".join(one_at_a_time)
+
+
+def test_an_upload_block_without_a_blank_line_ends_at_its_end_line(served_store):
+    _, server, _ = served_store
+    reply = raw_exchange(server.address, "UPLOAD s1 1\nsession_id = s1\nEND\nLIST\n")
+    assert reply.startswith("ERR Malformed ")
+    assert reply.endswith("\nEND\n") and reply.count("\n") == 2  # LIST: no sessions
+
+
+def test_an_upload_closed_inside_its_trace_gets_err_reply(served_store):
+    _, server, client = served_store
+    block = dataset_block("UPLOAD ses-r1 5", build_dataset())
+    reply = raw_exchange(server.address, block[:block.index("END\n")])
+    assert reply == "ERR Malformed connection closed before END terminator\n"
+    assert client.list() == []
+
+
+# every str.splitlines boundary but "\n"; float() strips most of them from a field's ends
+LINE_BOUNDARIES = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+FLOAT_FIELDS = ["wall_time_s", "battery_level_pct", "battery_charge_mah", "cumulative_transferred_mah"]
+
+
+def run_directory(path: Path, meta: str, trace: bytes) -> Path:
+    path.mkdir()
+    (path / "run.txt").write_text("run_id = r\nconsumer_start_level_pct = 40.0\n", encoding="utf-8")
+    (path / edge.META_FILENAME).write_text(meta, encoding="utf-8")
+    (path / edge.TRACE_FILENAME).write_bytes(trace)
+    return path
+
+
+@pytest.mark.parametrize("boundary", LINE_BOUNDARIES, ids=[repr(b) for b in LINE_BOUNDARIES])
+def test_a_line_boundary_inside_a_row_is_refused_by_every_reader(served_store, tmp_path, boundary):
+    """Only a ``\\r`` ending the row's last field, read as a ``\\r\\n`` line end, is accepted."""
+    _, server, client = served_store
+    dataset = build_dataset()
+    meta, trace = encode_meta(dataset), trace_csv_text(dataset.records)
+    row = trace.split("\n")[4]  # tick 1's consumer row
+    fields = dict(zip(MonitorRecord._fields, row.split(",")))
+    for name, at_end in itertools.product(FLOAT_FIELDS, (False, True)):
+        value = fields[name] + boundary if at_end else boundary + fields[name]
+        edited = trace.replace(row, edit_row(row, -1, **{name: value}))
+        accepted = boundary == "\r" and at_end and name == FLOAT_FIELDS[-1]
+        run_dir = run_directory(tmp_path / f"{name}-{at_end}", meta, edited.encode("utf-8"))
+        reply = raw_exchange(server.address, f"UPLOAD ses-r1 5\n{meta}\n{edited}END\n")
+        if accepted:
+            assert decode_dataset(meta, edited) == dataset
+            assert load_run(run_dir).dataset == dataset
+            assert reply == "OK ses-r1 5\n"
+            continue
+        with pytest.raises((ValueError, ValidationFailed)):
+            decode_dataset(meta, edited)
+        with pytest.raises(IncompatibleRuns):
+            load_run(run_dir)
+        assert reply.startswith("ERR "), (name, at_end)
+        assert client.list() == []
+
+
+def test_a_trace_file_with_crlf_line_ends_loads(tmp_path):
+    dataset = build_dataset()
+    meta, trace = encode_meta(dataset), trace_csv_text(dataset.records)
+    run_dir = run_directory(tmp_path / "crlf", meta, trace.replace("\n", "\r\n").encode("utf-8"))
+    assert load_run(run_dir).dataset == dataset
+
+
+def test_a_decoded_dataset_shares_its_repeated_fields():
+    """Rows share their ids, role, tick and time objects: under 600 bytes a pair held."""
+    pairs = 3600
+    dataset = build_dataset(ticks=pairs)
+    meta, trace = encode_meta(dataset), trace_csv_text(dataset.records)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        decoded = decode_dataset(meta, trace)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert decoded == dataset
+    assert held / pairs <= 600
+    rows = [row for pair in decoded.records for row in pair]
+    assert [len({id(getattr(row, name)) for row in rows})
+            for name in ("session_id", "device_id", "role")] == [1, 2, 2]
+    assert all(p.tick_index is c.tick_index and p.wall_time_s is c.wall_time_s
+               for p, c in decoded.records)

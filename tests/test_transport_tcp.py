@@ -123,6 +123,14 @@ def test_duplicate_registration_same_id(registry):
     tb.close()
 
 
+def test_close_twice_is_a_no_op(pair):
+    ta, tb, a, b = pair
+    ta.send(a, b, Accept("m"))
+    assert drain(tb, b, 1) == [Accept("m")]
+    ta.close()
+    ta.close()  # and the fixture closes it a third time
+
+
 def test_register_closes_its_listener_when_the_registry_is_unreachable():
     registry = RegistryServer().start()
     registry.stop()
