@@ -355,7 +355,7 @@ class EdgeStore:
                 if dataset.session_id not in self._summaries:
                     self._append_index(dataset)
                 return receipt
-            tmp_dir = self.data_dir / f".tmp-{dataset.session_id}"
+            tmp_dir = self.data_dir / f"+tmp-{dataset.session_id}"  # no session id has a '+'
             if tmp_dir.exists():
                 for stale in tmp_dir.iterdir():
                     stale.unlink()

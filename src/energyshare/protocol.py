@@ -59,22 +59,19 @@ class EnergyRequest:
     request_id: str
     consumer_id: str
     kind: RequestKind
-    amount_mah: float | None = None
-    duration_s: float | None = None
+    value: float  # mAh for an amount, seconds for a duration
 
     def __post_init__(self) -> None:
         check_id(self.request_id, "request_id")
         check_id(self.consumer_id, "consumer_id")
-        if self.kind is RequestKind.AMOUNT:
-            if self.amount_mah is None or self.duration_s is not None:
-                raise ValueError("amount request must carry amount_mah only")
-        else:
-            if self.duration_s is None or self.amount_mah is not None:
-                raise ValueError("duration request must carry duration_s only")
 
     @property
-    def value(self) -> float:
-        return self.amount_mah if self.kind is RequestKind.AMOUNT else self.duration_s
+    def amount_mah(self) -> float | None:
+        return self.value if self.kind is RequestKind.AMOUNT else None
+
+    @property
+    def duration_s(self) -> float | None:
+        return self.value if self.kind is RequestKind.DURATION else None
 
 
 def make_request(
@@ -89,9 +86,7 @@ def make_request(
         raise InvalidRequestValue(f"request value must be a positive finite number, got {value!r}")
     if request_id is None:
         request_id = uuid.uuid4().hex[:12]
-    if kind is RequestKind.AMOUNT:
-        return EnergyRequest(request_id, consumer_id, kind, amount_mah=float(value))
-    return EnergyRequest(request_id, consumer_id, kind, duration_s=float(value))
+    return EnergyRequest(request_id, consumer_id, kind, float(value))
 
 
 def session_id_for(request_id: str) -> str:

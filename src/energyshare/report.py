@@ -18,7 +18,7 @@ from .edge import decode_dataset, encode_dataset
 from .errors import EnergyShareError
 from .monitor import MonitorRecord
 from .runner import RunResult
-from .util import fmt_float, format_meta, parse_finite, parse_meta
+from .util import check_id, fmt_float, format_meta, parse_finite, parse_meta
 
 RUN_INFO_FILENAME = "run.txt"
 
@@ -29,7 +29,7 @@ COMPARISON_HEADER = (
 
 
 class IncompatibleRuns(EnergyShareError):
-    """The runs cannot be compared (fewer than two, differing intervals, or a malformed run)."""
+    """The runs cannot be compared (fewer than two, a repeated id, differing intervals, or a malformed run)."""
 
 
 def write_run_artifacts(result: RunResult, out_dir: Path | str) -> Path:
@@ -100,7 +100,7 @@ def load_run(run_dir: Path | str) -> LoadedRun:
         with open(run_dir / TRACE_FILENAME, "rb") as trace:
             dataset = decode_dataset(meta, _line_blocks(trace))
         start_level_pct = parse_finite(fields["consumer_start_level_pct"])
-        return LoadedRun(fields["run_id"], start_level_pct, dataset)
+        return LoadedRun(check_id(fields["run_id"], "run_id"), start_level_pct, dataset)
     except FileNotFoundError as exc:
         raise IncompatibleRuns(f"{run_dir} holds no run with a dataset: {exc}") from exc
     except (KeyError, ValueError, ValidationFailed) as exc:
@@ -126,6 +126,8 @@ def compare(run_dirs: list[Path | str], out_csv: Path | str) -> ComparisonReport
     if len(run_dirs) < 2:
         raise IncompatibleRuns("need at least two runs to compare")
     runs = [load_run(d) for d in run_dirs]
+    if len({r.run_id for r in runs}) != len(runs):
+        raise IncompatibleRuns(f"runs share a run id: {sorted(r.run_id for r in runs)}")
     intervals = {r.dataset.interval_s for r in runs}
     if len(intervals) != 1:
         raise IncompatibleRuns(f"runs use different recording intervals: {sorted(intervals)}")

@@ -9,8 +9,10 @@ factor, which changes how long the run takes in real time and nothing
 else).
 
 The charging physics for a session runs provider-side (the energy source
-owns the engine); the consumer's device state is kept in step through the
-per-tick synchronization messages.
+owns the engine), which collects the session's dataset: both peers' record
+pairs. The consumer keeps only a receipt of each per-tick synchronization
+message it accepts (the tick, its timestamp and when it arrived); the
+dataset holds the row that tick's receipt names.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .battery import (
     BatteryState,
     DrainParams,
     TickLedger,
     battery_at_level,
-    level_pct_of,
     transfer_tick,
     ProviderDepleted,
 )
@@ -38,7 +39,7 @@ from .matching import (
     provider_accepts,
     rank_providers,
 )
-from .monitor import ROLE_CONSUMER, MonitorRecord, compute_metrics, record_tick
+from .monitor import MonitorRecord, compute_metrics, record_tick
 from .protocol import (
     Abort,
     Accept,
@@ -169,8 +170,8 @@ class RunResult:
     outcome: str
     terminal_reason: Reason | None
     dataset: SessionDataset | None
-    consumer_records: list[MonitorRecord] = field(default_factory=list)
-    sync_receipts: list[tuple[int, float, float]] = field(default_factory=list)
+    # (tick, timestamp, arrival on the run's clock) of each sync the consumer kept
+    sync_receipts: list[tuple[int, float, float]]
     upload_receipt: UploadReceipt | None = None
 
 
@@ -307,8 +308,8 @@ class _ConsumerAgent(_Agent):
 
     Every message but MonitorSync goes through the session state machine;
     one the lifecycle graph does not permit (late, duplicate or from an
-    earlier attempt) is ignored. A MonitorSync is recorded only for the
-    charging session and a tick past the last recorded one. ``deadline``
+    earlier attempt) is ignored. A MonitorSync is kept, as a receipt, only
+    for the charging session and a tick past the last kept one. ``deadline``
     follows ``view.state``: in Requested a missed one counts as a
     rejection, in Accepted or Charging it aborts the session with
     TransportLost.
@@ -321,11 +322,8 @@ class _ConsumerAgent(_Agent):
         self.sync_timeout_s = sync_timeout_s
         self.ranking: list[str] = []
         self.rejected: list[str] = []
-        self.attempt = 0
         self.view: SessionState | None = None
         self.deadline: float | None = None
-
-        self.records: list[MonitorRecord] = []
         self.sync_receipts: list[tuple[int, float, float]] = []
         self.outcome: str | None = None
 
@@ -346,14 +344,13 @@ class _ConsumerAgent(_Agent):
             self.outcome = OUTCOME_NO_PROVIDER
             self.deadline = None
             return
-        self.attempt += 1
         # deterministic per scenario+seed (trace bytes must reproduce),
         # unique across scenarios (shared edge stores must not collide)
         request = make_request(
             self.scenario.request_kind,
             self.scenario.request_value,
             self.device_id,
-            request_id=f"req-{self.scenario.run_id}-{self.device_id}-a{self.attempt}",
+            request_id=f"req-{self.scenario.run_id}-{self.device_id}-a{len(self.rejected) + 1}",
         )
         view = new_session(session_id_for(request.request_id), request, provider_id)
         msg = Request(
@@ -392,14 +389,8 @@ class _ConsumerAgent(_Agent):
     def _on_sync(self, msg: MonitorSync) -> None:
         if msg.session_id != self.view.session_id or self.view.state is not SessionPhase.CHARGING:
             return
-        if self.records and msg.tick_index <= self.records[-1].tick_index:
+        if self.sync_receipts and msg.tick_index <= self.sync_receipts[-1][0]:
             return  # stale or repeated: ticks only move forward
-        battery = self.battery = BatteryState(self.battery.capacity_mah, msg.consumer_charge_mah)
-        self.records.append(MonitorRecord(
-            msg.tick_index, msg.wall_time_s, self.view.session_id, self.device_id, ROLE_CONSUMER,
-            level_pct_of(battery.charge_mah, battery.capacity_mah), battery.charge_mah,
-            msg.consumer_cumulative_in_mah,
-        ))
         self.sync_receipts.append((msg.tick_index, msg.wall_time_s, self.clock.now_s))
         self.deadline = self.clock.now_s + self.sync_timeout_s
 
@@ -587,7 +578,6 @@ def _collect_result(
         outcome=outcome,
         terminal_reason=reason,
         dataset=dataset,
-        consumer_records=consumer.records,
         sync_receipts=consumer.sync_receipts,
     )
 

@@ -337,7 +337,7 @@ def test_predict_duration_request():
 
 
 def test_predict_zero_duration():
-    request = EnergyRequest("r0", "c1", RequestKind.DURATION, duration_s=0.0)
+    request = EnergyRequest("r0", "c1", RequestKind.DURATION, 0.0)
     predicted = predict_outcome(
         BatteryState(4080, 4080), BatteryState(2915, 1166),
         cable(), NO_DRAIN, NO_DRAIN, request, 1.0,

@@ -222,14 +222,25 @@ def test_upload_retried_after_failed_index_append_is_listed(store, tmp_path, mon
 
 
 def test_upload_replaces_a_stale_temp_dir_of_its_session(store):
-    """A crash mid-upload leaves ``.tmp-<id>``; the next upload of that id starts it afresh."""
-    stale = store.data_dir / ".tmp-ses-r1"
+    """A crash mid-upload leaves ``+tmp-<id>``; the next upload of that id starts it afresh."""
+    stale = store.data_dir / "+tmp-ses-r1"
     stale.mkdir()
     (stale / edge.META_FILENAME).write_bytes(b"session_id = ses-r1\n")
     dataset = build_dataset()
     assert store.upload(dataset) == UploadReceipt("ses-r1", 5)
     assert not stale.exists()
     assert stored_dataset(store, "ses-r1") == dataset
+
+
+def test_an_upload_stages_where_no_session_is_stored(store, tmp_path):
+    """``.tmp-foo`` is a session id: the upload of ``foo`` must not stage in its directory."""
+    dotted, plain = build_dataset(session_id=".tmp-foo"), build_dataset(session_id="foo")
+    store.upload(dotted)
+    store.upload(plain)
+    for opened in (store, EdgeStore(tmp_path / "data")):
+        assert [s.session_id for s in opened.list()] == [".tmp-foo", "foo"]
+        assert stored_dataset(opened, ".tmp-foo") == dotted
+        assert stored_dataset(opened, "foo") == plain
 
 
 def test_a_torn_last_index_line_is_dropped_at_open(tmp_path):

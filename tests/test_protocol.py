@@ -13,7 +13,6 @@ from energyshare.protocol import (
     Abort,
     Accept,
     Complete,
-    EnergyRequest,
     IllegalTransition,
     InvalidRequestValue,
     MessageDecodeError,
@@ -63,13 +62,6 @@ def test_invalid_request_values(value):
 def test_fresh_request_ids_are_unique():
     ids = {make_request(RequestKind.AMOUNT, 1.0, "c1").request_id for _ in range(50)}
     assert len(ids) == 50
-
-
-def test_request_kind_value_consistency_enforced():
-    with pytest.raises(ValueError):
-        EnergyRequest("r1", "c1", RequestKind.AMOUNT, duration_s=10.0)
-    with pytest.raises(ValueError):
-        EnergyRequest("r1", "c1", RequestKind.DURATION, amount_mah=10.0)
 
 
 # --- wire codec ---------------------------------------------------------------

@@ -1,9 +1,11 @@
 """End-to-end scenario runs: happy path, reject walk, aborts, both transports."""
 
+import gc
 import re
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 from conftest import build_scenario, scenario_text, stored_dataset
@@ -70,11 +72,30 @@ def test_duration_session_happy_path():
     validate_dataset(dataset)
 
 
-def test_consumer_copies_match_engine_consumer_records():
-    scenario = build_scenario(value=30.0)
-    result = run_scenario(scenario)
-    engine_consumer = [c for _, c in result.dataset.records]
-    assert result.consumer_records == engine_consumer
+def test_consumer_receipts_name_each_dataset_tick_once_at_its_time():
+    # lossless: every sync arrives, so the receipts name the dataset's ticks one by one
+    result = run_scenario(build_scenario(value=30.0))
+    assert [(tick, stamp) for tick, stamp, _ in result.sync_receipts] == [
+        (c.tick_index, c.wall_time_s) for _, c in result.dataset.records
+    ]
+
+
+def test_a_run_result_holds_its_session_once():
+    """A 3,601-pair run's result holds at most 720 bytes a pair: the dataset and the receipts."""
+    pairs = 3601
+    scenario = build_scenario(value=float(pairs - 1))
+    run_scenario(build_scenario(value=5.0))  # first-run caches are not the result's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_scenario(scenario)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.dataset.record_count == len(result.sync_receipts) == pairs
+    assert held / pairs <= 720
 
 
 @pytest.mark.parametrize("duration,interval,expected_pairs", [
@@ -498,6 +519,25 @@ def test_load_run_skips_blank_lines_in_its_key_value_files(tmp_path):
     assert load_run(run_dir) == loaded
 
 
+@pytest.mark.parametrize("run_id", ["b,evil", "a b", "..", ""])
+def test_load_run_refuses_a_run_id_that_is_not_an_id(tmp_path, run_id):
+    """A run id is a CSV cell and a column-name prefix in compare: it must be an id."""
+    run_dir = run_and_write(tmp_path, "renamed", value=5.0)
+    info = run_dir / "run.txt"
+    text = info.read_text(encoding="utf-8").replace("run_id = renamed", f"run_id = {run_id}")
+    info.write_text(text, encoding="utf-8")
+    with pytest.raises(IncompatibleRuns, match="run_id"):
+        load_run(run_dir)
+
+
+def test_compare_refuses_two_runs_with_one_run_id(tmp_path):
+    first = run_and_write(tmp_path / "first", "same", value=5.0)
+    second = run_and_write(tmp_path / "second", "same", value=6.0)
+    with pytest.raises(IncompatibleRuns, match="share a run id"):
+        compare([first, second], tmp_path / "summary.csv")
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_load_run_round_trip(tmp_path):
     run_dir = run_and_write(tmp_path, "roundtrip", value=10.0)
     loaded = load_run(run_dir)
@@ -627,8 +667,7 @@ def test_consumer_ignores_a_sync_whose_tick_goes_backwards():
     consumer.on_message(StartTransfer(session_id, request_id, scenario.interval_s))
     for tick in (2, 1, 2, 3):
         consumer.on_message(MonitorSync(session_id, tick, float(tick), 1200.0 + tick, 0.5 * tick))
-    assert [r.tick_index for r in consumer.records] == [2, 3]
-    assert consumer.records[-1].battery_charge_mah == 1203.0
+    assert [tick for tick, _, _ in consumer.sync_receipts] == [2, 3]
     assert consumer.outcome is None
 
 

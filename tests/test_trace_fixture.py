@@ -80,8 +80,9 @@ def run_digest(scenario: Scenario) -> str:
     h.update(f"{result.outcome}\n{reason}\n".encode())
     if result.dataset is not None:
         h.update(trace_csv_text(result.dataset.records).encode())
-    for record in result.consumer_records:
-        h.update((format_record(record) + "\n").encode())
+    # the dataset's consumer row of each tick the consumer kept a receipt of
+    for tick, _, _ in result.sync_receipts:
+        h.update((format_record(result.dataset.records[tick][1]) + "\n").encode())
     for tick, stamp, received in result.sync_receipts:
         h.update(f"{tick},{stamp!r},{received!r}\n".encode())
     return h.hexdigest()
