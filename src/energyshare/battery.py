@@ -72,8 +72,8 @@ class BatteryState(_Charge):
 
     ``BatteryState(capacity, charge)`` raises on a capacity that is not
     finite and > 0 or a charge that is not finite, then clamps charge into
-    [0, capacity]. ``BatteryState._make((capacity, charge))`` builds one
-    unchecked, for values already inside those bounds.
+    [0, capacity]. ``tuple.__new__(BatteryState, (capacity, charge))``
+    builds one unchecked, for values already inside those bounds.
     """
 
     __slots__ = ()
@@ -258,9 +258,10 @@ def transfer_tick(
     mah_out = min(p_mid, rate_ma * dt_s / 3600.0)
     mah_in = min(params.efficiency * mah_out, capacity - c_mid)
 
-    provider_after = BatteryState._make((provider.capacity_mah, p_mid - mah_out))
-    consumer_after = BatteryState._make((capacity, min(c_mid + mah_in, capacity)))
-    tick = TransferTick(mah_out, mah_in, mah_out - mah_in, p_drained, c_drained)
+    new = tuple.__new__  # builds each tuple unchecked, without a Python-level __new__ call
+    provider_after = new(BatteryState, (provider.capacity_mah, p_mid - mah_out))
+    consumer_after = new(BatteryState, (capacity, min(c_mid + mah_in, capacity)))
+    tick = new(TransferTick, (mah_out, mah_in, mah_out - mah_in, p_drained, c_drained))
     return provider_after, consumer_after, tick
 
 

@@ -324,6 +324,8 @@ class EdgeStore:
                 self._summaries[session_id] = summary_from_fields(parse_meta(meta.decode("utf-8")))
 
     def _session_dir(self, session_id: str) -> Path:
+        if session_id == self.INDEX_FILENAME:  # its directory would take the index's place
+            raise ValueError(f"session id {session_id!r} names the store's index file")
         return self.data_dir / check_id(session_id, "session id")
 
     def _index_path(self) -> Path:

@@ -41,9 +41,8 @@ TRACE_HEADER = (
 # pairs of rows trace_csv_text joins into one string before joining the blocks
 _PAIRS_PER_BLOCK = 1024
 
-_RECORDABLE_PHASES = frozenset(
-    {SessionPhase.CHARGING, SessionPhase.COMPLETED, SessionPhase.ABORTED}
-)
+# a tuple, Charging first: a test of the phase every tick records in hashes nothing
+_RECORDABLE_PHASES = (SessionPhase.CHARGING, SessionPhase.COMPLETED, SessionPhase.ABORTED)
 
 
 class SessionNotActive(EnergyShareError):
@@ -95,15 +94,16 @@ def record_tick(
     session_id = session.session_id
     provider_capacity, provider_charge = provider_battery
     consumer_capacity, consumer_charge = consumer_battery
+    new = tuple.__new__
     return (
-        MonitorRecord(
+        new(MonitorRecord, (
             tick_index, wall_time_s, session_id, provider_id, ROLE_PROVIDER,
             level_pct_of(provider_charge, provider_capacity), provider_charge, cumulative_out_mah,
-        ),
-        MonitorRecord(
+        )),
+        new(MonitorRecord, (
             tick_index, wall_time_s, session_id, consumer_id, ROLE_CONSUMER,
             level_pct_of(consumer_charge, consumer_capacity), consumer_charge, cumulative_in_mah,
-        ),
+        )),
     )
 
 

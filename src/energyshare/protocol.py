@@ -229,11 +229,12 @@ def _start_transfer(session_id, request_id, interval_s):
 
 
 def _monitor_sync(session_id, tick_index, wall_time_s, charge_mah, cumulative_in_mah):
-    return MonitorSync(
-        session_id, int(tick_index), parse_finite(wall_time_s, "wall_time_s"),
-        parse_finite(charge_mah, "consumer_charge_mah"),
-        parse_finite(cumulative_in_mah, "consumer_cumulative_in_mah"),
-    )
+    # runs once a tick: parse_finite's refusal, checked without a call per field
+    wall, charge, cumulative = float(wall_time_s), float(charge_mah), float(cumulative_in_mah)
+    if not (math.isfinite(wall) and math.isfinite(charge) and math.isfinite(cumulative)):
+        fields = (wall_time_s, charge_mah, cumulative_in_mah)
+        raise ValueError(f"wall_time_s and the consumer_* fields must be finite, got {fields!r}")
+    return tuple.__new__(MonitorSync, (session_id, int(tick_index), wall, charge, cumulative))
 
 
 # message type -> (the rest of its line, fullmatched; the builder of its groups)
@@ -343,11 +344,10 @@ def transition(state: SessionState, event: ProtocolMessage) -> SessionState:
 def is_complete(request: EnergyRequest, delivered_mah: float, elapsed_s: float) -> Reason | None:
     """Completion decision for a charging session that has delivered
     ``delivered_mah`` over ``elapsed_s``: a reason, or None to continue."""
-    if request.kind is RequestKind.AMOUNT and delivered_mah >= request.amount_mah:
-        return Reason.AMOUNT_DELIVERED
-    if request.kind is RequestKind.DURATION and elapsed_s >= request.duration_s:
-        return Reason.DURATION_ELAPSED
-    return None
+    # reads request.value, which amount_mah and duration_s return for their kind
+    if request.kind is RequestKind.AMOUNT:
+        return Reason.AMOUNT_DELIVERED if delivered_mah >= request.value else None
+    return Reason.DURATION_ELAPSED if elapsed_s >= request.value else None
 
 
 def abort_session(state: SessionState, reason: Reason) -> SessionState:

@@ -13,6 +13,11 @@ owns the engine), which collects the session's dataset: both peers' record
 pairs. The consumer keeps only a receipt of each per-tick synchronization
 message it accepts (the tick, its timestamp and when it arrived); the
 dataset holds the row that tick's receipt names.
+
+A tick's path (the loop, the agents' handlers, ``ChargingEngine.step``,
+one transport hop) is kept flat: a lossless virtual tick makes 32
+Python-level calls (59 before its bookkeeping and one-line helpers were
+inlined); ``tests/test_runner.py`` holds it to at most 36.
 """
 
 from __future__ import annotations
@@ -107,28 +112,22 @@ class ChargingEngine:
         self.start_time_s = start_time_s
         self.ledger = TickLedger()
         self.tick_index = 0
-        self.pairs: list[tuple[MonitorRecord, MonitorRecord]] = [
-            self._record(0, start_time_s)
-        ]
+        self.pairs: list[tuple[MonitorRecord, MonitorRecord]] = []
+        self.start_sync = self._record(0, start_time_s)
 
-    def _record(self, tick_index: int, wall_time_s: float):
-        return record_tick(
-            self.session,
-            tick_index,
-            wall_time_s,
-            provider_id=self.session.provider_id,
-            provider_battery=self.provider_battery,
-            consumer_id=self.session.request.consumer_id,
-            consumer_battery=self.consumer_battery,
-            cumulative_out_mah=self.ledger.total_out_mah,
-            cumulative_in_mah=self.ledger.total_in_mah,
-        )
-
-    def sync_for(self, tick_index: int, wall_time_s: float) -> MonitorSync:
-        return MonitorSync(
-            self.session.session_id, tick_index, wall_time_s,
-            self.consumer_battery.charge_mah, self.ledger.total_in_mah,
-        )
+    def _record(self, tick_index: int, wall_time_s: float) -> MonitorSync:
+        """Append the tick's record pair and return the tick's sync for the consumer."""
+        session, consumer_battery, ledger = self.session, self.consumer_battery, self.ledger
+        self.pairs.append(record_tick(
+            session, tick_index, wall_time_s,
+            provider_id=session.provider_id, provider_battery=self.provider_battery,
+            consumer_id=session.request.consumer_id, consumer_battery=consumer_battery,
+            cumulative_out_mah=ledger.total_out_mah, cumulative_in_mah=ledger.total_in_mah,
+        ))
+        return tuple.__new__(MonitorSync, (
+            session.session_id, tick_index, wall_time_s,
+            consumer_battery.charge_mah, ledger.total_in_mah,
+        ))
 
     def step(self) -> MonitorSync | None:
         """Advance one tick and return its sync, or None if the provider ran dry.
@@ -152,14 +151,14 @@ class ChargingEngine:
 
         self.ledger.add(tick)
         self.tick_index = k
-        self.pairs.append(self._record(k, wall_time_s))
 
         reason = is_complete(self.session.request, self.ledger.total_in_mah, k * self.interval_s)
         if reason is not None:
             self.session = transition(self.session, Complete(self.session.session_id, reason))
         elif self.session.request.kind is RequestKind.AMOUNT and tick.mah_in <= STALL_EPS_MAH:
             self.session = abort_session(self.session, Reason.CONSUMER_CANCELLED)
-        return self.sync_for(k, wall_time_s)
+        # a Completed or Aborted session still records its last tick
+        return self._record(k, wall_time_s)
 
 
 @dataclass
@@ -185,9 +184,6 @@ class _Agent:
         self.clock = clock
         self.device_id = spec.device_id
         self.battery = battery_at_level(spec.capacity_mah, spec.start_level_pct)
-
-    def _send(self, to: str, msg) -> None:
-        self.transport.send(self.device_id, to, msg)
 
 
 class _ProviderAgent(_Agent):
@@ -223,7 +219,7 @@ class _ProviderAgent(_Agent):
         if self.sessions.busy or not provider_accepts(
             self.battery.level_pct, self.spec.accept_threshold_pct
         ):
-            self._send(consumer_id, Reject(msg.request.request_id))
+            self.transport.send(self.device_id, consumer_id, Reject(msg.request.request_id))
             return
 
         request = msg.request
@@ -246,9 +242,8 @@ class _ProviderAgent(_Agent):
             interval_s=self.scenario.interval_s,
             start_time_s=now,
         )
-        self._send(consumer_id, Accept(request.request_id))
-        self._send(consumer_id, start)
-        self._send(consumer_id, self.engine.sync_for(0, now))
+        for reply in (Accept(request.request_id), start, self.engine.start_sync):
+            self.transport.send(self.device_id, consumer_id, reply)
         self.next_tick_at = now + self.tick_spacing_s
 
     def _on_abort(self, msg: Abort) -> None:
@@ -258,26 +253,24 @@ class _ProviderAgent(_Agent):
         self._finalize()
 
     def on_time(self) -> None:
-        # next_tick_at is set exactly while an engine runs
+        # runs each due tick; next_tick_at is set exactly while an engine runs
         while self.next_tick_at is not None and self.clock.now_s >= self.next_tick_at:
-            self._run_tick()
-
-    def _run_tick(self) -> None:
-        engine = self.engine
-        consumer_id = engine.session.request.consumer_id
-        sync = engine.step()
-        self.battery = engine.provider_battery
-        if sync is not None:
-            self._send(consumer_id, sync)
-        session = engine.session
-        if session.state is SessionPhase.CHARGING and engine.tick_index >= self.scenario.max_ticks:
-            session = engine.session = abort_session(session, Reason.CONSUMER_CANCELLED)
-        if session.state is SessionPhase.CHARGING:
-            self.next_tick_at += self.tick_spacing_s
-            return
-        end = Complete if session.state is SessionPhase.COMPLETED else Abort
-        self._send(consumer_id, end(session.session_id, session.terminal_reason))
-        self._finalize()
+            engine = self.engine
+            consumer_id = engine.session.request.consumer_id
+            sync = engine.step()
+            self.battery = engine.provider_battery
+            if sync is not None:
+                self.transport.send(self.device_id, consumer_id, sync)
+            session = engine.session
+            if session.state is SessionPhase.CHARGING:
+                if engine.tick_index < self.scenario.max_ticks:
+                    self.next_tick_at += self.tick_spacing_s
+                    continue
+                session = engine.session = abort_session(session, Reason.CONSUMER_CANCELLED)
+            end = Complete if session.state is SessionPhase.COMPLETED else Abort
+            end_msg = end(session.session_id, session.terminal_reason)
+            self.transport.send(self.device_id, consumer_id, end_msg)
+            self._finalize()
 
     def _finalize(self) -> None:
         engine = self.engine
@@ -327,10 +320,6 @@ class _ConsumerAgent(_Agent):
         self.sync_receipts: list[tuple[int, float, float]] = []
         self.outcome: str | None = None
 
-    @property
-    def done(self) -> bool:
-        return self.outcome is not None
-
     def start(self) -> None:
         self.transport.register(self.device_id)
         adverts = self.transport.discover(self.device_id)
@@ -361,14 +350,21 @@ class _ConsumerAgent(_Agent):
             consumer_baseline_ma=self.spec.baseline_ma,
         )
         self.view = transition(view, msg)
-        self._send(provider_id, msg)
+        self.transport.send(self.device_id, provider_id, msg)
         self.deadline = self.clock.now_s + self.scenario.request_timeout_s
 
     def on_message(self, msg) -> None:
-        if self.done:  # a walk that ran out of providers may leave the last view Requested
+        if self.outcome is not None:  # a walk out of providers may leave the last view Requested
             return
         if isinstance(msg, MonitorSync):
-            self._on_sync(msg)
+            view, receipts = self.view, self.sync_receipts
+            if msg.session_id != view.session_id or view.state is not SessionPhase.CHARGING:
+                return
+            if receipts and msg.tick_index <= receipts[-1][0]:
+                return  # stale or repeated: ticks only move forward
+            now = self.clock.now_s
+            receipts.append((msg.tick_index, msg.wall_time_s, now))
+            self.deadline = now + self.sync_timeout_s
             return
         try:
             self.view = transition(self.view, msg)
@@ -386,14 +382,6 @@ class _ConsumerAgent(_Agent):
             self.outcome = OUTCOME_COMPLETED if state is SessionPhase.COMPLETED else OUTCOME_ABORTED
             self.deadline = None
 
-    def _on_sync(self, msg: MonitorSync) -> None:
-        if msg.session_id != self.view.session_id or self.view.state is not SessionPhase.CHARGING:
-            return
-        if self.sync_receipts and msg.tick_index <= self.sync_receipts[-1][0]:
-            return  # stale or repeated: ticks only move forward
-        self.sync_receipts.append((msg.tick_index, msg.wall_time_s, self.clock.now_s))
-        self.deadline = self.clock.now_s + self.sync_timeout_s
-
     def on_time(self) -> None:
         # every way the walk ends clears the deadline
         if self.deadline is None or self.clock.now_s < self.deadline:
@@ -405,7 +393,9 @@ class _ConsumerAgent(_Agent):
             return
         self.view = abort_session(self.view, Reason.TRANSPORT_LOST)
         try:
-            self._send(self.view.provider_id, Abort(self.view.session_id, Reason.TRANSPORT_LOST))
+            self.transport.send(
+                self.device_id, self.view.provider_id, Abort(self.view.session_id, Reason.TRANSPORT_LOST)
+            )
         except EnergyShareError:
             pass
         self.outcome = OUTCOME_ABORTED
@@ -434,47 +424,47 @@ def _drive(agents: list, transport, clock, stop_at: float) -> None:
     device only if the transport's next delivery or the timer heap's head
     has fallen due. Returns once nothing is pending or the next event lies
     past ``stop_at``, checked after each instant and before waiting.
+    The gather and the rescheduling run at every instant, two per tick, so
+    they are inlined here rather than called.
     """
-    index = {agent.device_id: i for i, agent in enumerate(agents)}
-    timers: list[tuple[float, int]] = []  # (wake-up, agent index)
+    index_of = {agent.device_id: i for i, agent in enumerate(agents)}.__getitem__
     # each agent's current wake-up as last pushed; a heap entry that differs is stale
-    current: list[float | None] = [None] * len(agents)
-
-    def schedule(i: int) -> None:
-        wake_at = agents[i].next_wakeup()
-        if wake_at != current[i]:
-            current[i] = wake_at
-            if wake_at is not None:
-                heapq.heappush(timers, (wake_at, i))
-
-    def gather(now: float) -> set[int]:
-        due = {index[device_id] for device_id in transport.due_devices()}
-        while timers and timers[0][0] <= now:
-            wake_at, i = heapq.heappop(timers)
-            if current[i] == wake_at:
-                current[i] = None  # consumed: serving the agent pushes its next one
-                due.add(i)
-        return due
-
-    for i in range(len(agents)):
-        schedule(i)
+    current: list[float | None] = [agent.next_wakeup() for agent in agents]
+    timers = [(wake_at, i) for i, wake_at in enumerate(current) if wake_at is not None]
+    heapq.heapify(timers)  # (wake-up, agent index)
     while True:
         now = clock.now_s
-        due, last = sorted(gather(now)), -1
-        # the transport's next delivery, read again after each device served
-        t_msg = None if due else transport.next_delivery_time()
-        while due:
-            at = bisect.bisect_right(due, last)  # none after the last served: a new pass
-            i = due.pop(at if at < len(due) else 0)
-            agent = agents[i]
-            for msg in transport.receive(agent.device_id):
-                agent.on_message(msg)
-            agent.on_time()
-            schedule(i)
-            t_msg = transport.next_delivery_time()
-            if (t_msg is not None and t_msg <= now) or (timers and timers[0][0] <= now):
-                due = sorted(set(due).union(gather(now)))
-            last = i
+        due, last = [], -1  # this instant's due agents, by index; the last one served
+        while True:
+            # gather: devices with a message or a timer due, merged into this pass
+            fresh = set(map(index_of, transport.due_devices()))
+            while timers and timers[0][0] <= now:
+                wake_at, i = heapq.heappop(timers)
+                if current[i] == wake_at:
+                    current[i] = None  # consumed: serving the agent pushes its next one
+                    fresh.add(i)
+            fresh.update(due)
+            due = sorted(fresh)
+            if last < 0 and not due:
+                t_msg = transport.next_delivery_time()
+            while due:
+                # the next after the last served; none after it starts a new pass
+                i = last = due.pop(bisect.bisect_right(due, last) % len(due))
+                agent = agents[i]
+                for msg in transport.receive(agent.device_id):
+                    agent.on_message(msg)
+                agent.on_time()
+                wake_at = agent.next_wakeup()
+                if wake_at != current[i]:
+                    current[i] = wake_at
+                    if wake_at is not None:
+                        heapq.heappush(timers, (wake_at, i))
+                # the transport's next delivery, read again after each device served
+                t_msg = transport.next_delivery_time()
+                if (t_msg is not None and t_msg <= now) or (timers and timers[0][0] <= now):
+                    break  # more fell due now: gather again
+            else:
+                break  # the instant is served
         while timers and current[timers[0][1]] != timers[0][0]:
             heapq.heappop(timers)
         t_next = t_msg

@@ -181,7 +181,9 @@ class SimTransport:
     Messages are encoded and decoded through the real wire format on every
     send so anything unencodable fails here too. A configured drop
     probability (seeded) silently discards sends to exercise loss
-    handling; the default is lossless.
+    handling; the default is lossless. :meth:`send` and :meth:`receive`
+    run for every message, so they look up inboxes in place and call
+    ``_inbox`` only to raise :class:`PeerUnreachable`.
     """
 
     def __init__(
@@ -216,8 +218,10 @@ class SimTransport:
 
     def send(self, frm: str, to: str, msg: ProtocolMessage) -> None:
         """Queue ``msg`` from device ``frm`` for device ``to`` at now + latency."""
-        _inbox(self._inboxes, frm)
-        inbox = _inbox(self._inboxes, to)
+        inbox = self._inboxes.get(to)
+        if inbox is None or frm not in self._inboxes:
+            _inbox(self._inboxes, frm)
+            _inbox(self._inboxes, to)
         line = encode_message(msg)
         if self.drop_probability > 0.0 and self._rng.random() < self.drop_probability:
             return
@@ -227,7 +231,9 @@ class SimTransport:
 
     def receive(self, device_id: str) -> list[ProtocolMessage]:
         """Drain all messages due at the current virtual time, in order."""
-        inbox = _inbox(self._inboxes, device_id)
+        inbox = self._inboxes.get(device_id)
+        if inbox is None:
+            _inbox(self._inboxes, device_id)
         now = self.clock.now_s
         due: list[ProtocolMessage] = []
         while inbox and inbox[0][0] <= now:

@@ -121,6 +121,18 @@ def test_upload_and_get_round_trip(store):
     assert stored_dataset(store, "ses-r1") == dataset
 
 
+def test_a_session_id_naming_the_index_is_refused_and_the_store_reopens(store):
+    with pytest.raises(ValueError, match="index file"):
+        store.upload(build_dataset(session_id=EdgeStore.INDEX_FILENAME))
+    assert list(store.data_dir.iterdir()) == []  # refused before anything was written
+    with pytest.raises(ValueError, match="index file"):
+        store.get(EdgeStore.INDEX_FILENAME)
+    store.upload(build_dataset())
+    reopened = EdgeStore(store.data_dir)
+    assert [s.session_id for s in reopened.list()] == ["ses-r1"]
+    assert stored_dataset(reopened, "ses-r1") == build_dataset()
+
+
 def test_reupload_identical_is_idempotent(store):
     dataset = build_dataset()
     first = store.upload(dataset)

@@ -236,6 +236,18 @@ def test_every_encoded_message_decodes_to_itself(msg):
         "MONITOR_SYNC session_id=s tick_index=1 wall_time_s=1.0"
         " consumer_charge_mah=1.0 consumer_cumulative_in_mah=\u0663",
         "START_TRANSFER session_id=s request_id=r1 interval_s=1e0",
+        # repr(float)'s form but past float's range: float() reads an infinity, the builder refuses it
+        *(
+            line.replace(f" {field}=1.0", f" {field}=1e+999")
+            for line in (
+                "MONITOR_SYNC session_id=s tick_index=1 wall_time_s=1.0 consumer_charge_mah=1.0"
+                " consumer_cumulative_in_mah=1.0",
+                "REQUEST request_id=r1 consumer_id=c1 kind=amount value=1.0 x=1.0 y=1.0"
+                " capacity_mah=1.0 charge_mah=1.0 baseline_ma=1.0",
+                "START_TRANSFER session_id=s request_id=r1 interval_s=1.0",
+            )
+            for field in re.findall(r"(\w+)=1\.0", line)
+        ),
     ],
 )
 def test_decode_rejects_malformed_lines(line):

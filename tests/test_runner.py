@@ -3,6 +3,7 @@
 import gc
 import re
 import socket
+import sys
 import threading
 import time
 import tracemalloc
@@ -776,3 +777,31 @@ def test_virtual_run_gathers_due_devices_once_per_instant(monkeypatch):
     assert ticks == 300
     # plus the start instant, the request's arrival and the reply's arrival
     assert gathers <= 2 * ticks + 3
+
+
+def _python_calls(ticks: int) -> int:
+    """Python-level calls (profiler ``call`` events) of one lossless virtual session."""
+    scenario = build_scenario(value=float(ticks))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()  # no finalizer of an earlier test's garbage runs inside the count
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run_scenario(scenario)
+    finally:
+        sys.setprofile(previous)
+    assert result.dataset.record_count == ticks + 1
+    return calls
+
+
+def test_a_virtual_tick_makes_at_most_36_python_calls():
+    """The event loop, the engine and one transport hop per tick, counted as the
+    difference of two session lengths so the fixed cost of a session drops out."""
+    per_tick = (_python_calls(400) - _python_calls(100)) / 300
+    assert per_tick <= 36

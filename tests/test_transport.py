@@ -138,6 +138,15 @@ def test_send_to_unknown_peer(net):
         transport.send(a, "ghost", Accept("m"))
 
 
+def test_an_unregistered_device_can_neither_send_nor_receive(net):
+    _, transport, _, b = net
+    with pytest.raises(PeerUnreachable, match="'ghost'"):
+        transport.send("ghost", b, Accept("m"))
+    with pytest.raises(PeerUnreachable, match="'ghost'"):
+        transport.receive("ghost")
+    assert transport.next_delivery_time() is None  # the refused send queued nothing
+
+
 def test_next_delivery_time(net):
     clock, transport, a, b = net
     assert transport.next_delivery_time() is None
