@@ -5,14 +5,14 @@ sidecar plus the trace CSV), ordered by an append-only ``index.log`` that
 is read once at open; LIST is served from memory.
 A dataset's row rules live in one gate, :func:`validate_dataset`, and
 every path from a dataset text to a dataset runs it once: an UPLOAD in
-:meth:`EdgeStore.upload`, before anything is persisted; an
+:meth:`EdgeStore.upload`, a piece at a time as it is staged; an
 :meth:`EdgeClient.get` and ``report.load_run`` in :func:`decode_dataset`.
 Uploads are written atomically (temp dir + rename) and acknowledged only
 after an fsync, so an acknowledged dataset survives a crash. Re-uploading
 identical content is idempotent; a different dataset under the same
 session id is a conflict, detected by a digest of the canonical encoding.
-A GET serves the stored canonical text as it is, after checking it
-against that digest, so a damaged dataset is refused rather than served.
+A GET serves the stored canonical bytes as they are, in blocks, after checking
+them against that digest, so a damaged dataset is refused rather than served.
 
 The network face is the same framed-line TCP discipline as the rest of
 the platform; see docs/wire-format.md for the exact exchange.
@@ -23,15 +23,17 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import shutil
 import socket
 import threading
+import uuid
 from collections import deque
-from contextlib import contextmanager
-from dataclasses import dataclass, fields as dataclass_fields
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .battery import DrainParams, Technology, TechnologyParams, level_pct_of
 from .errors import EnergyShareError
@@ -39,10 +41,13 @@ from .monitor import (
     ROLE_CONSUMER,
     ROLE_PROVIDER,
     MonitorRecord,
+    TRACE_HEADER,
     SessionMetrics,
     compute_metrics,
     pairs_from_records,
+    record_blocks,
     records_from_csv_text,
+    trace_csv_rows,
     trace_csv_text,
 )
 from .protocol import EnergyRequest, Reason, RequestKind, make_request
@@ -122,46 +127,64 @@ class SessionSummary(NamedTuple):
 def validate_dataset(dataset: SessionDataset) -> None:
     """The one gate on a dataset's rows: each record pair, then the metrics.
 
-    Every path from a dataset text to a dataset runs it once (:func:`decode_dataset`,
-    and :meth:`EdgeStore.upload` for an UPLOAD), so a rule is added or changed here alone.
+    Its rules are :class:`_Gate`'s, which an UPLOAD runs a piece at a time.
     """
-    pairs = dataset.records
-    if not pairs:
-        raise ValidationFailed("dataset has no records")
-    session_id, provider_id = dataset.session_id, dataset.provider_id
-    consumer_id = dataset.request.consumer_id
-    provider_cap, consumer_cap = dataset.provider_capacity_mah, dataset.consumer_capacity_mah
-    start, interval_s = pairs[0][0].wall_time_s, dataset.interval_s
-    for tick, (p, c) in enumerate(pairs):
-        wall = start + tick * interval_s
-        # tick_index, wall_time_s, session_id, device_id, role: the row's place in the dataset
-        if (p[:5] != (tick, wall, session_id, provider_id, ROLE_PROVIDER)
-                or c[:5] != (tick, wall, session_id, consumer_id, ROLE_CONSUMER)):
-            raise ValidationFailed(
-                f"tick {tick}: a row's tick_index, time, session_id, device_id or role is not "
-                f"the one its position in the dataset gives"
-            )
-        if not (
-            math.isfinite(wall)
-            and 0.0 <= p.battery_charge_mah <= provider_cap
-            and 0.0 <= c.battery_charge_mah <= consumer_cap
-            and p.battery_level_pct == level_pct_of(p.battery_charge_mah, provider_cap)
-            and c.battery_level_pct == level_pct_of(c.battery_charge_mah, consumer_cap)
-            and math.isfinite(p.cumulative_transferred_mah)
-            and math.isfinite(c.cumulative_transferred_mah)
-        ):
-            raise ValidationFailed(
-                f"tick {tick}: a time, charge or cumulative out of range, or a level off its charge"
-            )
-    recomputed = compute_metrics(pairs)
-    for name in (f.name for f in dataclass_fields(SessionMetrics)):
-        stored = getattr(dataset.metrics, name)
-        fresh = getattr(recomputed, name)
-        if not rel_close(stored, fresh, METRIC_TOLERANCE):
-            raise ValidationFailed(
-                f"metrics not recomputable from records: {name} stored={stored!r} "
-                f"recomputed={fresh!r}"
-            )
+    gate = _Gate(dataset)
+    gate.feed(dataset.records, 0)
+    gate.close()
+
+
+class _Gate:
+    """The rules on ``head``'s pairs, fed in order, and on its metrics, checked from its
+    first and last pairs alone; ``head``'s own records are not read."""
+
+    def __init__(self, head: SessionDataset):
+        self.head, self.first, self.last = head, None, None
+
+    def feed(self, pairs: Sequence[tuple[MonitorRecord, MonitorRecord]], ticks: int) -> None:
+        """Check ``pairs``, the dataset's pairs after its first ``ticks``."""
+        if not pairs:
+            return
+        head, self.first, self.last = self.head, self.first or pairs[0], pairs[-1]
+        session_id, provider_id = head.session_id, head.provider_id
+        consumer_id = head.request.consumer_id
+        provider_cap, consumer_cap = head.provider_capacity_mah, head.consumer_capacity_mah
+        start, interval_s = self.first[0].wall_time_s, head.interval_s
+        for tick, (p, c) in enumerate(pairs, ticks):
+            wall = start + tick * interval_s
+            # tick_index, wall_time_s, session_id, device_id, role: the row's place in the dataset
+            if (p[:5] != (tick, wall, session_id, provider_id, ROLE_PROVIDER)
+                    or c[:5] != (tick, wall, session_id, consumer_id, ROLE_CONSUMER)):
+                raise ValidationFailed(
+                    f"tick {tick}: a row's tick_index, time, session_id, device_id or role is not "
+                    f"the one its position in the dataset gives"
+                )
+            if not (
+                math.isfinite(wall)
+                and 0.0 <= p.battery_charge_mah <= provider_cap
+                and 0.0 <= c.battery_charge_mah <= consumer_cap
+                and p.battery_level_pct == level_pct_of(p.battery_charge_mah, provider_cap)
+                and c.battery_level_pct == level_pct_of(c.battery_charge_mah, consumer_cap)
+                and math.isfinite(p.cumulative_transferred_mah)
+                and math.isfinite(c.cumulative_transferred_mah)
+            ):
+                raise ValidationFailed(
+                    f"tick {tick}: a time, charge or cumulative out of range, "
+                    f"or a level off its charge"
+                )
+
+    def close(self) -> None:
+        if self.first is None:
+            raise ValidationFailed("dataset has no records")
+        recomputed = compute_metrics((self.first, self.last))
+        for name in (f.name for f in dataclass_fields(SessionMetrics)):
+            stored = getattr(self.head.metrics, name)
+            fresh = getattr(recomputed, name)
+            if not rel_close(stored, fresh, METRIC_TOLERANCE):
+                raise ValidationFailed(
+                    f"metrics not recomputable from records: {name} stored={stored!r} "
+                    f"recomputed={fresh!r}"
+                )
 
 
 # --- the meta key table ------------------------------------------------------------
@@ -252,16 +275,19 @@ def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> Se
     the paired ticks, is a ``ValueError``; a row without its pair is
     :class:`ValidationFailed`. The rows' facts are left to :func:`validate_dataset`.
     """
+    values, head = _head(meta)
+    return replace(head, records=_pairs_of(records, values))
+
+
+def _head(meta: dict[str, str]) -> tuple[dict[str, Any], SessionDataset]:
+    """Each meta key's parsed value, and the dataset they describe, without its records."""
     if meta.keys() != _META.keys():
         raise ValueError(f"meta keys missing or unknown: {sorted(meta.keys() ^ _META.keys())}")
-    try:
-        pairs = pairs_from_records(records)
-    except ValueError as exc:
-        raise ValidationFailed(str(exc)) from None
+    values: dict[str, Any] = {}
     args: dict[str, Any] = {}
     for key, row in _META.items():
         try:
-            value = row.parse(meta[key])
+            value = values[key] = row.parse(meta[key])
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
         head, _, attr = (row.place or key).partition(".")
@@ -269,27 +295,64 @@ def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> Se
             args.setdefault(head, {})[attr] = value
         else:
             args[head] = value
-    count = args.pop(_COUNT_KEY)
-    if count != len(pairs):
-        raise ValueError(f"{_COUNT_KEY} is {count!r}, the trace holds {len(pairs)} pairs")
-    return SessionDataset(
-        records=pairs,
+    del args[_COUNT_KEY]
+    return values, SessionDataset(
+        records=(),
         **{name: _PARTS[name](**arg) if name in _PARTS else arg for name, arg in args.items()},
     )
 
 
-def _digest(meta: bytes, trace: bytes) -> str:
-    """SHA-256 of the canonical encoding: the meta block, then the trace CSV."""
-    hasher = hashlib.sha256(meta)
-    hasher.update(trace)
-    return hasher.hexdigest()
+def _pairs_of(records: Sequence[MonitorRecord], values: dict[str, Any], ticks: int = 0) -> tuple:
+    """The pairs of a trace's last ``records``, after its first ``ticks`` pairs; a row left
+    over is :class:`ValidationFailed`, a total other than ``record_count`` a ``ValueError``."""
+    try:
+        pairs = pairs_from_records(records, ticks)
+    except ValueError as exc:
+        raise ValidationFailed(str(exc)) from None
+    if (count := ticks + len(pairs)) != values[_COUNT_KEY]:
+        raise ValueError(f"{_COUNT_KEY} is {values[_COUNT_KEY]!r}, the trace holds {count} pairs")
+    return pairs
+
+
+def _canonical_trace(values: dict[str, Any], head: SessionDataset, trace) -> Iterator[bytes]:
+    """The canonical ``trace.csv`` bytes of a trace text or its pieces, a piece at a time.
+
+    Each piece's rows are parsed, paired (a pair may span two pieces), checked and
+    re-encoded; the checks that need every row come at the end, in :func:`decode_dataset`'s
+    order: pairing and count, a refused row, the metrics."""
+    gate, refused, left, ticks = _Gate(head), None, [], 0
+    yield (TRACE_HEADER + "\n").encode("utf-8")
+    for records in record_blocks(trace):
+        records = left + records
+        left = [records.pop()] if len(records) % 2 else []
+        pairs = pairs_from_records(records)
+        if refused is None:
+            try:
+                gate.feed(pairs, ticks)
+            except ValidationFailed as exc:
+                refused = exc
+            else:
+                yield trace_csv_rows(pairs).encode("utf-8")
+        ticks += len(pairs)
+    _pairs_of(left, values, ticks)
+    if refused is not None:
+        raise refused
+    gate.close()
 
 
 def dataset_digest(dataset: SessionDataset) -> str:
-    return _digest(*(text.encode("utf-8") for text in encode_dataset(dataset)))
+    """SHA-256 of the canonical encoding: the meta block, then the trace CSV."""
+    return hashlib.sha256("".join(encode_dataset(dataset)).encode("utf-8")).hexdigest()
 
 
 # --- file-backed store ----------------------------------------------------------
+
+
+def _file_blocks(path: Path) -> Iterator[bytes]:
+    """A file's bytes, 64 KiB at a time, read as they are taken."""
+    with path.open("rb") as file:
+        while block := file.read(1 << 16):
+            yield block
 
 
 def _fsync_path(path: Path) -> None:
@@ -312,6 +375,8 @@ class EdgeStore:
         self._lock = threading.Lock()
         # the indexed sessions in index order, loaded once; LIST serves these
         self._summaries: dict[str, SessionSummary] = {}
+        for staged in self.data_dir.glob("+tmp-*"):  # an upload cut short by a crash
+            shutil.rmtree(staged)
         index = self._index_path()
         if index.exists():
             text = index.read_bytes()
@@ -339,57 +404,65 @@ class EdgeStore:
         summary = (_GETTERS[key](dataset) for key in SessionSummary._fields)
         self._summaries[dataset.session_id] = SessionSummary._make(summary)
 
-    def upload(self, dataset: SessionDataset) -> UploadReceipt:
-        """Validate, persist durably, and acknowledge. Idempotent per digest."""
-        validate_dataset(dataset)
-        meta, trace = (text.encode("utf-8") for text in encode_dataset(dataset))
-        digest = _digest(meta, trace)
-        receipt = UploadReceipt(dataset.session_id, dataset.record_count)
-        with self._lock:
-            session_dir = self._session_dir(dataset.session_id)
-            if session_dir.exists():
-                stored = (session_dir / self.DIGEST_FILENAME).read_text(encoding="utf-8").strip()
-                if stored != digest:
-                    raise ConflictingSession(
-                        f"session {dataset.session_id} already stored with different content"
-                    )
-                # stored, but the index append after the rename failed or never ran
-                if dataset.session_id not in self._summaries:
-                    self._append_index(dataset)
-                return receipt
-            tmp_dir = self.data_dir / f"+tmp-{dataset.session_id}"  # no session id has a '+'
-            if tmp_dir.exists():
-                for stale in tmp_dir.iterdir():
-                    stale.unlink()
-                tmp_dir.rmdir()
-            tmp_dir.mkdir()
-            (tmp_dir / META_FILENAME).write_bytes(meta)
-            (tmp_dir / TRACE_FILENAME).write_bytes(trace)
-            (tmp_dir / self.DIGEST_FILENAME).write_bytes((digest + "\n").encode("utf-8"))
-            for name in (META_FILENAME, TRACE_FILENAME, self.DIGEST_FILENAME):
-                _fsync_path(tmp_dir / name)
-            tmp_dir.rename(session_dir)
-            _fsync_path(self.data_dir)
-            self._append_index(dataset)
-        return receipt
+    def upload(self, meta: str, trace: str | Iterable[str]) -> UploadReceipt:
+        """Check, persist durably and acknowledge a ``meta.txt`` text and a trace text or its
+        pieces as they arrive, a piece at a time (:func:`_canonical_trace`). Idempotent per digest.
+        Only the commit, after the trace is read, holds the store's lock."""
+        values, head = _head(parse_meta(meta))
+        session_dir = self._session_dir(head.session_id)
+        canonical = {key: _text(value) for key, value in values.items()}
+        meta_bytes = format_meta(canonical).encode("utf-8")
+        hasher = hashlib.sha256(meta_bytes)
+        # a stored session's upload is hashed, not staged; no session id has a '+'
+        tmp_dir = None if session_dir.exists() else self.data_dir / f"+tmp-{uuid.uuid4().hex}"
+        try:
+            if tmp_dir:
+                tmp_dir.mkdir()
+                (tmp_dir / META_FILENAME).write_bytes(meta_bytes)
+            with (tmp_dir / TRACE_FILENAME).open("wb") if tmp_dir else nullcontext() as out:
+                for block in _canonical_trace(values, head, trace):
+                    hasher.update(block)
+                    if out:
+                        out.write(block)
+            digest = hasher.hexdigest()
+            if tmp_dir:
+                (tmp_dir / self.DIGEST_FILENAME).write_bytes((digest + "\n").encode("utf-8"))
+                for name in (META_FILENAME, TRACE_FILENAME, self.DIGEST_FILENAME):
+                    _fsync_path(tmp_dir / name)
+            with self._lock:
+                if session_dir.exists():
+                    stored = (session_dir / self.DIGEST_FILENAME).read_text(encoding="utf-8")
+                    if stored.strip() != digest:
+                        raise ConflictingSession(
+                            f"session {head.session_id} already stored with different content"
+                        )
+                    # stored, but the index append after the rename failed or never ran
+                    if head.session_id not in self._summaries:
+                        self._append_index(head)
+                else:
+                    tmp_dir.rename(session_dir)
+                    _fsync_path(self.data_dir)
+                    self._append_index(head)
+        finally:
+            if tmp_dir:  # a refused or failed upload's; gone already once committed
+                shutil.rmtree(tmp_dir, ignore_errors=True)
+        return UploadReceipt(head.session_id, values[_COUNT_KEY])
 
-    def get(self, session_id: str) -> tuple[str, str]:
-        """The stored ``(meta_text, trace_text)``, checked against ``digest.txt``.
-
-        These are the canonical texts upload wrote, read once and returned
-        as they are; a session whose files no longer hash to its stored
-        digest raises :class:`CorruptSession`.
-        """
+    def get(self, session_id: str) -> tuple[str, Iterator[bytes]]:
+        """The stored ``meta.txt`` text and ``trace.csv``'s blocks, once both hash to ``digest.txt``
+        (else :class:`CorruptSession`); the blocks are read as taken: no commit is rewritten."""
         session_dir = self._session_dir(session_id)
         meta_path = session_dir / META_FILENAME
         if not meta_path.exists():
             raise NotFound(f"no stored session {session_id!r}")
         meta = meta_path.read_bytes()
-        trace = (session_dir / TRACE_FILENAME).read_bytes()
+        hasher = hashlib.sha256(meta)
+        for block in _file_blocks(session_dir / TRACE_FILENAME):
+            hasher.update(block)
         stored = (session_dir / self.DIGEST_FILENAME).read_text(encoding="utf-8").strip()
-        if _digest(meta, trace) != stored:
+        if hasher.hexdigest() != stored:
             raise CorruptSession(f"session {session_id} does not match its stored digest")
-        return meta.decode("utf-8"), trace.decode("utf-8")
+        return meta.decode("utf-8"), _file_blocks(session_dir / TRACE_FILENAME)
 
     def list(self) -> list[SessionSummary]:
         """The indexed sessions in upload order."""
@@ -457,15 +530,14 @@ class EdgeServer(LineServer):
         if command == "UPLOAD":
             block = _block_pieces(lines)
             try:
-                meta = parse_meta(next(block))
-                # built without the gate: the store's upload runs it
-                dataset = dataset_from_parts(meta, records_from_csv_text(block))
+                meta = next(block)
+                values, head = _head(parse_meta(meta))
+                if rest != f"{head.session_id} {values[_COUNT_KEY]}":
+                    raise ValueError("header session_id and record_count do not match the dataset")
+                with _storage_errors():
+                    receipt = self.store.upload(meta, block)
             finally:
                 deque(block, maxlen=0)  # a block refused part-way is still read to its END
-            if rest != f"{dataset.session_id} {dataset.record_count}":
-                raise ValueError("header session_id and record_count do not match the dataset")
-            with _storage_errors():
-                receipt = self.store.upload(dataset)
             return f"OK {receipt.session_id} {receipt.record_count}"
         if command == "LIST":
             for summary in self.store.list():
@@ -475,9 +547,13 @@ class EdgeServer(LineServer):
             session_id = rest.strip()
             with _storage_errors():
                 meta, trace = self.store.get(session_id)
-            # the canonical trace: a header line, then two rows per record pair
-            record_count = trace.count("\n") // 2
-            writer.writelines(_dataset_block(f"DATASET {session_id} {record_count}", meta, trace))
+            header = f"DATASET {session_id} {parse_meta(meta)[_COUNT_KEY]}"
+            *before, _, after = _dataset_block(header, meta, "")  # the trace goes between
+            writer.writelines(before)
+            writer.flush()
+            for block in trace:  # the stored bytes, with no str copy
+                writer.buffer.write(block)
+            writer.write(after)
             return None
         raise ValueError(f"unknown command {command!r}")
 

@@ -14,17 +14,18 @@ with full round-trip precision.
 Reading a trace text back is a codec only: the reader checks the header,
 8 fields a row and their numbers, and pairing checks the row count.
 Whether the rows are right (ticks, timestamps, ids, roles, ranges,
-levels) is decided in one place, ``edge.validate_dataset``, which every
-path from a trace text to a dataset runs (run artifacts, edge dataset
-blocks). Records built in-process, by :func:`record_tick` and the
-consumer agent, come from ids already checked and are not re-checked.
+levels) is decided in one place, ``edge.validate_dataset``'s rules, which
+every path from a trace text to a dataset runs (run artifacts, edge dataset
+blocks, an UPLOAD a piece at a time). Records built in-process, by
+:func:`record_tick` and the consumer agent, come from ids already checked
+and are not re-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .battery import BatteryState, level_pct_of
 from .errors import EnergyShareError
@@ -135,59 +136,72 @@ def format_record(record: MonitorRecord) -> str:
     )
 
 
+def trace_csv_rows(pairs: Iterable[tuple[MonitorRecord, MonitorRecord]]) -> str:
+    """The CSV rows of paired records, provider row then consumer row per tick, each line-ended."""
+    return "\n".join([*map(format_record, chain.from_iterable(pairs)), ""])
+
+
 def trace_csv_text(pairs: Sequence[tuple[MonitorRecord, MonitorRecord]]) -> str:
-    """Canonical CSV for a paired trace: provider row then consumer row per tick.
+    """Canonical CSV for a paired trace: the header, then :func:`trace_csv_rows`.
 
     Rows are joined a block of pairs at a time, so no string of every row is held at once.
     """
-    blocks = [TRACE_HEADER]
+    blocks = [TRACE_HEADER + "\n"]
     for start in range(0, len(pairs), _PAIRS_PER_BLOCK):
-        block = pairs[start:start + _PAIRS_PER_BLOCK]
-        blocks.append("\n".join(map(format_record, chain.from_iterable(block))))
-    blocks.append("")  # the last line's end
-    return "\n".join(blocks)
+        blocks.append(trace_csv_rows(pairs[start:start + _PAIRS_PER_BLOCK]))
+    return "".join(blocks)
 
 
 def records_from_csv_text(trace: str | Iterable[str]) -> list[MonitorRecord]:
+    """Every record of a trace CSV, in one list (see :func:`record_blocks`)."""
+    return list(chain.from_iterable(record_blocks(trace)))
+
+
+def record_blocks(trace: str | Iterable[str]) -> Iterator[list[MonitorRecord]]:
     """Parse trace CSV: the canonical header, then rows of 8 fields with their numbers.
 
     ``trace`` is a trace's text, or its pieces as they arrive, each ending at
     a line end (a connection's lines, a file's blocks of lines); each piece
-    is split with ``str.splitlines``, so the rows are the same either way.
+    is split with ``str.splitlines`` and its rows are yielded as one list,
+    so the rows are the same either way.
     Rows share one object per distinct session id, device id and role, and
     a row whose tick or time text is the previous row's reuses its number.
     A row is read as it is written; its facts are checked by ``edge.validate_dataset``.
     """
-    rows = chain.from_iterable(map(str.splitlines, [trace] if isinstance(trace, str) else trace))
-    if next(rows, None) != TRACE_HEADER:
+    pieces = map(str.splitlines, [trace] if isinstance(trace, str) else trace)
+    first = next((rows for rows in pieces if rows), [None])  # the piece the header opens
+    if first[0] != TRACE_HEADER:
         raise ValueError("trace CSV must start with the canonical header")
-    records: list[MonitorRecord] = []
-    append, new, share = records.append, tuple.__new__, {}.setdefault
+    new, share = tuple.__new__, {}.setdefault
     tick_text = wall_text = None
-    for row in rows:
-        try:
-            tick, wall, session_id, device_id, role, level, charge, cumulative = row.split(",")
-            if tick != tick_text:
-                tick_text, tick_index = tick, int(tick)
-            if wall != wall_text:
-                wall_text, wall_time_s = wall, float(wall)
-            append(new(MonitorRecord, (
-                tick_index, wall_time_s, share(session_id, session_id),
-                share(device_id, device_id), share(role, role),
-                float(level), float(charge), float(cumulative),
-            )))
-        except ValueError as exc:  # not 8 fields, or a number that does not read
-            raise ValueError(f"trace row {row!r}: {exc}") from None
-    return records
+    for rows in chain([islice(first, 1, None)], pieces):
+        records: list[MonitorRecord] = []
+        append = records.append
+        for row in rows:
+            try:
+                tick, wall, session_id, device_id, role, level, charge, cumulative = row.split(",")
+                if tick != tick_text:
+                    tick_text, tick_index = tick, int(tick)
+                if wall != wall_text:
+                    wall_text, wall_time_s = wall, float(wall)
+                append(new(MonitorRecord, (
+                    tick_index, wall_time_s, share(session_id, session_id),
+                    share(device_id, device_id), share(role, role),
+                    float(level), float(charge), float(cumulative),
+                )))
+            except ValueError as exc:  # not 8 fields, or a number that does not read
+                raise ValueError(f"trace row {row!r}: {exc}") from None
+        yield records
 
 
 def pairs_from_records(
-    records: Sequence[MonitorRecord],
+    records: Sequence[MonitorRecord], ticks: int = 0,
 ) -> tuple[tuple[MonitorRecord, MonitorRecord], ...]:
     """Pair rows 2k and 2k+1, as :func:`trace_csv_text` writes tick k's two rows.
 
-    An odd row count is a ``ValueError`` naming the pair position of the row left over.
+    An odd row count is a ``ValueError`` naming the pair position of the row
+    left over, counted from ``ticks``, the pairs of the trace before ``records``.
     """
     if len(records) % 2:
-        raise ValueError(f"tick {len(records) // 2}: a row without its pair")
+        raise ValueError(f"tick {ticks + len(records) // 2}: a row without its pair")
     return tuple(zip(records[::2], records[1::2]))

@@ -46,4 +46,5 @@ def default_scenario() -> Scenario:
 
 def stored_dataset(store: EdgeStore, session_id: str) -> SessionDataset:
     """The dataset a store serves, parsed back from its stored texts."""
-    return decode_dataset(*store.get(session_id))
+    meta, trace = store.get(session_id)
+    return decode_dataset(meta, b"".join(trace).decode("utf-8"))

@@ -11,13 +11,15 @@ import re
 import shutil
 import socket
 import string
+import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import stored_dataset
+from conftest import build_scenario, stored_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +38,7 @@ from energyshare.edge import (
     dataset_digest,
     dataset_from_parts,
     decode_dataset,
+    encode_dataset,
     encode_meta,
     parse_meta,
     validate_dataset,
@@ -49,6 +52,7 @@ from energyshare.monitor import (
     TRACE_HEADER,
     compute_metrics,
     records_from_csv_text,
+    trace_csv_rows,
     trace_csv_text,
 )
 from energyshare.protocol import Reason, RequestKind, make_request
@@ -116,18 +120,18 @@ def store(tmp_path):
 
 def test_upload_and_get_round_trip(store):
     dataset = build_dataset()
-    receipt = store.upload(dataset)
+    receipt = store.upload(*encode_dataset(dataset))
     assert receipt == UploadReceipt("ses-r1", 5)
     assert stored_dataset(store, "ses-r1") == dataset
 
 
 def test_a_session_id_naming_the_index_is_refused_and_the_store_reopens(store):
     with pytest.raises(ValueError, match="index file"):
-        store.upload(build_dataset(session_id=EdgeStore.INDEX_FILENAME))
+        store.upload(*encode_dataset(build_dataset(session_id=EdgeStore.INDEX_FILENAME)))
     assert list(store.data_dir.iterdir()) == []  # refused before anything was written
     with pytest.raises(ValueError, match="index file"):
         store.get(EdgeStore.INDEX_FILENAME)
-    store.upload(build_dataset())
+    store.upload(*encode_dataset(build_dataset()))
     reopened = EdgeStore(store.data_dir)
     assert [s.session_id for s in reopened.list()] == ["ses-r1"]
     assert stored_dataset(reopened, "ses-r1") == build_dataset()
@@ -135,15 +139,15 @@ def test_a_session_id_naming_the_index_is_refused_and_the_store_reopens(store):
 
 def test_reupload_identical_is_idempotent(store):
     dataset = build_dataset()
-    first = store.upload(dataset)
-    second = store.upload(dataset)
+    first = store.upload(*encode_dataset(dataset))
+    second = store.upload(*encode_dataset(dataset))
     assert first == second
     assert len(store.list()) == 1
 
 
 def test_conflicting_reupload_rejected(store):
     dataset = build_dataset(ticks=4)
-    store.upload(dataset)
+    store.upload(*encode_dataset(dataset))
     tampered_pairs = list(dataset.records)
     provider_record, consumer_record = tampered_pairs[-1]
     tampered_pairs[-1] = (
@@ -152,7 +156,7 @@ def test_conflicting_reupload_rejected(store):
     )
     tampered = dataclasses.replace(dataset, records=tuple(tampered_pairs))
     with pytest.raises(ConflictingSession):
-        store.upload(tampered)
+        store.upload(*encode_dataset(tampered))
     assert stored_dataset(store, dataset.session_id) == dataset
 
 
@@ -163,7 +167,7 @@ def test_get_unknown_session(store):
 
 def test_store_survives_restart(store, tmp_path):
     dataset = build_dataset()
-    store.upload(dataset)
+    store.upload(*encode_dataset(dataset))
     reopened = EdgeStore(tmp_path / "data")
     assert stored_dataset(reopened, "ses-r1") == dataset
     assert reopened.list() == store.list()
@@ -174,7 +178,7 @@ def test_list_preserves_upload_order(store):
     rng = random.Random(11)
     ids = [f"ses-{i}" for i in (3, 1, 2)]
     for session_id in ids:
-        store.upload(build_dataset(session_id=session_id, rng=rng))
+        store.upload(*encode_dataset(build_dataset(session_id=session_id, rng=rng)))
     summaries = store.list()
     assert [s.session_id for s in summaries] == ids
     for summary, session_id in zip(summaries, ids):
@@ -185,7 +189,7 @@ def test_round_trip_fidelity_randomized(store):
     rng = random.Random(42)
     for i in range(10):
         dataset = build_dataset(session_id=f"ses-rand-{i}", ticks=rng.randint(1, 12), rng=rng)
-        store.upload(dataset)
+        store.upload(*encode_dataset(dataset))
         assert stored_dataset(store, dataset.session_id) == dataset
 
 
@@ -198,7 +202,7 @@ def test_concurrent_uploads_all_stored(store):
 
     def upload(ds):
         try:
-            store.upload(ds)
+            store.upload(*encode_dataset(ds))
         except Exception as exc:  # noqa: BLE001 - collected for the assertion
             errors.append(exc)
 
@@ -227,28 +231,40 @@ def test_upload_retried_after_failed_index_append_is_listed(store, tmp_path, mon
     monkeypatch.setattr(edge, "open", open_failing_once, raising=False)
     dataset = build_dataset()
     with pytest.raises(OSError):
-        store.upload(dataset)
-    assert store.upload(dataset) == UploadReceipt("ses-r1", 5)
+        store.upload(*encode_dataset(dataset))
+    assert store.upload(*encode_dataset(dataset)) == UploadReceipt("ses-r1", 5)
     assert [s.session_id for s in store.list()] == ["ses-r1"]
     assert [s.session_id for s in EdgeStore(tmp_path / "data").list()] == ["ses-r1"]
 
 
-def test_upload_replaces_a_stale_temp_dir_of_its_session(store):
-    """A crash mid-upload leaves ``+tmp-<id>``; the next upload of that id starts it afresh."""
-    stale = store.data_dir / "+tmp-ses-r1"
-    stale.mkdir()
+def test_upload_replaces_a_stale_temp_dir_of_its_session(tmp_path):
+    """A crash mid-upload leaves ``+tmp-<id>``; the store removes it at open and stages afresh."""
+    stale = tmp_path / "data" / "+tmp-ses-r1"
+    stale.mkdir(parents=True)
     (stale / edge.META_FILENAME).write_bytes(b"session_id = ses-r1\n")
-    dataset = build_dataset()
-    assert store.upload(dataset) == UploadReceipt("ses-r1", 5)
+    store = EdgeStore(tmp_path / "data")
     assert not stale.exists()
+    dataset = build_dataset()
+    assert store.upload(*encode_dataset(dataset)) == UploadReceipt("ses-r1", 5)
     assert stored_dataset(store, "ses-r1") == dataset
+    assert sorted(p.name for p in store.data_dir.iterdir()) == [EdgeStore.INDEX_FILENAME, "ses-r1"]
+
+
+def test_another_sessions_staging_dir_is_gone_after_a_reopen(store):
+    store.upload(*encode_dataset(build_dataset()))
+    orphan = store.data_dir / "+tmp-0123abcd"
+    (orphan / "nested").mkdir(parents=True)
+    (orphan / edge.TRACE_FILENAME).write_bytes(b"a trace cut short")
+    reopened = EdgeStore(store.data_dir)
+    assert sorted(p.name for p in store.data_dir.iterdir()) == [EdgeStore.INDEX_FILENAME, "ses-r1"]
+    assert [s.session_id for s in reopened.list()] == ["ses-r1"]
 
 
 def test_an_upload_stages_where_no_session_is_stored(store, tmp_path):
     """``.tmp-foo`` is a session id: the upload of ``foo`` must not stage in its directory."""
     dotted, plain = build_dataset(session_id=".tmp-foo"), build_dataset(session_id="foo")
-    store.upload(dotted)
-    store.upload(plain)
+    store.upload(*encode_dataset(dotted))
+    store.upload(*encode_dataset(plain))
     for opened in (store, EdgeStore(tmp_path / "data")):
         assert [s.session_id for s in opened.list()] == [".tmp-foo", "foo"]
         assert stored_dataset(opened, ".tmp-foo") == dotted
@@ -260,8 +276,8 @@ def test_a_torn_last_index_line_is_dropped_at_open(tmp_path):
     data = tmp_path / "data"
     first, torn = build_dataset(session_id="ses-first"), build_dataset(session_id="ses-torn")
     store = EdgeStore(data)
-    store.upload(first)
-    store.upload(torn)
+    store.upload(*encode_dataset(first))
+    store.upload(*encode_dataset(torn))
     index = data / EdgeStore.INDEX_FILENAME
     intact = index.read_bytes()
     assert intact == b"ses-first\nses-torn\n"
@@ -269,7 +285,7 @@ def test_a_torn_last_index_line_is_dropped_at_open(tmp_path):
         index.write_bytes(intact[:-cut])
         assert [s.session_id for s in EdgeStore(data).list()] == ["ses-first"]
         assert index.read_bytes() == b"ses-first\n"
-        EdgeStore(data).upload(torn)  # its directory is in place: the retry indexes it
+        EdgeStore(data).upload(*encode_dataset(torn))  # its directory is in place: the retry indexes it
         assert [s.session_id for s in EdgeStore(data).list()] == ["ses-first", "ses-torn"]
         assert index.read_bytes() == intact
 
@@ -283,7 +299,7 @@ def test_misaligned_dataset_rejected_and_not_persisted(store):
         dataset, records=dataset.records[:3] + dataset.records[4:]
     )
     with pytest.raises(ValidationFailed):
-        store.upload(gappy)
+        store.upload(*encode_dataset(gappy))
     with pytest.raises(NotFound):
         store.get(dataset.session_id)
     assert store.list() == []
@@ -295,7 +311,7 @@ def test_wrong_metrics_rejected(store):
         dataset, metrics=dataclasses.replace(dataset.metrics, energy_loss_mah=123.0)
     )
     with pytest.raises(ValidationFailed):
-        store.upload(wrong)
+        store.upload(*encode_dataset(wrong))
 
 
 def test_unsynchronized_timestamps_rejected():
@@ -317,7 +333,7 @@ def test_provider_rows_naming_another_provider_rejected(store):
     )
     assert renamed.provider_id == "p1"
     with pytest.raises(ValidationFailed):
-        store.upload(renamed)
+        store.upload(*encode_dataset(renamed))
     assert store.list() == []
 
 
@@ -327,7 +343,7 @@ def test_consumer_rows_naming_another_consumer_rejected(store):
     renamed = dataclasses.replace(dataset, request=request)
     assert {c.device_id for _, c in renamed.records} == {"c1"}
     with pytest.raises(ValidationFailed):
-        store.upload(renamed)
+        store.upload(*encode_dataset(renamed))
     assert store.list() == []
 
 
@@ -583,7 +599,7 @@ def test_unknown_command_gets_err_reply(served_store):
 def test_upload_storage_failure_gets_err_reply(served_store, monkeypatch):
     store, server, _ = served_store
 
-    def full_disk(dataset):
+    def full_disk(meta, trace):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(store, "upload", full_disk)
@@ -876,6 +892,7 @@ def check_refused_or_kept(served, session_id: str, meta: str, trace: str) -> Non
     assert session_id in [s.session_id for s in client.list()]
     validate_dataset(client.get(session_id))
     kept_meta, kept_trace = store.get(session_id)
+    kept_trace = b"".join(kept_trace).decode("utf-8")
     sent, kept = parse_meta(meta), parse_meta(kept_meta)
     assert sent.keys() == kept.keys()
     assert [key for key in sent if not same_fact(sent[key], kept[key])] == []
@@ -1040,3 +1057,205 @@ def test_a_decoded_dataset_shares_its_repeated_fields():
             for name in ("session_id", "device_id", "role")] == [1, 2, 2]
     assert all(p.tick_index is c.tick_index and p.wall_time_s is c.wall_time_s
                for p, c in decoded.records)
+
+
+# --- streamed UPLOAD and GET: one piece of a dataset held at a time ------------------
+
+STREAMED = build_dataset(ticks=600)  # 1,200 rows: five pieces of a dataset block
+STREAMED_META, STREAMED_TRACE = encode_dataset(STREAMED)
+
+
+def drop_rows(trace: str, count: int) -> str:
+    return "".join(trace.splitlines(keepends=True)[:-count])
+
+
+def staging_dirs(store: EdgeStore) -> list[Path]:
+    return sorted(store.data_dir.glob("+tmp-*"))
+
+
+# an edit of STREAMED's meta block and trace CSV making one fault, and the reply's start
+STREAM_FAULTS = {
+    "bad_role_in_last_piece": (lambda m, t: (m, edit_row(t, 1199, role="observer")),
+                               "ERR ValidationFailed tick 599: "),
+    "unreadable_row_in_last_piece": (lambda m, t: (m, edit_row(t, 1190, battery_charge_mah="x")),
+                                     "ERR Malformed trace row "),
+    "trace_shorter_than_record_count": (lambda m, t: (m, drop_rows(t, 2)),
+                                        "ERR Malformed record_count is 600, the trace holds 599 pairs"),
+    "trace_longer_than_record_count": (lambda m, t: (m, t + "".join(t.splitlines(True)[-2:])),
+                                       "ERR Malformed record_count is 600, the trace holds 601 pairs"),
+    "odd_row_count": (lambda m, t: (m, drop_rows(t, 1)),
+                      "ERR ValidationFailed tick 599: a row without its pair"),
+    "edited_metrics": (lambda m, t: (re.sub("energy_loss_mah = .*", "energy_loss_mah = 1.5", m), t),
+                       "ERR ValidationFailed metrics not recomputable from records: energy_loss_mah "),
+}
+
+
+@pytest.mark.parametrize("edit, prefix", STREAM_FAULTS.values(), ids=STREAM_FAULTS)
+def test_a_streamed_upload_refuses_each_fault_as_the_whole_text_reader_does(served_store, edit, prefix):
+    """Each reply is the one the whole-text decoder's error gives; nothing is staged or listed."""
+    store, server, client = served_store
+    meta, trace = edit(STREAMED_META, STREAMED_TRACE)
+    reply = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{meta}\n{trace}END\n")
+    with pytest.raises((ValueError, ValidationFailed)) as refused:
+        decode_dataset(meta, trace)
+    code = "ValidationFailed" if isinstance(refused.value, ValidationFailed) else "Malformed"
+    assert reply == f"ERR {code} {refused.value}\n"
+    assert reply.startswith(prefix)
+    assert staging_dirs(store) == [] and client.list() == []
+
+
+def test_an_upload_header_that_disagrees_with_its_meta_is_refused(served_store):
+    store, server, client = served_store
+    for header in ("UPLOAD ses-r1 599", "UPLOAD ses-r2 600"):
+        reply = raw_exchange(server.address, f"{header}\n{STREAMED_META}\n{STREAMED_TRACE}END\n")
+        assert reply == "ERR Malformed header session_id and record_count do not match the dataset\n"
+    assert staging_dirs(store) == [] and client.list() == []
+
+
+def test_a_pair_split_between_two_pieces_reads_as_from_one_text(served_store, tmp_path):
+    """The first piece is the header and 255 rows, so tick 127's consumer row opens the second."""
+    store, server, client = served_store
+    tick = (edge._LINES_PER_PIECE - 1) // 2
+    for row in (2 * tick, 2 * tick + 1):  # the pair's two rows, one each side of the cut
+        edited = edit_row(STREAMED_TRACE, row, role="observer")
+        reply = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{edited}END\n")
+        with pytest.raises(ValidationFailed) as refused:
+            decode_dataset(STREAMED_META, edited)
+        assert reply == f"ERR ValidationFailed {refused.value}\n"
+        assert reply.startswith(f"ERR ValidationFailed tick {tick}: ")
+    reply = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{STREAMED_TRACE}END\n")
+    assert reply == "OK ses-r1 600\n"
+    # a piece a line: every pair is split between two pieces
+    one_line_pieces = EdgeStore(tmp_path / "lines")
+    one_line_pieces.upload(STREAMED_META, STREAMED_TRACE.splitlines(keepends=True))
+    for opened in (store, one_line_pieces):
+        files = opened.data_dir / "ses-r1"
+        assert (files / edge.TRACE_FILENAME).read_bytes() == STREAMED_TRACE.encode("utf-8")
+        assert (files / EdgeStore.DIGEST_FILENAME).read_text() == dataset_digest(STREAMED) + "\n"
+        assert stored_dataset(opened, "ses-r1") == STREAMED
+
+
+def wait_for(condition, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def test_list_and_get_answer_while_an_upload_is_paused_half_way(served_store):
+    store, server, client = served_store
+    stored = build_dataset(session_id="ses-a")
+    client.upload(stored)
+    block = f"UPLOAD ses-r1 600\n{STREAMED_META}\n{STREAMED_TRACE}END\n"
+    half = block.index("\n", len(block) // 2) + 1
+    with socket.create_connection(parse_addr(server.address), timeout=10.0) as conn:
+        conn.sendall(block[:half].encode("utf-8"))
+        wait_for(lambda: staging_dirs(store))  # the store is part-way through the upload
+        assert [s.session_id for s in client.list()] == ["ses-a"]
+        assert client.get("ses-a") == stored
+        conn.sendall(block[half:].encode("utf-8"))
+        assert conn.makefile("r", encoding="utf-8").readline() == "OK ses-r1 600\n"
+    assert [s.session_id for s in client.list()] == ["ses-a", "ses-r1"]
+    assert staging_dirs(store) == []
+
+
+def test_concurrent_uploads_of_one_session_id_store_one_dataset(store):
+    """Every upload is part-way, each in its own staging directory, before any ends; the
+    identical copies end first and are acknowledged, the different one conflicts."""
+    different = edit_row(STREAMED_TRACE, 1199, cumulative_transferred_mah="0.5")
+    copies = [STREAMED_TRACE] * 3 + [different]
+    reached, release_same, release_other = threading.Semaphore(0), threading.Event(), threading.Event()
+    results = {}
+
+    def pieces(trace, release):
+        lines = trace.splitlines(keepends=True)
+        yield "".join(lines[:400])
+        reached.release()
+        assert release.wait(10.0)
+        yield "".join(lines[400:])
+
+    def upload(i, trace, release):
+        try:
+            results[i] = store.upload(STREAMED_META, pieces(trace, release))
+        except EnergyShareError as exc:
+            results[i] = exc
+
+    releases = [release_same] * 3 + [release_other]
+    threads = [threading.Thread(target=upload, args=(i, trace, release))
+               for i, (trace, release) in enumerate(zip(copies, releases))]
+    for thread in threads:
+        thread.start()
+    for _ in copies:
+        assert reached.acquire(timeout=10.0)
+    assert len(staging_dirs(store)) == len(copies)
+    release_same.set()
+    for thread in threads[:3]:
+        thread.join(10.0)
+    release_other.set()
+    threads[3].join(10.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results[i] for i in range(3)] == [UploadReceipt("ses-r1", 600)] * 3
+    assert isinstance(results[3], ConflictingSession)
+    assert [s.session_id for s in store.list()] == ["ses-r1"]
+    assert stored_dataset(store, "ses-r1") == STREAMED
+    assert staging_dirs(store) == []
+    assert (store.data_dir / EdgeStore.INDEX_FILENAME).read_text() == "ses-r1\n"
+
+
+def test_racing_uploads_of_one_dataset_index_it_once(store):
+    """Eight threads, more than the cores, upload one dataset at once with short switches."""
+    meta, trace = encode_dataset(build_dataset(ticks=200))
+    results = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(store.upload(meta, trace)))
+                   for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [UploadReceipt("ses-r1", 200)] * 8
+    assert (store.data_dir / EdgeStore.INDEX_FILENAME).read_text() == "ses-r1\n"
+    assert [s.session_id for s in store.list()] == ["ses-r1"] and staging_dirs(store) == []
+
+
+def test_a_streamed_upload_and_get_hold_one_piece_of_a_long_trace(tmp_path):
+    """About 20,000 pairs (a 4 MB trace) go up as pieces a generator makes, and come back
+    over TCP; neither peaks over 2 MB of traced memory."""
+    dataset = run_scenario(build_scenario(value=19999.0, technology="cable", consumer_start_pct=5.0)).dataset
+    pairs, meta = dataset.records, encode_meta(dataset)
+    assert len(pairs) == 20000
+
+    def pieces():
+        yield TRACE_HEADER + "\n"
+        for start in range(0, len(pairs), 128):
+            yield trace_csv_rows(pairs[start:start + 128])
+
+    store = EdgeStore(tmp_path / "data")
+    server = EdgeServer(store).start()
+    request = f"GET {dataset.session_id}\n".encode("utf-8")
+    served, tail = 0, b""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert store.upload(meta, pieces()) == UploadReceipt(dataset.session_id, 20000)
+        upload_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with socket.create_connection(parse_addr(server.address), timeout=30.0) as conn:
+            conn.sendall(request)
+            conn.shutdown(socket.SHUT_WR)
+            while chunk := conn.recv(1 << 16):
+                served, tail = served + len(chunk), (tail + chunk)[-5:]
+        get_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        server.stop()
+    trace_bytes = (store.data_dir / dataset.session_id / edge.TRACE_FILENAME).stat().st_size
+    header = f"DATASET {dataset.session_id} 20000\n"
+    assert served == len(header) + len(meta) + 1 + trace_bytes + len("END\n")
+    assert tail == b"\nEND\n"
+    assert upload_peak < 2e6 and get_peak < 2e6, (upload_peak, get_peak)

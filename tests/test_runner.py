@@ -18,6 +18,7 @@ from energyshare.edge import (
     EdgeClient,
     EdgeServer,
     EdgeStore,
+    encode_dataset,
     parse_meta,
     validate_dataset,
 )
@@ -469,14 +470,14 @@ def test_compare_pads_the_shorter_runs_curve_cells_with_blanks(tmp_path):
 def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, monkeypatch):
     result = run_scenario(build_scenario(value=10.0))
     run_dir = write_run_artifacts(result, tmp_path / "run")
-    gate = edge.validate_dataset
     calls = []
 
-    def counted(dataset):
-        calls.append(dataset.session_id)
-        gate(dataset)
+    class Counted(edge._Gate):  # every run of the gate's rules starts here, streamed or not
+        def __init__(self, head):
+            calls.append(head.session_id)
+            super().__init__(head)
 
-    monkeypatch.setattr(edge, "validate_dataset", counted)
+    monkeypatch.setattr(edge, "_Gate", Counted)
     server = EdgeServer(EdgeStore(tmp_path / "edge-data")).start()
     client = EdgeClient(server.address)
     reads = {
@@ -552,7 +553,7 @@ def test_run_directory_holds_the_edge_files_and_the_run_facts(tmp_path):
     result = run_scenario(build_scenario(value=10.0))
     run_dir = write_run_artifacts(result, tmp_path / "run")
     store = EdgeStore(tmp_path / "edge-data")
-    store.upload(result.dataset)
+    store.upload(*encode_dataset(result.dataset))
     for name in (META_FILENAME, TRACE_FILENAME):
         stored = store.data_dir / result.dataset.session_id / name
         assert (run_dir / name).read_bytes() == stored.read_bytes()
