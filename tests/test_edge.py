@@ -12,6 +12,7 @@ import shutil
 import socket
 import string
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -1133,6 +1134,36 @@ def test_a_pair_split_between_two_pieces_reads_as_from_one_text(served_store, tm
         assert (files / edge.TRACE_FILENAME).read_bytes() == STREAMED_TRACE.encode("utf-8")
         assert (files / EdgeStore.DIGEST_FILENAME).read_text() == dataset_digest(STREAMED) + "\n"
         assert stored_dataset(opened, "ses-r1") == STREAMED
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(valid_datasets, st.data())
+def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(dataset, data):
+    """One field of one row set to any text, the trace cut into pieces at any line ends: the
+    upload stores what ``decode_dataset`` of the whole text gives, or refuses it alike."""
+    meta, trace = encode_dataset(dataset)
+    row = data.draw(st.integers(0, 2 * dataset.record_count - 1))
+    column = data.draw(st.sampled_from(MonitorRecord._fields))
+    edited = edit_row(trace, row, **{column: data.draw(FIELD_TEXTS)})
+    lines = edited.splitlines(keepends=True)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(lines) - 1))))
+    pieces = ["".join(lines[start:end]) for start, end in zip([0, *cuts], [*cuts, len(lines)])]
+    try:
+        expected = decode_dataset(meta, edited)
+    except (ValueError, ValidationFailed) as exc:
+        expected = exc
+    with tempfile.TemporaryDirectory() as tmp:
+        store = EdgeStore(tmp)
+        try:
+            receipt = store.upload(meta, iter(pieces))
+        except (ValueError, ValidationFailed) as exc:
+            assert (type(exc), str(exc)) == (type(expected), str(expected))
+            assert staging_dirs(store) == [] and store.list() == []
+            return
+        assert receipt == UploadReceipt(expected.session_id, expected.record_count)
+        stored = [store.data_dir / expected.session_id / name
+                  for name in (edge.META_FILENAME, edge.TRACE_FILENAME)]
+        assert [path.read_text(encoding="utf-8") for path in stored] == list(encode_dataset(expected))
 
 
 def wait_for(condition, timeout_s: float = 10.0) -> None:
