@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
 """Memory of a day-long session: one virtual run, its run directory written and read back,
-then its dataset uploaded to an edge store and fetched back from an edge server.
+then its dataset uploaded to an edge store, uploaded again as it is and with one field
+edited, and fetched back from an edge server.
 
 The session charges over cable for 86,400 ticks at 1 s (86,401 record
 pairs). Tracing starts after the run, so the probe stays short: the run
 line gives its time and the process's peak RSS so far; each later phase
 gives its time and the ``tracemalloc`` memory it holds after it and at
-its peak, both above what was traced when it began. The upload reads the
-run directory's ``trace.csv`` a block of lines at a time; the GET runs an
+its peak, both above what was traced when it began. Each upload reads the
+run directory's ``trace.csv`` a block of lines at a time. The identical
+re-upload is compared with the stored files; the re-upload whose last row
+has another consumer charge differs only in its last piece, so the store
+reads the rest back from disk to decode it, and it must be refused as an
+upload of the same text to an empty store is. The GET runs an
 ``EdgeServer`` in this process and reads its reply off a socket, keeping
 only its length. The last line is the process's peak RSS.
 
-Exits 1 if ``load_run`` peaks more than LOAD_PEAK_LIMIT_MB above its start,
-or the edge upload or GET more than EDGE_PEAK_LIMIT_MB above theirs.
+Exits 1 if ``write_run_artifacts`` peaks more than WRITE_PEAK_LIMIT_MB above
+its start, ``load_run`` more than LOAD_PEAK_LIMIT_MB, or an edge upload,
+re-upload or GET more than EDGE_PEAK_LIMIT_MB above theirs.
 
 Usage: python scripts/memory_probe.py
 """
@@ -29,11 +35,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from energyshare.edge import META_FILENAME, TRACE_FILENAME, EdgeServer, EdgeStore
+from energyshare.errors import EnergyShareError
 from energyshare.report import load_run, write_run_artifacts
 from energyshare.runner import run_scenario
 from energyshare.scenario import parse_scenario_text
 from energyshare.transport import parse_addr
 
+WRITE_PEAK_LIMIT_MB = 4.0
 LOAD_PEAK_LIMIT_MB = 60.0
 EDGE_PEAK_LIMIT_MB = 4.0
 LINES_PER_PIECE = 256
@@ -77,9 +85,26 @@ def line_pieces(path: Path):
             yield piece
 
 
-def upload(store: EdgeStore, run_dir: Path):
+def last_row_edited(pieces):
+    """The pieces of a trace, with the consumer charge of its last row set to 0.5."""
+    last = next(pieces)
+    for piece in pieces:
+        yield last
+        last = piece
+    *rows, row = last.splitlines(keepends=True)
+    fields = row.split(",")
+    fields[6] = "0.5"  # battery_charge_mah
+    yield "".join(rows) + ",".join(fields)
+
+
+def upload(store: EdgeStore, run_dir: Path, edit=iter):
+    """The receipt of an upload of ``run_dir``'s dataset through ``edit``, or its error's type
+    and message."""
     meta = (run_dir / META_FILENAME).read_text(encoding="utf-8")
-    return store.upload(meta, line_pieces(run_dir / TRACE_FILENAME))
+    try:
+        return store.upload(meta, edit(line_pieces(run_dir / TRACE_FILENAME)))
+    except (ValueError, EnergyShareError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def get_reply_bytes(address: str, session_id: str) -> int:
@@ -100,10 +125,14 @@ def main() -> int:
           f"{result.dataset.record_count} pairs, peak RSS {peak_rss_mb():.1f} MB")
     tracemalloc.start()
     with tempfile.TemporaryDirectory() as tmp:
-        run_dir, _ = traced("write_run_artifacts", write_run_artifacts, result, Path(tmp) / "run")
+        run_dir, write_peak = traced("write_run_artifacts", write_run_artifacts, result,
+                                     Path(tmp) / "run")
         _, load_peak = traced("load_run", load_run, run_dir)
         store = EdgeStore(Path(tmp) / "edge-data")
         receipt, upload_peak = traced("edge upload", upload, store, run_dir)
+        again, again_peak = traced("edge re-upload", upload, store, run_dir)
+        edited, edited_peak = traced("edge re-upload edit", upload, store, run_dir, last_row_edited)
+        refused = upload(EdgeStore(Path(tmp) / "empty"), run_dir, last_row_edited)
         server = EdgeServer(store).start()
         try:
             served, get_peak = traced("edge GET", get_reply_bytes, server.address,
@@ -117,11 +146,18 @@ def main() -> int:
     print(f"peak RSS {peak_rss_mb():.1f} MB")
     failures = [
         f"{name} peaked {peak:.1f} MB above its start, over {limit} MB"
-        for name, peak, limit in (("load_run", load_peak, LOAD_PEAK_LIMIT_MB),
+        for name, peak, limit in (("write_run_artifacts", write_peak, WRITE_PEAK_LIMIT_MB),
+                                  ("load_run", load_peak, LOAD_PEAK_LIMIT_MB),
                                   ("edge upload", upload_peak, EDGE_PEAK_LIMIT_MB),
+                                  ("edge re-upload", again_peak, EDGE_PEAK_LIMIT_MB),
+                                  ("edge re-upload edit", edited_peak, EDGE_PEAK_LIMIT_MB),
                                   ("edge GET", get_peak, EDGE_PEAK_LIMIT_MB))
         if peak > limit
     ]
+    if again != receipt:
+        failures.append(f"edge re-upload replied {again}, not the upload's {receipt}")
+    if edited != refused or not isinstance(refused, tuple):
+        failures.append(f"edge re-upload edit replied {edited}, an empty store {refused}")
     if served != expected:
         failures.append(f"edge GET replied {served} bytes, not the dataset block's {expected}")
     for failure in failures:

@@ -31,6 +31,7 @@ from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -355,6 +356,18 @@ def _file_blocks(path: Path) -> Iterator[bytes]:
             yield block
 
 
+def line_blocks(path: Path, size: float = math.inf) -> Iterator[str]:
+    """A file's UTF-8 text, or its first ``size`` bytes, read in ~64 KiB blocks cut after a line end."""
+    tail = b""
+    with path.open("rb") as file:
+        while chunk := file.read(min(1 << 16, size - file.tell())):
+            block = tail + chunk
+            cut = block.rfind(b"\n") + 1
+            yield block[:cut].decode("utf-8")
+            tail = block[cut:]
+    yield tail.decode("utf-8")
+
+
 def _fsync_path(path: Path) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -406,10 +419,16 @@ class EdgeStore:
 
     def upload(self, meta: str, trace: str | Iterable[str]) -> UploadReceipt:
         """Check, persist durably and acknowledge a ``meta.txt`` text and a trace text or its
-        pieces as they arrive, a piece at a time (:func:`_canonical_trace`). Idempotent per digest.
+        pieces as they arrive, a piece at a time (:func:`_canonical_trace`). Idempotent per digest;
+        a stored dataset sent again byte for byte is acknowledged undecoded (:meth:`_unmatched`).
         Only the commit, after the trace is read, holds the store's lock."""
         values, head = _head(parse_meta(meta))
         session_dir = self._session_dir(head.session_id)
+        if session_dir.exists() and (trace := self._unmatched(session_dir, meta, trace)) is None:
+            with self._lock:  # the stored dataset, sent again byte for byte
+                if head.session_id not in self._summaries:
+                    self._append_index(head)
+            return UploadReceipt(head.session_id, values[_COUNT_KEY])
         canonical = {key: _text(value) for key, value in values.items()}
         meta_bytes = format_meta(canonical).encode("utf-8")
         hasher = hashlib.sha256(meta_bytes)
@@ -447,6 +466,31 @@ class EdgeStore:
             if tmp_dir:  # a refused or failed upload's; gone already once committed
                 shutil.rmtree(tmp_dir, ignore_errors=True)
         return UploadReceipt(head.session_id, values[_COUNT_KEY])
+
+    def _unmatched(self, session_dir: Path, meta: str, trace: str | Iterable[str]):
+        """``None`` if ``meta`` and ``trace``'s pieces, compared as they are taken, are the stored
+        ``meta.txt`` and ``trace.csv`` byte for byte and hash to ``digest.txt``; else the trace
+        as sent, to decode, the pieces that matched read back from the stored file."""
+        pieces = iter([trace] if isinstance(trace, str) else trace)
+        path, sent = session_dir / TRACE_FILENAME, meta.encode("utf-8", "surrogatepass")
+        try:
+            if (session_dir / META_FILENAME).read_bytes() != sent:
+                return pieces
+            digest = (session_dir / self.DIGEST_FILENAME).read_bytes()
+            stored = path.open("rb")
+        except OSError:  # decided as a new upload is: by the digest of the decoded dataset
+            return pieces
+        hasher, matched = hashlib.sha256(sent), 0
+        with stored:
+            for piece in pieces:
+                sent = piece.encode("utf-8", "surrogatepass")
+                if stored.read(len(sent)) != sent:
+                    return chain(line_blocks(path, matched), [piece], pieces)
+                hasher.update(sent)
+                matched += len(sent)
+            if not stored.read(1) and hasher.hexdigest().encode("utf-8") == digest.strip():
+                return None
+        return line_blocks(path, matched)
 
     def get(self, session_id: str) -> tuple[str, Iterator[bytes]]:
         """The stored ``meta.txt`` text and ``trace.csv``'s blocks, once both hash to ``digest.txt``

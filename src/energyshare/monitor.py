@@ -39,7 +39,7 @@ TRACE_HEADER = (
     "battery_level_pct,battery_charge_mah,cumulative_transferred_mah"
 )
 
-# pairs of rows trace_csv_text joins into one string before joining the blocks
+# pairs of rows in each block of trace_csv_blocks, joined into one string
 _PAIRS_PER_BLOCK = 1024
 
 # a tuple, Charging first: a test of the phase every tick records in hashes nothing
@@ -142,14 +142,15 @@ def trace_csv_rows(pairs: Iterable[tuple[MonitorRecord, MonitorRecord]]) -> str:
 
 
 def trace_csv_text(pairs: Sequence[tuple[MonitorRecord, MonitorRecord]]) -> str:
-    """Canonical CSV for a paired trace: the header, then :func:`trace_csv_rows`.
+    """Canonical CSV for a paired trace: its :func:`trace_csv_blocks` joined."""
+    return "".join(trace_csv_blocks(pairs))
 
-    Rows are joined a block of pairs at a time, so no string of every row is held at once.
-    """
-    blocks = [TRACE_HEADER + "\n"]
+
+def trace_csv_blocks(pairs: Sequence[tuple[MonitorRecord, MonitorRecord]]) -> Iterator[str]:
+    """The header line, then :func:`trace_csv_rows` a block of pairs at a time: never every row."""
+    yield TRACE_HEADER + "\n"
     for start in range(0, len(pairs), _PAIRS_PER_BLOCK):
-        blocks.append(trace_csv_rows(pairs[start:start + _PAIRS_PER_BLOCK]))
-    return "".join(blocks)
+        yield trace_csv_rows(pairs[start:start + _PAIRS_PER_BLOCK])
 
 
 def records_from_csv_text(trace: str | Iterable[str]) -> list[MonitorRecord]:

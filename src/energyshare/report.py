@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .edge import META_FILENAME, TRACE_FILENAME, SessionDataset, ValidationFailed
-from .edge import decode_dataset, encode_dataset
+from .edge import decode_dataset, encode_meta, line_blocks
 from .errors import EnergyShareError
-from .monitor import MonitorRecord
+from .monitor import MonitorRecord, trace_csv_blocks
 from .runner import RunResult
 from .util import check_id, fmt_float, format_meta, parse_finite, parse_meta
 
@@ -41,8 +41,10 @@ def write_run_artifacts(result: RunResult, out_dir: Path | str) -> Path:
         for path in dataset_files:
             path.unlink(missing_ok=True)
     else:
-        for path, text in zip(dataset_files, encode_dataset(result.dataset)):
-            path.write_bytes(text.encode("utf-8"))
+        texts = ([encode_meta(result.dataset)], trace_csv_blocks(result.dataset.records))
+        for path, blocks in zip(dataset_files, texts):
+            with path.open("wb") as file:  # the trace a block of pairs at a time, never whole
+                file.writelines(block.encode("utf-8") for block in blocks)
     scenario = result.scenario
     reason = result.terminal_reason.value if result.terminal_reason else result.outcome
     info = {
@@ -76,17 +78,6 @@ class LoadedRun:
         return self.dataset.records
 
 
-def _line_blocks(file):
-    """A binary file's UTF-8 text in blocks of about 64 KiB, each cut after a line end."""
-    tail = b""
-    while chunk := file.read(1 << 16):
-        block = tail + chunk
-        cut = block.rfind(b"\n") + 1
-        yield block[:cut].decode("utf-8")
-        tail = block[cut:]
-    yield tail.decode("utf-8")
-
-
 def load_run(run_dir: Path | str) -> LoadedRun:
     """A run directory read back through the edge's dataset codec and its gate.
 
@@ -97,8 +88,7 @@ def load_run(run_dir: Path | str) -> LoadedRun:
         info, meta = ((run_dir / name).read_text(encoding="utf-8")
                       for name in (RUN_INFO_FILENAME, META_FILENAME))
         fields = parse_meta(info)
-        with open(run_dir / TRACE_FILENAME, "rb") as trace:
-            dataset = decode_dataset(meta, _line_blocks(trace))
+        dataset = decode_dataset(meta, line_blocks(run_dir / TRACE_FILENAME))
         start_level_pct = parse_finite(fields["consumer_start_level_pct"])
         return LoadedRun(check_id(fields["run_id"], "run_id"), start_level_pct, dataset)
     except FileNotFoundError as exc:

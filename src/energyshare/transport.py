@@ -397,15 +397,17 @@ class RegistryServer(LineServer):
         if command == "REGISTER":
             fields = parse_fields(rest.split(" "))
             device_id, addr = check_id(fields["device_id"]), fields["addr"]
+            parse_addr(addr)  # an address RESOLVE could not hand on is refused, not stored
             with self._lock:
                 self._registry.register(device_id, addr)
             return "OK"
         if command == "ADVERTISE":
             tokens = rest.split(" ")
-            addr_field = parse_fields(tokens[:1])
+            addr = parse_fields(tokens[:1])["addr"]
+            parse_addr(addr)
             advert = decode_advert(" ".join(tokens[1:]))
             with self._lock:
-                self._registry.advertise(addr_field["addr"], advert)
+                self._registry.advertise(addr, advert)
             return "OK"
         if command == "DISCOVER":
             return "".join(f"ADVERT {encode_advert(a)}\n" for a in self.snapshot()) + "END"

@@ -5,6 +5,7 @@ import builtins
 import dataclasses
 import errno
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -219,9 +220,10 @@ def test_concurrent_uploads_all_stored(store):
         assert stored_dataset(store, ds.session_id) == ds
 
 
-def test_upload_retried_after_failed_index_append_is_listed(store, tmp_path, monkeypatch):
+def test_upload_retried_after_failed_index_append_is_listed(store, tmp_path, monkeypatch, decodes):
     # the dataset directory is in place when the index append fails, as after
-    # a crash between the rename and the append; the retry must index it
+    # a crash between the rename and the append; the retry, compared with the
+    # stored files and not decoded, must index it
     failures = [OSError(errno.ENOSPC, "No space left on device")]
 
     def open_failing_once(*args, **kwargs):
@@ -233,7 +235,9 @@ def test_upload_retried_after_failed_index_append_is_listed(store, tmp_path, mon
     dataset = build_dataset()
     with pytest.raises(OSError):
         store.upload(*encode_dataset(dataset))
+    decodes.clear()
     assert store.upload(*encode_dataset(dataset)) == UploadReceipt("ses-r1", 5)
+    assert decodes == []
     assert [s.session_id for s in store.list()] == ["ses-r1"]
     assert [s.session_id for s in EdgeStore(tmp_path / "data").list()] == ["ses-r1"]
 
@@ -1136,11 +1140,26 @@ def test_a_pair_split_between_two_pieces_reads_as_from_one_text(served_store, tm
         assert stored_dataset(opened, "ses-r1") == STREAMED
 
 
+def session_files(store: EdgeStore, session_id: str) -> list[bytes]:
+    names = (edge.META_FILENAME, edge.TRACE_FILENAME, EdgeStore.DIGEST_FILENAME)
+    return [(store.data_dir / session_id / name).read_bytes() for name in names]
+
+
+def upload_outcome(store: EdgeStore, meta: str, pieces: list[str]):
+    """The receipt of an upload of ``meta`` and ``pieces``, or its error's type and message."""
+    try:
+        return store.upload(meta, iter(pieces))
+    except (ValueError, EnergyShareError) as exc:
+        return type(exc), str(exc)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(valid_datasets, st.data())
 def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(dataset, data):
     """One field of one row set to any text, the trace cut into pieces at any line ends: the
-    upload stores what ``decode_dataset`` of the whole text gives, or refuses it alike."""
+    upload stores what ``decode_dataset`` of the whole text gives, or refuses it alike. A store
+    that holds the unedited dataset gives the same reply, or a conflict where the decoded
+    dataset's digest is not the stored one, and keeps its files."""
     meta, trace = encode_dataset(dataset)
     row = data.draw(st.integers(0, 2 * dataset.record_count - 1))
     column = data.draw(st.sampled_from(MonitorRecord._fields))
@@ -1151,19 +1170,142 @@ def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(datase
     try:
         expected = decode_dataset(meta, edited)
     except (ValueError, ValidationFailed) as exc:
-        expected = exc
+        new = held = (type(exc), str(exc))
+    else:
+        new = held = UploadReceipt(expected.session_id, expected.record_count)
+        if dataset_digest(expected) != dataset_digest(dataset):
+            held = (ConflictingSession, f"session {dataset.session_id} already stored with different content")
     with tempfile.TemporaryDirectory() as tmp:
-        store = EdgeStore(tmp)
-        try:
-            receipt = store.upload(meta, iter(pieces))
-        except (ValueError, ValidationFailed) as exc:
-            assert (type(exc), str(exc)) == (type(expected), str(expected))
-            assert staging_dirs(store) == [] and store.list() == []
+        fresh, holding = EdgeStore(Path(tmp) / "fresh"), EdgeStore(Path(tmp) / "holding")
+        holding.upload(meta, trace)
+        kept = session_files(holding, dataset.session_id)
+        assert (upload_outcome(fresh, meta, pieces), upload_outcome(holding, meta, pieces)) == (new, held)
+        assert staging_dirs(fresh) == staging_dirs(holding) == []
+        assert session_files(holding, dataset.session_id) == kept
+        assert [s.session_id for s in holding.list()] == [dataset.session_id]
+        if isinstance(new, tuple):
+            assert fresh.list() == []
             return
-        assert receipt == UploadReceipt(expected.session_id, expected.record_count)
-        stored = [store.data_dir / expected.session_id / name
+        stored = [fresh.data_dir / expected.session_id / name
                   for name in (edge.META_FILENAME, edge.TRACE_FILENAME)]
         assert [path.read_text(encoding="utf-8") for path in stored] == list(encode_dataset(expected))
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The names of the decoding steps the store runs, in order: each ``_Gate`` built and
+    each ``record_blocks`` call."""
+    calls, gate, blocks = [], edge._Gate, edge.record_blocks
+
+    class Counted(gate):
+        def __init__(self, head):
+            calls.append("_Gate")
+            super().__init__(head)
+
+    def counted_blocks(trace):
+        calls.append("record_blocks")
+        return blocks(trace)
+
+    monkeypatch.setattr(edge, "_Gate", Counted)
+    monkeypatch.setattr(edge, "record_blocks", counted_blocks)
+    return calls
+
+
+def test_an_identical_reupload_is_acknowledged_without_decoding(served_store, decodes):
+    store, server, client = served_store
+    assert store.upload(STREAMED_META, STREAMED_TRACE) == UploadReceipt("ses-r1", 600)
+    assert decodes == ["_Gate", "record_blocks"]
+    decodes.clear()
+    kept = session_files(store, "ses-r1")
+    assert store.upload(STREAMED_META, STREAMED_TRACE) == UploadReceipt("ses-r1", 600)
+    assert store.upload(STREAMED_META, STREAMED_TRACE.splitlines(keepends=True)) == UploadReceipt("ses-r1", 600)
+    assert client.upload(STREAMED) == UploadReceipt("ses-r1", 600)
+    block = f"UPLOAD ses-r1 600\n{STREAMED_META}\n{STREAMED_TRACE}END\n"
+    assert raw_exchange(server.address, block + "LIST\n").startswith("OK ses-r1 600\nSUMMARY session_id=ses-r1 ")
+    assert decodes == []
+    assert session_files(store, "ses-r1") == kept and staging_dirs(store) == []
+    assert (store.data_dir / EdgeStore.INDEX_FILENAME).read_text() == "ses-r1\n"
+
+
+@pytest.mark.parametrize("name, reply", [
+    (edge.TRACE_FILENAME, "OK ses-r1 600\n"),
+    (EdgeStore.DIGEST_FILENAME, "ERR StorageError [Errno 2] No such file or directory: "),
+    (edge.META_FILENAME, "OK ses-r1 600\n"),
+], ids=["trace", "digest", "meta"])
+def test_a_reupload_over_a_stored_file_that_cannot_be_opened_is_decoded(served_store, decodes, name, reply):
+    store, server, client = served_store
+    client.upload(STREAMED)
+    (store.data_dir / "ses-r1" / name).unlink()
+    decodes.clear()
+    sent = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{STREAMED_TRACE}END\n")
+    assert sent.startswith(reply) and sent.count("\n") == 1
+    assert decodes == ["_Gate", "record_blocks"] and staging_dirs(store) == []
+
+
+CONFLICT = "ERR ConflictingSession session ses-r1 already stored with different content\n"
+LONGER, SHORTER = (build_dataset(ticks=ticks) for ticks in (601, 599))  # STREAMED and one pair more or less
+# an edit of STREAMED's meta block and trace CSV, re-uploaded over STREAMED, and the reply
+REUPLOADS = {
+    "meta_differs": (lambda m, t: (m.replace("request_id = r1\n", "request_id = r2\n"), t), CONFLICT),
+    "first_piece_differs": (lambda m, t: (m, edit_row(t, 10, cumulative_transferred_mah="0.5")), CONFLICT),
+    "middle_piece_differs": (lambda m, t: (m, edit_row(t, 600, role="observer")),
+                             "ERR ValidationFailed tick 300: a row's tick_index, time, session_id, "
+                             "device_id or role is not the one its position in the dataset gives\n"),
+    "last_piece_differs": (lambda m, t: (m, edit_row(t, 1190, battery_charge_mah="x")),
+                           "ERR Malformed trace row '595,"),
+    "trace_one_pair_shorter": (lambda m, t: (m, drop_rows(t, 2)),
+                               "ERR Malformed record_count is 600, the trace holds 599 pairs\n"),
+    "trace_one_pair_longer": (lambda m, t: (m, t + "".join(t.splitlines(True)[-2:])),
+                              "ERR Malformed record_count is 600, the trace holds 601 pairs\n"),
+    "dataset_one_pair_shorter": (lambda m, t: encode_dataset(SHORTER), CONFLICT),
+    "dataset_one_pair_longer": (lambda m, t: encode_dataset(LONGER), CONFLICT),
+    "spelled_non_canonically": (lambda m, t: (m.replace("efficiency = 0.8\n", "efficiency = 0.80\n"),
+                                              edit_row(t, 0, cumulative_transferred_mah="0.00")),
+                                "OK ses-r1 600\n"),
+}
+
+
+@pytest.mark.parametrize("edit, reply", REUPLOADS.values(), ids=REUPLOADS)
+def test_a_reupload_that_differs_from_the_stored_bytes_gets_the_decoded_reply(served_store, edit, reply):
+    """Each reply is the one decoding the whole upload gives; the stored files are kept."""
+    store, server, client = served_store
+    client.upload(STREAMED)
+    kept = session_files(store, "ses-r1")
+    meta, trace = edit(STREAMED_META, STREAMED_TRACE)
+    sent = raw_exchange(server.address, f"UPLOAD ses-r1 {parse_meta(meta)['record_count']}\n{meta}\n{trace}END\n")
+    assert sent.startswith(reply) and sent.endswith("\n") and sent.count("\n") == 1
+    assert session_files(store, "ses-r1") == kept and staging_dirs(store) == []
+    assert [s.session_id for s in client.list()] == ["ses-r1"]
+
+
+@pytest.mark.parametrize("edit, reply", [
+    ({"cumulative_transferred_mah": "0.00"}, "OK ses-r1 600\n"),  # the same dataset, spelled otherwise
+    ({"cumulative_transferred_mah": "0.5"}, CONFLICT),
+    ({"battery_charge_mah": "x"}, "ERR Malformed trace row "),
+], ids=["same_dataset", "another_dataset", "unreadable"])
+def test_a_stored_trace_edited_on_disk_and_uploaded_as_edited_is_decoded(served_store, edit, reply):
+    """The upload matches the stored bytes, but not their digest: it is decided by decoding."""
+    store, server, client = served_store
+    client.upload(STREAMED)
+    path = store.data_dir / "ses-r1" / edge.TRACE_FILENAME
+    edited = edit_row(STREAMED_TRACE, 0, **edit)
+    path.write_bytes(edited.encode("utf-8"))
+    sent = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{edited}END\n")
+    assert sent.startswith(reply) and sent.count("\n") == 1
+    assert path.read_bytes() == edited.encode("utf-8") and staging_dirs(store) == []
+
+
+def test_a_reupload_of_the_start_of_a_longer_stored_trace_is_decoded(served_store):
+    """The upload hashes to ``digest.txt``, here rewritten to the hash of bytes that are not
+    canonical, but the stored trace goes on: it is decoded, and its canonical encoding conflicts."""
+    store, server, client = served_store
+    client.upload(STREAMED)
+    files = store.data_dir / "ses-r1"
+    sent = edit_row(STREAMED_TRACE, 0, cumulative_transferred_mah="0.00")
+    (files / edge.TRACE_FILENAME).write_bytes((sent + sent.splitlines(True)[-1]).encode("utf-8"))
+    digest = hashlib.sha256((STREAMED_META + sent).encode("utf-8")).hexdigest()
+    (files / EdgeStore.DIGEST_FILENAME).write_text(digest + "\n")
+    assert raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{sent}END\n") == CONFLICT
 
 
 def wait_for(condition, timeout_s: float = 10.0) -> None:

@@ -494,7 +494,8 @@ def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, monkeypatch)
             gates[name] = len(calls)
     finally:
         server.stop()
-    assert gates == dict.fromkeys(reads, 1)
+    # a byte-identical re-upload is compared with the stored files, not decoded
+    assert gates == {**dict.fromkeys(reads, 1), "tcp_reupload": 0}
 
 
 def test_load_run_and_compare_refuse_a_middle_row_out_of_range(tmp_path):

@@ -226,6 +226,22 @@ def test_registry_replies_are_pinned(registry):
             assert reply == expected + "\n"
 
 
+@pytest.mark.parametrize("command, addr", [
+    ("REGISTER device_id=c addr={}", "not-an-addr"),
+    ("ADVERTISE addr={} provider_id=c x=0.0 y=1.5 level_pct=80.0 technology=cable available=true",
+     "nope"),
+    ("REGISTER device_id=c addr={}", "127.0.0.1:65536"),
+], ids=["register", "advertise", "port_out_of_range"])
+def test_a_malformed_address_is_refused_and_nothing_is_stored(registry, command, addr):
+    requests = f"{command.format(addr)}\nRESOLVE device_id=c\nDISCOVER\n"
+    with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn:
+        conn.sendall(requests.encode("utf-8"))
+        conn.shutdown(socket.SHUT_WR)
+        replies = conn.makefile("r", encoding="utf-8", newline="\n").read()
+    assert replies == (f"ERR Malformed expected host:port with a port in 0-65535, got {addr!r}\n"
+                       "ERR Unknown c\nEND\n")
+
+
 def test_pipelined_registry_commands_each_get_their_reply(registry):
     """Commands sent in one write are all answered, in order; a blank line gets no reply."""
     requests = "REGISTER device_id=a addr=h:1\nRESOLVE device_id=a\n\nRESOLVE device_id=b\nDISCOVER\n"
