@@ -220,10 +220,9 @@ def test_concurrent_uploads_all_stored(store):
         assert stored_dataset(store, ds.session_id) == ds
 
 
-def test_upload_retried_after_failed_index_append_is_listed(store, tmp_path, monkeypatch, decodes):
-    # the dataset directory is in place when the index append fails, as after
-    # a crash between the rename and the append; the retry, compared with the
-    # stored files and not decoded, must index it
+def store_unindexed(store: EdgeStore, monkeypatch, dataset: SessionDataset) -> None:
+    """Upload ``dataset`` with its index append failing, as after a crash between the rename
+    and the append: its directory is in place, its index line is not."""
     failures = [OSError(errno.ENOSPC, "No space left on device")]
 
     def open_failing_once(*args, **kwargs):
@@ -232,14 +231,33 @@ def test_upload_retried_after_failed_index_append_is_listed(store, tmp_path, mon
         return builtins.open(*args, **kwargs)
 
     monkeypatch.setattr(edge, "open", open_failing_once, raising=False)
-    dataset = build_dataset()
     with pytest.raises(OSError):
         store.upload(*encode_dataset(dataset))
+    assert store.list() == [] and (store.data_dir / dataset.session_id).is_dir()
+
+
+def test_upload_retried_after_failed_index_append_is_listed(store, tmp_path, monkeypatch, decodes):
+    # the retry, compared with the stored files and not decoded, must index it
+    dataset = build_dataset()
+    store_unindexed(store, monkeypatch, dataset)
     decodes.clear()
     assert store.upload(*encode_dataset(dataset)) == UploadReceipt("ses-r1", 5)
     assert decodes == []
     assert [s.session_id for s in store.list()] == ["ses-r1"]
     assert [s.session_id for s in EdgeStore(tmp_path / "data").list()] == ["ses-r1"]
+
+
+def test_a_retry_spelled_otherwise_after_a_failed_index_append_is_decoded_and_listed(
+        store, tmp_path, monkeypatch, decodes):
+    dataset = build_dataset()
+    store_unindexed(store, monkeypatch, dataset)
+    decodes.clear()
+    meta, trace = encode_dataset(dataset)
+    meta = meta.replace("efficiency = 0.8\n", "efficiency = 0.80\n")
+    assert store.upload(meta, trace) == UploadReceipt("ses-r1", 5)
+    assert decodes == ["_Gate", "record_blocks"]
+    assert [s.session_id for s in EdgeStore(tmp_path / "data").list()] == ["ses-r1"]
+    assert stored_dataset(store, "ses-r1") == dataset
 
 
 def test_upload_replaces_a_stale_temp_dir_of_its_session(tmp_path):
