@@ -9,12 +9,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .edge import EdgeClient, EdgeServer, EdgeStore, encode_dataset, summary_text
+from .edge import EdgeClient, EdgeServer, EdgeStore, encode_dataset
 from .errors import EnergyShareError
 from .report import compare, write_run_artifacts
 from .runner import check_pace, run_scenario
 from .scenario import parse_scenario
-from .transport import LOOPBACK_HOST, parse_addr
+from .transport import LOOPBACK_HOST, parse_addr, write_line
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,7 +127,7 @@ def _cmd_edge(args) -> int:
     client = EdgeClient(args.addr)
     if args.edge_command == "list":
         for summary in client.list():
-            print(summary_text(summary))
+            print(write_line("SUMMARY", *summary).partition(" ")[2])  # its fields
         return EXIT_OK
     sys.stdout.writelines(encode_dataset(client.get(args.session_id)))  # "get", the one left
     return EXIT_OK

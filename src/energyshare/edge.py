@@ -30,7 +30,6 @@ import uuid
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from enum import Enum
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -52,9 +51,9 @@ from .monitor import (
     trace_csv_text,
 )
 from .protocol import EnergyRequest, Reason, RequestKind, make_request
-from .transport import LOOPBACK_HOST, LineServer, parse_addr
-from .util import POSITIVE, check_id, fmt_float, format_meta, member, parse_fields, parse_finite
-from .util import parse_meta, rel_close
+from .transport import LOOPBACK_HOST, LineServer, parse_addr, read_to_end, write_line
+from .util import POSITIVE, check_id, fmt_value, format_meta, member, parse_finite, parse_meta
+from .util import rel_close
 
 METRIC_TOLERANCE = 1e-9
 # a dataset's two files, in an edge session directory and in a run directory
@@ -236,16 +235,9 @@ _PARTS = {"request": make_request, "tech_params": TechnologyParams, "metrics": S
           "provider_drain": DrainParams, "consumer_drain": DrainParams}
 
 
-def _text(value: Any) -> str:
-    """A meta or SUMMARY value as text: an enum by its value, a float round-trip exact."""
-    if isinstance(value, Enum):
-        return value.value
-    return fmt_float(value) if isinstance(value, float) else str(value)
-
-
 def encode_meta(dataset: SessionDataset) -> str:
     """Canonical key-value sidecar (keys in the table's order; digest input)."""
-    return format_meta({key: _text(get(dataset)) for key, get in _GETTERS.items()})
+    return format_meta({key: fmt_value(get(dataset)) for key, get in _GETTERS.items()})
 
 
 def summary_from_fields(fields: dict[str, str]) -> SessionSummary:
@@ -429,7 +421,7 @@ class EdgeStore:
                 if head.session_id not in self._summaries:
                     self._append_index(head)
             return UploadReceipt(head.session_id, values[_COUNT_KEY])
-        canonical = {key: _text(value) for key, value in values.items()}
+        canonical = {key: fmt_value(value) for key, value in values.items()}
         meta_bytes = format_meta(canonical).encode("utf-8")
         hasher = hashlib.sha256(meta_bytes)
         # a stored session's upload is hashed, not staged; no session id has a '+'
@@ -517,11 +509,6 @@ class EdgeStore:
 # --- TCP service -----------------------------------------------------------------
 
 
-def summary_text(summary: SessionSummary) -> str:
-    """The ``key=value`` fields of a ``SUMMARY`` line."""
-    return " ".join(f"{key}={_text(value)}" for key, value in zip(summary._fields, summary))
-
-
 def _dataset_block(header: str, meta: str, trace: str) -> tuple[str, ...]:
     """Header line, meta block, blank separator, CSV block, END terminator.
 
@@ -585,7 +572,7 @@ class EdgeServer(LineServer):
             return f"OK {receipt.session_id} {receipt.record_count}"
         if command == "LIST":
             for summary in self.store.list():
-                writer.write(f"SUMMARY {summary_text(summary)}\n")
+                writer.write(write_line("SUMMARY", *summary) + "\n")
             return "END"
         if command == "GET":
             session_id = rest.strip()
@@ -621,29 +608,21 @@ class EdgeClient:
                 stream.flush()
                 try:
                     yield stream
-                except (ValueError, KeyError) as exc:  # a reply that does not decode
+                except ValueError as exc:  # a reply that does not decode
                     raise EnergyShareError(f"unreadable edge reply: {exc!r}") from exc
 
     def upload(self, dataset: SessionDataset) -> UploadReceipt:
         header = f"UPLOAD {dataset.session_id} {dataset.record_count}"
         with self._exchange(*_dataset_block(header, *encode_dataset(dataset))) as stream:
             reply = stream.readline().strip()
-            if reply.startswith("OK "):
-                _, session_id, count = reply.split(" ")
-                return UploadReceipt(session_id, int(count))
-        raise LineServer.error_from_reply(reply, _EDGE_ERRORS, EnergyShareError)
+        if reply != f"OK {dataset.session_id} {dataset.record_count}":
+            raise LineServer.error_from_reply(reply, _EDGE_ERRORS, EnergyShareError)
+        return UploadReceipt(dataset.session_id, dataset.record_count)
 
     def list(self) -> list[SessionSummary]:
-        summaries = []
         with self._exchange("LIST\n") as stream:
-            for raw in stream:
-                line = raw.strip()
-                if line == "END":
-                    return summaries
-                if not line.startswith("SUMMARY "):
-                    raise LineServer.error_from_reply(line, _EDGE_ERRORS, EnergyShareError)
-                summaries.append(summary_from_fields(parse_fields(line.split(" ")[1:])))
-        raise EnergyShareError("edge connection closed mid-listing")
+            block = read_to_end(stream, "SUMMARY", _EDGE_ERRORS, EnergyShareError)
+            return [summary_from_fields(fields) for fields in block]
 
     def get(self, session_id: str) -> SessionDataset:
         with self._exchange(f"GET {session_id}\n") as stream:

@@ -15,14 +15,14 @@ docs/wire-format.md):
 from __future__ import annotations
 
 import math
-import re
 import uuid
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import EnergyShareError
-from .util import ID_PATTERN, NON_NEGATIVE, POSITIVE, check_id, parse_finite
+from .util import ID_PATTERN, NON_NEGATIVE, NUMBER, POSITIVE, alternation, check_id, line_pattern
+from .util import parse_finite
 
 
 class RequestKind(Enum):
@@ -202,18 +202,6 @@ def encode_message(msg: ProtocolMessage) -> str:
     return encode(msg)
 
 
-def _line(**fields: str) -> re.Pattern:
-    """One type's fields, ``name=value`` in this order, each value a group named after it."""
-    return re.compile(" ".join(f"{name}=(?P<{name}>{value})" for name, value in fields.items()))
-
-
-# repr(float)'s grammar, read by float() and range-checked by the builder; the
-# form without an exponent, the one the wire carries, is tried first
-_NUMBER = r"-?[0-9]+\.[0-9]+|-?[0-9]+(?:\.[0-9]+)?e[+-][0-9]+"
-_KINDS = "|".join(kind.value for kind in RequestKind)
-_REASONS = "|".join(reason.value for reason in Reason)
-
-
 def _request(request_id, consumer_id, kind, value, x, y, capacity_mah, charge_mah, baseline_ma):
     return Request(
         make_request(RequestKind(kind), float(value), consumer_id, request_id=request_id),
@@ -237,23 +225,24 @@ def _monitor_sync(session_id, tick_index, wall_time_s, charge_mah, cumulative_in
     return tuple.__new__(MonitorSync, (session_id, int(tick_index), wall, charge, cumulative))
 
 
+_KINDS, _REASONS = alternation(RequestKind), alternation(Reason)
 # message type -> (the rest of its line, fullmatched; the builder of its groups)
 _DECODERS = {
-    "REQUEST": (_line(
-        request_id=ID_PATTERN, consumer_id=ID_PATTERN, kind=_KINDS, value=_NUMBER,
-        x=_NUMBER, y=_NUMBER, capacity_mah=_NUMBER, charge_mah=_NUMBER, baseline_ma=_NUMBER,
+    "REQUEST": (line_pattern(
+        request_id=ID_PATTERN, consumer_id=ID_PATTERN, kind=_KINDS, value=NUMBER,
+        x=NUMBER, y=NUMBER, capacity_mah=NUMBER, charge_mah=NUMBER, baseline_ma=NUMBER,
     ), _request),
-    "ACCEPT": (_line(request_id=ID_PATTERN), Accept),
-    "REJECT": (_line(request_id=ID_PATTERN), Reject),
+    "ACCEPT": (line_pattern(request_id=ID_PATTERN), Accept),
+    "REJECT": (line_pattern(request_id=ID_PATTERN), Reject),
     "START_TRANSFER": (
-        _line(session_id=ID_PATTERN, request_id=ID_PATTERN, interval_s=_NUMBER), _start_transfer
+        line_pattern(session_id=ID_PATTERN, request_id=ID_PATTERN, interval_s=NUMBER), _start_transfer
     ),
-    "MONITOR_SYNC": (_line(
-        session_id=ID_PATTERN, tick_index="[0-9]+", wall_time_s=_NUMBER,
-        consumer_charge_mah=_NUMBER, consumer_cumulative_in_mah=_NUMBER,
+    "MONITOR_SYNC": (line_pattern(
+        session_id=ID_PATTERN, tick_index="[0-9]+", wall_time_s=NUMBER,
+        consumer_charge_mah=NUMBER, consumer_cumulative_in_mah=NUMBER,
     ), _monitor_sync),
-    "COMPLETE": (_line(session_id=ID_PATTERN, reason=_REASONS), lambda s, r: Complete(s, Reason(r))),
-    "ABORT": (_line(session_id=ID_PATTERN, reason=_REASONS), lambda s, r: Abort(s, Reason(r))),
+    "COMPLETE": (line_pattern(session_id=ID_PATTERN, reason=_REASONS), lambda s, r: Complete(s, Reason(r))),
+    "ABORT": (line_pattern(session_id=ID_PATTERN, reason=_REASONS), lambda s, r: Abort(s, Reason(r))),
 }
 
 

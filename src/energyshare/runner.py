@@ -15,7 +15,7 @@ message it accepts (the tick, its timestamp and when it arrived); the
 dataset holds the row that tick's receipt names.
 
 A tick's path (the loop, the agents' handlers, ``ChargingEngine.step``,
-one transport hop) is kept flat: a lossless virtual tick makes 32
+one transport hop) is kept flat: a lossless virtual tick makes 30
 Python-level calls (59 before its bookkeeping and one-line helpers were
 inlined); ``tests/test_runner.py`` holds it to at most 36.
 """

@@ -32,12 +32,13 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable
+from typing import Any
 
 from .battery import Technology
 from .errors import EnergyShareError
 from .matching import ProviderAdvert
-from .protocol import ProtocolMessage, decode_message, encode_message
-from .util import check_id, fmt_bool, fmt_float, parse_bool, parse_fields
+from .protocol import ProtocolMessage, Reason, decode_message, encode_message
+from .util import ID_PATTERN, NUMBER, alternation, check_id, fmt_value, line_pattern
 
 DEFAULT_LATENCY_S = 0.05
 
@@ -74,16 +75,11 @@ class VirtualClock:
         self.now_s = 0.0
         self._pace = pace
 
-    def advance(self, dt_s: float) -> None:
-        if dt_s <= 0:
-            raise ValueError(f"dt_s must be > 0, got {dt_s!r}")
-        self.now_s += dt_s
-
     def wait_until(self, t_s: float) -> None:
-        """Jump to ``t_s`` if it lies ahead, through :meth:`advance` (traces pin its float sum)."""
+        """Jump to ``t_s`` if it lies ahead, by adding the step (traces pin the float sum)."""
         if t_s > self.now_s:
             dt_s = t_s - self.now_s
-            self.advance(dt_s)
+            self.now_s += dt_s
             if self._pace:
                 time.sleep(dt_s / self._pace)
 
@@ -109,28 +105,67 @@ class WallClock:
         self._poll(max(t_s - self.now_s, 0.0))
 
 
-# --- advert wire encoding (shared by the registry protocol) ------------------
+# --- the key=value lines of the registry and the edge -----------------------------------
+
+_ADVERT = dict(provider_id=ID_PATTERN, x=NUMBER, y=NUMBER, level_pct=NUMBER,
+               technology=alternation(Technology), available="true|false")
+# every key=value line the registry, the edge and their clients read, by tag: its fields in
+# their fixed order, each with the pattern its value fullmatches (an addr, any token parse_addr reads)
+LINES = {
+    "REGISTER": line_pattern(device_id=ID_PATTERN, addr=r"\S+"),
+    "ADVERTISE": line_pattern(addr=r"\S+", **_ADVERT),
+    "DISCOVER": line_pattern(),
+    "ADVERT": line_pattern(**_ADVERT),
+    "RESOLVE": line_pattern(device_id=ID_PATTERN),
+    "SUMMARY": line_pattern(session_id=ID_PATTERN, consumer_id=ID_PATTERN, provider_id=ID_PATTERN,
+                            technology=alternation(Technology), terminal_reason=alternation(Reason),
+                            energy_loss_mah=NUMBER),
+}
 
 
-def encode_advert(advert: ProviderAdvert) -> str:
-    return (
-        f"provider_id={advert.provider_id}"
-        f" x={fmt_float(advert.position[0])} y={fmt_float(advert.position[1])}"
-        f" level_pct={fmt_float(advert.battery_level_pct)}"
-        f" technology={advert.technology.value}"
-        f" available={fmt_bool(advert.available)}"
-    )
+def read_line(line: str) -> tuple[str, dict[str, str]]:
+    """A line's tag and its fields' values by name; ``ValueError`` unless the tag has a
+    :data:`LINES` entry and the fields are exactly that entry's, in order, each in its form."""
+    tag, _, rest = line.partition(" ")
+    pattern = LINES.get(tag)
+    if pattern is None:
+        raise ValueError(f"unknown command {tag!r}")
+    match = pattern.fullmatch(rest)
+    if match is None:
+        raise ValueError(f"bad {tag} line: fields must be exactly {' '.join(pattern.groupindex) or 'none'}")
+    return tag, match.groupdict()
 
 
-def decode_advert(text: str) -> ProviderAdvert:
-    fields = parse_fields(text.split(" "))
-    return ProviderAdvert(
-        provider_id=check_id(fields["provider_id"]),
-        position=(float(fields["x"]), float(fields["y"])),
-        battery_level_pct=float(fields["level_pct"]),
-        technology=Technology(fields["technology"]),
-        available=parse_bool(fields["available"]),
-    )
+def write_line(tag: str, *values: Any) -> str:
+    """The ``tag`` line of ``values``, named by its :data:`LINES` fields in order."""
+    names = LINES[tag].groupindex
+    return " ".join([tag, *(f"{name}={fmt_value(value)}" for name, value in zip(names, values))])
+
+
+def read_to_end(lines, tag: str, known: tuple[type, ...], other: type) -> list[dict[str, str]]:
+    """The fields of each ``tag`` line of a reply read up to its ``END`` line. Any other line
+    raises as :meth:`LineServer.error_from_reply` makes it; a reply cut short, ``other``."""
+    block = []
+    for raw in lines:
+        line = raw.strip()
+        if line == "END":
+            return block
+        if not line.startswith(tag + " "):
+            raise LineServer.error_from_reply(line, known, other)
+        block.append(read_line(line)[1])
+    raise other("connection closed mid-response")
+
+
+def _advert_values(advert: ProviderAdvert) -> tuple:
+    """An advert's ``ADVERT`` values; a number given as an int is written as a float."""
+    (x, y), level = advert.position, advert.battery_level_pct
+    return advert.provider_id, float(x), float(y), float(level), advert.technology, advert.available
+
+
+def _advert(provider_id, x, y, level_pct, technology, available) -> ProviderAdvert:
+    """The advert an ``ADVERT`` line's fields hold."""
+    position, level = (float(x), float(y)), float(level_pct)
+    return ProviderAdvert(provider_id, position, level, Technology(technology), available == "true")
 
 
 # --- discovery -------------------------------------------------------------------
@@ -371,17 +406,11 @@ class LineServer:
 class RegistryServer(LineServer):
     """Discovery registry for the TCP transport (the confined-area lookup).
 
-    Line protocol, one command per line:
-
-        REGISTER device_id=<id> addr=<host:port>
-        ADVERTISE addr=<host:port> <advert fields>
-        DISCOVER
-        RESOLVE device_id=<id>
-
-    Responses are ``OK ...`` / ``ERR <code> <detail>``; DISCOVER answers
-    with one ``ADVERT <fields>`` line per advert followed by ``END``;
-    RESOLVE answers ``ADDR <host:port>``. All updates happen under one
-    lock, so a DISCOVER snapshot never sees a half-applied advert.
+    One command per line, a ``REGISTER``, ``ADVERTISE``, ``DISCOVER`` or
+    ``RESOLVE`` line of :data:`LINES`. Responses are ``OK`` / ``ERR <code>
+    <detail>``; DISCOVER answers with one ``ADVERT`` line per advert followed
+    by ``END``; RESOLVE answers ``ADDR <host:port>``. All updates happen under
+    one lock, so a DISCOVER snapshot never sees a half-applied advert.
     """
 
     thread_name = "registry"
@@ -393,26 +422,20 @@ class RegistryServer(LineServer):
         super().__init__()
 
     def _handle(self, line: str, lines, writer) -> str:
-        command, _, rest = line.partition(" ")
-        if command == "REGISTER":
-            fields = parse_fields(rest.split(" "))
-            device_id, addr = check_id(fields["device_id"]), fields["addr"]
+        command, fields = read_line(line)
+        if command in ("REGISTER", "ADVERTISE"):
+            addr = fields.pop("addr")
             parse_addr(addr)  # an address RESOLVE could not hand on is refused, not stored
             with self._lock:
-                self._registry.register(device_id, addr)
-            return "OK"
-        if command == "ADVERTISE":
-            tokens = rest.split(" ")
-            addr = parse_fields(tokens[:1])["addr"]
-            parse_addr(addr)
-            advert = decode_advert(" ".join(tokens[1:]))
-            with self._lock:
-                self._registry.advertise(addr, advert)
+                if command == "REGISTER":
+                    self._registry.register(fields["device_id"], addr)
+                else:
+                    self._registry.advertise(addr, _advert(**fields))
             return "OK"
         if command == "DISCOVER":
-            return "".join(f"ADVERT {encode_advert(a)}\n" for a in self.snapshot()) + "END"
+            adverts = (write_line("ADVERT", *_advert_values(a)) + "\n" for a in self.snapshot())
+            return "".join(adverts) + "END"
         if command == "RESOLVE":
-            fields = parse_fields(rest.split(" "))
             with self._lock:
                 return f"ADDR {self._registry.resolve(fields['device_id'])}"
         raise ValueError(f"unknown command {command!r}")
@@ -424,6 +447,14 @@ class RegistryServer(LineServer):
 
 # the registry's ERR codes a client raises as themselves
 _REGISTRY_ERRORS = (DuplicateDevice, Unknown)
+
+
+def _one_line(stream) -> str:
+    """A one-line reply; :class:`PeerUnreachable` if the connection closes before it."""
+    reply = stream.readline()
+    if not reply:
+        raise PeerUnreachable("registry connection closed mid-response")
+    return reply.strip()
 
 
 class _RegistryClient:
@@ -440,39 +471,35 @@ class _RegistryClient:
             self._conn.close()
             self._conn = None
 
-    def _exchange(self, command: str, multiline: bool = False) -> list[str]:
+    def _exchange(self, command: str, read: Callable[[Any], Any]) -> Any:
+        """``read`` of the reply to ``command``. A failed read, which may leave part of the
+        reply unread, closes the connection, so the next command connects afresh."""
         if self._conn is None:
             self._conn = socket.create_connection(self._addr, timeout=TCP_TIMEOUT_S)
             self._stream = self._conn.makefile("rw", encoding="utf-8", newline="\n")
         try:
             self._stream.write(command + "\n")
             self._stream.flush()
-            lines: list[str] = []
-            for raw in self._stream:
-                line = raw.strip()
-                if not multiline:
-                    return [line]
-                if line == "END":
-                    return lines
-                lines.append(line)
-        except OSError:
-            self.close()  # the next command connects afresh
+            return read(self._stream)
+        except Exception:
+            self.close()
             raise
-        self.close()
-        raise PeerUnreachable("registry connection closed mid-response")
 
     def command(self, line: str) -> None:
         """Send a command answered ``OK``; any other reply raises."""
-        reply = self._exchange(line)[0]
-        if not reply.startswith("OK"):
+        reply = self._exchange(line, _one_line)
+        if reply != "OK":
             raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
 
     def discover(self) -> list[ProviderAdvert]:
-        lines = self._exchange("DISCOVER", multiline=True)
-        return [decode_advert(line[len("ADVERT "):]) for line in lines]
+        adverts = self._exchange(
+            write_line("DISCOVER"),
+            lambda stream: read_to_end(stream, "ADVERT", _REGISTRY_ERRORS, PeerUnreachable),
+        )
+        return [_advert(**fields) for fields in adverts]
 
     def resolve(self, device_id: str) -> str:
-        reply = self._exchange(f"RESOLVE device_id={device_id}")[0]
+        reply = self._exchange(write_line("RESOLVE", device_id), _one_line)
         if not reply.startswith("ADDR "):
             raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
         return reply[len("ADDR "):]
@@ -504,7 +531,7 @@ class TcpTransport:
         server = socket.create_server((LOOPBACK_HOST, 0))
         address = f"{LOOPBACK_HOST}:{server.getsockname()[1]}"
         try:
-            self._registry.command(f"REGISTER device_id={device_id} addr={address}")
+            self._registry.command(write_line("REGISTER", device_id, address))
         except BaseException:
             server.close()
             raise
@@ -570,7 +597,8 @@ class TcpTransport:
     def advertise(self, device_id: str, advert: ProviderAdvert) -> None:
         _inbox(self._inboxes, device_id)
         port = self._servers[device_id].getsockname()[1]
-        self._registry.command(f"ADVERTISE addr={LOOPBACK_HOST}:{port} {encode_advert(advert)}")
+        address = f"{LOOPBACK_HOST}:{port}"
+        self._registry.command(write_line("ADVERTISE", address, *_advert_values(advert)))
 
     def discover(self, device_id: str) -> list[ProviderAdvert]:
         _inbox(self._inboxes, device_id)

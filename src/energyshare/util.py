@@ -1,4 +1,4 @@
-"""Shared helpers: identifier validation, float formatting, key-value codecs.
+"""Shared helpers: identifier validation, value formatting, the line grammar, key-value codecs.
 
 Every textual artifact in this package (wire messages, trace CSV, metadata
 files) must round-trip bit-exactly, so floats are always printed with
@@ -63,16 +63,30 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def fmt_bool(x: bool) -> str:
-    return "true" if x else "false"
+def fmt_value(value: Any) -> str:
+    """A value as a line or a meta file writes it: an enum by its value, a bool as
+    ``true`` or ``false``, a float round-trip exact, anything else by ``str``."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return fmt_float(value) if isinstance(value, float) else str(value)
 
 
-def parse_bool(token: str) -> bool:
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    raise ValueError(f"expected 'true' or 'false', got {token!r}")
+# the line grammar, ``TAG name=value ...`` with fields in a fixed order: a number is
+# repr(float)'s form, read by float() and range-checked by the reader; the form without
+# an exponent, the one a line carries, is tried first
+NUMBER = r"-?[0-9]+\.[0-9]+|-?[0-9]+(?:\.[0-9]+)?e[+-][0-9]+"
+
+
+def alternation(kind: type[Enum]) -> str:
+    """A pattern of the values of ``kind``'s members."""
+    return "|".join(m.value for m in kind)
+
+
+def line_pattern(**fields: str) -> re.Pattern:
+    """A line's fields after its tag, ``name=value`` in this order, each value a group named after it."""
+    return re.compile(" ".join(f"{name}=(?P<{name}>{value})" for name, value in fields.items()))
 
 
 def rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -81,19 +95,6 @@ def rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
     if not (math.isfinite(a) and math.isfinite(b)):
         return False
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def parse_fields(tokens: list[str]) -> dict[str, str]:
-    """Parse ``key=value`` tokens into a dict, rejecting malformed or duplicate keys."""
-    fields: dict[str, str] = {}
-    for token in tokens:
-        key, sep, value = token.partition("=")
-        if not sep or not key:
-            raise ValueError(f"malformed field token {token!r}")
-        if key in fields:
-            raise ValueError(f"duplicate field {key!r}")
-        fields[key] = value
-    return fields
 
 
 def format_meta(values: dict[str, str]) -> str:

@@ -168,6 +168,12 @@ UNREADABLE_REPLIES = {
     "get_closed_inside_meta": (["get", "s1"], "DATASET s1 1\nsession_id = s1\n"),
     "get_without_a_trace": (["get", "s1"], "DATASET s1 1\nfoo = bar\n\nEND\n"),
     "list_with_a_short_summary": (["list"], "SUMMARY session_id=s1\n"),
+    "list_with_an_off_form_number": (["list"], "SUMMARY session_id=s1 consumer_id=c1 provider_id=p1 "
+                                     "technology=cable terminal_reason=DurationElapsed "
+                                     "energy_loss_mah=+0.5\nEND\n"),
+    "list_with_reordered_fields": (["list"], "SUMMARY consumer_id=c1 session_id=s1 provider_id=p1 "
+                                   "technology=cable terminal_reason=DurationElapsed "
+                                   "energy_loss_mah=0.5\nEND\n"),
 }
 
 

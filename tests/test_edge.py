@@ -35,6 +35,7 @@ from energyshare.edge import (
     EdgeStore,
     NotFound,
     SessionDataset,
+    SessionSummary,
     UploadReceipt,
     ValidationFailed,
     dataset_digest,
@@ -61,7 +62,7 @@ from energyshare.protocol import Reason, RequestKind, make_request
 from energyshare.report import IncompatibleRuns, load_run
 from energyshare.runner import run_scenario
 from energyshare.scenario import parse_scenario
-from energyshare.transport import parse_addr
+from energyshare.transport import LINES, parse_addr
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 WIRE_DOC = Path(__file__).resolve().parents[1] / "docs" / "wire-format.md"
@@ -516,6 +517,10 @@ def raw_exchange(address: str, text: str) -> str:
         while chunk := conn.recv(65536):
             chunks.append(chunk)
     return b"".join(chunks).decode("utf-8")
+
+
+def test_a_summary_line_carries_the_summary_fields_in_order():
+    assert list(LINES["SUMMARY"].groupindex) == list(SessionSummary._fields)
 
 
 def test_get_reply_is_the_canonical_dataset_block(served_store):
@@ -979,6 +984,38 @@ def test_get_returns_only_the_dataset_it_asked_for(session_id, header):
         else:
             with pytest.raises(EnergyShareError, match="does not hold session ses-asked"):
                 client.get("ses-asked")
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+
+
+@pytest.mark.parametrize("reply", [
+    "OK ses-asked 5",
+    "OK ses-asked \u0665",  # ARABIC-INDIC DIGIT FIVE, which int() reads as 5
+    "OK ses-other 5",
+    "OK ses-asked 4",
+    "OK ses-asked 5 extra",
+    "OK",
+], ids=["sent", "non_ascii_count", "other_session", "other_count", "extra_field", "bare_ok"])
+def test_upload_accepts_only_the_receipt_of_what_it_sent(reply):
+    """A stand-in server reads a 5-pair ``ses-asked`` upload to its END and answers ``reply``."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as request:
+                for line in request:
+                    if line == b"END\n":
+                        break
+                conn.sendall(f"{reply}\n".encode("utf-8"))
+
+        server = threading.Thread(target=answer_once, daemon=True)
+        server.start()
+        client = EdgeClient(f"127.0.0.1:{listener.getsockname()[1]}")
+        if reply == "OK ses-asked 5":
+            assert client.upload(build_dataset(session_id="ses-asked")) == UploadReceipt("ses-asked", 5)
+        else:
+            with pytest.raises(EnergyShareError) as refused:
+                client.upload(build_dataset(session_id="ses-asked"))
+            assert str(refused.value) == reply
         server.join(timeout=10.0)
     assert not server.is_alive()
 

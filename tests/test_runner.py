@@ -694,7 +694,7 @@ def test_consumer_ends_transport_lost_when_its_abort_cannot_be_sent(monkeypatch)
         raise PeerUnreachable(to)
 
     monkeypatch.setattr(transport, "send", unreachable)
-    clock.advance(5.0)  # the sync deadline passes with no sync
+    clock.wait_until(clock.now_s + 5.0)  # the sync deadline passes with no sync
     consumer.on_time()
     assert sent == [Abort(session_id, Reason.TRANSPORT_LOST)]
     assert consumer.outcome == OUTCOME_ABORTED

@@ -197,6 +197,11 @@ def test_registry_client_drops_a_reset_connection(stand_in_registry):
     client.close()
 
 
+BAD_REGISTER = "bad REGISTER line: fields must be exactly device_id addr"
+BAD_ADVERTISE = ("bad ADVERTISE line: fields must be exactly addr provider_id x y level_pct technology"
+                 " available")
+
+
 def test_registry_replies_are_pinned(registry):
     """Exact reply bytes of each registry command, errors included, on one connection."""
     advertise = ("ADVERTISE addr=127.0.0.1:{} provider_id=d x=0.0 y=1.5 level_pct=80.0"
@@ -212,18 +217,47 @@ def test_registry_replies_are_pinned(registry):
         ("RESOLVE device_id=d", "ADDR 127.0.0.1:1"),
         ("RESOLVE device_id=ghost", "ERR Unknown ghost"),
         ("HELLO there", "ERR Malformed unknown command 'HELLO'"),
-        ("REGISTER device_id=e", "ERR Malformed 'addr'"),
-        ("REGISTER device_id", "ERR Malformed malformed field token 'device_id'"),
-        ("REGISTER device_id=e device_id=f addr=h:1", "ERR Malformed duplicate field 'device_id'"),
-        (advertise.format(1).replace("available=true", "available=yes"),
-         "ERR Malformed expected 'true' or 'false', got 'yes'"),
+        ("REGISTER device_id=e", f"ERR Malformed {BAD_REGISTER}"),
+        ("REGISTER device_id", f"ERR Malformed {BAD_REGISTER}"),
+        ("REGISTER device_id=e device_id=f addr=h:1", f"ERR Malformed {BAD_REGISTER}"),
+        (advertise.format(1).replace("available=true", "available=yes"), f"ERR Malformed {BAD_ADVERTISE}"),
     ]
-    with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn:
-        replies = conn.makefile("r", encoding="utf-8", newline="\n")
+    with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn, \
+            conn.makefile("r", encoding="utf-8", newline="\n") as replies:
         for request, expected in exchange:
             conn.sendall((request + "\n").encode("utf-8"))
             reply = "".join(replies.readline() for _ in range(expected.count("\n") + 1))
             assert reply == expected + "\n"
+
+
+# a command the registry once stored or answered although no client writes it, and
+# the exchange that follows it on the same connection
+OFF_FORM_COMMANDS = {
+    "register_extra_field": (
+        "REGISTER device_id=a addr=127.0.0.1:9 junk=1", "RESOLVE device_id=a", "ERR Unknown a"
+    ),
+    "register_reordered": (
+        "REGISTER addr=127.0.0.1:9 device_id=a", "RESOLVE device_id=a", "ERR Unknown a"
+    ),
+    "advertise_off_form_numbers_and_extra_field": (
+        "ADVERTISE addr=127.0.0.1:9 provider_id=a x=+1_0 y=\u0663 level_pct=80.0 technology=cable"
+        " available=true extra=1", "DISCOVER", "END"
+    ),
+    "discover_with_an_argument": ("DISCOVER please", "DISCOVER", "END"),
+    "resolve_extra_field": ("RESOLVE device_id=a extra=2", "RESOLVE device_id=a", "ERR Unknown a"),
+}
+
+
+@pytest.mark.parametrize("command, after, answer", OFF_FORM_COMMANDS.values(), ids=OFF_FORM_COMMANDS)
+def test_a_command_off_its_form_is_refused_and_nothing_is_stored(registry, command, after, answer):
+    requests = f"{command}\n{after}\n"
+    with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn:
+        conn.sendall(requests.encode("utf-8"))
+        conn.shutdown(socket.SHUT_WR)
+        with conn.makefile("r", encoding="utf-8", newline="\n") as replies:
+            refusal, *rest = replies.read().split("\n")
+    assert refusal.startswith(f"ERR Malformed bad {command.split()[0]} line: fields must be exactly ")
+    assert rest == [answer, ""]
 
 
 @pytest.mark.parametrize("command, addr", [
