@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Memory of a day-long session: one virtual run, its run directory written and read back,
 then its dataset uploaded to an edge store, uploaded again as it is and with one field
-edited, and fetched back from an edge server.
+edited, fetched back from an edge server, and uploaded by an edge client.
 
 The session charges over cable for 86,400 ticks at 1 s (86,401 record
 pairs). Tracing starts after the run, so the probe stays short: the run
@@ -14,11 +14,14 @@ has another consumer charge differs only in its last piece, so the store
 reads the rest back from disk to decode it, and it must be refused as an
 upload of the same text to an empty store is. The GET runs an
 ``EdgeServer`` in this process and reads its reply off a socket, keeping
-only its length. The last line is the process's peak RSS.
+only its length. The client upload sends the run's dataset through
+``EdgeClient.upload`` to another ``EdgeServer`` in this process, on an
+empty store; its peak counts both ends, and its receipt must be the
+first upload's. The last line is the process's peak RSS.
 
 Exits 1 if ``write_run_artifacts`` peaks more than WRITE_PEAK_LIMIT_MB above
 its start, ``load_run`` more than LOAD_PEAK_LIMIT_MB, or an edge upload,
-re-upload or GET more than EDGE_PEAK_LIMIT_MB above theirs.
+re-upload, GET or client upload more than EDGE_PEAK_LIMIT_MB above theirs.
 
 Usage: python scripts/memory_probe.py
 """
@@ -34,7 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from energyshare.edge import META_FILENAME, TRACE_FILENAME, EdgeServer, EdgeStore
+from energyshare.edge import META_FILENAME, TRACE_FILENAME, EdgeClient, EdgeServer, EdgeStore
 from energyshare.errors import EnergyShareError
 from energyshare.report import load_run, write_run_artifacts
 from energyshare.runner import run_scenario
@@ -139,6 +142,12 @@ def main() -> int:
                                       receipt.session_id)
         finally:
             server.stop()
+        server = EdgeServer(EdgeStore(Path(tmp) / "client")).start()
+        try:
+            sent, sent_peak = traced("edge client upload", EdgeClient(server.address).upload,
+                                     result.dataset)
+        finally:
+            server.stop()
         header = f"DATASET {receipt.session_id} {receipt.record_count}\n"
         files = (run_dir / META_FILENAME, run_dir / TRACE_FILENAME)
         expected = len(header) + sum(path.stat().st_size for path in files) + len("\nEND\n")
@@ -151,13 +160,16 @@ def main() -> int:
                                   ("edge upload", upload_peak, EDGE_PEAK_LIMIT_MB),
                                   ("edge re-upload", again_peak, EDGE_PEAK_LIMIT_MB),
                                   ("edge re-upload edit", edited_peak, EDGE_PEAK_LIMIT_MB),
-                                  ("edge GET", get_peak, EDGE_PEAK_LIMIT_MB))
+                                  ("edge GET", get_peak, EDGE_PEAK_LIMIT_MB),
+                                  ("edge client upload", sent_peak, EDGE_PEAK_LIMIT_MB))
         if peak > limit
     ]
     if again != receipt:
         failures.append(f"edge re-upload replied {again}, not the upload's {receipt}")
     if edited != refused or not isinstance(refused, tuple):
         failures.append(f"edge re-upload edit replied {edited}, an empty store {refused}")
+    if sent != receipt:
+        failures.append(f"edge client upload replied {sent}, not the upload's {receipt}")
     if served != expected:
         failures.append(f"edge GET replied {served} bytes, not the dataset block's {expected}")
     for failure in failures:

@@ -24,11 +24,10 @@ import hashlib
 import math
 import os
 import shutil
-import socket
 import threading
 import uuid
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from itertools import chain
 from operator import attrgetter
@@ -47,11 +46,12 @@ from .monitor import (
     pairs_from_records,
     record_blocks,
     records_from_csv_text,
+    trace_csv_blocks,
     trace_csv_rows,
     trace_csv_text,
 )
 from .protocol import EnergyRequest, Reason, RequestKind, make_request
-from .transport import LOOPBACK_HOST, LineServer, parse_addr, read_to_end, write_line
+from .transport import LOOPBACK_HOST, LineServer, exchange, parse_addr, read_to_end, write_line
 from .util import POSITIVE, check_id, fmt_value, format_meta, member, parse_finite, parse_meta
 from .util import rel_close
 
@@ -424,22 +424,18 @@ class EdgeStore:
         canonical = {key: fmt_value(value) for key, value in values.items()}
         meta_bytes = format_meta(canonical).encode("utf-8")
         hasher = hashlib.sha256(meta_bytes)
-        # a stored session's upload is hashed, not staged; no session id has a '+'
-        tmp_dir = None if session_dir.exists() else self.data_dir / f"+tmp-{uuid.uuid4().hex}"
+        tmp_dir = self.data_dir / f"+tmp-{uuid.uuid4().hex}"  # no session id has a '+'
         try:
-            if tmp_dir:
-                tmp_dir.mkdir()
-                (tmp_dir / META_FILENAME).write_bytes(meta_bytes)
-            with (tmp_dir / TRACE_FILENAME).open("wb") if tmp_dir else nullcontext() as out:
+            tmp_dir.mkdir()
+            (tmp_dir / META_FILENAME).write_bytes(meta_bytes)
+            with (tmp_dir / TRACE_FILENAME).open("wb") as out:
                 for block in _canonical_trace(values, head, trace):
                     hasher.update(block)
-                    if out:
-                        out.write(block)
+                    out.write(block)
             digest = hasher.hexdigest()
-            if tmp_dir:
-                (tmp_dir / self.DIGEST_FILENAME).write_bytes((digest + "\n").encode("utf-8"))
-                for name in (META_FILENAME, TRACE_FILENAME, self.DIGEST_FILENAME):
-                    _fsync_path(tmp_dir / name)
+            (tmp_dir / self.DIGEST_FILENAME).write_bytes((digest + "\n").encode("utf-8"))
+            for name in (META_FILENAME, TRACE_FILENAME, self.DIGEST_FILENAME):
+                _fsync_path(tmp_dir / name)
             with self._lock:
                 if session_dir.exists():
                     stored = (session_dir / self.DIGEST_FILENAME).read_text(encoding="utf-8")
@@ -454,9 +450,8 @@ class EdgeStore:
                     tmp_dir.rename(session_dir)
                     _fsync_path(self.data_dir)
                     self._append_index(head)
-        finally:
-            if tmp_dir:  # a refused or failed upload's; gone already once committed
-                shutil.rmtree(tmp_dir, ignore_errors=True)
+        finally:  # a refused or failed upload's; gone already once committed
+            shutil.rmtree(tmp_dir, ignore_errors=True)
         return UploadReceipt(head.session_id, values[_COUNT_KEY])
 
     def _unmatched(self, session_dir: Path, meta: str, trace: str | Iterable[str]):
@@ -509,12 +504,12 @@ class EdgeStore:
 # --- TCP service -----------------------------------------------------------------
 
 
-def _dataset_block(header: str, meta: str, trace: str) -> tuple[str, ...]:
-    """Header line, meta block, blank separator, CSV block, END terminator.
+def _dataset_block(header: str, meta: str, trace: Iterable[str]) -> Iterator[str]:
+    """Header line, meta block, blank separator, the CSV block's parts, END terminator.
 
-    Returned as parts for the caller to write one by one, so no joined copy is made.
+    Given as parts for the caller to write one by one, so no joined copy is made.
     """
-    return header + "\n", meta, "\n", trace, "END\n"
+    return chain((header + "\n", meta, "\n"), trace, ("END\n",))
 
 
 def _block_pieces(lines):
@@ -579,7 +574,7 @@ class EdgeServer(LineServer):
             with _storage_errors():
                 meta, trace = self.store.get(session_id)
             header = f"DATASET {session_id} {parse_meta(meta)[_COUNT_KEY]}"
-            *before, _, after = _dataset_block(header, meta, "")  # the trace goes between
+            *before, _, after = _dataset_block(header, meta, ("",))  # the trace goes between
             writer.writelines(before)
             writer.flush()
             for block in trace:  # the stored bytes, with no str copy
@@ -599,38 +594,35 @@ class EdgeClient:
     def __init__(self, address: str):
         self._addr = parse_addr(address)
 
-    @contextmanager
-    def _exchange(self, *request: str):
-        """A fresh connection's stream, after the request parts were sent on it."""
-        with socket.create_connection(self._addr, timeout=EDGE_TIMEOUT_S) as conn:
-            with conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                stream.writelines(request)
-                stream.flush()
-                try:
-                    yield stream
-                except ValueError as exc:  # a reply that does not decode
-                    raise EnergyShareError(f"unreadable edge reply: {exc!r}") from exc
-
     def upload(self, dataset: SessionDataset) -> UploadReceipt:
+        """Send the dataset's block, its trace a block of pairs at a time, and read the receipt."""
         header = f"UPLOAD {dataset.session_id} {dataset.record_count}"
-        with self._exchange(*_dataset_block(header, *encode_dataset(dataset))) as stream:
-            reply = stream.readline().strip()
-        if reply != f"OK {dataset.session_id} {dataset.record_count}":
-            raise LineServer.error_from_reply(reply, _EDGE_ERRORS, EnergyShareError)
-        return UploadReceipt(dataset.session_id, dataset.record_count)
+        ok = f"OK {dataset.session_id} {dataset.record_count}"
+
+        def read(stream) -> UploadReceipt:
+            if (reply := stream.readline().strip()) != ok:
+                raise LineServer.error_from_reply(reply, _EDGE_ERRORS, EnergyShareError)
+            return UploadReceipt(dataset.session_id, dataset.record_count)
+
+        block = _dataset_block(header, encode_meta(dataset), trace_csv_blocks(dataset.records))
+        return exchange(self._addr, block, read, EnergyShareError, EDGE_TIMEOUT_S)
 
     def list(self) -> list[SessionSummary]:
-        with self._exchange("LIST\n") as stream:
+        def read(stream) -> list[SessionSummary]:
             block = read_to_end(stream, "SUMMARY", _EDGE_ERRORS, EnergyShareError)
             return [summary_from_fields(fields) for fields in block]
 
+        return exchange(self._addr, ["LIST\n"], read, EnergyShareError, EDGE_TIMEOUT_S)
+
     def get(self, session_id: str) -> SessionDataset:
-        with self._exchange(f"GET {session_id}\n") as stream:
+        def read(stream) -> SessionDataset:
             header = stream.readline().strip()
             if not header.startswith("DATASET "):
                 raise LineServer.error_from_reply(header, _EDGE_ERRORS, EnergyShareError)
             block = _block_pieces(stream)
             dataset = decode_dataset(next(block), block)
-        if header != f"DATASET {session_id} {dataset.record_count}" or dataset.session_id != session_id:
-            raise EnergyShareError(f"edge reply {header!r} does not hold session {session_id}")
-        return dataset
+            if header != f"DATASET {session_id} {dataset.record_count}" or dataset.session_id != session_id:
+                raise EnergyShareError(f"edge reply {header!r} does not hold session {session_id}")
+            return dataset
+
+        return exchange(self._addr, [f"GET {session_id}\n"], read, EnergyShareError, EDGE_TIMEOUT_S)

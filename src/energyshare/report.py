@@ -10,6 +10,7 @@ curves suitable for external plotting.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,8 @@ def write_run_artifacts(result: RunResult, out_dir: Path | str) -> Path:
     """Persist one run's dataset and summary; returns the run directory."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    info_path = out_dir / RUN_INFO_FILENAME
+    info_path.unlink(missing_ok=True)  # first: no run's facts stand beside a dataset half written
     dataset_files = (out_dir / META_FILENAME, out_dir / TRACE_FILENAME)
     if result.dataset is None:
         for path in dataset_files:
@@ -53,7 +56,9 @@ def write_run_artifacts(result: RunResult, out_dir: Path | str) -> Path:
         "terminal_reason": reason,
         "consumer_start_level_pct": fmt_float(scenario.requesting_consumer().start_level_pct),
     }
-    (out_dir / RUN_INFO_FILENAME).write_bytes(format_meta(info).encode("utf-8"))
+    staged = out_dir / f"+{RUN_INFO_FILENAME}"
+    staged.write_bytes(format_meta(info).encode("utf-8"))
+    os.replace(staged, info_path)  # last and whole: load_run reads one run, or refuses
     return out_dir
 
 

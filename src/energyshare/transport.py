@@ -31,7 +31,7 @@ import socket
 import threading
 import time
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import Any
 
 from .battery import Technology
@@ -370,11 +370,12 @@ class LineServer:
     @staticmethod
     def error_from_reply(reply: str, known: tuple[type, ...], other: type) -> EnergyShareError:
         """The inverse of :meth:`_error_reply`: ``ERR <code> <detail>`` whose code names a
-        class in ``known`` is that class with the detail, any other reply ``other(reply)``."""
+        class in ``known`` is that class with the detail, any other reply ``other(reply)``,
+        and none (the connection closed first) ``other`` saying so."""
         tag, _, rest = reply.partition(" ")
         code, _, detail = rest.partition(" ")
         error = {cls.__name__: cls for cls in known}.get(code) if tag == "ERR" else None
-        return error(detail) if error else other(reply)
+        return error(detail) if error else other(reply or "connection closed mid-response")
 
     def _serve(self, conn: socket.socket) -> None:
         try:
@@ -445,64 +446,41 @@ class RegistryServer(LineServer):
             return self._registry.discover()
 
 
+def exchange(addr: tuple[str, int], request: Iterable[str], read: Callable[[Any], Any],
+             error: type[EnergyShareError], timeout_s: float) -> Any:
+    """``read`` of the reply to ``request``'s parts, on a connection opened for it and closed
+    after; a reply that does not decode (``ValueError``) raises as ``error``."""
+    with socket.create_connection(addr, timeout=timeout_s) as conn, \
+            conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
+        stream.writelines(request)
+        stream.flush()
+        try:
+            return read(stream)
+        except ValueError as exc:
+            raise error(f"unreadable reply: {exc!r}") from exc
+
+
 # the registry's ERR codes a client raises as themselves
 _REGISTRY_ERRORS = (DuplicateDevice, Unknown)
 
 
-def _one_line(stream) -> str:
-    """A one-line reply; :class:`PeerUnreachable` if the connection closes before it."""
-    reply = stream.readline()
-    if not reply:
-        raise PeerUnreachable("registry connection closed mid-response")
-    return reply.strip()
+def _ok(stream) -> None:
+    """The reply to a command answered ``OK``; any other raises."""
+    if (reply := stream.readline().strip()) != "OK":
+        raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
 
 
-class _RegistryClient:
-    """Command client against the registry server, over one kept connection."""
+def _addr(stream) -> tuple[str, int]:
+    """The address a ``RESOLVE`` reply ``ADDR <host:port>`` gives; any other reply raises."""
+    reply = stream.readline().strip()
+    if not reply.startswith("ADDR "):
+        raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
+    return parse_addr(reply[len("ADDR "):])
 
-    def __init__(self, registry_addr: str):
-        self._addr = parse_addr(registry_addr)
-        self._conn: socket.socket | None = None
-        self._stream = None
 
-    def close(self) -> None:
-        if self._conn is not None:
-            self._stream.close()
-            self._conn.close()
-            self._conn = None
-
-    def _exchange(self, command: str, read: Callable[[Any], Any]) -> Any:
-        """``read`` of the reply to ``command``. A failed read, which may leave part of the
-        reply unread, closes the connection, so the next command connects afresh."""
-        if self._conn is None:
-            self._conn = socket.create_connection(self._addr, timeout=TCP_TIMEOUT_S)
-            self._stream = self._conn.makefile("rw", encoding="utf-8", newline="\n")
-        try:
-            self._stream.write(command + "\n")
-            self._stream.flush()
-            return read(self._stream)
-        except Exception:
-            self.close()
-            raise
-
-    def command(self, line: str) -> None:
-        """Send a command answered ``OK``; any other reply raises."""
-        reply = self._exchange(line, _one_line)
-        if reply != "OK":
-            raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
-
-    def discover(self) -> list[ProviderAdvert]:
-        adverts = self._exchange(
-            write_line("DISCOVER"),
-            lambda stream: read_to_end(stream, "ADVERT", _REGISTRY_ERRORS, PeerUnreachable),
-        )
-        return [_advert(**fields) for fields in adverts]
-
-    def resolve(self, device_id: str) -> str:
-        reply = self._exchange(write_line("RESOLVE", device_id), _one_line)
-        if not reply.startswith("ADDR "):
-            raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
-        return reply[len("ADDR "):]
+def _adverts(stream) -> list[ProviderAdvert]:
+    block = read_to_end(stream, "ADVERT", _REGISTRY_ERRORS, PeerUnreachable)
+    return [_advert(**fields) for fields in block]
 
 
 class TcpTransport:
@@ -511,14 +489,14 @@ class TcpTransport:
     Senders keep a single connection per sender/destination pair (FIFO per
     pair comes from TCP ordering); it stays open until :meth:`close`.
     Discovery and address resolution go through the shared registry
-    server, over one connection the transport keeps until :meth:`close`.
+    server, one :func:`exchange` (and so one connection) per command.
     Every listener and accepted connection sits in one selector that
     :meth:`poll` serves on the caller's thread; a :class:`WallClock` waits
     in it. The transport starts no thread.
     """
 
     def __init__(self, registry_addr: str):
-        self._registry = _RegistryClient(registry_addr)
+        self._registry = parse_addr(registry_addr)
         # selector data: (device_id, None) for a listener, (device_id, unread
         # tail) for an accepted connection
         self._selector = selectors.DefaultSelector()
@@ -531,7 +509,7 @@ class TcpTransport:
         server = socket.create_server((LOOPBACK_HOST, 0))
         address = f"{LOOPBACK_HOST}:{server.getsockname()[1]}"
         try:
-            self._registry.command(write_line("REGISTER", device_id, address))
+            self._ask(write_line("REGISTER", device_id, address), _ok)
         except BaseException:
             server.close()
             raise
@@ -549,7 +527,6 @@ class TcpTransport:
             conn.close()
         self._conns.clear()
         self._servers.clear()
-        self._registry.close()
 
     def poll(self, timeout_s: float) -> None:
         """Wait up to ``timeout_s`` for input, then take in whatever is ready.
@@ -598,14 +575,18 @@ class TcpTransport:
         _inbox(self._inboxes, device_id)
         port = self._servers[device_id].getsockname()[1]
         address = f"{LOOPBACK_HOST}:{port}"
-        self._registry.command(write_line("ADVERTISE", address, *_advert_values(advert)))
+        self._ask(write_line("ADVERTISE", address, *_advert_values(advert)), _ok)
 
     def discover(self, device_id: str) -> list[ProviderAdvert]:
         _inbox(self._inboxes, device_id)
-        return self._registry.discover()
+        return self._ask(write_line("DISCOVER"), _adverts)
+
+    def _ask(self, command: str, read: Callable[[Any], Any]) -> Any:
+        """``read`` of the registry's reply to ``command``."""
+        return exchange(self._registry, [command + "\n"], read, PeerUnreachable, TCP_TIMEOUT_S)
 
     def _connect(self, to: str) -> socket.socket:
-        address = parse_addr(self._registry.resolve(to))
+        address = self._ask(write_line("RESOLVE", to), _addr)
         conn = socket.create_connection(address, timeout=TCP_TIMEOUT_S)
         conn.setblocking(False)
         return conn

@@ -1,5 +1,6 @@
 """End-to-end scenario runs: happy path, reject walk, aborts, both transports."""
 
+import errno
 import gc
 import re
 import socket
@@ -7,12 +8,13 @@ import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from conftest import build_scenario, scenario_text, stored_dataset
 
 from energyshare.battery import battery_at_level, DrainParams, predict_outcome
-from energyshare import edge
+from energyshare import edge, report
 from energyshare.edge import (
     META_FILENAME,
     EdgeClient,
@@ -50,7 +52,7 @@ from energyshare.runner import (
     _drive,
     run_scenario,
 )
-from energyshare.scenario import parse_scenario_text
+from energyshare.scenario import parse_scenario, parse_scenario_text
 from energyshare.transport import (
     PeerUnreachable,
     RegistryServer,
@@ -364,10 +366,10 @@ def test_wall_run_starts_only_registry_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
     result = run_scenario(build_scenario(clock="wall", value=2.0), pace=20.0)
     assert result.outcome == OUTCOME_COMPLETED
-    # the transport reads on the loop's thread and sends every registry command over
-    # one connection; only the registry serves in threads: its accept thread plus one
-    # for that connection
-    assert sorted(started) == ["registry-accept", "registry-conn"]
+    # the transport reads on the loop's thread and starts no thread; only the registry
+    # serves in threads: its accept thread, once, and one per command's connection
+    assert started.count("registry-accept") == 1
+    assert set(started) == {"registry-accept", "registry-conn"}
 
 
 @pytest.mark.parametrize(
@@ -571,6 +573,27 @@ def test_a_run_without_a_dataset_leaves_none_in_its_directory(tmp_path):
     assert sorted(path.name for path in run_dir.iterdir()) == ["run.txt"]
     with pytest.raises(IncompatibleRuns):
         load_run(run_dir)
+
+
+def test_a_write_cut_short_never_leaves_a_mix_of_two_runs(tmp_path, monkeypatch):
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    old, new = (run_scenario(parse_scenario(scenarios / f"exp2_level{level}.cfg")) for level in (10, 70))
+    run_dir = write_run_artifacts(old, tmp_path / "run")
+
+    def disk_full(info):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:  # the new dataset is written, its run.txt is not
+        patch.setattr(report, "format_meta", disk_full)
+        with pytest.raises(OSError):
+            write_run_artifacts(new, run_dir)
+    with pytest.raises(IncompatibleRuns):
+        load_run(run_dir)
+    write_run_artifacts(new, run_dir)
+    assert sorted(path.name for path in run_dir.iterdir()) == ["meta.txt", "run.txt", "trace.csv"]
+    loaded = load_run(run_dir)
+    assert (loaded.run_id, loaded.start_level_pct) == ("exp2_level70", 70.0)
+    assert loaded.dataset == new.dataset
 
 
 @pytest.mark.parametrize(

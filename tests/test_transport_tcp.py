@@ -24,7 +24,6 @@ from energyshare.transport import (
     PeerUnreachable,
     RegistryServer,
     TcpTransport,
-    _RegistryClient,
     parse_addr,
 )
 
@@ -180,21 +179,37 @@ def answer_ok(conn, stream):
         stream.flush()
 
 
-def test_registry_client_reconnects_after_a_registry_that_closed_mid_reply(stand_in_registry):
-    client = _RegistryClient(stand_in_registry(close_after_a_command, answer_ok))
+def answer_resolve_with_nonsense(conn, stream):
+    for line in stream:
+        stream.write("ADDR nonsense\n" if line.startswith("RESOLVE ") else "OK\n")
+        stream.flush()
+
+
+def test_a_registry_that_closed_mid_reply_is_unreachable_and_the_next_command_connects(
+        stand_in_registry):
+    transport = TcpTransport(stand_in_registry(close_after_a_command, answer_ok))
     with pytest.raises(PeerUnreachable, match="closed mid-response"):
-        client.command("REGISTER device_id=a addr=h:1")
-    client.command("REGISTER device_id=a addr=h:1")
-    client.close()
+        transport.register("a")
+    transport.register("a")
+    transport.close()
 
 
-def test_registry_client_drops_a_reset_connection(stand_in_registry):
-    client = _RegistryClient(stand_in_registry(reset_after_a_command, answer_ok))
+def test_a_reset_registry_connection_raises_and_the_next_command_connects(stand_in_registry):
+    transport = TcpTransport(stand_in_registry(reset_after_a_command, answer_ok))
     with pytest.raises(ConnectionResetError):
-        client.command("REGISTER device_id=a addr=h:1")
-    assert client._conn is None
-    client.command("REGISTER device_id=a addr=h:1")
-    client.close()
+        transport.register("a")
+    transport.register("a")
+    transport.close()
+
+
+def test_a_resolve_reply_that_is_no_address_is_peer_unreachable(stand_in_registry):
+    transport = TcpTransport(stand_in_registry(*[answer_resolve_with_nonsense] * 2))
+    try:
+        transport.register("a")
+        with pytest.raises(PeerUnreachable, match="nonsense"):
+            transport.send("a", "b", Accept("m"))
+    finally:
+        transport.close()
 
 
 BAD_REGISTER = "bad REGISTER line: fields must be exactly device_id addr"
@@ -293,9 +308,9 @@ def test_request_line_not_utf8_gets_err_and_closes_only_its_connection(registry)
         reply = conn.makefile("rb").read()  # to EOF: the registry closes this connection
     assert reply.startswith(b"END\nERR Malformed ")
     assert reply.count(b"\n") == 2
-    client = _RegistryClient(registry.address)
-    client.command("REGISTER device_id=a addr=h:1")
-    client.close()
+    transport = TcpTransport(registry.address)
+    transport.register("a")
+    transport.close()
 
 
 def test_a_client_reset_ends_only_its_connection(registry, monkeypatch):
@@ -312,9 +327,9 @@ def test_a_client_reset_ends_only_its_connection(registry, monkeypatch):
         assert conn.recv(64) == b"END\n"  # the server now waits for the next line
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
     assert ended.wait(timeout=10.0)
-    client = _RegistryClient(registry.address)
-    client.command("REGISTER device_id=a addr=h:1")
-    client.close()
+    transport = TcpTransport(registry.address)
+    transport.register("a")
+    transport.close()
 
 
 def test_stop_ends_the_accept_thread_and_may_be_repeated():
