@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--upload", type=_address, default=None, metavar="HOST:PORT",
                      help="upload the session dataset to an edge service")
     run.add_argument("--pace", type=_pace, default=None,
-                     help="real-time pacing factor (affects wall duration only)")
+                     help="real-time pacing factor of a wall run (a virtual run refuses one)")
 
     cmp_parser = sub.add_parser("compare", help="compare several finished runs")
     cmp_parser.add_argument("--out", required=True, type=Path, help="summary CSV path")
@@ -81,9 +81,8 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     result = run_scenario(scenario, pace=args.pace, upload_addr=args.upload)
-    out_dir = args.out or scenario.out_dir
-    if out_dir is not None:
-        run_dir = write_run_artifacts(result, out_dir)
+    if args.out is not None:
+        run_dir = write_run_artifacts(result, args.out)
         print(f"run artifacts written to {run_dir}")
     reason = result.terminal_reason.value if result.terminal_reason else "-"
     print(f"outcome: {result.outcome} (reason: {reason})")

@@ -51,7 +51,8 @@ from .monitor import (
     trace_csv_text,
 )
 from .protocol import EnergyRequest, Reason, RequestKind, make_request
-from .transport import LOOPBACK_HOST, LineServer, exchange, parse_addr, read_to_end, write_line
+from .transport import LOOPBACK_HOST, READ_SIZE, LineServer, exchange, parse_addr, read_to_end
+from .transport import write_line
 from .util import POSITIVE, check_id, fmt_value, format_meta, member, parse_finite, parse_meta
 from .util import rel_close
 
@@ -344,7 +345,7 @@ def dataset_digest(dataset: SessionDataset) -> str:
 def _file_blocks(path: Path) -> Iterator[bytes]:
     """A file's bytes, 64 KiB at a time, read as they are taken."""
     with path.open("rb") as file:
-        while block := file.read(1 << 16):
+        while block := file.read(READ_SIZE):
             yield block
 
 
@@ -352,7 +353,7 @@ def line_blocks(path: Path, size: float = math.inf) -> Iterator[str]:
     """A file's UTF-8 text, or its first ``size`` bytes, read in ~64 KiB blocks cut after a line end."""
     tail = b""
     with path.open("rb") as file:
-        while chunk := file.read(min(1 << 16, size - file.tell())):
+        while chunk := file.read(min(READ_SIZE, size - file.tell())):
             block = tail + chunk
             cut = block.rfind(b"\n") + 1
             yield block[:cut].decode("utf-8")

@@ -6,7 +6,8 @@ and a virtual clock: fully deterministic for a given scenario and seed.
 Wall mode drives the same loop over loopback TCP and the monotonic clock,
 waiting in real time between events (optionally compressed by a pace
 factor, which changes how long the run takes in real time and nothing
-else).
+else). A pace is for wall runs only: a virtual run never waits, and
+refuses one.
 
 The charging physics for a session runs provider-side (the energy source
 owns the engine), which collects the session's dataset: both peers' record
@@ -502,8 +503,8 @@ def _charging_bound_s(scenario: Scenario) -> float:
     return bound
 
 
-def _run_virtual(scenario: Scenario, pace: float | None) -> RunResult:
-    clock = VirtualClock(pace=pace)
+def _run_virtual(scenario: Scenario) -> RunResult:
+    clock = VirtualClock()
     transport = SimTransport(
         clock,
         latency_s=scenario.latency_s,
@@ -585,11 +586,13 @@ def run_scenario(
     pace: float | None = None,
     upload_addr: str | None = None,
 ) -> RunResult:
-    """Execute one scenario end to end and optionally upload the dataset."""
+    """Execute one scenario end to end, paced if wall, and optionally upload the dataset."""
     if pace is not None:
         check_pace(pace)
     if scenario.clock_mode == "virtual":
-        result = _run_virtual(scenario, pace)
+        if pace is not None:
+            raise EnergyShareError(f"pace {pace!r} is for wall runs only; this one is virtual")
+        result = _run_virtual(scenario)
     else:
         result = _run_wall(scenario, pace)
     if upload_addr and result.dataset is not None:

@@ -44,16 +44,14 @@ class ParseError(EnergyShareError):
     """A scenario line could not be parsed."""
 
     def __init__(self, line_no: int, detail: str):
-        self.line_no = line_no
         super().__init__(f"line {line_no}: {detail}")
 
 
 class ValidationError(EnergyShareError):
     """A parsed scenario value is missing or out of range."""
 
-    def __init__(self, field_name: str, detail: str):
-        self.field = field_name
-        super().__init__(f"{field_name}: {detail}")
+    def __init__(self, key: str, detail: str):
+        super().__init__(f"{key}: {detail}")
 
 
 @dataclass
@@ -82,7 +80,6 @@ class Scenario:
     drop_probability: float
     request_timeout_s: float
     max_ticks: int
-    out_dir: Path | None
 
     def providers(self) -> list[DeviceSpec]:
         return [d for d in self.devices if d.role == ROLE_PROVIDER]
@@ -103,14 +100,14 @@ class _Key(NamedTuple):
 
     ``parse`` reads the key's text; its ``ValueError`` is a ParseError on
     the key's line. ``check`` range-checks the parsed value and may convert
-    it; its ``ValueError`` is a ValidationError naming the key. ``field``
+    it; its ``ValueError`` is a ValidationError naming the key. ``place``
     is the attribute the value fills, when that is not the key itself.
     """
 
     parse: Callable[[str], Any]
     check: Callable[[Any], Any] | None = None
     default: Any = _DERIVED
-    field: str = ""
+    place: str = ""
 
 
 def _position(text: str) -> tuple[float, float]:
@@ -127,20 +124,17 @@ _PERCENT = rule(lambda value: 0.0 <= value <= 100.0, "in [0, 100]")
 _TECHNOLOGY_PARAMS = ("transfer_rate_ma", "efficiency", "taper_start_pct", "distance_m")
 
 _SCENARIO_TABLE = {
-    "scenario.run_id": _Key(check_id, field="run_id"),  # default: the file stem
-    "scenario.seed": _Key(int, default=0, field="seed"),
+    "scenario.run_id": _Key(check_id, place="run_id"),  # default: the file stem
+    "scenario.seed": _Key(int, default=0, place="seed"),
     "scenario.clock": _Key(str, one_of("virtual", "wall"), "virtual", "clock_mode"),
-    "scenario.out_dir": _Key(
-        lambda text: Path(text) if text else None, default=None, field="out_dir"
-    ),
     "scenario.max_ticks": _Key(int, POSITIVE, 1_000_000, "max_ticks"),
     "monitor.interval_s": _Key(parse_finite, POSITIVE, 1.0, "interval_s"),
     "request.kind": _Key(str, member(RequestKind), _REQUIRED, "request_kind"),
     "request.value": _Key(parse_finite, POSITIVE, _REQUIRED, "request_value"),
     # default: the first consumer by id
-    "request.consumer": _Key(str, field="request_consumer_id"),
+    "request.consumer": _Key(str, place="request_consumer_id"),
     "technology.name": _Key(str, member(Technology), Technology.WIRELESS_DISTANCE, "technology"),
-    **{f"technology.{name}": _Key(parse_finite, field=name) for name in _TECHNOLOGY_PARAMS},
+    **{f"technology.{name}": _Key(parse_finite, place=name) for name in _TECHNOLOGY_PARAMS},
     "transport.latency_s": _Key(parse_finite, NON_NEGATIVE, DEFAULT_LATENCY_S, "latency_s"),
     "transport.drop_prob": _Key(parse_finite, _FRACTION, 0.0, "drop_probability"),
     "transport.request_timeout_s": _Key(parse_finite, POSITIVE, 5.0, "request_timeout_s"),
@@ -160,7 +154,7 @@ _DEVICE_TABLE = {
 def _read(
     table: dict[str, _Key], entries: dict[str, tuple[int, str]], prefix: str = ""
 ) -> dict[str, Any]:
-    """Each key of ``table`` (under ``prefix``) by field: parsed and checked
+    """Each key of ``table`` (under ``prefix``) by place: parsed and checked
     where given, else its default; a derived default is left to the caller."""
     values: dict[str, Any] = {}
     for name, row in table.items():
@@ -169,7 +163,7 @@ def _read(
             if row.default is _REQUIRED:
                 raise ValidationError(key, "missing")
             if row.default is not _DERIVED:
-                values[row.field or name] = row.default
+                values[row.place or name] = row.default
             continue
         line_no, text = entries[key]
         try:
@@ -181,7 +175,7 @@ def _read(
                 value = row.check(value)
             except ValueError as exc:
                 raise ValidationError(key, str(exc)) from None
-        values[row.field or name] = value
+        values[row.place or name] = value
     return values
 
 

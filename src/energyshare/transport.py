@@ -64,24 +64,15 @@ def _inbox(inboxes: dict[str, deque], device_id: str) -> deque:
 
 
 class VirtualClock:
-    """Explicitly stepped simulation time; never advances on its own.
+    """Explicitly stepped simulation time: it never advances on its own, and never waits."""
 
-    With a ``pace`` (simulated seconds per real second), :meth:`wait_until`
-    also sleeps the real time each step stands for; that changes how long
-    a run takes and nothing else.
-    """
-
-    def __init__(self, pace: float | None = None):
+    def __init__(self):
         self.now_s = 0.0
-        self._pace = pace
 
     def wait_until(self, t_s: float) -> None:
         """Jump to ``t_s`` if it lies ahead, by adding the step (traces pin the float sum)."""
         if t_s > self.now_s:
-            dt_s = t_s - self.now_s
-            self.now_s += dt_s
-            if self._pace:
-                time.sleep(dt_s / self._pace)
+            self.now_s += t_s - self.now_s
 
 
 class WallClock:
@@ -304,6 +295,8 @@ TCP_TIMEOUT_S = 10.0
 _SEND_RETRY_S = 0.01
 # the host every listener of a run binds to
 LOOPBACK_HOST = "127.0.0.1"
+# the bytes one read of a socket or a file asks for
+READ_SIZE = 1 << 16
 
 
 def parse_addr(addr: str) -> tuple[str, int]:
@@ -553,7 +546,7 @@ class TcpTransport:
 
     def _read(self, conn: socket.socket, device_id: str, tail: bytearray) -> None:
         try:
-            chunk = conn.recv(65536)
+            chunk = conn.recv(READ_SIZE)
             if chunk:
                 tail += chunk
                 *lines, rest = tail.split(b"\n")

@@ -89,7 +89,7 @@ def line_pattern(**fields: str) -> re.Pattern:
     return re.compile(" ".join(f"{name}=(?P<{name}>{value})" for name, value in fields.items()))
 
 
-def rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
+def rel_close(a: float, b: float, tol: float) -> bool:
     """Relative closeness with a floor of 1.0 so near-zero values compare sanely."""
     # not finite is close to nothing: a tolerance scaled by an infinity admits every number
     if not (math.isfinite(a) and math.isfinite(b)):

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from conftest import build_scenario, scenario_text, stored_dataset
 
 from energyshare.battery import battery_at_level, DrainParams, predict_outcome
 from energyshare import edge, report
+from energyshare.cli import EXIT_RUN_FAILURE, main
 from energyshare.edge import (
     META_FILENAME,
     EdgeClient,
@@ -24,6 +26,7 @@ from energyshare.edge import (
     parse_meta,
     validate_dataset,
 )
+from energyshare.errors import EnergyShareError
 from energyshare.matching import ProviderAdvert
 from energyshare.protocol import (
     Abort,
@@ -232,12 +235,20 @@ def test_virtual_runs_are_deterministic(tmp_path):
     assert traces[0] == traces[1]
 
 
-def test_pacing_does_not_change_virtual_results(tmp_path):
-    unpaced = run_scenario(build_scenario(value=5.0))
-    paced = run_scenario(build_scenario(value=5.0), pace=1000.0)
-    d1 = write_run_artifacts(unpaced, tmp_path / "unpaced")
-    d2 = write_run_artifacts(paced, tmp_path / "paced")
-    assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
+def test_a_virtual_run_refuses_a_pace_before_anything_runs(tmp_path, monkeypatch, capsys):
+    """A pace is for wall runs: a virtual one is refused, never silently ignored."""
+    monkeypatch.setattr("energyshare.runner._run_virtual", lambda scenario: pytest.fail("ran"))
+    refusal = "pace {} is for wall runs only; this one is virtual"
+    with pytest.raises(EnergyShareError) as err:
+        run_scenario(build_scenario(value=5.0), pace=1000.0)
+    assert str(err.value) == refusal.format(1000.0)
+    path = tmp_path / "virtual.cfg"
+    path.write_text(scenario_text(value=5.0), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(path), "--pace", "10", "--out", str(out)])
+    assert code == EXIT_RUN_FAILURE
+    assert capsys.readouterr() == ("", f"error: {refusal.format(10.0)}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pace", [0.0, -1.0, float("nan"), float("inf")])
@@ -317,6 +328,61 @@ def test_wall_mode_matches_virtual_results():
     assert wall.dataset.metrics.provider_loss_mah == virtual.dataset.metrics.provider_loss_mah
     assert wall.dataset.metrics.consumer_gain_mah == virtual.dataset.metrics.consumer_gain_mah
     assert wall.dataset.metrics.energy_loss_mah == virtual.dataset.metrics.energy_loss_mah
+
+
+# drop-free wall scenarios at pace 200 -> (scenario_text arguments, outcome, provider charging)
+WALL_TWINS = {
+    "interval_0.5_duration_wireless": (
+        dict(interval_s=0.5, value=30.0), OUTCOME_COMPLETED, "p1"
+    ),
+    "interval_1_amount_cable": (
+        dict(kind="amount", value=5.0, technology="cable"), OUTCOME_COMPLETED, "p1"
+    ),
+    "interval_2_duration_reverse": (
+        dict(interval_s=2.0, value=60.0, technology="reverse"), OUTCOME_COMPLETED, "p1"
+    ),
+    "interval_0.5_amount_reverse": (
+        dict(interval_s=0.5, kind="amount", value=3.0, technology="reverse"),
+        OUTCOME_COMPLETED, "p1",
+    ),
+    # p1, the nearer, is at 20%, below its 30% accept threshold: the consumer walks on to p2
+    "nearer_provider_below_threshold": (
+        dict(value=20.0, provider_start_pct=20.0,
+             extra="device.p2.role = provider\ndevice.p2.position = 0.0, 5.0\n"),
+        OUTCOME_COMPLETED, "p2",
+    ),
+    "no_provider": (
+        dict(value=10.0, extra="device.p1.accept_threshold_pct = 101\n"), OUTCOME_NO_PROVIDER, None
+    ),
+}
+
+
+def _off_the_clock(result):
+    """A run as its clock leaves it: each row's time is the first row's plus its tick's
+    multiple of the interval, and with the times taken out the rest must match a twin's."""
+    dataset = result.dataset
+    if dataset is not None:
+        start = dataset.records[0][0].wall_time_s
+        assert all(
+            record.wall_time_s == start + record.tick_index * dataset.interval_s
+            for pair in dataset.records for record in pair
+        )
+        rows = tuple(
+            tuple(record._replace(wall_time_s=None) for record in pair) for pair in dataset.records
+        )
+        dataset = replace(dataset, records=rows)
+    return result.outcome, result.terminal_reason, dataset
+
+
+@pytest.mark.parametrize("kwargs,outcome,provider_id", WALL_TWINS.values(), ids=list(WALL_TWINS))
+def test_a_wall_run_is_its_virtual_twin_on_another_clock(kwargs, outcome, provider_id):
+    """Outcome, terminal reason, metrics and every row field but the time match."""
+    wall = run_scenario(build_scenario("twin", clock="wall", **kwargs), pace=200.0)
+    extra = kwargs.get("extra", "") + "transport.latency_s = 0\n"
+    virtual = run_scenario(build_scenario("twin", **{**kwargs, "extra": extra}))
+    assert virtual.outcome == outcome
+    assert (virtual.dataset and virtual.dataset.provider_id) == provider_id
+    assert _off_the_clock(wall) == _off_the_clock(virtual)
 
 
 def test_wall_mode_sync_receipts_stay_synchronized():

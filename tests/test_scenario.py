@@ -101,13 +101,13 @@ def test_nonpositive_request_value_rejected():
 def test_unknown_key_is_parse_error_with_line():
     with pytest.raises(ParseError) as err:
         parse_scenario_text("request.kindd = duration\n")
-    assert err.value.line_no == 1
+    assert str(err.value) == "line 1: unknown key 'request.kindd'"
 
 
 def test_unknown_device_key_is_parse_error_with_line():
     with pytest.raises(ParseError, match="unknown device key 'device.c1.colour'") as err:
         parse_scenario_text(MINIMAL + "device.c1.colour = red\n")
-    assert err.value.line_no == len(MINIMAL.splitlines()) + 1
+    assert str(err.value).startswith(f"line {len(MINIMAL.splitlines()) + 1}: ")
 
 
 def test_missing_equals_is_parse_error():
@@ -182,7 +182,7 @@ def test_non_finite_number_is_parse_error(key, value):
     lines = [line for line in MINIMAL.splitlines() if not line.startswith(key + " ")]
     with pytest.raises(ParseError) as err:
         parse_scenario_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
-    assert err.value.line_no == len(lines) + 1
+    assert str(err.value).startswith(f"line {len(lines) + 1}: {key}: ")
 
 
 def test_drop_probability_range_checked():
@@ -193,14 +193,14 @@ def test_drop_probability_range_checked():
 def test_negative_distance_rejected():
     with pytest.raises(ValidationError) as err:
         parse_scenario_text(MINIMAL + "technology.distance_m = -1\n")
-    assert err.value.field == "technology"
+    assert str(err.value).startswith("technology: ")
     assert parse_scenario_text(MINIMAL + "technology.distance_m = 0\n").tech_params.distance_m == 0.0
 
 
 def test_negative_accept_threshold_rejected():
     with pytest.raises(ValidationError) as err:
         parse_scenario_text(MINIMAL + "device.p1.accept_threshold_pct = -1\n")
-    assert err.value.field == "device.p1.accept_threshold_pct"
+    assert str(err.value).startswith("device.p1.accept_threshold_pct: ")
     # above 100 stays legal: a provider that never accepts
     never = parse_scenario_text(MINIMAL + "device.p1.accept_threshold_pct = 101\n")
     assert never.providers()[0].accept_threshold_pct == 101.0
@@ -221,7 +221,7 @@ def test_bad_id_is_a_scenario_error(tmp_path, capsys, file_name, line, error, wh
     path.write_text(MINIMAL + line + "\n", encoding="utf-8")
     with pytest.raises(error) as err:
         parse_scenario(path)
-    assert (err.value.line_no if error is ParseError else err.value.field) == where
+    assert str(err.value).startswith(f"line {where}: " if error is ParseError else f"{where}: ")
     assert main(["run", "--scenario", str(path)]) == EXIT_RUN_FAILURE
     assert capsys.readouterr().err.startswith("error: ")
 

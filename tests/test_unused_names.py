@@ -26,9 +26,7 @@ ALLOWED_UNUSED = {
 }
 
 # attribute -> why it stays although nothing in src/ reads it
-ALLOWED_WRITE_ONLY = {
-    "line_no": "ParseError's line number; tests/test_scenario.py checks it",
-}
+ALLOWED_WRITE_ONLY: dict[str, str] = {}
 
 
 def _scan() -> tuple[dict[str, list[str]], set[str]]:
