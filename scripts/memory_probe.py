@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Memory of a day-long session: one virtual run, its run directory written and read back,
 then its dataset uploaded to an edge store, uploaded again as it is and with one field
-edited, fetched back from an edge server, and uploaded by an edge client.
+edited, fetched back from an edge server raw and by an edge client, and uploaded by an
+edge client.
 
 The session charges over cable for 86,400 ticks at 1 s (86,401 record
 pairs). Tracing starts after the run, so the probe stays short: the run
@@ -14,14 +15,18 @@ has another consumer charge differs only in its last piece, so the store
 reads the rest back from disk to decode it, and it must be refused as an
 upload of the same text to an empty store is. The GET runs an
 ``EdgeServer`` in this process and reads its reply off a socket, keeping
-only its length. The client upload sends the run's dataset through
-``EdgeClient.upload`` to another ``EdgeServer`` in this process, on an
-empty store; its peak counts both ends, and its receipt must be the
-first upload's. The last line is the process's peak RSS.
+only its length. The client GET fetches it from the same server through
+``EdgeClient.get``, which builds the whole dataset as ``load_run`` does;
+its ``dataset_digest`` must be the run's dataset's. The client upload
+sends the run's dataset through ``EdgeClient.upload`` to another
+``EdgeServer`` in this process, on an empty store; its peak counts both
+ends, and its receipt must be the first upload's. The last line is the
+process's peak RSS.
 
 Exits 1 if ``write_run_artifacts`` peaks more than WRITE_PEAK_LIMIT_MB above
-its start, ``load_run`` more than LOAD_PEAK_LIMIT_MB, or an edge upload,
-re-upload, GET or client upload more than EDGE_PEAK_LIMIT_MB above theirs.
+its start, ``load_run`` or the client GET more than LOAD_PEAK_LIMIT_MB, or an
+edge upload, re-upload, GET or client upload more than EDGE_PEAK_LIMIT_MB
+above theirs.
 
 Usage: python scripts/memory_probe.py
 """
@@ -38,6 +43,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from energyshare.edge import META_FILENAME, TRACE_FILENAME, EdgeClient, EdgeServer, EdgeStore
+from energyshare.edge import dataset_digest
 from energyshare.errors import EnergyShareError
 from energyshare.report import load_run, write_run_artifacts
 from energyshare.runner import run_scenario
@@ -140,6 +146,9 @@ def main() -> int:
         try:
             served, get_peak = traced("edge GET", get_reply_bytes, server.address,
                                       receipt.session_id)
+            fetched, fetch_peak = traced("edge client GET", EdgeClient(server.address).get,
+                                         receipt.session_id)
+            fetched = dataset_digest(fetched)
         finally:
             server.stop()
         server = EdgeServer(EdgeStore(Path(tmp) / "client")).start()
@@ -161,6 +170,7 @@ def main() -> int:
                                   ("edge re-upload", again_peak, EDGE_PEAK_LIMIT_MB),
                                   ("edge re-upload edit", edited_peak, EDGE_PEAK_LIMIT_MB),
                                   ("edge GET", get_peak, EDGE_PEAK_LIMIT_MB),
+                                  ("edge client GET", fetch_peak, LOAD_PEAK_LIMIT_MB),
                                   ("edge client upload", sent_peak, EDGE_PEAK_LIMIT_MB))
         if peak > limit
     ]
@@ -170,6 +180,8 @@ def main() -> int:
         failures.append(f"edge re-upload edit replied {edited}, an empty store {refused}")
     if sent != receipt:
         failures.append(f"edge client upload replied {sent}, not the upload's {receipt}")
+    if fetched != dataset_digest(result.dataset):
+        failures.append("edge client GET's dataset digest is not the run's")
     if served != expected:
         failures.append(f"edge GET replied {served} bytes, not the dataset block's {expected}")
     for failure in failures:

@@ -34,7 +34,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .battery import DrainParams, Technology, TechnologyParams, level_pct_of
+from .battery import DrainParams, Technology, TechnologyParams
 from .errors import EnergyShareError
 from .monitor import (
     ROLE_CONSUMER,
@@ -62,8 +62,6 @@ META_FILENAME = "meta.txt"
 TRACE_FILENAME = "trace.csv"
 # an EdgeClient's connect and each of its reads give up after this long
 EDGE_TIMEOUT_S = 30.0
-# trace lines of a dataset block joined into one piece before the trace reader splits them
-_LINES_PER_PIECE = 256
 
 
 class ValidationFailed(EnergyShareError):
@@ -152,20 +150,23 @@ class _Gate:
         provider_cap, consumer_cap = head.provider_capacity_mah, head.consumer_capacity_mah
         start, interval_s = self.first[0].wall_time_s, head.interval_s
         for tick, (p, c) in enumerate(pairs, ticks):
+            p_tick, p_wall, p_session, p_device, p_role, p_level, p_charge, _ = p
+            c_tick, c_wall, c_session, c_device, c_role, c_level, c_charge, _ = c
             wall = start + tick * interval_s
-            # tick_index, wall_time_s, session_id, device_id, role: the row's place in the dataset
-            if (p[:5] != (tick, wall, session_id, provider_id, ROLE_PROVIDER)
-                    or c[:5] != (tick, wall, session_id, consumer_id, ROLE_CONSUMER)):
+            if not (p_tick == tick == c_tick and p_wall == wall == c_wall
+                    and p_session == session_id == c_session and p_device == provider_id
+                    and c_device == consumer_id and p_role == ROLE_PROVIDER and c_role == ROLE_CONSUMER):
                 raise ValidationFailed(
                     f"tick {tick}: a row's tick_index, time, session_id, device_id or role is not "
                     f"the one its position in the dataset gives"
                 )
+            # a level is checked against battery.level_pct_of(charge, capacity), inlined
             if not (
                 math.isfinite(wall)
-                and 0.0 <= p.battery_charge_mah <= provider_cap
-                and 0.0 <= c.battery_charge_mah <= consumer_cap
-                and p.battery_level_pct == level_pct_of(p.battery_charge_mah, provider_cap)
-                and c.battery_level_pct == level_pct_of(c.battery_charge_mah, consumer_cap)
+                and 0.0 <= p_charge <= provider_cap
+                and 0.0 <= c_charge <= consumer_cap
+                and p_level == (level if (level := 100.0 * p_charge / provider_cap) <= 100.0 else 100.0)
+                and c_level == (level if (level := 100.0 * c_charge / consumer_cap) <= 100.0 else 100.0)
                 and math.isfinite(p.cumulative_transferred_mah)
                 and math.isfinite(c.cumulative_transferred_mah)
             ):
@@ -513,24 +514,32 @@ def _dataset_block(header: str, meta: str, trace: Iterable[str]) -> Iterator[str
     return chain((header + "\n", meta, "\n"), trace, ("END\n",))
 
 
-def _block_pieces(lines):
-    """A dataset block's text as its lines arrive, up to its ``END`` line, which is read, not
-    given: first its meta text (the lines before the first blank one), then its trace text
-    in pieces of whole lines, so that the trace is never held, nor split, at once."""
-    piece, limit = [], None  # the meta text is one piece
-    for line in lines:
-        if line.rstrip("\n") == "END":
-            yield "".join(piece)
+def _read_block(stream) -> Iterator[str]:
+    """A dataset block's text off a binary stream, up to its ``END`` line, which is read, not
+    given: first its meta text (the lines before the first blank one), then its trace text in
+    pieces, each the whole lines the stream holds buffered and the line they end inside, decoded
+    from UTF-8. Only what a piece uses is read from the buffer: nothing after ``END`` is taken."""
+    meta = []
+    while (line := stream.readline()) not in (b"\n", b"END\n", b"END"):
+        if not line.endswith(b"\n"):
+            raise ValueError("connection closed before END terminator")
+        meta.append(line)
+    yield b"".join(meta).decode("utf-8")
+    if line != b"\n":  # the block ends before its blank line
+        return
+    while True:
+        buffered = b"\n" + stream.peek()  # a piece starts at a line start
+        if (end := buffered.find(b"\nEND\n")) >= 0:
+            text = stream.read(end + 4)
+        else:
+            text = stream.read(buffered.rfind(b"\n")) + stream.readline()
+        last = text[text.rfind(b"\n", 0, -1) + 1:]
+        if last in (b"END\n", b"END"):
+            yield text[:-len(last)].decode("utf-8")
             return
-        if limit is None and line == "\n":
-            yield "".join(piece)
-            piece, limit = [], _LINES_PER_PIECE
-            continue
-        piece.append(line)
-        if len(piece) == limit:
-            yield "".join(piece)
-            piece = []
-    raise ValueError("connection closed before END terminator")
+        if not text.endswith(b"\n"):
+            raise ValueError("connection closed before END terminator")
+        yield text.decode("utf-8")
 
 
 @contextmanager
@@ -552,10 +561,10 @@ class EdgeServer(LineServer):
         self.store = store
         super().__init__(host, port)
 
-    def _handle(self, line: str, lines, writer) -> str | None:
+    def _handle(self, line: str, reader, writer) -> str | None:
         command, _, rest = line.partition(" ")
         if command == "UPLOAD":
-            block = _block_pieces(lines)
+            block = _read_block(reader)
             try:
                 meta = next(block)
                 values, head = _head(parse_meta(meta))
@@ -601,7 +610,7 @@ class EdgeClient:
         ok = f"OK {dataset.session_id} {dataset.record_count}"
 
         def read(stream) -> UploadReceipt:
-            if (reply := stream.readline().strip()) != ok:
+            if (reply := stream.readline().decode("utf-8").strip()) != ok:
                 raise LineServer.error_from_reply(reply, _EDGE_ERRORS, EnergyShareError)
             return UploadReceipt(dataset.session_id, dataset.record_count)
 
@@ -617,10 +626,10 @@ class EdgeClient:
 
     def get(self, session_id: str) -> SessionDataset:
         def read(stream) -> SessionDataset:
-            header = stream.readline().strip()
+            header = stream.readline().decode("utf-8").strip()
             if not header.startswith("DATASET "):
                 raise LineServer.error_from_reply(header, _EDGE_ERRORS, EnergyShareError)
-            block = _block_pieces(stream)
+            block = _read_block(stream)
             dataset = decode_dataset(next(block), block)
             if header != f"DATASET {session_id} {dataset.record_count}" or dataset.session_id != session_id:
                 raise EnergyShareError(f"edge reply {header!r} does not hold session {session_id}")

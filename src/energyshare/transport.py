@@ -133,12 +133,12 @@ def write_line(tag: str, *values: Any) -> str:
     return " ".join([tag, *(f"{name}={fmt_value(value)}" for name, value in zip(names, values))])
 
 
-def read_to_end(lines, tag: str, known: tuple[type, ...], other: type) -> list[dict[str, str]]:
-    """The fields of each ``tag`` line of a reply read up to its ``END`` line. Any other line
-    raises as :meth:`LineServer.error_from_reply` makes it; a reply cut short, ``other``."""
+def read_to_end(stream, tag: str, known: tuple[type, ...], other: type) -> list[dict[str, str]]:
+    """The fields of each ``tag`` line of a reply read off a binary stream up to its ``END`` line.
+    Any other line raises as :meth:`LineServer.error_from_reply` makes it; a reply cut short, ``other``."""
     block = []
-    for raw in lines:
-        line = raw.strip()
+    for raw in stream:
+        line = raw.decode("utf-8").strip()
         if line == "END":
             return block
         if not line.startswith(tag + " "):
@@ -311,14 +311,14 @@ class LineServer:
     """A listening socket with one accept thread and one thread per connection.
 
     Subclasses answer each non-blank request line in ``_handle(line,
-    lines, writer)``, which may take further lines from the iterator
-    ``lines`` and returns the reply text, or None once it wrote the reply
-    to ``writer`` itself. Replies go out through their own stream, so
+    reader, writer)``, which may read on from ``reader``, the connection's
+    binary stream, and returns the reply text, or None once it wrote the
+    reply to ``writer`` itself. Replies go out through their own stream, so
     writing one keeps the requests a client sent ahead; they are answered
     in order. An exception of a type in :attr:`handled_errors` is answered
     with one ``ERR`` line (see :meth:`_error_reply`); an ``OSError`` ends
-    the connection. Each line is decoded from UTF-8 on its own: a line
-    that is not UTF-8 is answered ``ERR Malformed`` after every line
+    the connection. A request line that is not UTF-8, or such a byte in what
+    ``_handle`` reads on, is answered ``ERR Malformed`` after every request
     before it, and ends the connection.
     """
 
@@ -375,14 +375,13 @@ class LineServer:
             reader = conn.makefile("rb")
             writer = conn.makefile("w", encoding="utf-8", newline="\n")
             with conn, reader, writer:
-                lines = (raw.decode("utf-8") for raw in reader)
                 try:
-                    for raw in lines:
-                        line = raw.strip()
+                    for raw in reader:
+                        line = raw.decode("utf-8").strip()
                         if not line:
                             continue
                         try:
-                            reply = self._handle(line, lines, writer)
+                            reply = self._handle(line, reader, writer)
                         except UnicodeDecodeError:
                             raise
                         except self.handled_errors as exc:
@@ -415,7 +414,7 @@ class RegistryServer(LineServer):
         self._lock = threading.Lock()
         super().__init__()
 
-    def _handle(self, line: str, lines, writer) -> str:
+    def _handle(self, line: str, reader, writer) -> str:
         command, fields = read_line(line)
         if command in ("REGISTER", "ADVERTISE"):
             addr = fields.pop("addr")
@@ -441,11 +440,11 @@ class RegistryServer(LineServer):
 
 def exchange(addr: tuple[str, int], request: Iterable[str], read: Callable[[Any], Any],
              error: type[EnergyShareError], timeout_s: float) -> Any:
-    """``read`` of the reply to ``request``'s parts, on a connection opened for it and closed
-    after; a reply that does not decode (``ValueError``) raises as ``error``."""
+    """``read`` of the reply to ``request``'s parts, off the binary stream of a connection opened
+    for it and closed after; a reply that does not decode (``ValueError``) raises as ``error``."""
     with socket.create_connection(addr, timeout=timeout_s) as conn, \
-            conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-        stream.writelines(request)
+            conn.makefile("rwb", READ_SIZE) as stream:
+        stream.writelines(part.encode("utf-8") for part in request)
         stream.flush()
         try:
             return read(stream)
@@ -459,13 +458,13 @@ _REGISTRY_ERRORS = (DuplicateDevice, Unknown)
 
 def _ok(stream) -> None:
     """The reply to a command answered ``OK``; any other raises."""
-    if (reply := stream.readline().strip()) != "OK":
+    if (reply := stream.readline().decode("utf-8").strip()) != "OK":
         raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
 
 
 def _addr(stream) -> tuple[str, int]:
     """The address a ``RESOLVE`` reply ``ADDR <host:port>`` gives; any other reply raises."""
-    reply = stream.readline().strip()
+    reply = stream.readline().decode("utf-8").strip()
     if not reply.startswith("ADDR "):
         raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
     return parse_addr(reply[len("ADDR "):])

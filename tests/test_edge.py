@@ -6,7 +6,9 @@ import dataclasses
 import errno
 import gc
 import hashlib
+import io
 import itertools
+import math
 import random
 import re
 import shutil
@@ -18,6 +20,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -26,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energyshare import edge
-from energyshare.battery import DrainParams, Technology, TechnologyParams
+from energyshare.battery import DrainParams, Technology, TechnologyParams, level_pct_of
 from energyshare.edge import (
     ConflictingSession,
     CorruptSession,
@@ -708,6 +711,12 @@ def repeat_row(trace: str, row: int) -> str:
     return "\n".join(lines[:row + 2] + lines[row + 1:])
 
 
+def level_one_ulp_low(trace: str, row: int, capacity_mah: float) -> str:
+    """``trace`` with data row ``row``'s level one ulp below the one its charge gives."""
+    level = level_pct_of(records_from_csv_text(trace)[row].battery_charge_mah, capacity_mah)
+    return edit_row(trace, row, battery_level_pct=repr(math.nextafter(level, 0.0)))
+
+
 # the reply code, and an edit of build_dataset()'s meta block and trace CSV changing one thing
 WRONG_FACTS = {
     "wrong_record_count": ("Malformed", lambda m, t: (
@@ -729,6 +738,8 @@ WRONG_FACTS = {
     # tick 1's consumer row: its charge is about 30% of the consumer's capacity
     "level_not_its_charge": ("ValidationFailed", lambda m, t: (
         m, edit_row(t, 3, battery_level_pct="99.0"))),
+    "level_one_ulp_off_its_charge": ("ValidationFailed", lambda m, t: (
+        m, level_one_ulp_low(t, 3, 2915.0))),
     # the rows stay 1 s apart
     "interval_not_the_row_spacing": ("ValidationFailed", lambda m, t: (
         m.replace("interval_s = 1.0\n", "interval_s = 7.0\n"), t)),
@@ -825,21 +836,29 @@ def test_gate_refuses_rows_out_of_written_order_naming_the_tick(edit, tick):
         decode_rows(dataset, edit(trace_rows(dataset)))
 
 
-# one field of one row set to a value no row of the dataset may hold
+POSITION = "a row's tick_index, time, session_id, device_id or role is not the one its position"
+RANGE = "a time, charge or cumulative out of range, or a level off its charge"
+# fields of one row set to values no row of the dataset may hold, and the refusal's message
 BAD_FIELDS = {
-    "negative_tick_index": ("tick_index", "-1"),
-    "role_neither_provider_nor_consumer": ("role", "observer"),
-    "session_id_check_id_refuses": ("session_id", ".."),
-    "device_id_check_id_refuses": ("device_id", "a;b"),
+    "negative_tick_index": ({"tick_index": "-1"}, POSITION),
+    "role_neither_provider_nor_consumer": ({"role": "observer"}, POSITION),
+    "session_id_check_id_refuses": ({"session_id": ".."}, POSITION),
+    "device_id_check_id_refuses": ({"device_id": "a;b"}, POSITION),
+    # the place is checked before the ranges
+    "wrong_device_id_and_negative_charge": ({"device_id": "x9", "battery_charge_mah": "-1.0"}, POSITION),
+    # in the first row, every later row's time is computed from it
+    "nan_wall_time": ({"wall_time_s": "nan"}, POSITION),
+    "nan_level": ({"battery_level_pct": "nan"}, RANGE),
+    "inf_cumulative": ({"cumulative_transferred_mah": "inf"}, RANGE),
 }
 
 
 @pytest.mark.parametrize("row", [0, 5, 9], ids=["first_row", "middle_row", "last_row"])
-@pytest.mark.parametrize("column, value", BAD_FIELDS.values(), ids=BAD_FIELDS)
-def test_gate_refuses_a_bad_field_naming_the_tick(column, value, row):
+@pytest.mark.parametrize("edit, message", BAD_FIELDS.values(), ids=BAD_FIELDS)
+def test_gate_refuses_a_bad_field_naming_the_tick(edit, message, row):
     dataset = build_dataset()
-    trace = edit_row(trace_csv_text(dataset.records), row, **{column: value})
-    with pytest.raises(ValidationFailed, match=rf"^tick {row // 2}: "):
+    trace = edit_row(trace_csv_text(dataset.records), row, **edit)
+    with pytest.raises(ValidationFailed, match=rf"^tick {row // 2}: {re.escape(message)}"):
         decode_dataset(encode_meta(dataset), trace)
 
 
@@ -960,6 +979,26 @@ def test_trace_field_edit_is_refused_or_kept(served_store, column):
 # --- dataset blocks and trace files read as their lines arrive ---------------------
 
 
+@contextmanager
+def stand_in_edge(reply: bytes):
+    """An :class:`EdgeClient` of a stand-in server that reads one request, an UPLOAD to its
+    END line, and answers ``reply``."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as request:
+                if request.readline().startswith(b"UPLOAD "):
+                    while request.readline() not in (b"END\n", b""):
+                        pass
+                conn.sendall(reply)
+
+        server = threading.Thread(target=answer_once, daemon=True)
+        server.start()
+        yield EdgeClient(f"127.0.0.1:{listener.getsockname()[1]}")
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+
+
 @pytest.mark.parametrize("session_id, header", [
     ("ses-asked", "DATASET ses-asked 5"),
     ("ses-other", "DATASET ses-other 5"),
@@ -969,23 +1008,12 @@ def test_trace_field_edit_is_refused_or_kept(served_store, column):
 def test_get_returns_only_the_dataset_it_asked_for(session_id, header):
     """A stand-in server answers ``GET ses-asked`` with ``header`` and a 5-pair dataset block."""
     dataset = build_dataset(session_id=session_id)
-    with socket.create_server(("127.0.0.1", 0)) as listener:
-        def answer_once():
-            conn, _ = listener.accept()
-            with conn, conn.makefile("rb") as request:
-                request.readline()
-                conn.sendall(dataset_block(header, dataset).encode("utf-8"))
-
-        server = threading.Thread(target=answer_once, daemon=True)
-        server.start()
-        client = EdgeClient(f"127.0.0.1:{listener.getsockname()[1]}")
+    with stand_in_edge(dataset_block(header, dataset).encode("utf-8")) as client:
         if (header, session_id) == ("DATASET ses-asked 5", "ses-asked"):
             assert client.get("ses-asked") == dataset
         else:
             with pytest.raises(EnergyShareError, match="does not hold session ses-asked"):
                 client.get("ses-asked")
-        server.join(timeout=10.0)
-    assert not server.is_alive()
 
 
 @pytest.mark.parametrize("reply", [
@@ -998,26 +1026,30 @@ def test_get_returns_only_the_dataset_it_asked_for(session_id, header):
 ], ids=["sent", "non_ascii_count", "other_session", "other_count", "extra_field", "bare_ok"])
 def test_upload_accepts_only_the_receipt_of_what_it_sent(reply):
     """A stand-in server reads a 5-pair ``ses-asked`` upload to its END and answers ``reply``."""
-    with socket.create_server(("127.0.0.1", 0)) as listener:
-        def answer_once():
-            conn, _ = listener.accept()
-            with conn, conn.makefile("rb") as request:
-                for line in request:
-                    if line == b"END\n":
-                        break
-                conn.sendall(f"{reply}\n".encode("utf-8"))
-
-        server = threading.Thread(target=answer_once, daemon=True)
-        server.start()
-        client = EdgeClient(f"127.0.0.1:{listener.getsockname()[1]}")
+    with stand_in_edge(f"{reply}\n".encode("utf-8")) as client:
         if reply == "OK ses-asked 5":
             assert client.upload(build_dataset(session_id="ses-asked")) == UploadReceipt("ses-asked", 5)
         else:
             with pytest.raises(EnergyShareError) as refused:
                 client.upload(build_dataset(session_id="ses-asked"))
             assert str(refused.value) == reply
-        server.join(timeout=10.0)
-    assert not server.is_alive()
+
+
+ASKED = dataset_block("DATASET ses-asked 5", build_dataset(session_id="ses-asked")).encode("utf-8")
+# a reply with a byte that is not UTF-8, and the client request it answers
+NOT_UTF8_REPLIES = {
+    "get_trace": (ASKED.replace(b",c1,consumer,", b",c1,consumer\xff,", 1), lambda c: c.get("ses-asked")),
+    "get_meta": (ASKED.replace(b"provider_id = p1\n", b"provider_id = p\xff1\n"), lambda c: c.get("ses-asked")),
+    "ok_receipt": (b"OK ses-asked 5\xff\n", lambda c: c.upload(build_dataset(session_id="ses-asked"))),
+    "summary": (b"SUMMARY session_id=ses-asked\xff\nEND\n", lambda c: c.list()),
+}
+
+
+@pytest.mark.parametrize("reply, request_", NOT_UTF8_REPLIES.values(), ids=NOT_UTF8_REPLIES)
+def test_a_reply_byte_not_utf8_raises_as_an_unreadable_reply(reply, request_):
+    with stand_in_edge(reply) as client:
+        with pytest.raises(EnergyShareError, match=r"^unreadable reply: UnicodeDecodeError\("):
+            request_(client)
 
 
 def test_an_upload_refused_mid_block_leaves_the_next_requests_their_replies(served_store):
@@ -1172,19 +1204,51 @@ def test_an_upload_header_that_disagrees_with_its_meta_is_refused(served_store):
     assert staging_dirs(store) == [] and client.list() == []
 
 
-def test_a_pair_split_between_two_pieces_reads_as_from_one_text(served_store, tmp_path):
-    """The first piece is the header and 255 rows, so tick 127's consumer row opens the second."""
-    store, server, client = served_store
-    tick = (edge._LINES_PER_PIECE - 1) // 2
+class ChunkedReads(io.RawIOBase):
+    """A raw stream of ``data`` whose reads return at most ``sizes[0]``, ``sizes[1]``, ...
+    bytes, the last size over and over."""
+
+    def __init__(self, data: bytes, sizes: list[int]):
+        self.data, self.sizes, self.at = data, list(sizes), 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = self.sizes.pop(0) if len(self.sizes) > 1 else self.sizes[0]
+        chunk = self.data[self.at:self.at + min(size, len(buffer))]
+        buffer[:len(chunk)] = chunk
+        self.at += len(chunk)
+        return len(chunk)
+
+
+def chunked_reader(data: bytes, sizes: list[int]) -> io.BufferedReader:
+    """A buffered reader of ``data`` whose buffer can take it whole, read in ``sizes``."""
+    return io.BufferedReader(ChunkedReads(data, sizes), max(len(data), 1))
+
+
+def test_a_pair_split_between_two_pieces_reads_as_from_one_text(tmp_path):
+    """The block's first read ends inside tick 127's provider row, so the first trace piece
+    ends with that row and the second opens with the tick's consumer row."""
+    tick, rows = 127, STREAMED_TRACE.splitlines(keepends=True)  # rows[0] is the header
+    cut = len(STREAMED_META) + 1 + len("".join(rows[:1 + 2 * tick])) + 10
+
+    def pieces(trace: str) -> list[str]:
+        block = f"{STREAMED_META}\n{trace}END\n".encode("utf-8")
+        return list(edge._read_block(chunked_reader(block, [cut, len(block)])))
+
+    meta, first, second, *rest = pieces(STREAMED_TRACE)
+    assert first.endswith(rows[1 + 2 * tick]) and second.startswith(rows[2 + 2 * tick])
     for row in (2 * tick, 2 * tick + 1):  # the pair's two rows, one each side of the cut
         edited = edit_row(STREAMED_TRACE, row, role="observer")
-        reply = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{edited}END\n")
         with pytest.raises(ValidationFailed) as refused:
             decode_dataset(STREAMED_META, edited)
-        assert reply == f"ERR ValidationFailed {refused.value}\n"
-        assert reply.startswith(f"ERR ValidationFailed tick {tick}: ")
-    reply = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{STREAMED_TRACE}END\n")
-    assert reply == "OK ses-r1 600\n"
+        with pytest.raises(ValidationFailed) as streamed:
+            EdgeStore(tmp_path / f"row-{row}").upload(meta, iter(pieces(edited)[1:]))
+        assert str(streamed.value) == str(refused.value)
+        assert str(refused.value).startswith(f"tick {tick}: ")
+    store = EdgeStore(tmp_path / "data")
+    assert store.upload(meta, iter([first, second, *rest])) == UploadReceipt("ses-r1", 600)
     # a piece a line: every pair is split between two pieces
     one_line_pieces = EdgeStore(tmp_path / "lines")
     one_line_pieces.upload(STREAMED_META, STREAMED_TRACE.splitlines(keepends=True))
@@ -1193,6 +1257,47 @@ def test_a_pair_split_between_two_pieces_reads_as_from_one_text(served_store, tm
         assert (files / edge.TRACE_FILENAME).read_bytes() == STREAMED_TRACE.encode("utf-8")
         assert (files / EdgeStore.DIGEST_FILENAME).read_text() == dataset_digest(STREAMED) + "\n"
         assert stored_dataset(opened, "ses-r1") == STREAMED
+
+
+CUT_SHORT = "connection closed before END terminator"
+
+
+def check_block_read(dataset: SessionDataset, sizes: list[int], cut: int | None) -> None:
+    """Read ``dataset``'s block after its header off a stream that gives it in reads of ``sizes``:
+    followed by a pipelined ``LIST``, ending at EOF with no newline after ``END``, or, for a
+    ``cut``, ending after its first ``cut`` bytes."""
+    meta, trace = encode_dataset(dataset)
+    block = f"{meta}\n{trace}END\n".encode("utf-8")
+    if cut is not None:
+        with pytest.raises(ValueError, match=f"^{CUT_SHORT}$"):
+            list(edge._read_block(chunked_reader(block[:cut], sizes)))
+        return
+    for sent, after in ((block + b"LIST\n", b"LIST\n"), (block[:-1], b"")):
+        stream = chunked_reader(sent, sizes)
+        first, *pieces = edge._read_block(stream)
+        assert (first, "".join(pieces)) == (meta, trace)
+        assert all(piece.endswith("\n") for piece in pieces if piece)
+        assert decode_dataset(first, pieces) == decode_dataset(meta, trace)
+        assert stream.read() == after
+
+
+def test_a_block_read_with_one_cut_anywhere_is_read_whole_and_no_further():
+    """Every cut point, in the meta lines, the blank line, the trace and the END line alike."""
+    dataset = build_dataset(ticks=2)
+    length = len("".join(encode_dataset(dataset))) + len("\nEND\n")
+    for cut in range(1, length + len("LIST\n")):
+        check_block_read(dataset, [cut, length], None)
+    for cut in range(length - 1):  # every block that ends before its END line does
+        check_block_read(dataset, [length], cut)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(valid_datasets, st.data())
+def test_a_block_read_in_any_chunks_is_read_whole_and_no_further(dataset, data):
+    length = len("".join(encode_dataset(dataset))) + len("\nEND\n")
+    sizes = data.draw(st.lists(st.integers(1, length), min_size=1, max_size=40))
+    cut = data.draw(st.none() | st.integers(0, length - 2))
+    check_block_read(dataset, sizes, cut)
 
 
 def session_files(store: EdgeStore, session_id: str) -> list[bytes]:

@@ -179,10 +179,14 @@ def answer_ok(conn, stream):
         stream.flush()
 
 
-def answer_resolve_with_nonsense(conn, stream):
-    for line in stream:
-        stream.write("ADDR nonsense\n" if line.startswith("RESOLVE ") else "OK\n")
-        stream.flush()
+def answer_resolve_with(reply: bytes):
+    """A handler answering each RESOLVE with ``reply``, any other command ``OK``."""
+    def answer(conn, stream):
+        for line in stream:
+            stream.buffer.write(reply if line.startswith("RESOLVE ") else b"OK\n")
+            stream.buffer.flush()
+
+    return answer
 
 
 def test_a_registry_that_closed_mid_reply_is_unreachable_and_the_next_command_connects(
@@ -203,10 +207,20 @@ def test_a_reset_registry_connection_raises_and_the_next_command_connects(stand_
 
 
 def test_a_resolve_reply_that_is_no_address_is_peer_unreachable(stand_in_registry):
-    transport = TcpTransport(stand_in_registry(*[answer_resolve_with_nonsense] * 2))
+    transport = TcpTransport(stand_in_registry(*[answer_resolve_with(b"ADDR nonsense\n")] * 2))
     try:
         transport.register("a")
         with pytest.raises(PeerUnreachable, match="nonsense"):
+            transport.send("a", "b", Accept("m"))
+    finally:
+        transport.close()
+
+
+def test_a_resolve_reply_byte_not_utf8_is_peer_unreachable(stand_in_registry):
+    transport = TcpTransport(stand_in_registry(*[answer_resolve_with(b"ADDR 127.0.0.1:\xff1\n")] * 2))
+    try:
+        transport.register("a")
+        with pytest.raises(PeerUnreachable, match=r"^unreadable reply: UnicodeDecodeError\("):
             transport.send("a", "b", Accept("m"))
     finally:
         transport.close()
