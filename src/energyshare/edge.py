@@ -3,9 +3,9 @@
 One directory per session under the data dir (``meta.txt`` key-value
 sidecar plus the trace CSV), ordered by an append-only ``index.log`` that
 is read once at open; LIST is served from memory.
-A dataset's row rules live in one gate, :func:`validate_dataset`, and
-every path from a dataset text to a dataset runs it once: an UPLOAD in
-:meth:`EdgeStore.upload`, a piece at a time as it is staged; an
+A dataset's row rules live in one gate, :class:`_Gate`, and every path from a
+dataset text to a dataset runs it once, in one decoder, :func:`_checked_pairs`,
+a piece at a time: an UPLOAD in :meth:`EdgeStore.upload`, as it is staged; an
 :meth:`EdgeClient.get` and ``report.load_run`` in :func:`decode_dataset`.
 Uploads are written atomically (temp dir + rename) and acknowledged only
 after an fsync, so an acknowledged dataset survives a crash. Re-uploading
@@ -45,7 +45,7 @@ from .monitor import (
     compute_metrics,
     pairs_from_records,
     record_blocks,
-    records_from_csv_text,
+    records_from_csv_text,  # uncalled: bench/layers.py wraps edge's; its --trace 1 runs need it
     trace_csv_blocks,
     trace_csv_rows,
     trace_csv_text,
@@ -124,9 +124,9 @@ class SessionSummary(NamedTuple):
 
 
 def validate_dataset(dataset: SessionDataset) -> None:
-    """The one gate on a dataset's rows: each record pair, then the metrics.
+    """The gate's rules over a dataset's pairs held in memory: each pair, then the metrics.
 
-    Its rules are :class:`_Gate`'s, which an UPLOAD runs a piece at a time.
+    They are :class:`_Gate`'s, which the decoder runs a piece at a time.
     """
     gate = _Gate(dataset)
     gate.feed(dataset.records, 0)
@@ -203,7 +203,7 @@ class _Meta(NamedTuple):
     place: str = ""  # the value's attribute path in a SessionDataset, if not the key
 
 
-_COUNT_KEY = "record_count"  # the one derived key: dataset_from_parts checks it
+_COUNT_KEY = "record_count"  # the one derived key: _check_end checks it
 # every key of meta.txt, in its canonical order; a range a constructor
 # checks (TechnologyParams, DrainParams, EnergyRequest) is left to it
 _META = {
@@ -253,25 +253,24 @@ def encode_dataset(dataset: SessionDataset) -> tuple[str, str]:
 
 
 def decode_dataset(meta: str, trace: str | Iterable[str]) -> SessionDataset:
-    """The dataset a ``meta.txt`` text and a ``trace.csv`` text or its lines hold,
-    through :func:`validate_dataset`.
-
-    See :func:`dataset_from_parts` for what is refused before the gate.
-    """
-    dataset = dataset_from_parts(parse_meta(meta), records_from_csv_text(trace))
-    validate_dataset(dataset)
-    return dataset
+    """The dataset a ``meta.txt`` text and a ``trace.csv`` text or its pieces hold, decoded as
+    an UPLOAD is (:func:`_checked_pairs`): a piece at a time, with the same end checks."""
+    values, head = _head(parse_meta(meta))
+    pairs = _checked_pairs(head, values[_COUNT_KEY], trace)
+    return replace(head, records=tuple(chain.from_iterable(pairs)))
 
 
 def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> SessionDataset:
     """Rebuild a dataset from its sidecar fields and flat record list, without the gate.
 
-    A missing, unknown or unreadable key, or a ``record_count`` other than
-    the paired ticks, is a ``ValueError``; a row without its pair is
-    :class:`ValidationFailed`. The rows' facts are left to :func:`validate_dataset`.
+    A missing, unknown or unreadable key is a ``ValueError``; the rows are paired, and a row
+    left over and ``record_count`` checked, as :func:`decode_dataset` does (:func:`_check_end`).
+    The rows' facts are left to :func:`validate_dataset`.
     """
     values, head = _head(meta)
-    return replace(head, records=_pairs_of(records, values))
+    ticks = len(records) // 2
+    _check_end(records[2 * ticks:], ticks, values[_COUNT_KEY])
+    return replace(head, records=pairs_from_records(records))
 
 
 def _head(meta: dict[str, str]) -> tuple[dict[str, Any], SessionDataset]:
@@ -297,26 +296,13 @@ def _head(meta: dict[str, str]) -> tuple[dict[str, Any], SessionDataset]:
     )
 
 
-def _pairs_of(records: Sequence[MonitorRecord], values: dict[str, Any], ticks: int = 0) -> tuple:
-    """The pairs of a trace's last ``records``, after its first ``ticks`` pairs; a row left
-    over is :class:`ValidationFailed`, a total other than ``record_count`` a ``ValueError``."""
-    try:
-        pairs = pairs_from_records(records, ticks)
-    except ValueError as exc:
-        raise ValidationFailed(str(exc)) from None
-    if (count := ticks + len(pairs)) != values[_COUNT_KEY]:
-        raise ValueError(f"{_COUNT_KEY} is {values[_COUNT_KEY]!r}, the trace holds {count} pairs")
-    return pairs
+def _checked_pairs(head: SessionDataset, count: int, trace: str | Iterable[str]) -> Iterator[tuple]:
+    """The one dataset decoder: the pairs of a trace text or its pieces, a piece's at a time.
 
-
-def _canonical_trace(values: dict[str, Any], head: SessionDataset, trace) -> Iterator[bytes]:
-    """The canonical ``trace.csv`` bytes of a trace text or its pieces, a piece at a time.
-
-    Each piece's rows are parsed, paired (a pair may span two pieces), checked and
-    re-encoded; the checks that need every row come at the end, in :func:`decode_dataset`'s
-    order: pairing and count, a refused row, the metrics."""
+    Each piece's rows are parsed (:func:`record_blocks`), paired (a pair may span two pieces)
+    and fed to :class:`_Gate`; none is given after a refused pair. After the last piece, in
+    this order: a row left over and ``count`` (:func:`_check_end`), that refusal, the metrics."""
     gate, refused, left, ticks = _Gate(head), None, [], 0
-    yield (TRACE_HEADER + "\n").encode("utf-8")
     for records in record_blocks(trace):
         records = left + records
         left = [records.pop()] if len(records) % 2 else []
@@ -327,12 +313,23 @@ def _canonical_trace(values: dict[str, Any], head: SessionDataset, trace) -> Ite
             except ValidationFailed as exc:
                 refused = exc
             else:
-                yield trace_csv_rows(pairs).encode("utf-8")
+                yield pairs
         ticks += len(pairs)
-    _pairs_of(left, values, ticks)
+    _check_end(left, ticks, count)
     if refused is not None:
         raise refused
     gate.close()
+
+
+def _check_end(left: list[MonitorRecord], ticks: int, count: int) -> None:
+    """A trace's end, after its ``ticks`` pairs: a row ``left`` without its pair is
+    :class:`ValidationFailed`, a pair total other than ``count`` a ``ValueError``."""
+    try:
+        pairs_from_records(left, ticks)
+    except ValueError as exc:
+        raise ValidationFailed(str(exc)) from None
+    if ticks != count:
+        raise ValueError(f"{_COUNT_KEY} is {count!r}, the trace holds {ticks} pairs")
 
 
 def dataset_digest(dataset: SessionDataset) -> str:
@@ -413,8 +410,9 @@ class EdgeStore:
 
     def upload(self, meta: str, trace: str | Iterable[str]) -> UploadReceipt:
         """Check, persist durably and acknowledge a ``meta.txt`` text and a trace text or its
-        pieces as they arrive, a piece at a time (:func:`_canonical_trace`). Idempotent per digest;
-        a stored dataset sent again byte for byte is acknowledged undecoded (:meth:`_unmatched`).
+        pieces as they arrive, each piece's pairs decoded (:func:`_checked_pairs`), re-encoded,
+        hashed and staged. Idempotent per digest; a stored dataset sent again byte for byte is
+        acknowledged undecoded (:meth:`_unmatched`).
         Only the commit, after the trace is read, holds the store's lock."""
         values, head = _head(parse_meta(meta))
         session_dir = self._session_dir(head.session_id)
@@ -431,8 +429,9 @@ class EdgeStore:
             tmp_dir.mkdir()
             (tmp_dir / META_FILENAME).write_bytes(meta_bytes)
             with (tmp_dir / TRACE_FILENAME).open("wb") as out:
-                for block in _canonical_trace(values, head, trace):
-                    hasher.update(block)
+                pairs = _checked_pairs(head, values[_COUNT_KEY], trace)
+                for text in chain([TRACE_HEADER + "\n"], map(trace_csv_rows, pairs)):
+                    hasher.update(block := text.encode("utf-8"))
                     out.write(block)
             digest = hasher.hexdigest()
             (tmp_dir / self.DIGEST_FILENAME).write_bytes((digest + "\n").encode("utf-8"))

@@ -14,9 +14,9 @@ with full round-trip precision.
 Reading a trace text back is a codec only: the reader checks the header,
 8 fields a row and their numbers, and pairing checks the row count.
 Whether the rows are right (ticks, timestamps, ids, roles, ranges,
-levels) is decided in one place, ``edge.validate_dataset``'s rules, which
-every path from a trace text to a dataset runs (run artifacts, edge dataset
-blocks, an UPLOAD a piece at a time). Records built in-process, by
+levels) is decided in one place, the edge's gate, which every path from a
+trace text to a dataset runs in one decoder, a piece at a time: an UPLOAD,
+a client GET and ``load_run`` alike. Records built in-process, by
 :func:`record_tick` and the consumer agent, come from ids already checked
 and are not re-checked.
 """
@@ -167,7 +167,7 @@ def record_blocks(trace: str | Iterable[str]) -> Iterator[list[MonitorRecord]]:
     so the rows are the same either way.
     Rows share one object per distinct session id, device id and role, and
     a row whose tick or time text is the previous row's reuses its number.
-    A row is read as it is written; its facts are checked by ``edge.validate_dataset``.
+    A row is read as it is written; the edge's one decoder checks its facts, a piece at a time.
     """
     pieces = map(str.splitlines, [trace] if isinstance(trace, str) else trace)
     first = next((rows for rows in pieces if rows), [None])  # the piece the header opens

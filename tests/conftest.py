@@ -2,6 +2,7 @@
 
 import pytest
 
+from energyshare import edge
 from energyshare.edge import EdgeStore, SessionDataset, decode_dataset
 from energyshare.scenario import Scenario, parse_scenario_text
 
@@ -48,3 +49,29 @@ def stored_dataset(store: EdgeStore, session_id: str) -> SessionDataset:
     """The dataset a store serves, parsed back from its stored texts."""
     meta, trace = store.get(session_id)
     return decode_dataset(meta, b"".join(trace).decode("utf-8"))
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The names of the decoding steps ``edge`` runs, in order: each ``_Gate`` built and each
+    call of ``record_blocks``, ``records_from_csv_text`` or ``validate_dataset``."""
+    calls = []
+
+    class Counted(edge._Gate):
+        def __init__(self, head):
+            calls.append("_Gate")
+            super().__init__(head)
+
+    def counted(name: str):
+        step = getattr(edge, name)
+
+        def call(*args):
+            calls.append(name)
+            return step(*args)
+
+        return call
+
+    monkeypatch.setattr(edge, "_Gate", Counted)
+    for name in ("record_blocks", "records_from_csv_text", "validate_dataset"):
+        monkeypatch.setattr(edge, name, counted(name))
+    return calls

@@ -1182,14 +1182,25 @@ STREAM_FAULTS = {
 }
 
 
+def whole_text_decode(meta: str, trace: str) -> SessionDataset:
+    """The reference decoder: the whole trace parsed into one record list, paired, then gated."""
+    dataset = dataset_from_parts(parse_meta(meta), records_from_csv_text(trace))
+    validate_dataset(dataset)
+    return dataset
+
+
 @pytest.mark.parametrize("edit, prefix", STREAM_FAULTS.values(), ids=STREAM_FAULTS)
 def test_a_streamed_upload_refuses_each_fault_as_the_whole_text_reader_does(served_store, edit, prefix):
-    """Each reply is the one the whole-text decoder's error gives; nothing is staged or listed."""
+    """Each reply, and ``decode_dataset``'s error over the trace a line a piece, is the one the
+    whole-text reference decoder's error gives; nothing is staged or listed."""
     store, server, client = served_store
     meta, trace = edit(STREAMED_META, STREAMED_TRACE)
     reply = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{meta}\n{trace}END\n")
     with pytest.raises((ValueError, ValidationFailed)) as refused:
-        decode_dataset(meta, trace)
+        whole_text_decode(meta, trace)
+    with pytest.raises(type(refused.value)) as decoded:
+        decode_dataset(meta, trace.splitlines(keepends=True))
+    assert str(decoded.value) == str(refused.value)
     code = "ValidationFailed" if isinstance(refused.value, ValidationFailed) else "Malformed"
     assert reply == f"ERR {code} {refused.value}\n"
     assert reply.startswith(prefix)
@@ -1242,7 +1253,7 @@ def test_a_pair_split_between_two_pieces_reads_as_from_one_text(tmp_path):
     for row in (2 * tick, 2 * tick + 1):  # the pair's two rows, one each side of the cut
         edited = edit_row(STREAMED_TRACE, row, role="observer")
         with pytest.raises(ValidationFailed) as refused:
-            decode_dataset(STREAMED_META, edited)
+            whole_text_decode(STREAMED_META, edited)
         with pytest.raises(ValidationFailed) as streamed:
             EdgeStore(tmp_path / f"row-{row}").upload(meta, iter(pieces(edited)[1:]))
         assert str(streamed.value) == str(refused.value)
@@ -1305,10 +1316,11 @@ def session_files(store: EdgeStore, session_id: str) -> list[bytes]:
     return [(store.data_dir / session_id / name).read_bytes() for name in names]
 
 
-def upload_outcome(store: EdgeStore, meta: str, pieces: list[str]):
-    """The receipt of an upload of ``meta`` and ``pieces``, or its error's type and message."""
+def outcome(call, meta: str, trace: str | list[str]):
+    """What ``call`` of ``meta`` and ``trace`` (its pieces one by one, if a list) returns, or
+    its error's type and message."""
     try:
-        return store.upload(meta, iter(pieces))
+        return call(meta, trace if isinstance(trace, str) else iter(trace))
     except (ValueError, EnergyShareError) as exc:
         return type(exc), str(exc)
 
@@ -1317,9 +1329,10 @@ def upload_outcome(store: EdgeStore, meta: str, pieces: list[str]):
 @given(valid_datasets, st.data())
 def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(dataset, data):
     """One field of one row set to any text, the trace cut into pieces at any line ends: the
-    upload stores what ``decode_dataset`` of the whole text gives, or refuses it alike. A store
-    that holds the unedited dataset gives the same reply, or a conflict where the decoded
-    dataset's digest is not the stored one, and keeps its files."""
+    upload stores, and ``decode_dataset`` of the pieces gives, what the whole-text reference
+    decoder gives, or both refuse it alike. A store that holds the unedited dataset gives the
+    same reply, or a conflict where the decoded dataset's digest is not the stored one, and
+    keeps its files."""
     meta, trace = encode_dataset(dataset)
     row = data.draw(st.integers(0, 2 * dataset.record_count - 1))
     column = data.draw(st.sampled_from(MonitorRecord._fields))
@@ -1327,10 +1340,11 @@ def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(datase
     lines = edited.splitlines(keepends=True)
     cuts = sorted(data.draw(st.sets(st.integers(1, len(lines) - 1))))
     pieces = ["".join(lines[start:end]) for start, end in zip([0, *cuts], [*cuts, len(lines)])]
-    try:
-        expected = decode_dataset(meta, edited)
-    except (ValueError, ValidationFailed) as exc:
-        new = held = (type(exc), str(exc))
+    expected = outcome(whole_text_decode, meta, edited)
+    assert outcome(decode_dataset, meta, pieces) == expected
+    if isinstance(expected, tuple):  # refused
+        assert issubclass(expected[0], (ValueError, ValidationFailed))
+        new = held = expected
     else:
         new = held = UploadReceipt(expected.session_id, expected.record_count)
         if dataset_digest(expected) != dataset_digest(dataset):
@@ -1339,7 +1353,7 @@ def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(datase
         fresh, holding = EdgeStore(Path(tmp) / "fresh"), EdgeStore(Path(tmp) / "holding")
         holding.upload(meta, trace)
         kept = session_files(holding, dataset.session_id)
-        assert (upload_outcome(fresh, meta, pieces), upload_outcome(holding, meta, pieces)) == (new, held)
+        assert (outcome(fresh.upload, meta, pieces), outcome(holding.upload, meta, pieces)) == (new, held)
         assert staging_dirs(fresh) == staging_dirs(holding) == []
         assert session_files(holding, dataset.session_id) == kept
         assert [s.session_id for s in holding.list()] == [dataset.session_id]
@@ -1349,26 +1363,6 @@ def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(datase
         stored = [fresh.data_dir / expected.session_id / name
                   for name in (edge.META_FILENAME, edge.TRACE_FILENAME)]
         assert [path.read_text(encoding="utf-8") for path in stored] == list(encode_dataset(expected))
-
-
-@pytest.fixture
-def decodes(monkeypatch):
-    """The names of the decoding steps the store runs, in order: each ``_Gate`` built and
-    each ``record_blocks`` call."""
-    calls, gate, blocks = [], edge._Gate, edge.record_blocks
-
-    class Counted(gate):
-        def __init__(self, head):
-            calls.append("_Gate")
-            super().__init__(head)
-
-    def counted_blocks(trace):
-        calls.append("record_blocks")
-        return blocks(trace)
-
-    monkeypatch.setattr(edge, "_Gate", Counted)
-    monkeypatch.setattr(edge, "record_blocks", counted_blocks)
-    return calls
 
 
 def test_an_identical_reupload_is_acknowledged_without_decoding(served_store, decodes):

@@ -15,7 +15,7 @@ import pytest
 from conftest import build_scenario, scenario_text, stored_dataset
 
 from energyshare.battery import battery_at_level, DrainParams, predict_outcome
-from energyshare import edge, report
+from energyshare import report
 from energyshare.cli import EXIT_RUN_FAILURE, main
 from energyshare.edge import (
     META_FILENAME,
@@ -535,17 +535,11 @@ def test_compare_pads_the_shorter_runs_curve_cells_with_blanks(tmp_path):
     assert all(cell for row in cells[4:] for cell in row[4:])
 
 
-def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, monkeypatch):
+def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, decodes):
+    """TCP upload, client GET and load_run each run the one decoder once: one gate, one
+    ``record_blocks`` reader, and neither whole-text step."""
     result = run_scenario(build_scenario(value=10.0))
     run_dir = write_run_artifacts(result, tmp_path / "run")
-    calls = []
-
-    class Counted(edge._Gate):  # every run of the gate's rules starts here, streamed or not
-        def __init__(self, head):
-            calls.append(head.session_id)
-            super().__init__(head)
-
-    monkeypatch.setattr(edge, "_Gate", Counted)
     server = EdgeServer(EdgeStore(tmp_path / "edge-data")).start()
     client = EdgeClient(server.address)
     reads = {
@@ -554,16 +548,16 @@ def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, monkeypatch)
         "client_get": lambda: client.get(result.dataset.session_id),
         "load_run": lambda: load_run(run_dir),
     }
-    gates = {}
+    steps = {}
     try:
         for name, read in reads.items():
-            calls.clear()
+            decodes.clear()
             read()
-            gates[name] = len(calls)
+            steps[name] = sorted(decodes)
     finally:
         server.stop()
     # a byte-identical re-upload is compared with the stored files, not decoded
-    assert gates == {**dict.fromkeys(reads, 1), "tcp_reupload": 0}
+    assert steps == {**dict.fromkeys(reads, ["_Gate", "record_blocks"]), "tcp_reupload": []}
 
 
 def test_load_run_and_compare_refuse_a_middle_row_out_of_range(tmp_path):
