@@ -604,7 +604,9 @@ class EdgeClient:
         self._addr = parse_addr(address)
 
     def upload(self, dataset: SessionDataset) -> UploadReceipt:
-        """Send the dataset's block, its trace a block of pairs at a time, and read the receipt."""
+        """Send the dataset's block, each part on the wire as it is encoded (its trace a block
+        of pairs at a time, so the edge decodes one while the next is encoded), and read the
+        receipt."""
         header = f"UPLOAD {dataset.session_id} {dataset.record_count}"
         ok = f"OK {dataset.session_id} {dataset.record_count}"
 

@@ -39,8 +39,10 @@ TRACE_HEADER = (
     "battery_level_pct,battery_charge_mah,cumulative_transferred_mah"
 )
 
-# pairs of rows in each block of trace_csv_blocks, joined into one string
-_PAIRS_PER_BLOCK = 1024
+# pairs of rows in each block of trace_csv_blocks, joined into one string: small (about 26 KB)
+# so that an upload's edge decodes one block while its client encodes the next, and still a
+# large write for a run directory's trace.csv
+_PAIRS_PER_BLOCK = 128
 
 # a tuple, Charging first: a test of the phase every tick records in hashes nothing
 _RECORDABLE_PHASES = (SessionPhase.CHARGING, SessionPhase.COMPLETED, SessionPhase.ABORTED)

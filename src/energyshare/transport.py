@@ -441,15 +441,19 @@ class RegistryServer(LineServer):
 def exchange(addr: tuple[str, int], request: Iterable[str], read: Callable[[Any], Any],
              error: type[EnergyShareError], timeout_s: float) -> Any:
     """``read`` of the reply to ``request``'s parts, off the binary stream of a connection opened
-    for it and closed after; a reply that does not decode (``ValueError``) raises as ``error``."""
-    with socket.create_connection(addr, timeout=timeout_s) as conn, \
-            conn.makefile("rwb", READ_SIZE) as stream:
-        stream.writelines(part.encode("utf-8") for part in request)
-        stream.flush()
-        try:
-            return read(stream)
-        except ValueError as exc:
-            raise error(f"unreadable reply: {exc!r}") from exc
+    for it and closed after; a reply that does not decode (``ValueError``) raises as ``error``.
+
+    Each part goes on the wire as ``request`` yields it, with Nagle's algorithm off, so the peer
+    works on one part while the next is made."""
+    with socket.create_connection(addr, timeout=timeout_s) as conn:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for part in request:
+            conn.sendall(part.encode("utf-8"))
+        with conn.makefile("rb", READ_SIZE) as stream:
+            try:
+                return read(stream)
+            except ValueError as exc:
+                raise error(f"unreadable reply: {exc!r}") from exc
 
 
 # the registry's ERR codes a client raises as themselves

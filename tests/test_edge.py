@@ -56,6 +56,7 @@ from energyshare.monitor import (
     ROLE_CONSUMER,
     ROLE_PROVIDER,
     TRACE_HEADER,
+    _PAIRS_PER_BLOCK,
     compute_metrics,
     records_from_csv_text,
     trace_csv_rows,
@@ -434,12 +435,18 @@ def served_store(tmp_path):
     server.stop()
 
 
-def test_tcp_upload_and_get(served_store):
-    _, _, client = served_store
-    dataset = build_dataset()
+@pytest.mark.parametrize("ticks", [5, _PAIRS_PER_BLOCK * 5 // 2],
+                         ids=["one_block", "blocks_and_a_part"])
+def test_tcp_upload_and_get(served_store, ticks):
+    store, _, client = served_store
+    dataset = build_dataset(ticks=ticks)
     receipt = client.upload(dataset)
-    assert receipt == UploadReceipt("ses-r1", 5)
-    assert client.get("ses-r1") == dataset
+    assert receipt == UploadReceipt("ses-r1", ticks)
+    files = store.data_dir / "ses-r1"
+    assert (files / edge.TRACE_FILENAME).read_bytes() == encode_dataset(dataset)[1].encode("utf-8")
+    fetched = client.get("ses-r1")
+    assert fetched == dataset
+    assert (files / EdgeStore.DIGEST_FILENAME).read_text() == dataset_digest(fetched) + "\n"
 
 
 def test_tcp_list(served_store):

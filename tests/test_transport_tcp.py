@@ -226,6 +226,52 @@ def test_a_resolve_reply_byte_not_utf8_is_peer_unreachable(stand_in_registry):
         transport.close()
 
 
+def test_exchange_puts_each_request_part_on_the_wire_before_it_takes_the_next(
+        stand_in_registry, monkeypatch):
+    """The peer holds every part a request has yielded before the next is made: nothing waits
+    in a client buffer or for Nagle's algorithm, so the peer works while the client encodes."""
+    parts = ["UPLOAD ses-1 2\n", "session_id = ses-1\n", "\n", "0,1.0\n" * 4000, "END\n"]
+    sent = "".join(parts).encode("utf-8")
+    received = bytearray()
+    arrived = threading.Condition()
+
+    def count_then_answer(conn, stream):
+        while len(received) < len(sent) and (chunk := conn.recv(1 << 16)):
+            with arrived:
+                received.extend(chunk)
+                arrived.notify_all()
+        stream.write("OK\n")
+        stream.flush()
+
+    timed_out = []
+
+    def request():
+        held = 0
+        for part in parts:
+            yield part
+            held += len(part.encode("utf-8"))
+            with arrived:
+                if not timed_out and not arrived.wait_for(lambda: len(received) >= held, 3.0):
+                    timed_out.append(part)
+
+    opened, connect = [], socket.create_connection
+
+    def create_connection(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+
+    def read(stream):
+        return stream.readline(), opened[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    addr = parse_addr(stand_in_registry(count_then_answer))
+    reply, nodelay = transport_module.exchange(addr, request(), read, PeerUnreachable, 10.0)
+    assert timed_out == []
+    assert nodelay
+    assert (reply, bytes(received)) == (b"OK\n", sent)
+
+
 BAD_REGISTER = "bad REGISTER line: fields must be exactly device_id addr"
 BAD_ADVERTISE = ("bad ADVERTISE line: fields must be exactly addr provider_id x y level_pct technology"
                  " available")
