@@ -12,8 +12,10 @@ its peak, both above what was traced when it began. Each upload reads the
 run directory's ``trace.csv`` a block of lines at a time. The identical
 re-upload is compared with the stored files; the re-upload whose last row
 has another consumer charge differs only in its last piece, so the store
-reads the rest back from disk to decode it, and it must be refused as an
-upload of the same text to an empty store is. The GET runs an
+reads the rest back from disk and proves and stages it as text, then at
+the last piece hands the whole text, read back from its staging file, to
+the decoder, and it must be refused as an upload of the same text to an
+empty store is. The GET runs an
 ``EdgeServer`` in this process and reads its reply off a socket, keeping
 only its length. The client GET fetches it from the same server through
 ``EdgeClient.get``, which builds the whole dataset as ``load_run`` does;
@@ -21,7 +23,9 @@ its ``dataset_digest`` must be the run's dataset's. The client upload
 sends the run's dataset through ``EdgeClient.upload`` to another
 ``EdgeServer`` in this process, on an empty store; its peak counts both
 ends, and its receipt must be the first upload's. The last line is the
-process's peak RSS.
+process's peak RSS, which is mostly ``tracemalloc``'s own bookkeeping of
+every block it traces; the run line's peak RSS, taken before tracing
+starts, is the program's own.
 
 Exits 1 if ``write_run_artifacts`` peaks more than WRITE_PEAK_LIMIT_MB above
 its start, ``load_run`` or the client GET more than LOAD_PEAK_LIMIT_MB, or an
@@ -161,7 +165,7 @@ def main() -> int:
         files = (run_dir / META_FILENAME, run_dir / TRACE_FILENAME)
         expected = len(header) + sum(path.stat().st_size for path in files) + len("\nEND\n")
     tracemalloc.stop()
-    print(f"peak RSS {peak_rss_mb():.1f} MB")
+    print(f"peak RSS {peak_rss_mb():.1f} MB, tracemalloc's bookkeeping included")
     failures = [
         f"{name} peaked {peak:.1f} MB above its start, over {limit} MB"
         for name, peak, limit in (("write_run_artifacts", write_peak, WRITE_PEAK_LIMIT_MB),

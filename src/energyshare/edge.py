@@ -5,8 +5,13 @@ sidecar plus the trace CSV), ordered by an append-only ``index.log`` that
 is read once at open; LIST is served from memory.
 A dataset's row rules live in one gate, :class:`_Gate`, and every path from a
 dataset text to a dataset runs it once, in one decoder, :func:`_checked_pairs`,
-a piece at a time: an UPLOAD in :meth:`EdgeStore.upload`, as it is staged; an
-:meth:`EdgeClient.get` and ``report.load_run`` in :func:`decode_dataset`.
+a piece at a time: an :meth:`EdgeClient.get` and ``report.load_run`` in
+:func:`decode_dataset`. An UPLOAD is stored as the bytes that arrived, so
+:meth:`EdgeStore.upload` checks it as text instead, with :class:`_TextGate`,
+whose rules each imply the gate's and also require the text the encoder
+writes; a text it cannot prove goes to the decoder, which words every refusal.
+The two stay apart because a read needs the values, and the ``repr`` of every
+float that proving a text takes costs more than parsing it.
 Uploads are written atomically (temp dir + rename) and acknowledged only
 after an fsync, so an acknowledged dataset survives a crash. Re-uploading
 identical content is idempotent; a different dataset under the same
@@ -47,7 +52,6 @@ from .monitor import (
     record_blocks,
     records_from_csv_text,  # uncalled: bench/layers.py wraps edge's; its --trace 1 runs need it
     trace_csv_blocks,
-    trace_csv_rows,
     trace_csv_text,
 )
 from .protocol import EnergyRequest, Reason, RequestKind, make_request
@@ -332,6 +336,122 @@ def _check_end(left: list[MonitorRecord], ticks: int, count: int) -> None:
         raise ValueError(f"{_COUNT_KEY} is {count!r}, the trace holds {ticks} pairs")
 
 
+def _unspelled(head: SessionDataset, count: int, trace: Iterable[str], what: str) -> ValidationFailed:
+    """The refusal of a text that :class:`_TextGate` could not prove: the decoder's
+    (:func:`_checked_pairs`), raised, if it refuses the whole text; else that ``what`` is not
+    spelled as the encoder writes it, returned."""
+    deque(_checked_pairs(head, count, trace), maxlen=0)
+    return ValidationFailed(f"{what} is not spelled as the encoder writes it")
+
+
+class _TextGate:
+    """:class:`_Gate`'s rules on a trace's text, fed a piece at a time: every row must be
+    valid and the text :func:`~energyshare.monitor.format_record` writes for its position.
+
+    Each rule implies the gate rule it stands in for, so a trace this gate passes decodes.
+    A field is compared with the text the encoder would write: a time or level must be the
+    text of the value the gate computes (so ``-0.0`` where it computes ``0.0`` is refused),
+    a charge or cumulative the ``repr`` of the number it reads. The metrics are checked from
+    the first and last pairs by :meth:`_Gate.close`."""
+
+    def __init__(self, head: SessionDataset):
+        self.head, self.header, self.left, self.ticks = head, TRACE_HEADER + "\n", [], 0
+        self.start = self.first = self.last = None  # tick 0's time; the end pairs' rows
+
+    def feed(self, piece: str) -> int | None:
+        """Prove ``piece``, the trace's text after what was fed: the tick of the first row
+        it cannot prove, else ``None``. A piece ends at a line end."""
+        if self.header:
+            if not piece:
+                return None
+            if not piece.startswith(self.header):
+                return 0
+            piece, self.header = piece[len(self.header):], ""
+        rows = piece.split("\n")
+        cut = rows.pop()  # "" after the last row's "\n"
+        if self.left:
+            rows = self.left + rows
+        self.left = [rows.pop()] if len(rows) % 2 else []
+        if not rows:
+            return self.ticks if cut else None
+        if self.start is None:  # tick 0's time, which must read back as itself, is the start
+            try:
+                self.start = float(rows[0].split(",")[1])
+            except (IndexError, ValueError):
+                return 0
+            self.first = (rows[0], rows[1])
+        head, isfinite, start = self.head, math.isfinite, self.start
+        session_id, provider_id = head.session_id, head.provider_id
+        consumer_id = head.request.consumer_id
+        provider_cap, consumer_cap = head.provider_capacity_mah, head.consumer_capacity_mah
+        interval_s = head.interval_s
+        for tick, p, c in zip(range(self.ticks, self.ticks + len(rows)), rows[::2], rows[1::2]):
+            try:
+                p_tick, p_wall, p_session, p_device, p_role, p_level, p_charge, p_cumulative = p.split(",")
+                c_tick, c_wall, c_session, c_device, c_role, c_level, c_charge, c_cumulative = c.split(",")
+                p_mah, c_mah = float(p_charge), float(c_charge)
+                p_sum, c_sum = float(p_cumulative), float(c_cumulative)
+            except ValueError:  # not 8 fields, or a number that does not read
+                return tick
+            wall = start + tick * interval_s
+            # a level is battery.level_pct_of(charge, capacity), inlined as the gate does
+            if not (p_tick == c_tick == str(tick)
+                    and p_wall == c_wall == repr(wall if tick else start)
+                    and isfinite(wall)
+                    and p_session == session_id == c_session and p_device == provider_id
+                    and c_device == consumer_id and p_role == ROLE_PROVIDER and c_role == ROLE_CONSUMER
+                    and 0.0 <= p_mah <= provider_cap and 0.0 <= c_mah <= consumer_cap
+                    and repr(p_mah) == p_charge and repr(c_mah) == c_charge
+                    and p_level == repr(level if (level := 100.0 * p_mah / provider_cap) <= 100.0 else 100.0)
+                    and c_level == repr(level if (level := 100.0 * c_mah / consumer_cap) <= 100.0 else 100.0)
+                    and repr(p_sum) == p_cumulative and repr(c_sum) == c_cumulative
+                    and isfinite(p_sum) and isfinite(c_sum)):
+                return tick
+        self.ticks += len(rows) // 2
+        self.last = (rows[-2], rows[-1])
+        return self.ticks if cut else None
+
+    def close(self, count: int) -> int | None:
+        """After the last piece, the decoder's end checks in its order (:func:`_check_end`,
+        :meth:`_Gate.close`); but first the tick of a row left without its pair, which is not
+        proved, or 0 if no header came, as a row :meth:`feed` cannot prove."""
+        if self.header or self.left:
+            return self.ticks
+        _check_end([], self.ticks, count)
+        gate = _Gate(self.head)
+        if self.first is not None:
+            gate.first, gate.last = (tuple(map(_proved_record, rows)) for rows in (self.first, self.last))
+        gate.close()
+        return None
+
+
+def _proved_record(row: str) -> MonitorRecord:
+    """The record of a row :class:`_TextGate` proved, as :func:`record_blocks` reads it."""
+    tick, wall, session_id, device_id, role, *numbers = row.split(",")
+    return MonitorRecord(int(tick), float(wall), session_id, device_id, role, *map(float, numbers))
+
+
+def _stage_trace(head: SessionDataset, count: int, trace: str | Iterable[str], path: Path, hasher) -> None:
+    """Write a trace text or its pieces to ``path`` as they arrive, each piece's received bytes
+    hashed and written once :class:`_TextGate` proves it. At the first row it cannot prove, the
+    whole text (the pieces written, read back, this piece and the rest) goes to the decoder,
+    which words the refusal (:func:`_unspelled`)."""
+    pieces = iter([trace] if isinstance(trace, str) else trace)
+    text_gate, staged = _TextGate(head), 0
+    with path.open("wb") as out:
+        for piece in pieces:
+            if (tick := text_gate.feed(piece)) is not None:
+                break
+            out.write(block := piece.encode("utf-8"))
+            hasher.update(block)
+            staged += len(block)
+        else:
+            if (tick := text_gate.close(count)) is None:
+                return
+            piece = ""
+    raise _unspelled(head, count, chain(line_blocks(path, staged), [piece], pieces), f"tick {tick}: a row")
+
+
 def dataset_digest(dataset: SessionDataset) -> str:
     """SHA-256 of the canonical encoding: the meta block, then the trace CSV."""
     return hashlib.sha256("".join(encode_dataset(dataset)).encode("utf-8")).hexdigest()
@@ -410,29 +530,29 @@ class EdgeStore:
 
     def upload(self, meta: str, trace: str | Iterable[str]) -> UploadReceipt:
         """Check, persist durably and acknowledge a ``meta.txt`` text and a trace text or its
-        pieces as they arrive, each piece's pairs decoded (:func:`_checked_pairs`), re-encoded,
-        hashed and staged. Idempotent per digest; a stored dataset sent again byte for byte is
-        acknowledged undecoded (:meth:`_unmatched`).
+        pieces as they arrive. The meta block must be the one the encoder writes for its values;
+        each piece is proved by :class:`_TextGate`, then its received bytes are hashed and staged
+        (:func:`_stage_trace`), so nothing is re-encoded; a text the pass cannot prove is decided
+        by the decoder. Idempotent per digest; a stored dataset sent again byte for byte is
+        acknowledged unproved (:meth:`_unmatched`).
         Only the commit, after the trace is read, holds the store's lock."""
         values, head = _head(parse_meta(meta))
+        count = values[_COUNT_KEY]
         session_dir = self._session_dir(head.session_id)
         if session_dir.exists() and (trace := self._unmatched(session_dir, meta, trace)) is None:
             with self._lock:  # the stored dataset, sent again byte for byte
                 if head.session_id not in self._summaries:
                     self._append_index(head)
-            return UploadReceipt(head.session_id, values[_COUNT_KEY])
-        canonical = {key: fmt_value(value) for key, value in values.items()}
-        meta_bytes = format_meta(canonical).encode("utf-8")
+            return UploadReceipt(head.session_id, count)
+        if meta != format_meta({key: fmt_value(value) for key, value in values.items()}):
+            raise _unspelled(head, count, trace, "the meta block")
+        meta_bytes = meta.encode("utf-8")
         hasher = hashlib.sha256(meta_bytes)
         tmp_dir = self.data_dir / f"+tmp-{uuid.uuid4().hex}"  # no session id has a '+'
         try:
             tmp_dir.mkdir()
             (tmp_dir / META_FILENAME).write_bytes(meta_bytes)
-            with (tmp_dir / TRACE_FILENAME).open("wb") as out:
-                pairs = _checked_pairs(head, values[_COUNT_KEY], trace)
-                for text in chain([TRACE_HEADER + "\n"], map(trace_csv_rows, pairs)):
-                    hasher.update(block := text.encode("utf-8"))
-                    out.write(block)
+            _stage_trace(head, count, trace, tmp_dir / TRACE_FILENAME, hasher)
             digest = hasher.hexdigest()
             (tmp_dir / self.DIGEST_FILENAME).write_bytes((digest + "\n").encode("utf-8"))
             for name in (META_FILENAME, TRACE_FILENAME, self.DIGEST_FILENAME):
@@ -453,7 +573,7 @@ class EdgeStore:
                     self._append_index(head)
         finally:  # a refused or failed upload's; gone already once committed
             shutil.rmtree(tmp_dir, ignore_errors=True)
-        return UploadReceipt(head.session_id, values[_COUNT_KEY])
+        return UploadReceipt(head.session_id, count)
 
     def _unmatched(self, session_dir: Path, meta: str, trace: str | Iterable[str]):
         """``None`` if ``meta`` and ``trace``'s pieces, compared as they are taken, are the stored

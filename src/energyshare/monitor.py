@@ -14,11 +14,12 @@ with full round-trip precision.
 Reading a trace text back is a codec only: the reader checks the header,
 8 fields a row and their numbers, and pairing checks the row count.
 Whether the rows are right (ticks, timestamps, ids, roles, ranges,
-levels) is decided in one place, the edge's gate, which every path from a
-trace text to a dataset runs in one decoder, a piece at a time: an UPLOAD,
-a client GET and ``load_run`` alike. Records built in-process, by
-:func:`record_tick` and the consumer agent, come from ids already checked
-and are not re-checked.
+levels) is decided by the edge: by its gate, which every path from a trace
+text to a dataset runs in one decoder, a piece at a time (a client GET and
+``load_run`` alike), and by its text gate, which holds an UPLOAD, stored as
+it arrived, to the same rules and to the text this module writes. Records
+built in-process, by :func:`record_tick` and the consumer agent, come from
+ids already checked and are not re-checked.
 """
 
 from __future__ import annotations

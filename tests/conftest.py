@@ -53,14 +53,17 @@ def stored_dataset(store: EdgeStore, session_id: str) -> SessionDataset:
 
 @pytest.fixture
 def decodes(monkeypatch):
-    """The names of the decoding steps ``edge`` runs, in order: each ``_Gate`` built and each
-    call of ``record_blocks``, ``records_from_csv_text`` or ``validate_dataset``."""
+    """The names of the decoding steps ``edge`` runs, in order: each ``_Gate`` or ``_TextGate``
+    built and each call of ``record_blocks``, ``records_from_csv_text`` or ``validate_dataset``."""
     calls = []
 
-    class Counted(edge._Gate):
-        def __init__(self, head):
-            calls.append("_Gate")
-            super().__init__(head)
+    def counted_gate(name: str):
+        class Counted(getattr(edge, name)):
+            def __init__(self, head):
+                calls.append(name)
+                super().__init__(head)
+
+        return Counted
 
     def counted(name: str):
         step = getattr(edge, name)
@@ -71,7 +74,8 @@ def decodes(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(edge, "_Gate", Counted)
+    for name in ("_Gate", "_TextGate"):
+        monkeypatch.setattr(edge, name, counted_gate(name))
     for name in ("record_blocks", "records_from_csv_text", "validate_dataset"):
         monkeypatch.setattr(edge, name, counted(name))
     return calls

@@ -25,10 +25,10 @@ from pathlib import Path
 
 import pytest
 from conftest import build_scenario, stored_dataset
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from energyshare import edge
+from energyshare import edge, monitor
 from energyshare.battery import DrainParams, Technology, TechnologyParams, level_pct_of
 from energyshare.edge import (
     ConflictingSession,
@@ -252,17 +252,45 @@ def test_upload_retried_after_failed_index_append_is_listed(store, tmp_path, mon
     assert [s.session_id for s in EdgeStore(tmp_path / "data").list()] == ["ses-r1"]
 
 
-def test_a_retry_spelled_otherwise_after_a_failed_index_append_is_decoded_and_listed(
+def test_a_retry_spelled_otherwise_after_a_failed_index_append_is_decoded_and_refused(
         store, tmp_path, monkeypatch, decodes):
+    """The same dataset, its meta block spelled otherwise: the decoder accepts the text, so
+    the refusal is that it is not spelled as the encoder writes it; nothing is indexed."""
     dataset = build_dataset()
     store_unindexed(store, monkeypatch, dataset)
     decodes.clear()
     meta, trace = encode_dataset(dataset)
     meta = meta.replace("efficiency = 0.8\n", "efficiency = 0.80\n")
-    assert store.upload(meta, trace) == UploadReceipt("ses-r1", 5)
+    with pytest.raises(ValidationFailed, match=f"^the meta block {UNSPELLED}$"):
+        store.upload(meta, trace)
     assert decodes == ["_Gate", "record_blocks"]
-    assert [s.session_id for s in EdgeStore(tmp_path / "data").list()] == ["ses-r1"]
+    assert store.list() == EdgeStore(tmp_path / "data").list() == []
     assert stored_dataset(store, "ses-r1") == dataset
+
+
+def test_an_upload_staged_while_its_dataset_was_stored_unindexed_indexes_it(store, tmp_path, monkeypatch):
+    """An upload part-way while the same dataset is stored but its index append fails finds it
+    stored under its own digest at its commit, and appends the missing index line."""
+    meta, trace = encode_dataset(STREAMED)
+    lines = trace.splitlines(keepends=True)
+    reached, release, results = threading.Event(), threading.Event(), []
+
+    def pieces():
+        yield "".join(lines[:400])
+        reached.set()
+        assert release.wait(10.0)
+        yield "".join(lines[400:])
+
+    thread = threading.Thread(target=lambda: results.append(store.upload(meta, pieces())))
+    thread.start()
+    assert reached.wait(10.0)
+    store_unindexed(store, monkeypatch, STREAMED)
+    release.set()
+    thread.join(10.0)
+    assert not thread.is_alive() and results == [UploadReceipt("ses-r1", 600)]
+    for opened in (store, EdgeStore(tmp_path / "data")):
+        assert [s.session_id for s in opened.list()] == ["ses-r1"]
+    assert staging_dirs(store) == []
 
 
 def test_upload_replaces_a_stale_temp_dir_of_its_session(tmp_path):
@@ -907,7 +935,7 @@ def test_upload_header_without_record_count_gets_err_reply(served_store):
     assert client.list() == []
 
 
-# --- single-field edits: refused, or stored with the facts as sent -----------------
+# --- single-field edits: refused as the decoder refuses them, or stored as sent ------
 
 # texts a field is set to: numbers in and out of every range, non-finite
 # numbers, ids, enum values, and short junk (never a newline)
@@ -920,37 +948,45 @@ FIELD_TEXTS = st.one_of(
     st.floats().map(repr),
     st.text("abcp019.-_:=, e", max_size=6),
 )
+# a field's own text spelled otherwise, most keeping the value it reads as
+RESPELLINGS = st.sampled_from([
+    lambda text: "+" + text, lambda text: "0" + text, lambda text: " " + text,
+    lambda text: text + "0" if "." in text else text + ".0", lambda text: text + "e0",
+])
 EDITED = build_dataset()
 EDITED_META, EDITED_TRACE = encode_meta(EDITED), trace_csv_text(EDITED.records)
-EDIT_SETTINGS = settings(max_examples=12, derandomize=True, database=None, deadline=None)
-
-
-def same_fact(sent: str, kept: str) -> bool:
-    """Equal as numbers when both read as numbers (``1e3`` is ``1000.0``), else as text."""
-    try:
-        return float(sent) == float(kept)
-    except ValueError:
-        return sent == kept
+EDIT_SETTINGS = settings(max_examples=16, derandomize=True, database=None, deadline=None)
+UNSPELLED = "is not spelled as the encoder writes it"
 
 
 def check_refused_or_kept(served, session_id: str, meta: str, trace: str) -> None:
-    """An UPLOAD is refused with a documented code and not listed, or it is
-    stored with every fact it sent and reads back as a valid dataset."""
+    """An UPLOAD gets the value decoder's verdict on its text (after the UPLOAD line's own
+    check): the error it raises, as an ``ERR`` reply; ``OK`` exactly when the dataset it decodes
+    encodes to the sent text byte for byte, stored as those bytes; else the refusal of a text
+    not spelled as the encoder writes it. The one text that decodes and encodes as sent and is
+    still refused, a time or level of ``-0.0`` where the gate computes ``0.0``, is no single
+    edit of EDITED: none of its times or levels is zero."""
     store, server, client = served
     before = client.list()
     reply = raw_exchange(server.address, f"UPLOAD {session_id} 5\n{meta}\n{trace}END\n")
-    if not reply.startswith("OK "):
-        assert reply.startswith(("ERR Malformed ", "ERR ValidationFailed ")), reply
-        assert client.list() == before
-        return
-    assert session_id in [s.session_id for s in client.list()]
-    validate_dataset(client.get(session_id))
-    kept_meta, kept_trace = store.get(session_id)
-    kept_trace = b"".join(kept_trace).decode("utf-8")
-    sent, kept = parse_meta(meta), parse_meta(kept_meta)
-    assert sent.keys() == kept.keys()
-    assert [key for key in sent if not same_fact(sent[key], kept[key])] == []
-    assert sorted(records_from_csv_text(trace)) == sorted(records_from_csv_text(kept_trace))
+    try:
+        values, head = edge._head(parse_meta(meta))
+        if (head.session_id, values["record_count"]) != (session_id, 5):
+            raise ValueError("header session_id and record_count do not match the dataset")
+        dataset = decode_dataset(meta, trace)
+    except (ValueError, ValidationFailed) as exc:
+        code = "ValidationFailed" if isinstance(exc, ValidationFailed) else "Malformed"
+        assert reply == f"ERR {code} {exc}\n"
+    else:
+        if encode_dataset(dataset) == (meta, trace):
+            assert reply == f"OK {session_id} 5\n"
+            assert session_id in [s.session_id for s in client.list()]
+            assert client.get(session_id) == dataset
+            kept_meta, kept_trace = store.get(session_id)
+            assert (kept_meta, b"".join(kept_trace)) == (meta, trace.encode("utf-8"))
+            return
+        assert reply.startswith("ERR ValidationFailed ") and reply.endswith(f" {UNSPELLED}\n"), reply
+    assert client.list() == before and staging_dirs(store) == []
 
 
 @pytest.mark.parametrize("key", list(parse_meta(EDITED_META)))
@@ -958,11 +994,15 @@ def test_meta_field_edit_is_refused_or_kept(served_store, key):
     examples = itertools.count()
 
     @EDIT_SETTINGS
-    @given(text=st.none() | FIELD_TEXTS)  # None drops the key's line
+    @given(text=st.none() | FIELD_TEXTS | RESPELLINGS)  # None drops the key's line
+    @example(text="0")
+    @example(text="-1")
     def check(text):
         session_id = f"ses-m{next(examples)}"
         meta, trace = (part.replace("ses-r1", session_id) for part in (EDITED_META, EDITED_TRACE))
         line = next(line for line in meta.split("\n") if line.startswith(f"{key} = "))
+        if callable(text):
+            text = text(line.partition(" = ")[2])
         meta = meta.replace(line + "\n", "" if text is None else f"{key} = {text}\n")
         check_refused_or_kept(served_store, session_id, meta, trace)
 
@@ -974,13 +1014,99 @@ def test_trace_field_edit_is_refused_or_kept(served_store, column):
     examples = itertools.count()
 
     @EDIT_SETTINGS
-    @given(row=st.integers(0, 2 * EDITED.record_count - 1), text=FIELD_TEXTS)
+    @given(row=st.integers(0, 2 * EDITED.record_count - 1), text=FIELD_TEXTS | RESPELLINGS)
     def check(row, text):
         session_id = f"ses-t{next(examples)}"
         meta, trace = (part.replace("ses-r1", session_id) for part in (EDITED_META, EDITED_TRACE))
+        if callable(text):
+            text = text(trace.split("\n")[row + 1].split(",")[MonitorRecord._fields.index(column)])
         check_refused_or_kept(served_store, session_id, meta, edit_row(trace, row, **{column: text}))
 
     check()
+
+
+def timed_at(trace: str, interval_s: float) -> str:
+    """``trace`` with each row's time the one the encoder writes at ``interval_s``."""
+    start = EDITED.records[0][0].wall_time_s
+    for row in range(2 * EDITED.record_count):
+        trace = edit_row(trace, row, wall_time_s=repr(start + row // 2 * interval_s))
+    return trace
+
+
+# edits of EDITED, spelled as the encoder writes, that the decoder refuses: each breaks a
+# rule of the text gate that no single field edit can
+SPELLED_FAULTS = {
+    "charge_over_capacity": lambda m, t: (m, edit_row(t, 0, battery_charge_mah="5000.0", battery_level_pct="100.0")),
+    "cumulative_inf": lambda m, t: (m, edit_row(t, 3, cumulative_transferred_mah="inf")),
+    "cumulative_nan": lambda m, t: (m, edit_row(t, 4, cumulative_transferred_mah="nan")),
+    "time_overflows": lambda m, t: (m.replace("interval_s = 1.0\n", "interval_s = 1e+308\n"), timed_at(t, 1e308)),
+    "header_misspelt": lambda m, t: (m, t.replace("tick_index", "tick_INDEX", 1)),
+    "last_row_unpaired_and_unended": lambda m, t: (m, t[:t.rstrip("\n").rfind("\n")]),
+}
+
+
+@pytest.mark.parametrize("edit", SPELLED_FAULTS.values(), ids=SPELLED_FAULTS)
+def test_a_fault_spelled_as_the_encoder_writes_gets_the_decoders_refusal(served_store, edit):
+    store, _, _ = served_store
+    meta, trace = edit(EDITED_META, EDITED_TRACE)
+    refusal = outcome(decode_dataset, meta, trace)
+    assert isinstance(refusal, tuple) and outcome(store.upload, meta, trace) == refusal
+    if trace.endswith("\n"):  # else its last line would run into END's
+        check_refused_or_kept(served_store, EDITED.session_id, meta, trace)
+
+
+# a 2-pair dataset whose numbers have short texts, to spell otherwise
+SPELLED_PAIRS = (
+    (MonitorRecord(0, 1000.0, "ses-s", "p1", ROLE_PROVIDER, 0.25, 10.0, 0.0),
+     MonitorRecord(0, 1000.0, "ses-s", "c1", ROLE_CONSUMER, 0.5, 10.0, 0.0)),
+    (MonitorRecord(1, 1001.0, "ses-s", "p1", ROLE_PROVIDER, 0.0, 0.0, 10.0),
+     MonitorRecord(1, 1001.0, "ses-s", "c1", ROLE_CONSUMER, level_pct_of(11.5, 2000.0), 11.5, 1.5)),
+)
+SPELLED = SessionDataset(
+    session_id="ses-s", request=make_request(RequestKind.DURATION, 2.0, "c1", request_id="r1"),
+    provider_id="p1", tech_params=EDITED.tech_params, provider_drain=DrainParams(40.0),
+    consumer_drain=DrainParams(40.0), provider_capacity_mah=4000.0, consumer_capacity_mah=2000.0,
+    interval_s=1.0, records=SPELLED_PAIRS, metrics=compute_metrics(SPELLED_PAIRS),
+    terminal_reason=Reason.DURATION_ELAPSED,
+)
+# an edit of SPELLED's texts that it still decodes to, and what the refusal names
+RESPELT = {
+    "meta_0.80": (lambda m, t: (m.replace("efficiency = 0.8\n", "efficiency = 0.80\n"), t), "the meta block"),
+    "level_0.50": (lambda m, t: (m, edit_row(t, 1, battery_level_pct="0.50")), "tick 0: a row"),
+    "cumulative_+1.5": (lambda m, t: (m, edit_row(t, 3, cumulative_transferred_mah="+1.5")), "tick 1: a row"),
+    "charge_1_0": (lambda m, t: (m, edit_row(t, 0, battery_charge_mah="1_0")), "tick 0: a row"),
+    "time_1e3": (lambda m, t: (m, edit_row(t, 0, wall_time_s="1e3")), "tick 0: a row"),
+    "tick_01": (lambda m, t: (m, edit_row(t, 2, tick_index="01")), "tick 1: a row"),
+    "level_-0.0": (lambda m, t: (m, edit_row(t, 2, battery_level_pct="-0.0")), "tick 1: a row"),
+    "crlf": (lambda m, t: (m, t.replace("\n", "\r\n")), "tick 0: a row"),
+    "no_final_line_end": (lambda m, t: (m, t[:-1]), "tick 1: a row"),
+}
+
+
+@pytest.mark.parametrize("edit, what", RESPELT.values(), ids=RESPELT)
+def test_a_valid_upload_spelled_otherwise_than_the_encoder_writes_is_refused(served_store, edit, what):
+    store, server, client = served_store
+    meta, trace = edit(*encode_dataset(SPELLED))
+    assert decode_dataset(meta, trace) == SPELLED
+    with pytest.raises(ValidationFailed, match=f"^{re.escape(what)} {UNSPELLED}$"):
+        store.upload(meta, trace)
+    if trace.endswith("\n"):  # else its last line would run into END's
+        reply = raw_exchange(server.address, f"UPLOAD ses-s 2\n{meta}\n{trace}END\n")
+        assert reply == f"ERR ValidationFailed {what} {UNSPELLED}\n"
+    assert client.list() == [] and staging_dirs(store) == []
+
+
+def test_an_upload_stages_the_bytes_it_received_and_encodes_no_row(store, monkeypatch):
+    meta, trace = encode_dataset(STREAMED)
+    digest = f"{dataset_digest(STREAMED)}\n".encode("utf-8")
+
+    def refuse(record):
+        raise AssertionError("a row was encoded")
+
+    monkeypatch.setattr(monitor, "format_record", refuse)
+    assert store.upload(meta, trace.splitlines(keepends=True)) == UploadReceipt("ses-r1", 600)
+    assert session_files(store, "ses-r1") == [
+        meta.encode("utf-8"), trace.encode("utf-8"), digest]
 
 
 # --- dataset blocks and trace files read as their lines arrive ---------------------
@@ -1104,7 +1230,8 @@ def run_directory(path: Path, meta: str, trace: bytes) -> Path:
 
 @pytest.mark.parametrize("boundary", LINE_BOUNDARIES, ids=[repr(b) for b in LINE_BOUNDARIES])
 def test_a_line_boundary_inside_a_row_is_refused_by_every_reader(served_store, tmp_path, boundary):
-    """Only a ``\\r`` ending the row's last field, read as a ``\\r\\n`` line end, is accepted."""
+    """Only a ``\\r`` ending the row's last field, read as a ``\\r\\n`` line end, is decoded; an
+    UPLOAD splits on ``\\n`` alone, so it refuses that row as not spelled as the encoder writes it."""
     _, server, client = served_store
     dataset = build_dataset()
     meta, trace = encode_meta(dataset), trace_csv_text(dataset.records)
@@ -1119,7 +1246,8 @@ def test_a_line_boundary_inside_a_row_is_refused_by_every_reader(served_store, t
         if accepted:
             assert decode_dataset(meta, edited) == dataset
             assert load_run(run_dir).dataset == dataset
-            assert reply == "OK ses-r1 5\n"
+            assert reply == f"ERR ValidationFailed tick 1: a row {UNSPELLED}\n"
+            assert client.list() == []
             continue
         with pytest.raises((ValueError, ValidationFailed)):
             decode_dataset(meta, edited)
@@ -1335,15 +1463,19 @@ def outcome(call, meta: str, trace: str | list[str]):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(valid_datasets, st.data())
 def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(dataset, data):
-    """One field of one row set to any text, the trace cut into pieces at any line ends: the
-    upload stores, and ``decode_dataset`` of the pieces gives, what the whole-text reference
-    decoder gives, or both refuse it alike. A store that holds the unedited dataset gives the
-    same reply, or a conflict where the decoded dataset's digest is not the stored one, and
-    keeps its files."""
+    """One field of one row set to any text, the trace cut into pieces at any line ends:
+    ``decode_dataset`` of the pieces gives what the whole-text reference decoder gives, or
+    both refuse it alike. The upload stores that dataset if it encodes to the sent text, else
+    refuses as the decoder does, or as spelled otherwise. A store that holds the unedited
+    dataset gives the same reply, or a conflict where the decoded dataset's digest is not the
+    stored one, and keeps its files."""
     meta, trace = encode_dataset(dataset)
     row = data.draw(st.integers(0, 2 * dataset.record_count - 1))
     column = data.draw(st.sampled_from(MonitorRecord._fields))
-    edited = edit_row(trace, row, **{column: data.draw(FIELD_TEXTS)})
+    text = data.draw(FIELD_TEXTS | RESPELLINGS)
+    if callable(text):
+        text = text(trace.split("\n")[row + 1].split(",")[MonitorRecord._fields.index(column)])
+    edited = edit_row(trace, row, **{column: text})
     lines = edited.splitlines(keepends=True)
     cuts = sorted(data.draw(st.sets(st.integers(1, len(lines) - 1))))
     pieces = ["".join(lines[start:end]) for start, end in zip([0, *cuts], [*cuts, len(lines)])]
@@ -1352,6 +1484,8 @@ def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(datase
     if isinstance(expected, tuple):  # refused
         assert issubclass(expected[0], (ValueError, ValidationFailed))
         new = held = expected
+    elif encode_dataset(expected) != (meta, edited):
+        new = held = (ValidationFailed, f"tick {row // 2}: a row {UNSPELLED}")
     else:
         new = held = UploadReceipt(expected.session_id, expected.record_count)
         if dataset_digest(expected) != dataset_digest(dataset):
@@ -1375,7 +1509,7 @@ def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(datase
 def test_an_identical_reupload_is_acknowledged_without_decoding(served_store, decodes):
     store, server, client = served_store
     assert store.upload(STREAMED_META, STREAMED_TRACE) == UploadReceipt("ses-r1", 600)
-    assert decodes == ["_Gate", "record_blocks"]
+    assert decodes == ["_TextGate", "_Gate"]
     decodes.clear()
     kept = session_files(store, "ses-r1")
     assert store.upload(STREAMED_META, STREAMED_TRACE) == UploadReceipt("ses-r1", 600)
@@ -1400,7 +1534,7 @@ def test_a_reupload_over_a_stored_file_that_cannot_be_opened_is_decoded(served_s
     decodes.clear()
     sent = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{STREAMED_TRACE}END\n")
     assert sent.startswith(reply) and sent.count("\n") == 1
-    assert decodes == ["_Gate", "record_blocks"] and staging_dirs(store) == []
+    assert decodes == ["_TextGate", "_Gate"] and staging_dirs(store) == []
 
 
 CONFLICT = "ERR ConflictingSession session ses-r1 already stored with different content\n"
@@ -1422,7 +1556,10 @@ REUPLOADS = {
     "dataset_one_pair_longer": (lambda m, t: encode_dataset(LONGER), CONFLICT),
     "spelled_non_canonically": (lambda m, t: (m.replace("efficiency = 0.8\n", "efficiency = 0.80\n"),
                                               edit_row(t, 0, cumulative_transferred_mah="0.00")),
-                                "OK ses-r1 600\n"),
+                                f"ERR ValidationFailed the meta block {UNSPELLED}\n"),
+    "row_spelled_non_canonically": (
+        lambda m, t: (m, edit_row(t, 1000, cumulative_transferred_mah=f"+{STREAMED.records[500][0][-1]!r}")),
+        f"ERR ValidationFailed tick 500: a row {UNSPELLED}\n"),
 }
 
 
@@ -1440,7 +1577,8 @@ def test_a_reupload_that_differs_from_the_stored_bytes_gets_the_decoded_reply(se
 
 
 @pytest.mark.parametrize("edit, reply", [
-    ({"cumulative_transferred_mah": "0.00"}, "OK ses-r1 600\n"),  # the same dataset, spelled otherwise
+    # the same dataset, spelled otherwise
+    ({"cumulative_transferred_mah": "0.00"}, f"ERR ValidationFailed tick 0: a row {UNSPELLED}\n"),
     ({"cumulative_transferred_mah": "0.5"}, CONFLICT),
     ({"battery_charge_mah": "x"}, "ERR Malformed trace row "),
 ], ids=["same_dataset", "another_dataset", "unreadable"])
@@ -1458,7 +1596,7 @@ def test_a_stored_trace_edited_on_disk_and_uploaded_as_edited_is_decoded(served_
 
 def test_a_reupload_of_the_start_of_a_longer_stored_trace_is_decoded(served_store):
     """The upload hashes to ``digest.txt``, here rewritten to the hash of bytes that are not
-    canonical, but the stored trace goes on: it is decoded, and its canonical encoding conflicts."""
+    canonical, but the stored trace goes on: it is decoded, and refused as spelled otherwise."""
     store, server, client = served_store
     client.upload(STREAMED)
     files = store.data_dir / "ses-r1"
@@ -1466,7 +1604,8 @@ def test_a_reupload_of_the_start_of_a_longer_stored_trace_is_decoded(served_stor
     (files / edge.TRACE_FILENAME).write_bytes((sent + sent.splitlines(True)[-1]).encode("utf-8"))
     digest = hashlib.sha256((STREAMED_META + sent).encode("utf-8")).hexdigest()
     (files / EdgeStore.DIGEST_FILENAME).write_text(digest + "\n")
-    assert raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{sent}END\n") == CONFLICT
+    reply = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{sent}END\n")
+    assert reply == f"ERR ValidationFailed tick 0: a row {UNSPELLED}\n"
 
 
 def wait_for(condition, timeout_s: float = 10.0) -> None:

@@ -536,8 +536,9 @@ def test_compare_pads_the_shorter_runs_curve_cells_with_blanks(tmp_path):
 
 
 def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, decodes):
-    """TCP upload, client GET and load_run each run the one decoder once: one gate, one
-    ``record_blocks`` reader, and neither whole-text step."""
+    """Client GET and load_run each run the one decoder once: one gate, one ``record_blocks``
+    reader, and neither whole-text step; a TCP upload runs the text gate once, and the gate
+    only to check its metrics."""
     result = run_scenario(build_scenario(value=10.0))
     run_dir = write_run_artifacts(result, tmp_path / "run")
     server = EdgeServer(EdgeStore(tmp_path / "edge-data")).start()
@@ -557,7 +558,8 @@ def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, decodes):
     finally:
         server.stop()
     # a byte-identical re-upload is compared with the stored files, not decoded
-    assert steps == {**dict.fromkeys(reads, ["_Gate", "record_blocks"]), "tcp_reupload": []}
+    assert steps == {**dict.fromkeys(reads, ["_Gate", "record_blocks"]),
+                     "tcp_upload": ["_Gate", "_TextGate"], "tcp_reupload": []}
 
 
 def test_load_run_and_compare_refuse_a_middle_row_out_of_range(tmp_path):
