@@ -4,10 +4,10 @@ One directory per session under the data dir (``meta.txt`` key-value
 sidecar plus the trace CSV), ordered by an append-only ``index.log`` that
 is read once at open; LIST is served from memory.
 A dataset's row rules live in one gate, :class:`_Gate`, and every path from a
-dataset text to a dataset runs it once, in one decoder, :func:`_checked_pairs`,
-a piece at a time: an :meth:`EdgeClient.get` and ``report.load_run`` in
+dataset text to a dataset runs it once, in one decoder, :class:`_Decoder`,
+fed a piece at a time: an :meth:`EdgeClient.get` and ``report.load_run`` in
 :func:`decode_dataset`. An UPLOAD is stored as the bytes that arrived, so
-:meth:`EdgeStore.upload` checks it as text instead, with :class:`_TextGate`,
+the store's upload checks it as text instead, with :class:`_TextGate`,
 whose rules each imply the gate's and also require the text the encoder
 writes; a text it cannot prove goes to the decoder, which words every refusal.
 The two stay apart because a read needs the values, and the ``repr`` of every
@@ -17,10 +17,17 @@ after an fsync, so an acknowledged dataset survives a crash. Re-uploading
 identical content is idempotent; a different dataset under the same
 session id is a conflict, detected by a digest of the canonical encoding.
 A GET serves the stored canonical bytes as they are, in blocks, after checking
-them against that digest, so a damaged dataset is refused rather than served.
+them against that digest, so a damaged dataset is refused rather than served;
+an upload over a stored session that GET would refuse gets that refusal, so
+every acknowledged upload is one GET serves.
 
-The network face is the same framed-line TCP discipline as the rest of
-the platform; see docs/wire-format.md for the exact exchange.
+The network face, :class:`EdgeServer`, is a :class:`~energyshare.transport.LineServer`:
+one selector loop on one thread serves every connection. It parses an UPLOAD's
+meta block once and pushes the trace to the store's upload in push form
+(:meth:`EdgeStore.begin_upload`) a piece at a time as its bytes arrive, so the
+edge checks one block while the client encodes the next, and a GET's stored
+trace is read a block at a time as the socket takes it. See
+docs/wire-format.md for the exact exchange.
 """
 
 from __future__ import annotations
@@ -45,17 +52,17 @@ from .monitor import (
     ROLE_CONSUMER,
     ROLE_PROVIDER,
     MonitorRecord,
+    RecordReader,
     TRACE_HEADER,
     SessionMetrics,
     compute_metrics,
     pairs_from_records,
-    record_blocks,
     records_from_csv_text,  # uncalled: bench/layers.py wraps edge's; its --trace 1 runs need it
     trace_csv_blocks,
     trace_csv_text,
 )
 from .protocol import EnergyRequest, Reason, RequestKind, make_request
-from .transport import LOOPBACK_HOST, READ_SIZE, LineServer, exchange, parse_addr, read_to_end
+from .transport import LOOPBACK_HOST, READ_SIZE, LineServer, TooLong, exchange, parse_addr, read_to_end
 from .transport import write_line
 from .util import POSITIVE, check_id, fmt_value, format_meta, member, parse_finite, parse_meta
 from .util import rel_close
@@ -258,10 +265,18 @@ def encode_dataset(dataset: SessionDataset) -> tuple[str, str]:
 
 def decode_dataset(meta: str, trace: str | Iterable[str]) -> SessionDataset:
     """The dataset a ``meta.txt`` text and a ``trace.csv`` text or its pieces hold, decoded as
-    an UPLOAD is (:func:`_checked_pairs`): a piece at a time, with the same end checks."""
+    an UPLOAD the text gate cannot prove is (:class:`_Decoder`): a piece at a time, with the
+    same end checks."""
     values, head = _head(parse_meta(meta))
-    pairs = _checked_pairs(head, values[_COUNT_KEY], trace)
-    return replace(head, records=tuple(chain.from_iterable(pairs)))
+    decoder = _Decoder(head, values[_COUNT_KEY])
+    records = tuple(chain.from_iterable(decoder.feed(piece) for piece in _pieces(trace)))
+    decoder.close()
+    return replace(head, records=records)
+
+
+def _pieces(trace: str | Iterable[str]) -> Iterable[str]:
+    """A trace text as its one piece, or its pieces as they are."""
+    return [trace] if isinstance(trace, str) else trace
 
 
 def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> SessionDataset:
@@ -300,29 +315,37 @@ def _head(meta: dict[str, str]) -> tuple[dict[str, Any], SessionDataset]:
     )
 
 
-def _checked_pairs(head: SessionDataset, count: int, trace: str | Iterable[str]) -> Iterator[tuple]:
-    """The one dataset decoder: the pairs of a trace text or its pieces, a piece's at a time.
+class _Decoder:
+    """The one dataset decoder, fed a trace text a piece at a time.
 
-    Each piece's rows are parsed (:func:`record_blocks`), paired (a pair may span two pieces)
-    and fed to :class:`_Gate`; none is given after a refused pair. After the last piece, in
-    this order: a row left over and ``count`` (:func:`_check_end`), that refusal, the metrics."""
-    gate, refused, left, ticks = _Gate(head), None, [], 0
-    for records in record_blocks(trace):
-        records = left + records
-        left = [records.pop()] if len(records) % 2 else []
+    Each piece's rows are read (:class:`~energyshare.monitor.RecordReader`), paired (a pair may
+    span two pieces) and fed to :class:`_Gate`; :meth:`feed` gives the checked pairs, and none
+    after a refused pair. :meth:`close` makes the checks that follow the last piece, in this
+    order: a row left over and ``count`` (:func:`_check_end`), that refusal, the metrics."""
+
+    def __init__(self, head: SessionDataset, count: int):
+        self.gate, self.reader, self.count = _Gate(head), RecordReader(), count
+        self.refused, self.left, self.ticks = None, [], 0
+
+    def feed(self, piece: str) -> tuple:
+        records = self.left + self.reader.feed(piece)
+        self.left = [records.pop()] if len(records) % 2 else []
         pairs = pairs_from_records(records)
-        if refused is None:
+        ticks, self.ticks = self.ticks, self.ticks + len(pairs)
+        if self.refused is None:
             try:
-                gate.feed(pairs, ticks)
+                self.gate.feed(pairs, ticks)
+                return pairs
             except ValidationFailed as exc:
-                refused = exc
-            else:
-                yield pairs
-        ticks += len(pairs)
-    _check_end(left, ticks, count)
-    if refused is not None:
-        raise refused
-    gate.close()
+                self.refused = exc
+        return ()
+
+    def close(self) -> None:
+        self.reader.close()
+        _check_end(self.left, self.ticks, self.count)
+        if self.refused is not None:
+            raise self.refused
+        self.gate.close()
 
 
 def _check_end(left: list[MonitorRecord], ticks: int, count: int) -> None:
@@ -334,14 +357,6 @@ def _check_end(left: list[MonitorRecord], ticks: int, count: int) -> None:
         raise ValidationFailed(str(exc)) from None
     if ticks != count:
         raise ValueError(f"{_COUNT_KEY} is {count!r}, the trace holds {ticks} pairs")
-
-
-def _unspelled(head: SessionDataset, count: int, trace: Iterable[str], what: str) -> ValidationFailed:
-    """The refusal of a text that :class:`_TextGate` could not prove: the decoder's
-    (:func:`_checked_pairs`), raised, if it refuses the whole text; else that ``what`` is not
-    spelled as the encoder writes it, returned."""
-    deque(_checked_pairs(head, count, trace), maxlen=0)
-    return ValidationFailed(f"{what} is not spelled as the encoder writes it")
 
 
 class _TextGate:
@@ -431,27 +446,6 @@ def _proved_record(row: str) -> MonitorRecord:
     return MonitorRecord(int(tick), float(wall), session_id, device_id, role, *map(float, numbers))
 
 
-def _stage_trace(head: SessionDataset, count: int, trace: str | Iterable[str], path: Path, hasher) -> None:
-    """Write a trace text or its pieces to ``path`` as they arrive, each piece's received bytes
-    hashed and written once :class:`_TextGate` proves it. At the first row it cannot prove, the
-    whole text (the pieces written, read back, this piece and the rest) goes to the decoder,
-    which words the refusal (:func:`_unspelled`)."""
-    pieces = iter([trace] if isinstance(trace, str) else trace)
-    text_gate, staged = _TextGate(head), 0
-    with path.open("wb") as out:
-        for piece in pieces:
-            if (tick := text_gate.feed(piece)) is not None:
-                break
-            out.write(block := piece.encode("utf-8"))
-            hasher.update(block)
-            staged += len(block)
-        else:
-            if (tick := text_gate.close(count)) is None:
-                return
-            piece = ""
-    raise _unspelled(head, count, chain(line_blocks(path, staged), [piece], pieces), f"tick {tick}: a row")
-
-
 def dataset_digest(dataset: SessionDataset) -> str:
     """SHA-256 of the canonical encoding: the meta block, then the trace CSV."""
     return hashlib.sha256("".join(encode_dataset(dataset)).encode("utf-8")).hexdigest()
@@ -485,6 +479,150 @@ def _fsync_path(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+class _Upload:
+    """An upload in push form (:meth:`EdgeStore.begin_upload`). Each piece of its trace goes to
+    one stage, in turn:
+
+    * compare: while the meta block and the trace so far are a stored session's files byte for
+      byte, the pieces are hashed, and at the end acknowledged unproved if the trace ended where
+      the stored one does and the hash is its ``digest.txt``;
+    * stage: each piece is proved by :class:`_TextGate`, then its received bytes are hashed and
+      written to a staging directory, so nothing is re-encoded; :meth:`finish` commits them;
+    * refuse: once the text cannot be proved, or its meta block is not the one the encoder writes
+      for its values, the decoder takes the trace, and words the refusal.
+
+    When the stage changes, the next one is fed the trace so far first, read back from the
+    stored or staged file (those bytes are the ones received): a catch-up, held back in
+    :attr:`backlog` and fed a piece at a time by :meth:`step`, before any later piece. Only the
+    commit holds the store's lock."""
+
+    def __init__(self, store: EdgeStore, meta: str, values: dict[str, Any], head: SessionDataset):
+        self.store, self.head, self.count = store, head, values[_COUNT_KEY]
+        self.session_dir = store._session_dir(head.session_id)
+        self.meta = meta.encode("utf-8", "surrogatepass")
+        self.canonical = meta == format_meta({key: fmt_value(value) for key, value in values.items()})
+        self.file = self.stored_digest = self.tmp_dir = self.gate = self.decoder = None
+        self.hasher, self.size = hashlib.sha256(self.meta), 0  # the trace's bytes hashed so far
+        self.backlog: deque[Iterator[str]] = deque()  # pieces held back, to feed in this order
+        try:
+            if (self.session_dir / META_FILENAME).read_bytes() == self.meta:
+                self.stored_digest = (self.session_dir / EdgeStore.DIGEST_FILENAME).read_bytes().strip()
+                self.file = (self.session_dir / TRACE_FILENAME).open("rb")
+                return
+        except OSError:  # none stored, or a stored file cannot be opened: decided as a new upload is
+            pass
+        try:
+            self._begin()
+        except BaseException:
+            self.discard()
+            raise
+
+    def step(self) -> None:
+        """Feed the stage one piece of the backlog."""
+        piece = next(self.backlog[0], None)
+        if piece is None:
+            self.backlog.popleft()
+        else:
+            self.feed(piece)
+
+    def catch_up(self) -> None:
+        while self.backlog:
+            self.step()
+
+    def feed(self, piece: str) -> None:
+        """Take the trace's next piece, which ends at a line end, once the backlog is fed."""
+        if self.decoder is not None:
+            self.decoder.feed(piece)
+        elif self.stored_digest is not None:
+            sent = piece.encode("utf-8", "surrogatepass")
+            if self.file.read(len(sent)) != sent:
+                return self._unmatched(piece)
+            self.hasher.update(sent)
+            self.size += len(sent)
+        else:
+            if (tick := self.gate.feed(piece)) is not None:
+                return self._refuse(f"tick {tick}: a row", [piece])
+            self.file.write(block := piece.encode("utf-8"))
+            self.hasher.update(block)
+            self.size += len(block)
+
+    def _unmatched(self, *pieces: str) -> None:
+        """Not the stored dataset: decide the upload as a new one, from the trace sent so far."""
+        self.file.close()
+        self._begin(chain(line_blocks(self.session_dir / TRACE_FILENAME, self.size), pieces))
+
+    def _begin(self, held: Iterable[str] = ()) -> None:
+        """Stage the upload, or refuse it if its meta block is not the encoder's; the trace sent
+        so far, ``held``, goes first in the backlog."""
+        self.stored_digest, self.hasher, self.size = None, hashlib.sha256(self.meta), 0
+        if not self.canonical:
+            return self._refuse("the meta block", held)
+        self.tmp_dir = self.store.data_dir / f"+tmp-{uuid.uuid4().hex}"  # no session id has a '+'
+        self.tmp_dir.mkdir()
+        (self.tmp_dir / META_FILENAME).write_bytes(self.meta)
+        self.gate, self.file = _TextGate(self.head), (self.tmp_dir / TRACE_FILENAME).open("wb")
+        if held:
+            self.backlog.appendleft(iter(held))
+
+    def _refuse(self, what: str, held: Iterable[str]) -> None:
+        """Hand the trace to the decoder: the pieces staged so far, read back, then ``held`` go
+        first in the backlog. If it refuses nothing, the refusal is that ``what`` is not spelled
+        as the encoder writes it."""
+        self.what, self.decoder = what, _Decoder(self.head, self.count)
+        if self.tmp_dir is not None:
+            self.file.close()
+            held = chain(line_blocks(self.tmp_dir / TRACE_FILENAME, self.size), held)
+        if held:
+            self.backlog.appendleft(iter(held))
+
+    def finish(self) -> UploadReceipt | None:
+        """After the last piece, with the backlog fed: the receipt, once the dataset is durable
+        and indexed; the refusal, raised; or None once an end check has filled the backlog
+        (feed it, then finish again)."""
+        store, session_id = self.store, self.head.session_id
+        if self.stored_digest is not None:
+            with self.file:
+                ended = not self.file.read(1)
+            if ended and self.hasher.hexdigest().encode("utf-8") == self.stored_digest:
+                with store._lock:  # the stored dataset, sent again byte for byte
+                    if session_id not in store._summaries:
+                        store._append_index(self.head)
+                return UploadReceipt(session_id, self.count)
+            return self._unmatched()
+        if self.decoder is None and (tick := self.gate.close(self.count)) is not None:
+            return self._refuse(f"tick {tick}: a row", ())
+        if self.decoder is not None:
+            self.decoder.close()
+            raise ValidationFailed(f"{self.what} is not spelled as the encoder writes it")
+        self.file.close()
+        digest, tmp_dir = self.hasher.hexdigest(), self.tmp_dir
+        (tmp_dir / store.DIGEST_FILENAME).write_bytes((digest + "\n").encode("utf-8"))
+        for name in (META_FILENAME, TRACE_FILENAME, store.DIGEST_FILENAME):
+            _fsync_path(tmp_dir / name)
+        with store._lock:
+            if self.session_dir.exists():
+                # checked as GET checks it: a stored session GET refuses is not acknowledged
+                if store._verified(session_id)[1] != digest:
+                    raise ConflictingSession(f"session {session_id} already stored with different content")
+                # stored, but the index append after the rename failed or never ran
+                if session_id not in store._summaries:
+                    store._append_index(self.head)
+            else:
+                tmp_dir.rename(self.session_dir)
+                _fsync_path(store.data_dir)
+                store._append_index(self.head)
+        return UploadReceipt(session_id, self.count)
+
+    def discard(self) -> None:
+        """Drop the backlog, close the file the upload holds open and remove its staging
+        directory; after a commit, nothing is left to remove."""
+        self.backlog.clear()
+        if self.file is not None:
+            self.file.close()
+        if self.tmp_dir is not None:
+            shutil.rmtree(self.tmp_dir, ignore_errors=True)
 
 
 class EdgeStore:
@@ -530,79 +668,27 @@ class EdgeStore:
 
     def upload(self, meta: str, trace: str | Iterable[str]) -> UploadReceipt:
         """Check, persist durably and acknowledge a ``meta.txt`` text and a trace text or its
-        pieces as they arrive. The meta block must be the one the encoder writes for its values;
-        each piece is proved by :class:`_TextGate`, then its received bytes are hashed and staged
-        (:func:`_stage_trace`), so nothing is re-encoded; a text the pass cannot prove is decided
-        by the decoder. Idempotent per digest; a stored dataset sent again byte for byte is
-        acknowledged unproved (:meth:`_unmatched`).
-        Only the commit, after the trace is read, holds the store's lock."""
-        values, head = _head(parse_meta(meta))
-        count = values[_COUNT_KEY]
-        session_dir = self._session_dir(head.session_id)
-        if session_dir.exists() and (trace := self._unmatched(session_dir, meta, trace)) is None:
-            with self._lock:  # the stored dataset, sent again byte for byte
-                if head.session_id not in self._summaries:
-                    self._append_index(head)
-            return UploadReceipt(head.session_id, count)
-        if meta != format_meta({key: fmt_value(value) for key, value in values.items()}):
-            raise _unspelled(head, count, trace, "the meta block")
-        meta_bytes = meta.encode("utf-8")
-        hasher = hashlib.sha256(meta_bytes)
-        tmp_dir = self.data_dir / f"+tmp-{uuid.uuid4().hex}"  # no session id has a '+'
+        pieces as they arrive: :meth:`begin_upload`'s push form, fed each piece in turn."""
+        upload = self.begin_upload(meta, *_head(parse_meta(meta)))
         try:
-            tmp_dir.mkdir()
-            (tmp_dir / META_FILENAME).write_bytes(meta_bytes)
-            _stage_trace(head, count, trace, tmp_dir / TRACE_FILENAME, hasher)
-            digest = hasher.hexdigest()
-            (tmp_dir / self.DIGEST_FILENAME).write_bytes((digest + "\n").encode("utf-8"))
-            for name in (META_FILENAME, TRACE_FILENAME, self.DIGEST_FILENAME):
-                _fsync_path(tmp_dir / name)
-            with self._lock:
-                if session_dir.exists():
-                    stored = (session_dir / self.DIGEST_FILENAME).read_text(encoding="utf-8")
-                    if stored.strip() != digest:
-                        raise ConflictingSession(
-                            f"session {head.session_id} already stored with different content"
-                        )
-                    # stored, but the index append after the rename failed or never ran
-                    if head.session_id not in self._summaries:
-                        self._append_index(head)
-                else:
-                    tmp_dir.rename(session_dir)
-                    _fsync_path(self.data_dir)
-                    self._append_index(head)
-        finally:  # a refused or failed upload's; gone already once committed
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-        return UploadReceipt(head.session_id, count)
+            for piece in _pieces(trace):
+                upload.feed(piece)
+                upload.catch_up()
+            while (receipt := upload.finish()) is None:
+                upload.catch_up()
+            return receipt
+        finally:
+            upload.discard()
 
-    def _unmatched(self, session_dir: Path, meta: str, trace: str | Iterable[str]):
-        """``None`` if ``meta`` and ``trace``'s pieces, compared as they are taken, are the stored
-        ``meta.txt`` and ``trace.csv`` byte for byte and hash to ``digest.txt``; else the trace
-        as sent, to decode, the pieces that matched read back from the stored file."""
-        pieces = iter([trace] if isinstance(trace, str) else trace)
-        path, sent = session_dir / TRACE_FILENAME, meta.encode("utf-8", "surrogatepass")
-        try:
-            if (session_dir / META_FILENAME).read_bytes() != sent:
-                return pieces
-            digest = (session_dir / self.DIGEST_FILENAME).read_bytes()
-            stored = path.open("rb")
-        except OSError:  # decided as a new upload is: by the digest of the decoded dataset
-            return pieces
-        hasher, matched = hashlib.sha256(sent), 0
-        with stored:
-            for piece in pieces:
-                sent = piece.encode("utf-8", "surrogatepass")
-                if stored.read(len(sent)) != sent:
-                    return chain(line_blocks(path, matched), [piece], pieces)
-                hasher.update(sent)
-                matched += len(sent)
-            if not stored.read(1) and hasher.hexdigest().encode("utf-8") == digest.strip():
-                return None
-        return line_blocks(path, matched)
+    def begin_upload(self, meta: str, values: dict[str, Any], head: SessionDataset) -> _Upload:
+        """The upload of a ``meta.txt`` text, parsed as ``values`` and ``head`` (:func:`_head`),
+        in push form: feed it the trace's pieces as they arrive, finish it for the receipt, and
+        discard it in any case."""
+        return _Upload(self, meta, values, head)
 
-    def get(self, session_id: str) -> tuple[str, Iterator[bytes]]:
-        """The stored ``meta.txt`` text and ``trace.csv``'s blocks, once both hash to ``digest.txt``
-        (else :class:`CorruptSession`); the blocks are read as taken: no commit is rewritten."""
+    def _verified(self, session_id: str) -> tuple[bytes, str]:
+        """A stored session's ``meta.txt`` bytes and digest, once its ``meta.txt`` and
+        ``trace.csv`` hash to ``digest.txt`` (else :class:`CorruptSession`)."""
         session_dir = self._session_dir(session_id)
         meta_path = session_dir / META_FILENAME
         if not meta_path.exists():
@@ -614,7 +700,13 @@ class EdgeStore:
         stored = (session_dir / self.DIGEST_FILENAME).read_text(encoding="utf-8").strip()
         if hasher.hexdigest() != stored:
             raise CorruptSession(f"session {session_id} does not match its stored digest")
-        return meta.decode("utf-8"), _file_blocks(session_dir / TRACE_FILENAME)
+        return meta, stored
+
+    def get(self, session_id: str) -> tuple[str, Iterator[bytes]]:
+        """The stored ``meta.txt`` text and ``trace.csv``'s blocks, once both hash to ``digest.txt``
+        (:meth:`_verified`); the blocks are read as taken: no commit is rewritten."""
+        meta, _ = self._verified(session_id)
+        return meta.decode("utf-8"), _file_blocks(self._session_dir(session_id) / TRACE_FILENAME)
 
     def list(self) -> list[SessionSummary]:
         """The indexed sessions in upload order."""
@@ -670,46 +762,126 @@ def _storage_errors():
         raise StorageError(str(exc)) from exc
 
 
+# the errors an edge request is refused with, in one ERR line
+_REFUSALS = (ValueError, EnergyShareError)
+
+
+class _UploadBlock:
+    """An UPLOAD's dataset block, read as its bytes arrive (see :meth:`LineServer._answer`): the
+    meta block, parsed once, then the trace, fed to the store's upload a piece at a time, each
+    piece the whole lines the connection holds. A refusal is answered at the block's ``END``,
+    which is read to, so that what follows is read as requests. A line that is not UTF-8, or a
+    meta block of more lines than there are meta keys (none of which can be valid), raises at
+    once, and the connection closes."""
+
+    def __init__(self, store: EdgeStore, header: str):
+        self.store, self.header = store, header  # the UPLOAD line's session id and record count
+        self.meta: list[bytes] | None = []  # the meta block's lines, until its blank line
+        self.upload: _Upload | None = None
+        self.refused: Exception | None = None  # the reply at END
+        self.ended = False  # END was read
+
+    @property
+    def busy(self) -> bool:
+        """Whether the upload has a backlog to feed, a piece each :meth:`take`, before it
+        takes more input."""
+        return self.upload is not None and bool(self.upload.backlog)
+
+    def take(self, data: bytearray, eof: bool) -> str | None:
+        """Use the whole lines ``data`` holds, and delete them: the reply once the block's
+        ``END`` is read and the upload finished, else None. ``eof``: the client sends nothing
+        more. While :attr:`busy`, feed one piece of the backlog instead."""
+        if self.busy:
+            self._refusing(self.upload.step)
+            if self.busy:
+                return None
+        if self.ended:
+            return self._end()
+        while self.meta is not None:
+            cut = data.find(b"\n") + 1
+            if not (cut or eof):
+                return None
+            line = bytes(data[:cut or len(data)])
+            del data[:len(line)]
+            if line in (b"\n", b"END\n", b"END"):
+                meta, self.meta = b"".join(self.meta).decode("utf-8"), None
+                self._refusing(self._check, meta)
+                if line != b"\n":  # the block ends before its blank line
+                    self.ended = True
+                    return self._end()
+            elif not cut:
+                raise ValueError("connection closed before END terminator")
+            elif len(self.meta) == len(_META):
+                raise TooLong(f"a meta block of more than {len(_META)} lines")
+            else:
+                self.meta.append(line)
+        held = b"\n" + data  # a line starts where data does
+        end = held.find(b"\nEND\n")
+        if end < 0 and eof:
+            if not held.endswith(b"\nEND"):
+                data.clear()  # the rest of the block: not requests
+                raise ValueError("connection closed before END terminator")
+            end = len(data) - 3
+        used = end if end >= 0 else data.rfind(b"\n") + 1
+        piece = data[:used].decode("utf-8")
+        del data[:used + 4 if end >= 0 else used]
+        if piece and self.refused is None:
+            self._refusing(self.upload.feed, piece)
+        self.ended = end >= 0
+        return self._end() if self.ended and not self.busy else None
+
+    def _check(self, meta: str) -> None:
+        values, head = _head(parse_meta(meta))
+        if self.header != f"{head.session_id} {values[_COUNT_KEY]}":
+            raise ValueError("header session_id and record_count do not match the dataset")
+        self.upload = self.store.begin_upload(meta, values, head)
+
+    def _refusing(self, step, *args) -> None:
+        """``step(*args)``; a refusal it raises is kept for the reply at END, and the upload
+        discarded at once."""
+        try:
+            with _storage_errors():
+                step(*args)
+        except _REFUSALS as exc:
+            self.refused = exc
+            self.close()
+
+    def _end(self) -> str | None:
+        if self.refused is not None:
+            raise self.refused
+        with _storage_errors():
+            receipt = self.upload.finish()
+        return receipt and f"OK {receipt.session_id} {receipt.record_count}"
+
+    def close(self) -> None:
+        """Discard the upload, committed or not (see :meth:`_Upload.discard`)."""
+        if self.upload is not None:
+            self.upload.discard()
+
+
 class EdgeServer(LineServer):
     """Line-framed TCP front of an :class:`EdgeStore`."""
 
     thread_name = "edge"
-    handled_errors = (ValueError, EnergyShareError)
+    handled_errors = _REFUSALS
 
     def __init__(self, store: EdgeStore, host: str = LOOPBACK_HOST, port: int = 0):
         self.store = store
         super().__init__(host, port)
 
-    def _handle(self, line: str, reader, writer) -> str | None:
+    def _handle(self, line: str) -> str | Iterator[bytes] | _UploadBlock:
         command, _, rest = line.partition(" ")
         if command == "UPLOAD":
-            block = _read_block(reader)
-            try:
-                meta = next(block)
-                values, head = _head(parse_meta(meta))
-                if rest != f"{head.session_id} {values[_COUNT_KEY]}":
-                    raise ValueError("header session_id and record_count do not match the dataset")
-                with _storage_errors():
-                    receipt = self.store.upload(meta, block)
-            finally:
-                deque(block, maxlen=0)  # a block refused part-way is still read to its END
-            return f"OK {receipt.session_id} {receipt.record_count}"
+            return _UploadBlock(self.store, rest)
         if command == "LIST":
-            for summary in self.store.list():
-                writer.write(write_line("SUMMARY", *summary) + "\n")
-            return "END"
+            return "".join(write_line("SUMMARY", *summary) + "\n" for summary in self.store.list()) + "END"
         if command == "GET":
             session_id = rest.strip()
             with _storage_errors():
                 meta, trace = self.store.get(session_id)
             header = f"DATASET {session_id} {parse_meta(meta)[_COUNT_KEY]}"
-            *before, _, after = _dataset_block(header, meta, ("",))  # the trace goes between
-            writer.writelines(before)
-            writer.flush()
-            for block in trace:  # the stored bytes, with no str copy
-                writer.buffer.write(block)
-            writer.write(after)
-            return None
+            # the stored bytes, with no str copy, a block read as the socket takes the last
+            return chain([f"{header}\n{meta}\n".encode("utf-8")], trace, [b"END\n"])
         raise ValueError(f"unknown command {command!r}")
 
 

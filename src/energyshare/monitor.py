@@ -157,28 +157,39 @@ def trace_csv_blocks(pairs: Sequence[tuple[MonitorRecord, MonitorRecord]]) -> It
 
 
 def records_from_csv_text(trace: str | Iterable[str]) -> list[MonitorRecord]:
-    """Every record of a trace CSV, in one list (see :func:`record_blocks`)."""
-    return list(chain.from_iterable(record_blocks(trace)))
+    """Every record of a trace CSV text or its pieces, in one list (see :class:`RecordReader`)."""
+    reader = RecordReader()
+    records = list(chain.from_iterable(map(reader.feed, [trace] if isinstance(trace, str) else trace)))
+    reader.close()
+    return records
 
 
-def record_blocks(trace: str | Iterable[str]) -> Iterator[list[MonitorRecord]]:
-    """Parse trace CSV: the canonical header, then rows of 8 fields with their numbers.
+class RecordReader:
+    """Trace CSV read as it arrives: the canonical header, then rows of 8 fields with their numbers.
 
-    ``trace`` is a trace's text, or its pieces as they arrive, each ending at
-    a line end (a connection's lines, a file's blocks of lines); each piece
-    is split with ``str.splitlines`` and its rows are yielded as one list,
-    so the rows are the same either way.
-    Rows share one object per distinct session id, device id and role, and
-    a row whose tick or time text is the previous row's reuses its number.
-    A row is read as it is written; the edge's one decoder checks its facts, a piece at a time.
+    Each piece fed ends at a line end (a connection's lines, a file's blocks of lines); it is split
+    with ``str.splitlines`` and its rows are given as one list, so the rows are the same however
+    the text is cut. Rows share one object per distinct session id, device id and role, and a row
+    whose tick or time text is the previous row's reuses its number. A row is read as it is
+    written; the edge's one decoder checks its facts, a piece at a time.
     """
-    pieces = map(str.splitlines, [trace] if isinstance(trace, str) else trace)
-    first = next((rows for rows in pieces if rows), [None])  # the piece the header opens
-    if first[0] != TRACE_HEADER:
-        raise ValueError("trace CSV must start with the canonical header")
-    new, share = tuple.__new__, {}.setdefault
-    tick_text = wall_text = None
-    for rows in chain([islice(first, 1, None)], pieces):
+
+    def __init__(self) -> None:
+        self.header = True  # the header is still to come
+        self.share = {}.setdefault
+        self.tick = self.wall = (None, None)  # the last row's tick and time: text and number
+
+    def feed(self, piece: str) -> list[MonitorRecord]:
+        """The records of ``piece``'s rows; ``ValueError`` naming a row that does not read."""
+        rows = piece.splitlines()
+        if self.header:
+            if not rows:
+                return []
+            self.header = rows[0] != TRACE_HEADER
+            self.close()  # raises unless that was the header
+            rows = islice(rows, 1, None)
+        new, share = tuple.__new__, self.share
+        (tick_text, tick_index), (wall_text, wall_time_s) = self.tick, self.wall
         records: list[MonitorRecord] = []
         append = records.append
         for row in rows:
@@ -195,7 +206,13 @@ def record_blocks(trace: str | Iterable[str]) -> Iterator[list[MonitorRecord]]:
                 )))
             except ValueError as exc:  # not 8 fields, or a number that does not read
                 raise ValueError(f"trace row {row!r}: {exc}") from None
-        yield records
+        self.tick, self.wall = (tick_text, tick_index), (wall_text, wall_time_s)
+        return records
+
+    def close(self) -> None:
+        """After the last piece: ``ValueError`` unless the canonical header came first."""
+        if self.header:
+            raise ValueError("trace CSV must start with the canonical header")
 
 
 def pairs_from_records(

@@ -11,6 +11,10 @@ Two interchangeable transports stand in for the short-range radio link:
   and registry entry. All of its sockets sit in one selector, read by
   :meth:`TcpTransport.poll` on the caller's thread.
 
+The registry server, and the edge service in ``edge``, are each a
+:class:`LineServer`: one selector loop, on one thread, accepts, reads and
+answers every connection, with no thread per connection.
+
 Devices are addressed by id: ``send(frm_id, to, msg)``, ``receive``,
 ``advertise`` and ``discover`` name the registered device they act for.
 
@@ -28,10 +32,11 @@ from __future__ import annotations
 import random
 import selectors
 import socket
+import sys
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 from .battery import Technology
@@ -167,7 +172,7 @@ class Registry:
 
     Registering or advertising an id again from the same address updates
     it; from another address it is :class:`DuplicateDevice`. Not
-    thread-safe: :class:`RegistryServer` calls it under its lock.
+    thread-safe: :class:`RegistryServer` calls it from its one thread.
     """
 
     def __init__(self) -> None:
@@ -307,19 +312,53 @@ def parse_addr(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class LineServer:
-    """A listening socket with one accept thread and one thread per connection.
+class TooLong(ValueError):
+    """A request line or block longer than a server holds: answered ``ERR Malformed``, and
+    the connection closed, without reading it on."""
 
-    Subclasses answer each non-blank request line in ``_handle(line,
-    reader, writer)``, which may read on from ``reader``, the connection's
-    binary stream, and returns the reply text, or None once it wrote the
-    reply to ``writer`` itself. Replies go out through their own stream, so
-    writing one keeps the requests a client sent ahead; they are answered
-    in order. An exception of a type in :attr:`handled_errors` is answered
-    with one ``ERR`` line (see :meth:`_error_reply`); an ``OSError`` ends
-    the connection. A request line that is not UTF-8, or such a byte in what
-    ``_handle`` reads on, is answered ``ERR Malformed`` after every request
-    before it, and ends the connection.
+
+class _Connection:
+    """One client connection of a :class:`LineServer`: what it sent that is not yet used, the
+    reply being sent, and the block being read."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.inbox = bytearray()  # bytes received and not yet used: at most a line part-way
+        self.out = bytearray()  # reply bytes not yet sent
+        self.reply: Iterator[bytes] | None = None  # the rest of a reply streamed as it is sent
+        self.block: Any = None  # what reads the block that follows a request, until its end
+        self.events = selectors.EVENT_READ
+        self.eof = False  # the client sends nothing more
+        self.closing = False  # after the replies queued, the connection closes unread
+
+    def close(self) -> None:
+        self.sock.close()
+        if self.block is not None:
+            self.block.close()
+
+
+class LineServer:
+    """A listening socket whose connections one selector loop serves, on one thread.
+
+    The loop accepts connections, reads what each sends, splits it into request lines and
+    answers each non-blank one with ``_handle(line)``'s reply, in order: the reply text (one
+    or more lines, the last without its newline); an iterator of the reply's bytes, sent a
+    part at a time as the socket takes them; or the reader of a block that follows the line,
+    whose ``take(data, eof)`` uses the whole lines of the bytes received, deleting them, and
+    gives the reply once the block has ended, and whose ``close()`` ends it in any case. While
+    the reader is ``busy``, with work to do that needs no input, the loop reads nothing more
+    from its connection and calls ``take`` once a turn, between other connections' events.
+    A connection's next request is read only once the reply before it is sent, so replies
+    leave in request order and a client that does not read holds back only its own requests.
+    A client may close its sending side after its last request: each request it sent, the
+    last line even without its newline, is still answered before the connection closes.
+
+    An exception of a type in :attr:`handled_errors` is answered with one ``ERR`` line (see
+    :meth:`_error_reply`). A request line that is not UTF-8, or such a byte in a block, or a
+    line longer than ``READ_SIZE`` bytes (:class:`TooLong`), is answered ``ERR Malformed``
+    after every request before it, and ends the connection, since what follows cannot be told
+    apart; a connection holds at most one line part-way. A reset, or any other fault, ends
+    only its connection.
     """
 
     thread_name: str
@@ -327,32 +366,135 @@ class LineServer:
 
     def __init__(self, host: str = LOOPBACK_HOST, port: int = 0):
         self._server = socket.create_server((host, port))
+        self._server.setblocking(False)
         self.address = f"{host}:{self._server.getsockname()[1]}"
-        self._thread = threading.Thread(
-            target=self.serve_forever, name=f"{self.thread_name}-accept", daemon=True
-        )
+        self._wake, self._waker = socket.socketpair()  # stop() writes to one to wake the loop
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._server, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
+        self._stopped = False
+        self._busy: set[_Connection] = set()  # connections whose block reader is busy
+        self._thread = threading.Thread(target=self.serve_forever, name=self.thread_name, daemon=True)
 
     def start(self) -> "LineServer":
+        """Run :meth:`serve_forever` on the server's one thread."""
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        # on Linux close() alone leaves accept() blocked; shutdown() wakes it
+        """Wake the loop and join its thread; every connection and the listener are closed."""
+        self._stopped = True
         try:
-            self._server.shutdown(socket.SHUT_RDWR)
-        except OSError:
+            self._waker.send(b"\0")
+        except OSError:  # closed already: the loop ended
             pass
-        self._server.close()
+        if self._thread.is_alive():
+            self._thread.join()
+        self._close()
 
     def serve_forever(self) -> None:
-        while True:  # ends when stop() closes the listener
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
+        """Serve every connection until :meth:`stop`."""
+        try:
+            while not self._stopped:
+                for key, _ in self._selector.select(0 if self._busy else None):
+                    if key.data is not None:
+                        self._serve(key.data)
+                    elif key.fileobj is self._server:
+                        self._accept()
+                for conn in list(self._busy):
+                    self._serve(conn)
+        finally:
+            self._close()
+
+    def _close(self) -> None:
+        # a closed selector's map is None: a second close finds nothing left to close
+        for key in list((self._selector.get_map() or {}).values()):
+            (key.data or key.fileobj).close()
+        self._selector.close()
+        self._waker.close()
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._server.accept()
+        except OSError:  # the client reset it first, or no descriptor is left: the loop goes on
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._selector.register(sock, selectors.EVENT_READ, _Connection(sock))
+
+    def _serve(self, conn: _Connection) -> None:
+        """Take in what ``conn`` sent, or send on its reply; then answer what it can."""
+        try:
+            if conn.events == selectors.EVENT_READ and conn not in self._busy:
+                data = conn.sock.recv(READ_SIZE - len(conn.inbox))  # so a line holds at most READ_SIZE
+                conn.inbox += data
+                conn.eof = not data
+            self._send(conn)
+            self._answer(conn)
+        except Exception as exc:  # a reset, a client gone, or a fault: only this connection ends
+            if not isinstance(exc, OSError):  # a fault, reported as an uncaught one would be
+                sys.excepthook(type(exc), exc, exc.__traceback__)
+            conn.closing, conn.out = True, bytearray()
+        busy = conn.block is not None and conn.block.busy and not conn.closing
+        (self._busy.add if busy else self._busy.discard)(conn)
+        if not conn.out and not busy and (conn.eof or conn.closing):
+            self._selector.unregister(conn.sock)
+            conn.close()
+        elif conn.events != (events := selectors.EVENT_WRITE if conn.out else selectors.EVENT_READ):
+            conn.events = events
+            self._selector.modify(conn.sock, events, conn)
+
+    def _send(self, conn: _Connection) -> None:
+        """Send the reply as far as the socket takes it; a streamed reply's next part is made
+        only once less than ``READ_SIZE`` bytes of it wait."""
+        out = conn.out
+        while True:
+            while conn.reply is not None and len(out) < READ_SIZE:
+                part = next(conn.reply, None)
+                if part is None:
+                    conn.reply = None
+                else:
+                    out += part
+            if not out:
                 return
-            threading.Thread(
-                target=self._serve, args=(conn,), name=f"{self.thread_name}-conn", daemon=True
-            ).start()
+            try:
+                del out[:conn.sock.send(out)]
+            except BlockingIOError:
+                return
+
+    def _answer(self, conn: _Connection) -> None:
+        """Answer the requests ``conn`` sent, in order, while no reply waits to be sent."""
+        inbox = conn.inbox
+        while not (conn.out or conn.closing):
+            try:
+                if conn.block is not None:
+                    reply = conn.block.take(inbox, conn.eof)
+                elif cut := inbox.find(b"\n") + 1 or conn.eof and len(inbox):
+                    line = inbox[:cut].decode("utf-8").strip()
+                    del inbox[:cut]
+                    reply = self._handle(line) if line else None
+                    if not isinstance(reply, (str, Iterator)):
+                        conn.block = reply  # what reads the block that follows, if any
+                        continue
+                else:
+                    reply = None
+                if reply is None:  # the rest of a line is still to come
+                    if len(inbox) == READ_SIZE:
+                        raise TooLong(f"a line longer than {READ_SIZE} bytes with its newline")
+                    return
+            except (UnicodeDecodeError, TooLong) as exc:
+                # a line that is not UTF-8 or too long leaves no way to tell where the next one starts
+                reply, conn.closing = self._error_reply(exc), True
+            except self.handled_errors as exc:
+                reply = self._error_reply(exc)
+            if conn.block is not None:  # it has ended
+                conn.block.close()
+                conn.block = None
+            if isinstance(reply, str):
+                conn.out += (reply + "\n").encode("utf-8")
+            else:
+                conn.reply = reply
+            self._send(conn)
 
     @staticmethod
     def _error_reply(exc: Exception) -> str:
@@ -370,31 +512,6 @@ class LineServer:
         error = {cls.__name__: cls for cls in known}.get(code) if tag == "ERR" else None
         return error(detail) if error else other(reply or "connection closed mid-response")
 
-    def _serve(self, conn: socket.socket) -> None:
-        try:
-            reader = conn.makefile("rb")
-            writer = conn.makefile("w", encoding="utf-8", newline="\n")
-            with conn, reader, writer:
-                try:
-                    for raw in reader:
-                        line = raw.decode("utf-8").strip()
-                        if not line:
-                            continue
-                        try:
-                            reply = self._handle(line, reader, writer)
-                        except UnicodeDecodeError:
-                            raise
-                        except self.handled_errors as exc:
-                            reply = self._error_reply(exc)
-                        if reply is not None:
-                            writer.write(reply + "\n")
-                        writer.flush()
-                except UnicodeDecodeError as exc:
-                    # a line that is not UTF-8 leaves no way to tell what the next one is
-                    writer.write(self._error_reply(exc) + "\n")
-        except OSError:
-            return
-
 
 class RegistryServer(LineServer):
     """Discovery registry for the TCP transport (the confined-area lookup).
@@ -402,8 +519,8 @@ class RegistryServer(LineServer):
     One command per line, a ``REGISTER``, ``ADVERTISE``, ``DISCOVER`` or
     ``RESOLVE`` line of :data:`LINES`. Responses are ``OK`` / ``ERR <code>
     <detail>``; DISCOVER answers with one ``ADVERT`` line per advert followed
-    by ``END``; RESOLVE answers ``ADDR <host:port>``. All updates happen under
-    one lock, so a DISCOVER snapshot never sees a half-applied advert.
+    by ``END``; RESOLVE answers ``ADDR <host:port>``. One thread answers every
+    command, one at a time, so a DISCOVER snapshot never sees a half-applied advert.
     """
 
     thread_name = "registry"
@@ -411,31 +528,24 @@ class RegistryServer(LineServer):
 
     def __init__(self) -> None:
         self._registry = Registry()
-        self._lock = threading.Lock()
         super().__init__()
 
-    def _handle(self, line: str, reader, writer) -> str:
+    def _handle(self, line: str) -> str:
         command, fields = read_line(line)
         if command in ("REGISTER", "ADVERTISE"):
             addr = fields.pop("addr")
             parse_addr(addr)  # an address RESOLVE could not hand on is refused, not stored
-            with self._lock:
-                if command == "REGISTER":
-                    self._registry.register(fields["device_id"], addr)
-                else:
-                    self._registry.advertise(addr, _advert(**fields))
+            if command == "REGISTER":
+                self._registry.register(fields["device_id"], addr)
+            else:
+                self._registry.advertise(addr, _advert(**fields))
             return "OK"
         if command == "DISCOVER":
-            adverts = (write_line("ADVERT", *_advert_values(a)) + "\n" for a in self.snapshot())
+            adverts = (write_line("ADVERT", *_advert_values(a)) + "\n" for a in self._registry.discover())
             return "".join(adverts) + "END"
         if command == "RESOLVE":
-            with self._lock:
-                return f"ADDR {self._registry.resolve(fields['device_id'])}"
+            return f"ADDR {self._registry.resolve(fields['device_id'])}"
         raise ValueError(f"unknown command {command!r}")
-
-    def snapshot(self) -> list[ProviderAdvert]:
-        with self._lock:
-            return self._registry.discover()
 
 
 def exchange(addr: tuple[str, int], request: Iterable[str], read: Callable[[Any], Any],

@@ -53,15 +53,15 @@ def stored_dataset(store: EdgeStore, session_id: str) -> SessionDataset:
 
 @pytest.fixture
 def decodes(monkeypatch):
-    """The names of the decoding steps ``edge`` runs, in order: each ``_Gate`` or ``_TextGate``
-    built and each call of ``record_blocks``, ``records_from_csv_text`` or ``validate_dataset``."""
+    """The names of the decoding steps ``edge`` runs, in order: each ``_Gate``, ``_TextGate`` or
+    ``RecordReader`` built and each call of ``records_from_csv_text`` or ``validate_dataset``."""
     calls = []
 
-    def counted_gate(name: str):
+    def counted_class(name: str):
         class Counted(getattr(edge, name)):
-            def __init__(self, head):
+            def __init__(self, *args):
                 calls.append(name)
-                super().__init__(head)
+                super().__init__(*args)
 
         return Counted
 
@@ -74,8 +74,8 @@ def decodes(monkeypatch):
 
         return call
 
-    for name in ("_Gate", "_TextGate"):
-        monkeypatch.setattr(edge, name, counted_gate(name))
-    for name in ("record_blocks", "records_from_csv_text", "validate_dataset"):
+    for name in ("_Gate", "_TextGate", "RecordReader"):
+        monkeypatch.setattr(edge, name, counted_class(name))
+    for name in ("records_from_csv_text", "validate_dataset"):
         monkeypatch.setattr(edge, name, counted(name))
     return calls

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import re
+import selectors
 import shutil
 import socket
 import string
@@ -263,7 +264,7 @@ def test_a_retry_spelled_otherwise_after_a_failed_index_append_is_decoded_and_re
     meta = meta.replace("efficiency = 0.8\n", "efficiency = 0.80\n")
     with pytest.raises(ValidationFailed, match=f"^the meta block {UNSPELLED}$"):
         store.upload(meta, trace)
-    assert decodes == ["_Gate", "record_blocks"]
+    assert decodes == ["_Gate", "RecordReader"]
     assert store.list() == EdgeStore(tmp_path / "data").list() == []
     assert stored_dataset(store, "ses-r1") == dataset
 
@@ -665,10 +666,10 @@ def test_unknown_command_gets_err_reply(served_store):
 def test_upload_storage_failure_gets_err_reply(served_store, monkeypatch):
     store, server, _ = served_store
 
-    def full_disk(meta, trace):
+    def full_disk(meta, values, head):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(store, "upload", full_disk)
+    monkeypatch.setattr(store, "begin_upload", full_disk)
     upload = dataset_block("UPLOAD ses-r1 5", build_dataset())
     reply = raw_exchange(server.address, upload)
     assert reply.startswith("ERR StorageError ")
@@ -1149,6 +1150,14 @@ def test_get_returns_only_the_dataset_it_asked_for(session_id, header):
                 client.get("ses-asked")
 
 
+def test_get_refuses_a_dataset_block_that_ends_before_its_trace():
+    """A reply whose block has its meta block and ``END``, but no blank line and no trace."""
+    dataset = build_dataset(session_id="ses-asked")
+    with stand_in_edge(f"DATASET ses-asked 5\n{encode_meta(dataset)}END\n".encode("utf-8")) as client:
+        with pytest.raises(EnergyShareError, match=r"^unreadable reply: ValueError\('trace CSV must start"):
+            client.get("ses-asked")
+
+
 @pytest.mark.parametrize("reply", [
     "OK ses-asked 5",
     "OK ses-asked \u0665",  # ARABIC-INDIC DIGIT FIVE, which int() reads as 5
@@ -1213,6 +1222,27 @@ def test_an_upload_closed_inside_its_trace_gets_err_reply(served_store):
     reply = raw_exchange(server.address, block[:block.index("END\n")])
     assert reply == "ERR Malformed connection closed before END terminator\n"
     assert client.list() == []
+
+
+@pytest.mark.parametrize("cut", [
+    lambda block: block[:block.index("\n")],
+    lambda block: block[:block.index("consumer_id") + 5],
+    lambda block: block[:block.index("END\n") - 5],
+], ids=["after_its_header_line", "inside_its_meta_block", "inside_a_row"])
+def test_an_upload_closed_part_way_gets_one_err_reply(served_store, cut):
+    """What the block held when its connection closed is not read as requests."""
+    _, server, client = served_store
+    block = dataset_block("UPLOAD ses-r1 5", build_dataset())
+    assert raw_exchange(server.address, cut(block)) == "ERR Malformed connection closed before END terminator\n"
+    assert client.list() == []
+
+
+def test_an_upload_whose_connection_closes_just_after_its_end_is_stored(served_store):
+    """``END`` without its newline, the last bytes sent, ends the block."""
+    _, server, client = served_store
+    dataset = build_dataset()
+    assert raw_exchange(server.address, dataset_block("UPLOAD ses-r1 5", dataset)[:-1]) == "OK ses-r1 5\n"
+    assert client.get("ses-r1") == dataset
 
 
 # every str.splitlines boundary but "\n"; float() strips most of them from a field's ends
@@ -1523,11 +1553,13 @@ def test_an_identical_reupload_is_acknowledged_without_decoding(served_store, de
 
 
 @pytest.mark.parametrize("name, reply", [
-    (edge.TRACE_FILENAME, "OK ses-r1 600\n"),
+    (edge.TRACE_FILENAME, "ERR StorageError [Errno 2] No such file or directory: "),
     (EdgeStore.DIGEST_FILENAME, "ERR StorageError [Errno 2] No such file or directory: "),
-    (edge.META_FILENAME, "OK ses-r1 600\n"),
+    (edge.META_FILENAME, "ERR NotFound no stored session 'ses-r1'\n"),
 ], ids=["trace", "digest", "meta"])
 def test_a_reupload_over_a_stored_file_that_cannot_be_opened_is_decoded(served_store, decodes, name, reply):
+    """The upload is checked from its first piece, and at its commit the stored session is
+    checked as GET checks it: an upload is acknowledged only where GET then serves it."""
     store, server, client = served_store
     client.upload(STREAMED)
     (store.data_dir / "ses-r1" / name).unlink()
@@ -1535,6 +1567,11 @@ def test_a_reupload_over_a_stored_file_that_cannot_be_opened_is_decoded(served_s
     sent = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{STREAMED_TRACE}END\n")
     assert sent.startswith(reply) and sent.count("\n") == 1
     assert decodes == ["_TextGate", "_Gate"] and staging_dirs(store) == []
+    try:
+        served = client.get("ses-r1")
+    except EnergyShareError:
+        served = None
+    assert (served == STREAMED) == sent.startswith("OK ")
 
 
 CONFLICT = "ERR ConflictingSession session ses-r1 already stored with different content\n"
@@ -1579,11 +1616,12 @@ def test_a_reupload_that_differs_from_the_stored_bytes_gets_the_decoded_reply(se
 @pytest.mark.parametrize("edit, reply", [
     # the same dataset, spelled otherwise
     ({"cumulative_transferred_mah": "0.00"}, f"ERR ValidationFailed tick 0: a row {UNSPELLED}\n"),
-    ({"cumulative_transferred_mah": "0.5"}, CONFLICT),
+    ({"cumulative_transferred_mah": "0.5"}, "ERR CorruptSession session ses-r1 does not match its stored digest\n"),
     ({"battery_charge_mah": "x"}, "ERR Malformed trace row "),
 ], ids=["same_dataset", "another_dataset", "unreadable"])
 def test_a_stored_trace_edited_on_disk_and_uploaded_as_edited_is_decoded(served_store, edit, reply):
-    """The upload matches the stored bytes, but not their digest: it is decided by decoding."""
+    """The upload matches the stored bytes, but not their digest: it is decided by decoding,
+    and one the decoder accepts gets GET's refusal of the stored session at its commit."""
     store, server, client = served_store
     client.upload(STREAMED)
     path = store.data_dir / "ses-r1" / edge.TRACE_FILENAME
@@ -1608,6 +1646,18 @@ def test_a_reupload_of_the_start_of_a_longer_stored_trace_is_decoded(served_stor
     assert reply == f"ERR ValidationFailed tick 0: a row {UNSPELLED}\n"
 
 
+def test_a_reupload_closed_part_way_keeps_the_stored_files(served_store):
+    """The connection closes while the upload still matches the stored files byte for byte."""
+    store, server, client = served_store
+    client.upload(STREAMED)
+    kept = session_files(store, "ses-r1")
+    block = f"UPLOAD ses-r1 600\n{STREAMED_META}\n{STREAMED_TRACE}END\n"
+    reply = raw_exchange(server.address, block[:block.index("\n", len(block) // 2) + 1])
+    assert reply == "ERR Malformed connection closed before END terminator\n"
+    assert session_files(store, "ses-r1") == kept and staging_dirs(store) == []
+    assert client.get("ses-r1") == STREAMED
+
+
 def wait_for(condition, timeout_s: float = 10.0) -> None:
     deadline = time.monotonic() + timeout_s
     while not condition():
@@ -1630,6 +1680,218 @@ def test_list_and_get_answer_while_an_upload_is_paused_half_way(served_store):
         assert conn.makefile("r", encoding="utf-8").readline() == "OK ses-r1 600\n"
     assert [s.session_id for s in client.list()] == ["ses-a", "ses-r1"]
     assert staging_dirs(store) == []
+
+
+def sent_from_a_thread(address: str, chunks) -> bytes:
+    """The reply to ``chunks``, sent from another thread as the server takes them, read until
+    the server closes the connection; it may reset it, having left what was sent unread."""
+    received = []
+    with socket.create_connection(parse_addr(address), timeout=10.0) as conn:
+        def send():
+            try:
+                for chunk in chunks:
+                    conn.sendall(chunk)
+            except OSError:  # the server closed the connection
+                pass
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        try:
+            while chunk := conn.recv(65536):
+                received.append(chunk)
+        except ConnectionResetError:
+            pass
+        sender.join(10.0)
+    assert not sender.is_alive()
+    return b"".join(received)
+
+
+def meta_lines_without_end():
+    """``UPLOAD x 1``, then 400,000 meta lines (5.2 MB) and no blank line, a chunk at a time."""
+    yield b"UPLOAD x 1\n"
+    for start in range(0, 400_000, 1_000):
+        yield b"".join(b"k%07d = v\n" % i for i in range(start, start + 1_000))
+
+
+def one_megabyte_line():
+    yield b"LIST "
+    for _ in range(64):
+        yield b"x" * (1 << 14)
+    yield b"\n"
+
+
+@pytest.mark.parametrize("chunks, reply", [
+    (meta_lines_without_end, "ERR Malformed a meta block of more than 22 lines\n"),
+    (one_megabyte_line, "ERR Malformed a line longer than 65536 bytes with its newline\n"),
+], ids=["meta_block", "request_line"])
+def test_an_overlong_block_or_line_is_refused_unread_in_bounded_memory(served_store, chunks, reply):
+    """A meta block of more lines than there are meta keys, or a line longer than the server
+    reads at once, is answered ``ERR Malformed`` and its connection closed, as it arrives."""
+    _, server, client = served_store
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sent = sent_from_a_thread(server.address, chunks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sent.decode("utf-8") == reply
+    assert peak < 1e6, peak
+    assert client.list() == []
+
+
+def test_idle_connections_start_no_thread(served_store, monkeypatch):
+    _, server, client = served_store
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name))
+    idle = [socket.create_connection(parse_addr(server.address), timeout=10.0) for _ in range(30)]
+    try:
+        idle[0].sendall(b"LI")  # a request line part-way
+        assert client.list() == []
+    finally:
+        for conn in idle:
+            conn.close()
+    assert started == []
+    assert [thread.name for thread in threading.enumerate()].count(EdgeServer.thread_name) == 1
+
+
+def stalled_get(server: EdgeServer, session_id: str) -> socket.socket:
+    """A connection that asked for ``session_id`` and reads none of the reply, once the server
+    waits for it to take more."""
+    conn = socket.socket()
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    conn.connect(parse_addr(server.address))
+    conn.sendall(f"GET {session_id}\n".encode("utf-8"))
+    wait_for(lambda: any(key.data is not None and key.data.events == selectors.EVENT_WRITE
+                         for key in server._selector.get_map().values()))
+    return conn
+
+
+def part_way_upload(server: EdgeServer, session_id: str) -> socket.socket:
+    """A connection that sent half of an UPLOAD and nothing more."""
+    block = f"UPLOAD ses-r1 600\n{STREAMED_META}\n{STREAMED_TRACE}END\n"
+    conn = socket.create_connection(parse_addr(server.address), timeout=10.0)
+    conn.sendall(block[:block.index("\n", len(block) // 2) + 1].encode("utf-8"))
+    return conn
+
+
+@pytest.fixture(scope="module")
+def long_dataset() -> SessionDataset:
+    """A session of 20,000 pairs: a 4 MB trace."""
+    dataset = run_scenario(build_scenario(value=19999.0, technology="cable", consumer_start_pct=5.0)).dataset
+    assert dataset.record_count == 20000
+    return dataset
+
+
+@pytest.mark.parametrize("stall", [stalled_get, part_way_upload], ids=["get_not_read", "upload_part_way"])
+def test_a_list_is_answered_while_another_client_stalls(served_store, long_dataset, stall):
+    """One loop serves every connection: a GET of a 20,000-pair trace whose client stopped
+    reading, or an UPLOAD its client left part-way, holds back no other client."""
+    store, server, client = served_store
+    session_id = long_dataset.session_id
+    store.upload(*encode_dataset(long_dataset))
+    with stall(server, session_id) as conn:
+        began = time.monotonic()
+        assert [s.session_id for s in client.list()] == [session_id]
+        assert time.monotonic() - began < 2.0
+        conn.shutdown(socket.SHUT_WR)
+        reply = conn.makefile("rb").read()
+    if stall is stalled_get:  # the rest of the reply, once read
+        assert reply == dataset_block(f"DATASET {session_id} 20000", long_dataset).encode("utf-8")
+    else:
+        assert reply == b"ERR Malformed connection closed before END terminator\n"
+    assert staging_dirs(store) == []
+
+
+def test_stop_discards_an_upload_left_part_way(served_store):
+    store, server, _ = served_store
+    with part_way_upload(server, "ses-r1"):
+        wait_for(lambda: staging_dirs(store))
+        server.stop()
+        assert staging_dirs(store) == [] and store.list() == []
+
+
+@pytest.mark.parametrize("trace, error", [
+    ("", "trace CSV must start with the canonical header"),
+    (drop_rows(EDITED_TRACE, 1), "tick 4: a row without its pair"),
+], ids=["no_trace", "a_row_without_its_pair"])
+def test_an_upload_its_end_checks_cannot_prove_gets_the_decoders_refusal(store, trace, error):
+    """Proved row by row, the text is handed to the decoder at its end, read back from the
+    staging file."""
+    with pytest.raises((ValueError, ValidationFailed), match=f"^{error}$"):
+        store.upload(EDITED_META, trace)
+    assert staging_dirs(store) == [] and store.list() == []
+
+
+def test_a_list_is_answered_between_the_pieces_of_an_uploads_catch_up(served_store, monkeypatch):
+    """A re-upload that differs from the stored files in its last piece is checked from its
+    first piece again, read back from the stored and then the staged file: a catch-up the loop
+    feeds a piece a turn, here each piece slowed to 0.1 s, so another client waits one piece."""
+    store, server, client = served_store
+    client.upload(STREAMED)
+    stepped, real_step = threading.Event(), edge._Upload.step
+
+    def slow_step(upload):
+        stepped.set()
+        time.sleep(0.1)
+        real_step(upload)
+
+    monkeypatch.setattr(edge._Upload, "step", slow_step)
+    edited = edit_row(STREAMED_TRACE, 1198, battery_charge_mah="0.5")
+    with socket.create_connection(parse_addr(server.address), timeout=10.0) as conn:
+        conn.sendall(f"UPLOAD ses-r1 600\n{STREAMED_META}\n{edited}END\n".encode("utf-8"))
+        assert stepped.wait(10.0)
+        began = time.monotonic()
+        assert [s.session_id for s in client.list()] == ["ses-r1"]
+        assert time.monotonic() - began < 0.35
+        reply = conn.makefile("r", encoding="utf-8").readline()
+    assert reply == ("ERR ValidationFailed tick 599: a time, charge or cumulative out of range, "
+                     "or a level off its charge\n")
+    assert staging_dirs(store) == []
+
+
+def test_a_fault_in_a_request_ends_only_its_connection_and_is_reported(served_store, monkeypatch, capsys):
+    store, server, client = served_store
+    monkeypatch.setattr(store, "list", lambda: 1 / 0)
+    with pytest.raises(EnergyShareError, match="connection closed mid-response"):
+        client.list()
+    monkeypatch.undo()
+    assert client.list() == []
+    assert "ZeroDivisionError: division by zero" in capsys.readouterr().err
+
+
+def test_a_failed_accept_leaves_the_server_serving(served_store, monkeypatch):
+    """An accept that fails (no descriptor left, say) leaves the connection queued, and the
+    loop accepts it once it can."""
+    _, _, client = served_store
+    failures = [OSError(errno.EMFILE, "Too many open files")]
+    real_accept = socket.socket.accept
+
+    def accept(sock):
+        if failures:
+            raise failures.pop()
+        return real_accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept)
+    assert client.list() == []
+    assert failures == []
+
+
+def test_a_staging_directory_that_cannot_be_written_is_removed(served_store, monkeypatch):
+    store, server, _ = served_store
+    real_write_bytes = Path.write_bytes
+
+    def full_disk(path, data):
+        if path.parent.name.startswith("+tmp-"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        store.upload(*encode_dataset(build_dataset()))
+    reply = raw_exchange(server.address, dataset_block("UPLOAD ses-r1 5", build_dataset()))
+    assert reply == "ERR StorageError [Errno 28] No space left on device\n"
+    assert staging_dirs(store) == [] and store.list() == []
 
 
 def test_concurrent_uploads_of_one_session_id_store_one_dataset(store):

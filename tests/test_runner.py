@@ -432,10 +432,9 @@ def test_wall_run_starts_only_registry_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
     result = run_scenario(build_scenario(clock="wall", value=2.0), pace=20.0)
     assert result.outcome == OUTCOME_COMPLETED
-    # the transport reads on the loop's thread and starts no thread; only the registry
-    # serves in threads: its accept thread, once, and one per command's connection
-    assert started.count("registry-accept") == 1
-    assert set(started) == {"registry-accept", "registry-conn"}
+    # the transport reads on the loop's thread and starts no thread; the registry serves
+    # every command's connection from one selector loop, on its one thread
+    assert started == ["registry"]
 
 
 @pytest.mark.parametrize(
@@ -536,9 +535,9 @@ def test_compare_pads_the_shorter_runs_curve_cells_with_blanks(tmp_path):
 
 
 def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, decodes):
-    """Client GET and load_run each run the one decoder once: one gate, one ``record_blocks``
-    reader, and neither whole-text step; a TCP upload runs the text gate once, and the gate
-    only to check its metrics."""
+    """Client GET and load_run each run the one decoder once: one gate, one ``RecordReader``,
+    and neither whole-text step; a TCP upload runs the text gate once, and the gate only to
+    check its metrics."""
     result = run_scenario(build_scenario(value=10.0))
     run_dir = write_run_artifacts(result, tmp_path / "run")
     server = EdgeServer(EdgeStore(tmp_path / "edge-data")).start()
@@ -558,7 +557,7 @@ def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, decodes):
     finally:
         server.stop()
     # a byte-identical re-upload is compared with the stored files, not decoded
-    assert steps == {**dict.fromkeys(reads, ["_Gate", "record_blocks"]),
+    assert steps == {**dict.fromkeys(reads, ["RecordReader", "_Gate"]),
                      "tcp_upload": ["_Gate", "_TextGate"], "tcp_reupload": []}
 
 

@@ -271,7 +271,7 @@ def idle_registry():
 def handled(server: RegistryServer, line: str) -> str:
     """The registry's reply to ``line``, an ERR line for an error, as its connection gets it."""
     try:
-        return server._handle(line.strip(), iter(()), None)
+        return server._handle(line.strip())
     except Exception as exc:
         return LineServer._error_reply(exc)
 
@@ -308,9 +308,9 @@ def test_an_advert_out_of_range_is_refused_and_not_stored(idle_registry):
     for x, level in [("1e+999", 50.0), (0.0, 100.5), (0.0, -0.5)]:
         line = write_line("ADVERTISE", "h:1", "p", x, 0.0, level, Technology.CABLE, True)
         assert handled(idle_registry, line).startswith("ERR Malformed ")
-    assert idle_registry.snapshot() == []
+    assert idle_registry._registry.discover() == []
     with pytest.raises(Unknown):
-        idle_registry._handle("RESOLVE device_id=p", iter(()), None)
+        idle_registry._handle("RESOLVE device_id=p")
 
 
 def test_docs_registry_table_lists_the_lines_fields_in_order():

@@ -375,13 +375,13 @@ def test_request_line_not_utf8_gets_err_and_closes_only_its_connection(registry)
 
 def test_a_client_reset_ends_only_its_connection(registry, monkeypatch):
     ended = threading.Event()
-    real_serve = RegistryServer._serve
+    real_close = transport_module._Connection.close
 
-    def serve(self, conn):
-        real_serve(self, conn)  # returns, not raises, on the reset
+    def close(self):
+        real_close(self)
         ended.set()
 
-    monkeypatch.setattr(RegistryServer, "_serve", serve)
+    monkeypatch.setattr(transport_module._Connection, "close", close)
     with socket.create_connection(parse_addr(registry.address), timeout=10.0) as conn:
         conn.sendall(b"DISCOVER\n")
         assert conn.recv(64) == b"END\n"  # the server now waits for the next line
@@ -392,7 +392,7 @@ def test_a_client_reset_ends_only_its_connection(registry, monkeypatch):
     transport.close()
 
 
-def test_stop_ends_the_accept_thread_and_may_be_repeated():
+def test_stop_ends_the_server_thread_and_may_be_repeated():
     server = RegistryServer().start()
     server.stop()
     server.stop()
