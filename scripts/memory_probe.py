@@ -27,10 +27,13 @@ process's peak RSS, which is mostly ``tracemalloc``'s own bookkeeping of
 every block it traces; the run line's peak RSS, taken before tracing
 starts, is the program's own.
 
-Exits 1 if ``write_run_artifacts`` peaks more than WRITE_PEAK_LIMIT_MB above
-its start, ``load_run`` or the client GET more than LOAD_PEAK_LIMIT_MB, or an
-edge upload, re-upload, GET or client upload more than EDGE_PEAK_LIMIT_MB
-above theirs.
+A dataset holds its trace as four float columns, about 34 bytes a pair, so
+the run, ``load_run`` and the client GET each hold about 3 MB of it.
+
+Exits 1 if the run's peak RSS is over RUN_PEAK_RSS_LIMIT_MB, if
+``write_run_artifacts`` peaks more than WRITE_PEAK_LIMIT_MB above its start,
+``load_run`` or the client GET more than LOAD_PEAK_LIMIT_MB, or an edge upload,
+re-upload, GET or client upload more than EDGE_PEAK_LIMIT_MB above theirs.
 
 Usage: python scripts/memory_probe.py
 """
@@ -54,8 +57,9 @@ from energyshare.runner import run_scenario
 from energyshare.scenario import parse_scenario_text
 from energyshare.transport import parse_addr
 
+RUN_PEAK_RSS_LIMIT_MB = 60.0
 WRITE_PEAK_LIMIT_MB = 4.0
-LOAD_PEAK_LIMIT_MB = 60.0
+LOAD_PEAK_LIMIT_MB = 8.0
 EDGE_PEAK_LIMIT_MB = 4.0
 LINES_PER_PIECE = 256
 MB = 1e6
@@ -134,8 +138,9 @@ def get_reply_bytes(address: str, session_id: str) -> int:
 def main() -> int:
     began = time.perf_counter()
     result = run_scenario(parse_scenario_text(DAY_LONG, run_id="day-long"))
+    run_rss = peak_rss_mb()
     print(f"{'run_scenario':20s} {time.perf_counter() - began:6.2f} s  "
-          f"{result.dataset.record_count} pairs, peak RSS {peak_rss_mb():.1f} MB")
+          f"{result.dataset.record_count} pairs, peak RSS {run_rss:.1f} MB")
     tracemalloc.start()
     with tempfile.TemporaryDirectory() as tmp:
         run_dir, write_peak = traced("write_run_artifacts", write_run_artifacts, result,
@@ -166,7 +171,10 @@ def main() -> int:
         expected = len(header) + sum(path.stat().st_size for path in files) + len("\nEND\n")
     tracemalloc.stop()
     print(f"peak RSS {peak_rss_mb():.1f} MB, tracemalloc's bookkeeping included")
-    failures = [
+    failures = []
+    if run_rss > RUN_PEAK_RSS_LIMIT_MB:
+        failures.append(f"the run's peak RSS is {run_rss:.1f} MB, over {RUN_PEAK_RSS_LIMIT_MB} MB")
+    failures += [
         f"{name} peaked {peak:.1f} MB above its start, over {limit} MB"
         for name, peak, limit in (("write_run_artifacts", write_peak, WRITE_PEAK_LIMIT_MB),
                                   ("load_run", load_peak, LOAD_PEAK_LIMIT_MB),

@@ -3,15 +3,19 @@
 One directory per session under the data dir (``meta.txt`` key-value
 sidecar plus the trace CSV), ordered by an append-only ``index.log`` that
 is read once at open; LIST is served from memory.
-A dataset's row rules live in one gate, :class:`_Gate`, and every path from a
-dataset text to a dataset runs it once, in one decoder, :class:`_Decoder`,
-fed a piece at a time: an :meth:`EdgeClient.get` and ``report.load_run`` in
-:func:`decode_dataset`. An UPLOAD is stored as the bytes that arrived, so
-the store's upload checks it as text instead, with :class:`_TextGate`,
-whose rules each imply the gate's and also require the text the encoder
-writes; a text it cannot prove goes to the decoder, which words every refusal.
-The two stay apart because a read needs the values, and the ``repr`` of every
-float that proving a text takes costs more than parsing it.
+A dataset holds its trace as four columns of measured numbers
+(:class:`~energyshare.monitor.TraceColumns`); its record pairs are a view
+built on access. Its row rules live in one gate, :class:`_Gate`, the one
+decoder: every path from a dataset text to a dataset runs it once, fed a
+piece at a time, and keeps the four numbers of each pair it passes: an
+:meth:`EdgeClient.get` and ``report.load_run`` in :func:`decode_dataset`, and
+:func:`validate_dataset` over a dataset's own text. An UPLOAD is stored as
+the bytes that arrived, so the store's upload checks it as text instead,
+with :class:`_TextGate`, whose rules each imply the gate's and also require
+the text the encoder writes; a text it cannot prove goes to the decoder,
+which words every refusal. The two stay apart because a read needs the
+values, and the ``repr`` of every float that proving a text takes costs more
+than parsing it.
 Uploads are written atomically (temp dir + rename) and acknowledged only
 after an fsync, so an acknowledged dataset survives a crash. Re-uploading
 identical content is idempotent; a different dataset under the same
@@ -38,24 +42,28 @@ import os
 import shutil
 import threading
 import uuid
+from array import array
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .battery import DrainParams, Technology, TechnologyParams
 from .errors import EnergyShareError
 from .monitor import (
     ROLE_CONSUMER,
     ROLE_PROVIDER,
+    NO_HEADER,
     MonitorRecord,
-    RecordReader,
+    RecordPairs,
     TRACE_HEADER,
     SessionMetrics,
+    TraceColumns,
     compute_metrics,
+    new_columns,
     pairs_from_records,
     records_from_csv_text,  # uncalled: bench/layers.py wraps edge's; its --trace 1 runs need it
     trace_csv_blocks,
@@ -97,7 +105,10 @@ class StorageError(EnergyShareError):
 
 @dataclass(frozen=True)
 class SessionDataset:
-    """Everything one session uploads: request, parameters, trace, metrics."""
+    """Everything one session uploads: request, parameters, trace, metrics.
+
+    The trace is held as its measured numbers, ``trace``; ``records`` are its pairs, built
+    from them on access."""
 
     session_id: str
     request: EnergyRequest
@@ -108,13 +119,17 @@ class SessionDataset:
     provider_capacity_mah: float
     consumer_capacity_mah: float
     interval_s: float
-    records: tuple[tuple[MonitorRecord, MonitorRecord], ...]
+    trace: TraceColumns
     metrics: SessionMetrics
     terminal_reason: Reason
 
     @property
+    def records(self) -> RecordPairs:
+        return RecordPairs(self)
+
+    @property
     def record_count(self) -> int:
-        return len(self.records)
+        return len(self.trace.provider_charge)
 
 
 @dataclass(frozen=True)
@@ -135,69 +150,35 @@ class SessionSummary(NamedTuple):
 
 
 def validate_dataset(dataset: SessionDataset) -> None:
-    """The gate's rules over a dataset's pairs held in memory: each pair, then the metrics.
-
-    They are :class:`_Gate`'s, which the decoder runs a piece at a time.
-    """
-    gate = _Gate(dataset)
-    gate.feed(dataset.records, 0)
+    """The gate over a dataset held in memory: its trace as the encoder writes it, decoded as a
+    read decodes it. Its rows follow from their positions, so only the ranges and the metrics
+    can refuse it."""
+    gate = _Gate(dataset, dataset.record_count)
+    for block in trace_csv_blocks(dataset.records):
+        gate.feed(block)
     gate.close()
 
 
-class _Gate:
-    """The rules on ``head``'s pairs, fed in order, and on its metrics, checked from its
-    first and last pairs alone; ``head``'s own records are not read."""
+_POSITION = ("a row's tick_index, time, session_id, device_id or role is not the one its position in the "
+             "dataset gives")
+_RANGE = "a time, charge or cumulative out of range, or a level off its charge"
 
-    def __init__(self, head: SessionDataset):
-        self.head, self.first, self.last = head, None, None
 
-    def feed(self, pairs: Sequence[tuple[MonitorRecord, MonitorRecord]], ticks: int) -> None:
-        """Check ``pairs``, the dataset's pairs after its first ``ticks``."""
-        if not pairs:
-            return
-        head, self.first, self.last = self.head, self.first or pairs[0], pairs[-1]
-        session_id, provider_id = head.session_id, head.provider_id
-        consumer_id = head.request.consumer_id
-        provider_cap, consumer_cap = head.provider_capacity_mah, head.consumer_capacity_mah
-        start, interval_s = self.first[0].wall_time_s, head.interval_s
-        for tick, (p, c) in enumerate(pairs, ticks):
-            p_tick, p_wall, p_session, p_device, p_role, p_level, p_charge, _ = p
-            c_tick, c_wall, c_session, c_device, c_role, c_level, c_charge, _ = c
-            wall = start + tick * interval_s
-            if not (p_tick == tick == c_tick and p_wall == wall == c_wall
-                    and p_session == session_id == c_session and p_device == provider_id
-                    and c_device == consumer_id and p_role == ROLE_PROVIDER and c_role == ROLE_CONSUMER):
-                raise ValidationFailed(
-                    f"tick {tick}: a row's tick_index, time, session_id, device_id or role is not "
-                    f"the one its position in the dataset gives"
-                )
-            # a level is checked against battery.level_pct_of(charge, capacity), inlined
-            if not (
-                math.isfinite(wall)
-                and 0.0 <= p_charge <= provider_cap
-                and 0.0 <= c_charge <= consumer_cap
-                and p_level == (level if (level := 100.0 * p_charge / provider_cap) <= 100.0 else 100.0)
-                and c_level == (level if (level := 100.0 * c_charge / consumer_cap) <= 100.0 else 100.0)
-                and math.isfinite(p.cumulative_transferred_mah)
-                and math.isfinite(c.cumulative_transferred_mah)
-            ):
-                raise ValidationFailed(
-                    f"tick {tick}: a time, charge or cumulative out of range, "
-                    f"or a level off its charge"
-                )
-
-    def close(self) -> None:
-        if self.first is None:
-            raise ValidationFailed("dataset has no records")
-        recomputed = compute_metrics((self.first, self.last))
-        for name in (f.name for f in dataclass_fields(SessionMetrics)):
-            stored = getattr(self.head.metrics, name)
-            fresh = getattr(recomputed, name)
-            if not rel_close(stored, fresh, METRIC_TOLERANCE):
-                raise ValidationFailed(
-                    f"metrics not recomputable from records: {name} stored={stored!r} "
-                    f"recomputed={fresh!r}"
-                )
+def _check_metrics(head: SessionDataset, first: tuple[str, str] | None, last: tuple[str, str]) -> None:
+    """``head``'s metrics against those its first and last pairs give, each as the text of its
+    two rows, read (:func:`_read_record`) once a gate has passed them; ``first`` is None if
+    there are none."""
+    if first is None:
+        raise ValidationFailed("dataset has no records")
+    recomputed = compute_metrics([tuple(map(_read_record, rows)) for rows in (first, last)])
+    for name in (f.name for f in dataclass_fields(SessionMetrics)):
+        stored = getattr(head.metrics, name)
+        fresh = getattr(recomputed, name)
+        if not rel_close(stored, fresh, METRIC_TOLERANCE):
+            raise ValidationFailed(
+                f"metrics not recomputable from records: {name} stored={stored!r} "
+                f"recomputed={fresh!r}"
+            )
 
 
 # --- the meta key table ------------------------------------------------------------
@@ -265,13 +246,15 @@ def encode_dataset(dataset: SessionDataset) -> tuple[str, str]:
 
 def decode_dataset(meta: str, trace: str | Iterable[str]) -> SessionDataset:
     """The dataset a ``meta.txt`` text and a ``trace.csv`` text or its pieces hold, decoded as
-    an UPLOAD the text gate cannot prove is (:class:`_Decoder`): a piece at a time, with the
+    an UPLOAD the text gate cannot prove is (:class:`_Gate`): a piece at a time, with the
     same end checks."""
     values, head = _head(parse_meta(meta))
-    decoder = _Decoder(head, values[_COUNT_KEY])
-    records = tuple(chain.from_iterable(decoder.feed(piece) for piece in _pieces(trace)))
-    decoder.close()
-    return replace(head, records=records)
+    gate, columns = _Gate(head, values[_COUNT_KEY]), new_columns()[1:]
+    for piece in _pieces(trace):
+        for column, numbers in zip(columns, gate.feed(piece)):
+            column.extend(numbers)
+    gate.close()
+    return replace(head, trace=TraceColumns(gate.start, *columns))
 
 
 def _pieces(trace: str | Iterable[str]) -> Iterable[str]:
@@ -280,16 +263,32 @@ def _pieces(trace: str | Iterable[str]) -> Iterable[str]:
 
 
 def dataset_from_parts(meta: dict[str, str], records: list[MonitorRecord]) -> SessionDataset:
-    """Rebuild a dataset from its sidecar fields and flat record list, without the gate.
+    """Rebuild a dataset from its sidecar fields and flat record list, without the gate's
+    ranges and metrics.
 
     A missing, unknown or unreadable key is a ``ValueError``; the rows are paired, and a row
     left over and ``record_count`` checked, as :func:`decode_dataset` does (:func:`_check_end`).
-    The rows' facts are left to :func:`validate_dataset`.
+    A dataset holds only a row's measured numbers, so a pair whose other fields are not the
+    ones its position gives is refused as the gate refuses it; the ranges and the metrics are
+    left to :func:`validate_dataset`.
     """
     values, head = _head(meta)
     ticks = len(records) // 2
     _check_end(records[2 * ticks:], ticks, values[_COUNT_KEY])
-    return replace(head, records=pairs_from_records(records))
+    providers, consumers = records[::2], records[1::2]
+    dataset = replace(head, trace=TraceColumns(
+        records[0].wall_time_s if records else 0.0,
+        array("d", [p.battery_charge_mah for p in providers]),
+        array("d", [c.battery_charge_mah for c in consumers]),
+        array("d", [p.cumulative_transferred_mah for p in providers]),
+        array("d", [c.cumulative_transferred_mah for c in consumers]),
+    ))
+    for tick, (p, c, (held_p, held_c)) in enumerate(zip(providers, consumers, dataset.records)):
+        if p[:5] != held_p[:5] or c[:5] != held_c[:5]:  # tick, time, session id, device id, role
+            raise ValidationFailed(f"tick {tick}: {_POSITION}")
+        if p != held_p or c != held_c:  # the level, the one field left that a number gives
+            raise ValidationFailed(f"tick {tick}: {_RANGE}")
+    return dataset
 
 
 def _head(meta: dict[str, str]) -> tuple[dict[str, Any], SessionDataset]:
@@ -310,45 +309,105 @@ def _head(meta: dict[str, str]) -> tuple[dict[str, Any], SessionDataset]:
             args[head] = value
     del args[_COUNT_KEY]
     return values, SessionDataset(
-        records=(),
+        trace=new_columns(),
         **{name: _PARTS[name](**arg) if name in _PARTS else arg for name, arg in args.items()},
     )
 
 
-class _Decoder:
-    """The one dataset decoder, fed a trace text a piece at a time.
+class _Gate:
+    """The one dataset decoder and its row rules, fed a trace text a piece at a time.
 
-    Each piece's rows are read (:class:`~energyshare.monitor.RecordReader`), paired (a pair may
-    span two pieces) and fed to :class:`_Gate`; :meth:`feed` gives the checked pairs, and none
-    after a refused pair. :meth:`close` makes the checks that follow the last piece, in this
-    order: a row left over and ``count`` (:func:`_check_end`), that refusal, the metrics."""
+    A piece is split into rows with ``str.splitlines``, after the canonical header, and its rows
+    are paired by position (a pair may span two pieces). A row that does not read, 8 fields
+    and their numbers, is a ``ValueError`` at once, naming it. A pair's fields are checked:
+    first those its position gives (tick, time, ids, roles), then the ranges and each level
+    against its charge. :meth:`feed` gives the four numbers of the pairs that pass, as columns
+    of the piece for the caller to keep or drop, and none after the first refused pair.
+    :meth:`close` makes the checks that follow the last piece, in this order: the header, a
+    row left over and ``count`` (:func:`_check_end`), that refusal, the metrics."""
 
     def __init__(self, head: SessionDataset, count: int):
-        self.gate, self.reader, self.count = _Gate(head), RecordReader(), count
-        self.refused, self.left, self.ticks = None, [], 0
+        self.head, self.count, self.header = head, count, True
+        self.start: float | None = None  # tick 0's time: every later time follows from it
+        self.first = self.last = None  # the first and last pairs' rows
+        self.left: list[str] = []  # a row whose pair starts the next piece
+        self.ticks = 0  # the pairs read
+        self.refused: ValidationFailed | None = None
 
-    def feed(self, piece: str) -> tuple:
-        records = self.left + self.reader.feed(piece)
-        self.left = [records.pop()] if len(records) % 2 else []
-        pairs = pairs_from_records(records)
-        ticks, self.ticks = self.ticks, self.ticks + len(pairs)
-        if self.refused is None:
+    def feed(self, piece: str) -> tuple[array, ...]:
+        """The provider's and the consumer's charges, and the cumulative out and in, of the
+        pairs of ``piece`` that pass."""
+        rows, columns = piece.splitlines(), new_columns()[1:]
+        if self.header:
+            if not rows:
+                return columns
+            if rows[0] != TRACE_HEADER:
+                raise ValueError(NO_HEADER)
+            self.header = False
+            del rows[0]
+        if self.left:
+            rows = self.left + rows
+        self.left = [rows.pop()] if len(rows) % 2 else []
+        head, start, refused, isfinite = self.head, self.start, self.refused, math.isfinite
+        session_id, provider_id = head.session_id, head.provider_id
+        consumer_id = head.request.consumer_id
+        provider_cap, consumer_cap = head.provider_capacity_mah, head.consumer_capacity_mah
+        interval_s = head.interval_s
+        p_append, c_append, out_append, in_append = (column.append for column in columns)
+        ticks, self.ticks = self.ticks, self.ticks + len(rows) // 2
+        for tick, p, c in zip(range(ticks, self.ticks), rows[::2], rows[1::2]):
             try:
-                self.gate.feed(pairs, ticks)
-                return pairs
-            except ValidationFailed as exc:
-                self.refused = exc
-        return ()
+                row = p
+                p_tick, p_wall, p_session, p_device, p_role, p_level, p_charge, p_sum = p.split(",")
+                tick_n, wall_n = int(p_tick), float(p_wall)
+                p_level_n, p_mah, p_sum_n = float(p_level), float(p_charge), float(p_sum)
+                row = c
+                c_tick, c_wall, c_session, c_device, c_role, c_level, c_charge, c_sum = c.split(",")
+                c_tick_n = tick_n if c_tick == p_tick else int(c_tick)
+                c_wall_n = wall_n if c_wall == p_wall else float(c_wall)
+                c_level_n, c_mah, c_sum_n = float(c_level), float(c_charge), float(c_sum)
+            except ValueError as exc:  # not 8 fields, or a number that does not read
+                raise ValueError(f"trace row {row!r}: {exc}") from None
+            if start is None:  # tick 0
+                start, self.first = wall_n, (p, c)
+            if refused is not None:
+                continue
+            wall = start + tick * interval_s
+            if not (tick_n == tick == c_tick_n and wall_n == wall == c_wall_n
+                    and p_session == session_id == c_session and p_device == provider_id
+                    and c_device == consumer_id and p_role == ROLE_PROVIDER and c_role == ROLE_CONSUMER):
+                refused = ValidationFailed(f"tick {tick}: {_POSITION}")
+            # a level is checked against battery.level_pct_of(charge, capacity), inlined
+            elif not (
+                isfinite(wall)
+                and 0.0 <= p_mah <= provider_cap
+                and 0.0 <= c_mah <= consumer_cap
+                and p_level_n == (level if (level := 100.0 * p_mah / provider_cap) <= 100.0 else 100.0)
+                and c_level_n == (level if (level := 100.0 * c_mah / consumer_cap) <= 100.0 else 100.0)
+                and isfinite(p_sum_n)
+                and isfinite(c_sum_n)
+            ):
+                refused = ValidationFailed(f"tick {tick}: {_RANGE}")
+            else:
+                p_append(p_mah)
+                c_append(c_mah)
+                out_append(p_sum_n)
+                in_append(c_sum_n)
+        self.start, self.refused = start, refused
+        if rows:
+            self.last = (rows[-2], rows[-1])
+        return columns
 
     def close(self) -> None:
-        self.reader.close()
+        if self.header:
+            raise ValueError(NO_HEADER)
         _check_end(self.left, self.ticks, self.count)
         if self.refused is not None:
             raise self.refused
-        self.gate.close()
+        _check_metrics(self.head, self.first, self.last)
 
 
-def _check_end(left: list[MonitorRecord], ticks: int, count: int) -> None:
+def _check_end(left: list, ticks: int, count: int) -> None:
     """A trace's end, after its ``ticks`` pairs: a row ``left`` without its pair is
     :class:`ValidationFailed`, a pair total other than ``count`` a ``ValueError``."""
     try:
@@ -367,7 +426,7 @@ class _TextGate:
     A field is compared with the text the encoder would write: a time or level must be the
     text of the value the gate computes (so ``-0.0`` where it computes ``0.0`` is refused),
     a charge or cumulative the ``repr`` of the number it reads. The metrics are checked from
-    the first and last pairs by :meth:`_Gate.close`."""
+    the first and last pairs, as :meth:`_Gate.close` checks them."""
 
     def __init__(self, head: SessionDataset):
         self.head, self.header, self.left, self.ticks = head, TRACE_HEADER + "\n", [], 0
@@ -433,15 +492,12 @@ class _TextGate:
         if self.header or self.left:
             return self.ticks
         _check_end([], self.ticks, count)
-        gate = _Gate(self.head)
-        if self.first is not None:
-            gate.first, gate.last = (tuple(map(_proved_record, rows)) for rows in (self.first, self.last))
-        gate.close()
+        _check_metrics(self.head, self.first, self.last)
         return None
 
 
-def _proved_record(row: str) -> MonitorRecord:
-    """The record of a row :class:`_TextGate` proved, as :func:`record_blocks` reads it."""
+def _read_record(row: str) -> MonitorRecord:
+    """The record of a row that a gate passed."""
     tick, wall, session_id, device_id, role, *numbers = row.split(",")
     return MonitorRecord(int(tick), float(wall), session_id, device_id, role, *map(float, numbers))
 
@@ -570,7 +626,7 @@ class _Upload:
         """Hand the trace to the decoder: the pieces staged so far, read back, then ``held`` go
         first in the backlog. If it refuses nothing, the refusal is that ``what`` is not spelled
         as the encoder writes it."""
-        self.what, self.decoder = what, _Decoder(self.head, self.count)
+        self.what, self.decoder = what, _Gate(self.head, self.count)
         if self.tmp_dir is not None:
             self.file.close()
             held = chain(line_blocks(self.tmp_dir / TRACE_FILENAME, self.size), held)

@@ -8,6 +8,14 @@ ticks rising, so a reader pairs rows by position; session metrics
 (provider loss, consumer gain, energy loss) come straight from the
 first/last pairs.
 
+In memory a dataset holds of its trace only what was measured
+(:class:`TraceColumns`): tick 0's time and, per tick, both charges and
+both cumulative values, four ``array('d')`` columns, 32 bytes a tick. Every
+other field of a row follows from its position and the dataset's meta
+block: the tick, the time, the ids, the role and the level. The
+dataset's record pairs are a read-only view (:class:`RecordPairs`) that
+builds each pair on access, and the trace CSV is written from the columns.
+
 Trace CSV is bit-exact: fixed header, ``\\n`` line endings, floats printed
 with full round-trip precision.
 
@@ -15,18 +23,21 @@ Reading a trace text back is a codec only: the reader checks the header,
 8 fields a row and their numbers, and pairing checks the row count.
 Whether the rows are right (ticks, timestamps, ids, roles, ranges,
 levels) is decided by the edge: by its gate, which every path from a trace
-text to a dataset runs in one decoder, a piece at a time (a client GET and
-``load_run`` alike), and by its text gate, which holds an UPLOAD, stored as
-it arrived, to the same rules and to the text this module writes. Records
-built in-process, by :func:`record_tick` and the consumer agent, come from
-ids already checked and are not re-checked.
+text to a dataset runs, a piece at a time, appending each checked pair's
+numbers to the columns (a client GET and ``load_run`` alike), and by its
+text gate, which holds an UPLOAD, stored as it arrived, to the same rules
+and to the text this module writes. A run's engine appends its numbers to
+the columns as it ticks; they come from batteries already checked and are
+not re-checked.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 from .battery import BatteryState, level_pct_of
 from .errors import EnergyShareError
@@ -39,6 +50,9 @@ TRACE_HEADER = (
     "tick_index,wall_time_s,session_id,device_id,role,"
     "battery_level_pct,battery_charge_mah,cumulative_transferred_mah"
 )
+
+# the refusal of a trace text whose first line is not TRACE_HEADER
+NO_HEADER = "trace CSV must start with the canonical header"
 
 # pairs of rows in each block of trace_csv_blocks, joined into one string: small (about 26 KB)
 # so that an upload's edge decodes one block while its client encodes the next, and still a
@@ -127,7 +141,91 @@ def compute_metrics(pairs: Sequence[tuple[MonitorRecord, MonitorRecord]]) -> Ses
     )
 
 
-# --- trace CSV ----------------------------------------------------------------
+# --- the column form and the trace CSV ----------------------------------------------
+
+
+class TraceColumns(NamedTuple):
+    """A trace's measured numbers: tick 0's time, then one ``array('d')`` per number, a
+    value per tick."""
+
+    start_s: float
+    provider_charge: array
+    consumer_charge: array
+    cumulative_out: array  # the provider's cumulative_transferred_mah
+    cumulative_in: array  # the consumer's
+
+
+def new_columns(start_s: float = 0.0) -> TraceColumns:
+    """Empty columns of a trace whose tick 0 is at ``start_s``."""
+    return TraceColumns(start_s, array("d"), array("d"), array("d"), array("d"))
+
+
+class RecordPairs(Sequence):
+    """A dataset's record pairs, read-only, built on access from its :class:`TraceColumns`
+    (``dataset.trace``) and the facts of its meta block: tick ``k``'s time is
+    ``start_s + k * interval_s`` (``start_s`` itself at tick 0), a level is
+    :func:`~energyshare.battery.level_pct_of` its charge.
+
+    It reads as a tuple of pairs does: ``len``, an index (negative too), a slice (a tuple of
+    pairs), iteration, and ``==`` with a tuple of pairs or another view."""
+
+    __slots__ = ("dataset",)
+
+    def __init__(self, dataset):
+        self.dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self.dataset.trace.provider_charge)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(map(self._pair, range(*key.indices(len(self)))))
+        if not -len(self) <= key < len(self):
+            raise IndexError("record pair index out of range")
+        return self._pair(key % len(self))
+
+    def __iter__(self) -> Iterator[tuple[MonitorRecord, MonitorRecord]]:
+        return map(self._pair, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, RecordPairs)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def _pair(self, k: int) -> tuple[MonitorRecord, MonitorRecord]:
+        dataset = self.dataset
+        trace, session_id, new = dataset.trace, dataset.session_id, tuple.__new__
+        wall = trace.start_s + k * dataset.interval_s if k else trace.start_s
+        p_charge, c_charge = trace.provider_charge[k], trace.consumer_charge[k]
+        return (
+            new(MonitorRecord, (k, wall, session_id, dataset.provider_id, ROLE_PROVIDER,
+                                level_pct_of(p_charge, dataset.provider_capacity_mah), p_charge,
+                                trace.cumulative_out[k])),
+            new(MonitorRecord, (k, wall, session_id, dataset.request.consumer_id, ROLE_CONSUMER,
+                                level_pct_of(c_charge, dataset.consumer_capacity_mah), c_charge,
+                                trace.cumulative_in[k])),
+        )
+
+    def csv_rows(self, begin: int, end: int) -> str:
+        """The CSV rows of pairs ``begin`` to ``end``, line-ended, written from the columns as
+        :func:`trace_csv_rows` writes the pairs: each pair's time and tick once, a level as
+        :func:`~energyshare.battery.level_pct_of` computes it, inlined."""
+        dataset = self.dataset
+        start, *columns = dataset.trace
+        interval_s = dataset.interval_s
+        p_cap, c_cap = dataset.provider_capacity_mah, dataset.consumer_capacity_mah
+        p_mid = f",{dataset.session_id},{dataset.provider_id},{ROLE_PROVIDER},"
+        c_mid = f",{dataset.session_id},{dataset.request.consumer_id},{ROLE_CONSUMER},"
+        rows = []
+        for k, p_charge, c_charge, out, cumulative_in in zip(
+                range(begin, end), *(column[begin:end] for column in columns)):
+            wall = repr(start + k * interval_s if k else start)
+            p_level, c_level = 100.0 * p_charge / p_cap, 100.0 * c_charge / c_cap
+            rows.append(
+                f"{k},{wall}{p_mid}{p_level if p_level <= 100.0 else 100.0!r},{p_charge!r},{out!r}\n"
+                f"{k},{wall}{c_mid}{c_level if c_level <= 100.0 else 100.0!r},{c_charge!r},{cumulative_in!r}\n"
+            )
+        return "".join(rows)
 
 
 def format_record(record: MonitorRecord) -> str:
@@ -144,75 +242,36 @@ def trace_csv_rows(pairs: Iterable[tuple[MonitorRecord, MonitorRecord]]) -> str:
     return "\n".join([*map(format_record, chain.from_iterable(pairs)), ""])
 
 
-def trace_csv_text(pairs: Sequence[tuple[MonitorRecord, MonitorRecord]]) -> str:
-    """Canonical CSV for a paired trace: its :func:`trace_csv_blocks` joined."""
+def trace_csv_text(pairs: RecordPairs) -> str:
+    """Canonical CSV for a dataset's trace: its :func:`trace_csv_blocks` joined."""
     return "".join(trace_csv_blocks(pairs))
 
 
-def trace_csv_blocks(pairs: Sequence[tuple[MonitorRecord, MonitorRecord]]) -> Iterator[str]:
-    """The header line, then :func:`trace_csv_rows` a block of pairs at a time: never every row."""
+def trace_csv_blocks(pairs: RecordPairs) -> Iterator[str]:
+    """The header line, then the rows a block of pairs at a time, written from the columns:
+    never every row."""
     yield TRACE_HEADER + "\n"
-    for start in range(0, len(pairs), _PAIRS_PER_BLOCK):
-        yield trace_csv_rows(pairs[start:start + _PAIRS_PER_BLOCK])
+    for begin in range(0, len(pairs), _PAIRS_PER_BLOCK):
+        yield pairs.csv_rows(begin, begin + _PAIRS_PER_BLOCK)
 
 
 def records_from_csv_text(trace: str | Iterable[str]) -> list[MonitorRecord]:
-    """Every record of a trace CSV text or its pieces, in one list (see :class:`RecordReader`)."""
-    reader = RecordReader()
-    records = list(chain.from_iterable(map(reader.feed, [trace] if isinstance(trace, str) else trace)))
-    reader.close()
+    """Every record of a trace CSV text or its pieces, in one list: the canonical header, then
+    rows of 8 fields with their numbers, each piece split with ``str.splitlines`` (so a piece
+    ends at a line end). A row that does not read is a ``ValueError`` naming it; whether the
+    rows are right is the edge's gate's to decide."""
+    rows = chain.from_iterable(piece.splitlines() for piece in ([trace] if isinstance(trace, str) else trace))
+    if next(rows, None) != TRACE_HEADER:
+        raise ValueError(NO_HEADER)
+    records = []
+    for row in rows:
+        try:
+            tick, wall, session_id, device_id, role, level, charge, cumulative = row.split(",")
+            records.append(MonitorRecord(int(tick), float(wall), session_id, device_id, role,
+                                         float(level), float(charge), float(cumulative)))
+        except ValueError as exc:  # not 8 fields, or a number that does not read
+            raise ValueError(f"trace row {row!r}: {exc}") from None
     return records
-
-
-class RecordReader:
-    """Trace CSV read as it arrives: the canonical header, then rows of 8 fields with their numbers.
-
-    Each piece fed ends at a line end (a connection's lines, a file's blocks of lines); it is split
-    with ``str.splitlines`` and its rows are given as one list, so the rows are the same however
-    the text is cut. Rows share one object per distinct session id, device id and role, and a row
-    whose tick or time text is the previous row's reuses its number. A row is read as it is
-    written; the edge's one decoder checks its facts, a piece at a time.
-    """
-
-    def __init__(self) -> None:
-        self.header = True  # the header is still to come
-        self.share = {}.setdefault
-        self.tick = self.wall = (None, None)  # the last row's tick and time: text and number
-
-    def feed(self, piece: str) -> list[MonitorRecord]:
-        """The records of ``piece``'s rows; ``ValueError`` naming a row that does not read."""
-        rows = piece.splitlines()
-        if self.header:
-            if not rows:
-                return []
-            self.header = rows[0] != TRACE_HEADER
-            self.close()  # raises unless that was the header
-            rows = islice(rows, 1, None)
-        new, share = tuple.__new__, self.share
-        (tick_text, tick_index), (wall_text, wall_time_s) = self.tick, self.wall
-        records: list[MonitorRecord] = []
-        append = records.append
-        for row in rows:
-            try:
-                tick, wall, session_id, device_id, role, level, charge, cumulative = row.split(",")
-                if tick != tick_text:
-                    tick_text, tick_index = tick, int(tick)
-                if wall != wall_text:
-                    wall_text, wall_time_s = wall, float(wall)
-                append(new(MonitorRecord, (
-                    tick_index, wall_time_s, share(session_id, session_id),
-                    share(device_id, device_id), share(role, role),
-                    float(level), float(charge), float(cumulative),
-                )))
-            except ValueError as exc:  # not 8 fields, or a number that does not read
-                raise ValueError(f"trace row {row!r}: {exc}") from None
-        self.tick, self.wall = (tick_text, tick_index), (wall_text, wall_time_s)
-        return records
-
-    def close(self) -> None:
-        """After the last piece: ``ValueError`` unless the canonical header came first."""
-        if self.header:
-            raise ValueError("trace CSV must start with the canonical header")
 
 
 def pairs_from_records(

@@ -17,7 +17,7 @@ from pathlib import Path
 from .edge import META_FILENAME, TRACE_FILENAME, SessionDataset, ValidationFailed
 from .edge import decode_dataset, encode_meta, line_blocks
 from .errors import EnergyShareError
-from .monitor import MonitorRecord, trace_csv_blocks
+from .monitor import RecordPairs, trace_csv_blocks
 from .runner import RunResult
 from .util import check_id, fmt_float, format_meta, parse_finite, parse_meta
 
@@ -79,7 +79,7 @@ class LoadedRun:
         return self.dataset.metrics.energy_loss_mah
 
     @property
-    def pairs(self) -> tuple[tuple[MonitorRecord, MonitorRecord], ...]:
+    def pairs(self) -> RecordPairs:
         return self.dataset.records
 
 

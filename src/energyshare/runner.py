@@ -10,15 +10,19 @@ else). A pace is for wall runs only: a virtual run never waits, and
 refuses one.
 
 The charging physics for a session runs provider-side (the energy source
-owns the engine), which collects the session's dataset: both peers' record
-pairs. The consumer keeps only a receipt of each per-tick synchronization
-message it accepts (the tick, its timestamp and when it arrived); the
-dataset holds the row that tick's receipt names.
+owns the engine), which collects the session's dataset: each tick it
+appends four numbers, both charges and both cumulative values, to the
+dataset's columns (``monitor.TraceColumns``), from which every field of the
+tick's record pair follows. The consumer keeps only a receipt of each
+per-tick synchronization message it accepts (the tick, its timestamp and
+when it arrived); the dataset holds the row that tick's receipt names.
 
 A tick's path (the loop, the agents' handlers, ``ChargingEngine.step``,
-one transport hop) is kept flat: a lossless virtual tick makes 30
-Python-level calls (59 before its bookkeeping and one-line helpers were
-inlined); ``tests/test_runner.py`` holds it to at most 36.
+one transport hop) is kept flat: a lossless virtual tick makes 26
+Python-level calls (30 before the engine appended to columns, not built a
+record pair, and the loop called ``receive`` only for a device with mail;
+59 before its bookkeeping and one-line helpers were inlined);
+``tests/test_runner.py`` holds it to at most 36.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .battery import (
     BatteryState,
@@ -45,7 +49,8 @@ from .matching import (
     provider_accepts,
     rank_providers,
 )
-from .monitor import MonitorRecord, compute_metrics, record_tick
+from .monitor import compute_metrics, new_columns
+from .monitor import record_tick  # uncalled: bench/layers.py wraps runner's; its --trace 1 runs need it
 from .protocol import (
     Abort,
     Accept,
@@ -83,7 +88,7 @@ class ChargingEngine:
     """Provider-side physics of one charging session.
 
     Holds both batteries (the consumer side is the mirror seeded from the
-    request), the per-tick ledger and the synchronized record pairs. Both
+    request), the per-tick ledger and the trace's columns. Both
     batteries come in checked; each tick's successors come from
     ``transfer_tick`` unchecked. The session names both peers; progress is
     the ledger's ``total_in_mah`` and ``tick_index * interval_s``.
@@ -113,21 +118,20 @@ class ChargingEngine:
         self.start_time_s = start_time_s
         self.ledger = TickLedger()
         self.tick_index = 0
-        self.pairs: list[tuple[MonitorRecord, MonitorRecord]] = []
+        self.columns = new_columns(start_time_s)
+        self.appends = tuple(column.append for column in self.columns[1:])
         self.start_sync = self._record(0, start_time_s)
 
     def _record(self, tick_index: int, wall_time_s: float) -> MonitorSync:
-        """Append the tick's record pair and return the tick's sync for the consumer."""
-        session, consumer_battery, ledger = self.session, self.consumer_battery, self.ledger
-        self.pairs.append(record_tick(
-            session, tick_index, wall_time_s,
-            provider_id=session.provider_id, provider_battery=self.provider_battery,
-            consumer_id=session.request.consumer_id, consumer_battery=consumer_battery,
-            cumulative_out_mah=ledger.total_out_mah, cumulative_in_mah=ledger.total_in_mah,
-        ))
+        """Append the tick's four numbers to the columns and return the tick's sync for the consumer."""
+        consumer_charge, ledger = self.consumer_battery.charge_mah, self.ledger
+        append_provider, append_consumer, append_out, append_in = self.appends
+        append_provider(self.provider_battery.charge_mah)
+        append_consumer(consumer_charge)
+        append_out(ledger.total_out_mah)
+        append_in(ledger.total_in_mah)
         return tuple.__new__(MonitorSync, (
-            session.session_id, tick_index, wall_time_s,
-            consumer_battery.charge_mah, ledger.total_in_mah,
+            self.session.session_id, tick_index, wall_time_s, consumer_charge, ledger.total_in_mah,
         ))
 
     def step(self) -> MonitorSync | None:
@@ -275,7 +279,7 @@ class _ProviderAgent(_Agent):
 
     def _finalize(self) -> None:
         engine = self.engine
-        self.dataset = SessionDataset(
+        dataset = SessionDataset(
             session_id=engine.session.session_id,
             request=engine.session.request,
             provider_id=self.device_id,
@@ -285,10 +289,11 @@ class _ProviderAgent(_Agent):
             provider_capacity_mah=self.spec.capacity_mah,
             consumer_capacity_mah=engine.consumer_battery.capacity_mah,
             interval_s=self.scenario.interval_s,
-            records=tuple(engine.pairs),
-            metrics=compute_metrics(engine.pairs),
+            trace=engine.columns,
+            metrics=None,  # computed from the dataset's records, which need the rest of it
             terminal_reason=engine.session.terminal_reason,
         )
+        self.dataset = replace(dataset, metrics=compute_metrics(dataset.records))
         self.sessions.end(engine.session.session_id)
         self.engine = None
         self.next_tick_at = None
@@ -423,8 +428,10 @@ def _drive(agents: list, transport, clock, stop_at: float) -> None:
 
     An instant gathers its due devices once, and again after serving a
     device only if the transport's next delivery or the timer heap's head
-    has fallen due. Returns once nothing is pending or the next event lies
-    past ``stop_at``, checked after each instant and before waiting.
+    has fallen due. A device is asked for its messages only if a gather of
+    the instant found it with mail: one due only for its timer has none.
+    Returns once nothing is pending or the next event lies past
+    ``stop_at``, checked after each instant and before waiting.
     The gather and the rescheduling run at every instant, two per tick, so
     they are inlined here rather than called.
     """
@@ -436,9 +443,11 @@ def _drive(agents: list, transport, clock, stop_at: float) -> None:
     while True:
         now = clock.now_s
         due, last = [], -1  # this instant's due agents, by index; the last one served
+        mail: set[int] = set()  # due agents with a message, not yet received
         while True:
             # gather: devices with a message or a timer due, merged into this pass
             fresh = set(map(index_of, transport.due_devices()))
+            mail |= fresh
             while timers and timers[0][0] <= now:
                 wake_at, i = heapq.heappop(timers)
                 if current[i] == wake_at:
@@ -452,8 +461,10 @@ def _drive(agents: list, transport, clock, stop_at: float) -> None:
                 # the next after the last served; none after it starts a new pass
                 i = last = due.pop(bisect.bisect_right(due, last) % len(due))
                 agent = agents[i]
-                for msg in transport.receive(agent.device_id):
-                    agent.on_message(msg)
+                if i in mail:
+                    mail.discard(i)
+                    for msg in transport.receive(agent.device_id):
+                        agent.on_message(msg)
                 agent.on_time()
                 wake_at = agent.next_wakeup()
                 if wake_at != current[i]:

@@ -554,12 +554,20 @@ def exchange(addr: tuple[str, int], request: Iterable[str], read: Callable[[Any]
     for it and closed after; a reply that does not decode (``ValueError``) raises as ``error``.
 
     Each part goes on the wire as ``request`` yields it, with Nagle's algorithm off, so the peer
-    works on one part while the next is made."""
+    works on one part while the next is made. A send that fails ends the sending, and the reply
+    is read: a server that refuses a request may answer and close while the rest is still on
+    its way. If the connection closed with no reply, the send's error is raised."""
     with socket.create_connection(addr, timeout=timeout_s) as conn:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        for part in request:
-            conn.sendall(part.encode("utf-8"))
+        unsent = None
+        try:
+            for part in request:
+                conn.sendall(part.encode("utf-8"))
+        except OSError as exc:
+            unsent = exc
         with conn.makefile("rb", READ_SIZE) as stream:
+            if unsent is not None and not stream.peek(1):  # closed with no reply
+                raise unsent
             try:
                 return read(stream)
             except ValueError as exc:

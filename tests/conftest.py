@@ -53,8 +53,8 @@ def stored_dataset(store: EdgeStore, session_id: str) -> SessionDataset:
 
 @pytest.fixture
 def decodes(monkeypatch):
-    """The names of the decoding steps ``edge`` runs, in order: each ``_Gate``, ``_TextGate`` or
-    ``RecordReader`` built and each call of ``records_from_csv_text`` or ``validate_dataset``."""
+    """The names of the decoding steps ``edge`` runs, in order: each ``_Gate`` or ``_TextGate``
+    built and each call of ``records_from_csv_text`` or ``validate_dataset``."""
     calls = []
 
     def counted_class(name: str):
@@ -74,7 +74,7 @@ def decodes(monkeypatch):
 
         return call
 
-    for name in ("_Gate", "_TextGate", "RecordReader"):
+    for name in ("_Gate", "_TextGate"):
         monkeypatch.setattr(edge, name, counted_class(name))
     for name in ("records_from_csv_text", "validate_dataset"):
         monkeypatch.setattr(edge, name, counted(name))

@@ -20,6 +20,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -57,6 +58,7 @@ from energyshare.monitor import (
     ROLE_CONSUMER,
     ROLE_PROVIDER,
     TRACE_HEADER,
+    TraceColumns,
     _PAIRS_PER_BLOCK,
     compute_metrics,
     records_from_csv_text,
@@ -71,6 +73,29 @@ from energyshare.transport import LINES, parse_addr
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 WIRE_DOC = Path(__file__).resolve().parents[1] / "docs" / "wire-format.md"
+
+
+def held(pairs) -> TraceColumns:
+    """The columns a dataset holds ``pairs`` in: tick 0's time and each pair's four numbers."""
+    numbers = ((p.battery_charge_mah, c.battery_charge_mah, p.cumulative_transferred_mah,
+                c.cumulative_transferred_mah) for p, c in pairs)
+    return TraceColumns(pairs[0][0].wall_time_s, *(array("d", column) for column in zip(*numbers)))
+
+
+def with_pairs(dataset: SessionDataset, pairs) -> SessionDataset:
+    """``dataset`` holding ``pairs``, each row's fields but its numbers the ones its position gives."""
+    edited = dataclasses.replace(dataset, trace=held(pairs))
+    assert edited.records == tuple(pairs)
+    return edited
+
+
+def texts_with_pairs(dataset: SessionDataset, pairs) -> tuple[str, str]:
+    """``dataset``'s meta block, its ``record_count`` the number of ``pairs``, and a trace of
+    ``pairs`` as written: rows no dataset can hold enter as text."""
+    meta = encode_meta(dataset).replace(
+        f"record_count = {dataset.record_count}\n", f"record_count = {len(pairs)}\n"
+    )
+    return meta, f"{TRACE_HEADER}\n{trace_csv_rows(pairs)}"
 
 
 def build_dataset(
@@ -112,7 +137,7 @@ def build_dataset(
         provider_capacity_mah=p_cap,
         consumer_capacity_mah=c_cap,
         interval_s=interval,
-        records=tuple(pairs),
+        trace=held(pairs),
         metrics=metrics,
         terminal_reason=reason,
     )
@@ -162,7 +187,7 @@ def test_conflicting_reupload_rejected(store):
         provider_record._replace(cumulative_transferred_mah=999.0),
         consumer_record,
     )
-    tampered = dataclasses.replace(dataset, records=tuple(tampered_pairs))
+    tampered = with_pairs(dataset, tampered_pairs)
     with pytest.raises(ConflictingSession):
         store.upload(*encode_dataset(tampered))
     assert stored_dataset(store, dataset.session_id) == dataset
@@ -264,7 +289,7 @@ def test_a_retry_spelled_otherwise_after_a_failed_index_append_is_decoded_and_re
     meta = meta.replace("efficiency = 0.8\n", "efficiency = 0.80\n")
     with pytest.raises(ValidationFailed, match=f"^the meta block {UNSPELLED}$"):
         store.upload(meta, trace)
-    assert decodes == ["_Gate", "RecordReader"]
+    assert decodes == ["_Gate"]
     assert store.list() == EdgeStore(tmp_path / "data").list() == []
     assert stored_dataset(store, "ses-r1") == dataset
 
@@ -352,11 +377,9 @@ def test_a_torn_last_index_line_is_dropped_at_open(tmp_path):
 
 def test_misaligned_dataset_rejected_and_not_persisted(store):
     dataset = build_dataset(ticks=6)
-    gappy = dataclasses.replace(
-        dataset, records=dataset.records[:3] + dataset.records[4:]
-    )
+    gappy = texts_with_pairs(dataset, dataset.records[:3] + dataset.records[4:])
     with pytest.raises(ValidationFailed):
-        store.upload(*encode_dataset(gappy))
+        store.upload(*gappy)
     with pytest.raises(NotFound):
         store.get(dataset.session_id)
     assert store.list() == []
@@ -372,35 +395,31 @@ def test_wrong_metrics_rejected(store):
 
 
 def test_unsynchronized_timestamps_rejected():
+    """A dataset holds no row's time, so the skewed row is refused where rows enter."""
     dataset = build_dataset()
     provider_record, consumer_record = dataset.records[0]
-    skewed = dataclasses.replace(
-        dataset,
-        records=((provider_record, consumer_record._replace(wall_time_s=-1.0)),)
-        + dataset.records[1:],
-    )
-    with pytest.raises(ValidationFailed):
-        validate_dataset(skewed)
+    skewed = [provider_record, consumer_record._replace(wall_time_s=-1.0)]
+    skewed += [record for pair in dataset.records[1:] for record in pair]
+    with pytest.raises(ValidationFailed, match=f"^tick 0: {re.escape(POSITION)}"):
+        dataset_from_parts(parse_meta(encode_meta(dataset)), skewed)
 
 
 def test_provider_rows_naming_another_provider_rejected(store):
     dataset = build_dataset()
-    renamed = dataclasses.replace(
-        dataset, records=tuple((p._replace(device_id="p9"), c) for p, c in dataset.records)
-    )
-    assert renamed.provider_id == "p1"
+    renamed = texts_with_pairs(dataset, [(p._replace(device_id="p9"), c) for p, c in dataset.records])
+    assert "provider_id = p1\n" in renamed[0]
     with pytest.raises(ValidationFailed):
-        store.upload(*encode_dataset(renamed))
+        store.upload(*renamed)
     assert store.list() == []
 
 
 def test_consumer_rows_naming_another_consumer_rejected(store):
     dataset = build_dataset()
     request = make_request(RequestKind.DURATION, 5.0, "c9", request_id="r1")
-    renamed = dataclasses.replace(dataset, request=request)
-    assert {c.device_id for _, c in renamed.records} == {"c1"}
+    renamed = texts_with_pairs(dataclasses.replace(dataset, request=request), dataset.records)
+    assert {row.split(",")[3] for row in renamed[1].splitlines()[2::2]} == {"c1"}
     with pytest.raises(ValidationFailed):
-        store.upload(*encode_dataset(renamed))
+        store.upload(*renamed)
     assert store.list() == []
 
 
@@ -452,6 +471,52 @@ def test_bundled_run_dataset_survives_its_encoding(path):
     assert dataset_from_parts(parse_meta(meta), records_from_csv_text(trace)) == dataset
 
 
+@st.composite
+def held_pair_series(draw):
+    """A dataset and the pairs it holds, built explicitly: each row's fields but its numbers
+    the ones its position gives, its numbers in range; long enough to span trace blocks."""
+    p_cap, c_cap = draw(st.floats(1.0, 1e6)), draw(st.floats(1.0, 1e6))
+    interval = draw(st.floats(1e-3, 1e3))
+    start = draw(st.just(-0.0) | st.floats(-1e9, 1e9))
+    fraction, finite = st.floats(0.0, 1.0), st.floats(allow_nan=False, allow_infinity=False)
+    numbers = draw(st.lists(st.tuples(fraction, fraction, finite, finite), min_size=1,
+                            max_size=2 * _PAIRS_PER_BLOCK + 3))
+    pairs = tuple(
+        (MonitorRecord(k, start + k * interval if k else start, "ses-r1", "p1", ROLE_PROVIDER,
+                       level_pct_of(p * p_cap, p_cap), p * p_cap, out),
+         MonitorRecord(k, start + k * interval if k else start, "ses-r1", "c1", ROLE_CONSUMER,
+                       level_pct_of(c * c_cap, c_cap), c * c_cap, cumulative_in))
+        for k, (p, c, out, cumulative_in) in enumerate(numbers)
+    )
+    head = dataclasses.replace(build_dataset(), provider_capacity_mah=p_cap,
+                               consumer_capacity_mah=c_cap, interval_s=interval)
+    return dataclasses.replace(head, trace=held(pairs)), pairs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(held_pair_series(), st.data())
+def test_records_read_as_the_tuple_of_pairs_they_hold(series, data):
+    """``records`` behaves as the tuple of its pairs, and its trace CSV is the row form's."""
+    dataset, pairs = series
+    records, n = dataset.records, len(pairs)
+    assert len(records) == dataset.record_count == n
+    for i in (0, n // 2, n - 1, -1, -n):
+        assert records[i] == pairs[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            records[i]
+    bounds = st.none() | st.integers(-n - 2, n + 2)
+    step = st.none() | st.integers(1, 3) | st.integers(-3, -1)
+    cut = slice(data.draw(bounds), data.draw(bounds), data.draw(step))
+    assert records[cut] == pairs[cut] and type(records[cut]) is tuple
+    assert tuple(iter(records)) == pairs and list(records) == list(pairs)
+    assert records == pairs and pairs == records and records == dataset.records
+    assert records != pairs[:-1] and records != list(pairs)
+    assert trace_csv_text(records) == f"{TRACE_HEADER}\n{trace_csv_rows(pairs)}"
+    flat = [record for pair in pairs for record in pair]
+    assert dataset_from_parts(parse_meta(encode_meta(dataset)), flat) == dataset
+
+
 # --- TCP protocol -----------------------------------------------------------------
 
 
@@ -497,14 +562,25 @@ def test_tcp_conflict_surfaces(served_store):
     dataset = build_dataset(ticks=3)
     client.upload(dataset)
     provider_record, consumer_record = dataset.records[-1]
-    tampered = dataclasses.replace(
+    tampered = with_pairs(
         dataset,
-        records=dataset.records[:-1]
+        dataset.records[:-1]
         + ((provider_record._replace(cumulative_transferred_mah=5.5),
             consumer_record),),
     )
     with pytest.raises(ConflictingSession):
         client.upload(tampered)
+
+
+def test_an_upload_refused_while_the_client_still_sends_gets_the_refusal(served_store):
+    """The server answers a 70 KB UPLOAD line and closes with the rest of the block unread; the
+    client's send fails, and it reads the reply instead of raising the reset."""
+    _, _, client = served_store
+    dataset = build_dataset(session_id="s" * 70_000, ticks=100)  # 14 MB: more than socket buffers take
+    with pytest.raises(EnergyShareError) as refused:
+        client.upload(dataset)
+    assert str(refused.value) == f"ERR Malformed a line longer than {edge.READ_SIZE} bytes with its newline"
+    assert client.list() == []
 
 
 def test_tcp_survives_server_restart(tmp_path):
@@ -838,10 +914,10 @@ def test_gate_refuses_a_metric_that_recomputes_to_infinity():
     (p0, c0), (p1, c1) = dataset.records
     full = dict(battery_level_pct=100.0, battery_charge_mah=cap)
     empty = dict(battery_level_pct=0.0, battery_charge_mah=0.0)
-    huge = dataclasses.replace(
-        dataset, provider_capacity_mah=cap, consumer_capacity_mah=cap,
-        records=((p0._replace(**full), c0._replace(**full)), (p1._replace(**empty), c1._replace(**empty))),
-        metrics=SessionMetrics(cap, -cap, 1.7976931348623157e308, 1.0),
+    huge = with_pairs(
+        dataclasses.replace(dataset, provider_capacity_mah=cap, consumer_capacity_mah=cap,
+                            metrics=SessionMetrics(cap, -cap, 1.7976931348623157e308, 1.0)),
+        ((p0._replace(**full), c0._replace(**full)), (p1._replace(**empty), c1._replace(**empty))),
     )
     with pytest.raises(ValidationFailed, match=r"energy_loss_mah stored=.* recomputed=inf"):
         decode_dataset(encode_meta(huge), trace_csv_text(huge.records))
@@ -1067,7 +1143,7 @@ SPELLED = SessionDataset(
     session_id="ses-s", request=make_request(RequestKind.DURATION, 2.0, "c1", request_id="r1"),
     provider_id="p1", tech_params=EDITED.tech_params, provider_drain=DrainParams(40.0),
     consumer_drain=DrainParams(40.0), provider_capacity_mah=4000.0, consumer_capacity_mah=2000.0,
-    interval_s=1.0, records=SPELLED_PAIRS, metrics=compute_metrics(SPELLED_PAIRS),
+    interval_s=1.0, trace=held(SPELLED_PAIRS), metrics=compute_metrics(SPELLED_PAIRS),
     terminal_reason=Reason.DURATION_ELAPSED,
 )
 # an edit of SPELLED's texts that it still decodes to, and what the refusal names
@@ -1539,7 +1615,7 @@ def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(datase
 def test_an_identical_reupload_is_acknowledged_without_decoding(served_store, decodes):
     store, server, client = served_store
     assert store.upload(STREAMED_META, STREAMED_TRACE) == UploadReceipt("ses-r1", 600)
-    assert decodes == ["_TextGate", "_Gate"]
+    assert decodes == ["_TextGate"]
     decodes.clear()
     kept = session_files(store, "ses-r1")
     assert store.upload(STREAMED_META, STREAMED_TRACE) == UploadReceipt("ses-r1", 600)
@@ -1566,7 +1642,7 @@ def test_a_reupload_over_a_stored_file_that_cannot_be_opened_is_decoded(served_s
     decodes.clear()
     sent = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{STREAMED_TRACE}END\n")
     assert sent.startswith(reply) and sent.count("\n") == 1
-    assert decodes == ["_TextGate", "_Gate"] and staging_dirs(store) == []
+    assert decodes == ["_TextGate"] and staging_dirs(store) == []
     try:
         served = client.get("ses-r1")
     except EnergyShareError:

@@ -24,7 +24,7 @@ from energyshare.monitor import (
     pairs_from_records,
     record_tick,
     records_from_csv_text,
-    trace_csv_text,
+    trace_csv_rows,
 )
 from energyshare.protocol import (
     RequestKind,
@@ -132,14 +132,18 @@ def sample_pairs(n=4):
     ]
 
 
+def csv_text(pairs) -> str:
+    """The header line, then the rows of ``pairs`` as the row form writes them."""
+    return f"{TRACE_HEADER}\n{trace_csv_rows(pairs)}"
+
+
 def test_trace_csv_round_trip_is_bit_exact():
     pairs = sample_pairs()
-    text = trace_csv_text(pairs)
-    assert text.startswith(TRACE_HEADER + "\n")
+    text = csv_text(pairs)
     assert text.endswith("\n")
     records = records_from_csv_text(text)
     assert pairs_from_records(records) == tuple(pairs)
-    assert trace_csv_text(pairs_from_records(records)) == text
+    assert csv_text(pairs_from_records(records)) == text
 
 
 def test_format_record_prints_each_float_field_as_a_float():
@@ -197,7 +201,7 @@ def record_pairs(draw):
 @given(record_pairs())
 def test_trace_csv_codec_round_trips(pairs):
     """A canonical trace round-trips through the reader and the pairing, bit for bit."""
-    text = trace_csv_text(pairs)
+    text = csv_text(pairs)
     decoded = pairs_from_records(records_from_csv_text(text))
     assert decoded == tuple(pairs)
-    assert trace_csv_text(decoded) == text
+    assert csv_text(decoded) == text

@@ -105,6 +105,34 @@ def test_a_run_result_holds_its_session_once():
     assert held / pairs <= 720
 
 
+def _held_bytes(build) -> tuple[int, object]:
+    """What ``build()`` returns, and the bytes it holds under ``tracemalloc`` once the
+    garbage it made is collected."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, kept
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_dataset_holds_its_trace_in_under_64_bytes_a_pair(tmp_path):
+    """A 7,200-pair dataset, as a run builds it and as ``load_run`` decodes it, holds four
+    numbers a pair (32 bytes and the columns' spare room), not two 8-field records (about
+    483 bytes)."""
+    pairs = 7200
+    scenario = build_scenario(value=float(pairs - 1))
+    run_scenario(build_scenario(value=5.0))  # first-run caches are not the dataset's
+    ran, dataset = _held_bytes(lambda: run_scenario(scenario).dataset)
+    run_dir = write_run_artifacts(run_scenario(scenario), tmp_path / "run")
+    loaded, run = _held_bytes(lambda: load_run(run_dir))
+    assert dataset.record_count == run.dataset.record_count == pairs and run.dataset == dataset
+    assert ran / pairs < 64 and loaded / pairs < 64
+
+
 @pytest.mark.parametrize("duration,interval,expected_pairs", [
     (3.0, 1.0, 4),
     (10.0, 2.0, 6),
@@ -359,7 +387,8 @@ WALL_TWINS = {
 
 def _off_the_clock(result):
     """A run as its clock leaves it: each row's time is the first row's plus its tick's
-    multiple of the interval, and with the times taken out the rest must match a twin's."""
+    multiple of the interval, and with the times taken out the rest must match a twin's.
+    A dataset holds no time but tick 0's, so that one is taken out of its columns."""
     dataset = result.dataset
     if dataset is not None:
         start = dataset.records[0][0].wall_time_s
@@ -367,10 +396,7 @@ def _off_the_clock(result):
             record.wall_time_s == start + record.tick_index * dataset.interval_s
             for pair in dataset.records for record in pair
         )
-        rows = tuple(
-            tuple(record._replace(wall_time_s=None) for record in pair) for pair in dataset.records
-        )
-        dataset = replace(dataset, records=rows)
+        dataset = replace(dataset, trace=dataset.trace._replace(start_s=None))
     return result.outcome, result.terminal_reason, dataset
 
 
@@ -535,9 +561,8 @@ def test_compare_pads_the_shorter_runs_curve_cells_with_blanks(tmp_path):
 
 
 def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, decodes):
-    """Client GET and load_run each run the one decoder once: one gate, one ``RecordReader``,
-    and neither whole-text step; a TCP upload runs the text gate once, and the gate only to
-    check its metrics."""
+    """Client GET and load_run each run the one decoder, the gate, once, and neither whole-text
+    step; a TCP upload runs the text gate once, which checks the metrics itself."""
     result = run_scenario(build_scenario(value=10.0))
     run_dir = write_run_artifacts(result, tmp_path / "run")
     server = EdgeServer(EdgeStore(tmp_path / "edge-data")).start()
@@ -557,8 +582,8 @@ def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, decodes):
     finally:
         server.stop()
     # a byte-identical re-upload is compared with the stored files, not decoded
-    assert steps == {**dict.fromkeys(reads, ["RecordReader", "_Gate"]),
-                     "tcp_upload": ["_Gate", "_TextGate"], "tcp_reupload": []}
+    assert steps == {**dict.fromkeys(reads, ["_Gate"]),
+                     "tcp_upload": ["_TextGate"], "tcp_reupload": []}
 
 
 def test_load_run_and_compare_refuse_a_middle_row_out_of_range(tmp_path):

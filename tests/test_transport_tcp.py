@@ -272,6 +272,17 @@ def test_exchange_puts_each_request_part_on_the_wire_before_it_takes_the_next(
     assert (reply, bytes(received)) == (b"OK\n", sent)
 
 
+def test_exchange_whose_send_fails_with_no_reply_raises_the_send_error(stand_in_registry):
+    """A peer that resets the connection after one line, while the request is still sent, has
+    sent no reply to read: the send's error is raised, and ``read`` never runs."""
+    addr = parse_addr(stand_in_registry(reset_after_a_command))
+    request = ["LIST\n", "x" * (1 << 24)]  # more than socket buffers take
+    with pytest.raises((ConnectionResetError, BrokenPipeError)) as failed:
+        transport_module.exchange(addr, request, lambda stream: pytest.fail("read ran"),
+                                  PeerUnreachable, 10.0)
+    assert "sendall" in str(failed.traceback[-1].statement)  # the send's error, not a read's
+
+
 BAD_REGISTER = "bad REGISTER line: fields must be exactly device_id addr"
 BAD_ADVERTISE = ("bad ADVERTISE line: fields must be exactly addr provider_id x y level_pct technology"
                  " available")
