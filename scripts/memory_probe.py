@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Memory of a day-long session: one virtual run, its run directory written and read back,
 then its dataset uploaded to an edge store, uploaded again as it is and with one field
-edited, fetched back from an edge server raw and by an edge client, and uploaded by an
-edge client.
+edited, uploaded to an empty store with one field spelled otherwise, fetched back from an
+edge server raw and by an edge client, and uploaded by an edge client.
 
 The session charges over cable for 86,400 ticks at 1 s (86,401 record
 pairs). Tracing starts after the run, so the probe stays short: the run
@@ -12,10 +12,12 @@ its peak, both above what was traced when it began. Each upload reads the
 run directory's ``trace.csv`` a block of lines at a time. The identical
 re-upload is compared with the stored files; the re-upload whose last row
 has another consumer charge differs only in its last piece, so the store
-reads the rest back from disk and proves and stages it as text, then at
-the last piece hands the whole text, read back from its staging file, to
-the decoder, and it must be refused as an upload of the same text to an
-empty store is. The GET runs an
+reads the rest back from disk and proves and stages it, and it must be
+refused at the last piece as an upload of the same text to an empty store
+is. The respelt upload's middle row has its charge's ``repr`` with a ``0``
+after it, the same number spelled otherwise: the store stops staging at
+that row and decodes it, and must refuse it as not spelled as the encoder
+writes it. The GET runs an
 ``EdgeServer`` in this process and reads its reply off a socket, keeping
 only its length. The client GET fetches it from the same server through
 ``EdgeClient.get``, which builds the whole dataset as ``load_run`` does;
@@ -33,7 +35,8 @@ the run, ``load_run`` and the client GET each hold about 3 MB of it.
 Exits 1 if the run's peak RSS is over RUN_PEAK_RSS_LIMIT_MB, if
 ``write_run_artifacts`` peaks more than WRITE_PEAK_LIMIT_MB above its start,
 ``load_run`` or the client GET more than LOAD_PEAK_LIMIT_MB, or an edge upload,
-re-upload, GET or client upload more than EDGE_PEAK_LIMIT_MB above theirs.
+re-upload, respelt upload, GET or client upload more than EDGE_PEAK_LIMIT_MB above
+theirs.
 
 Usage: python scripts/memory_probe.py
 """
@@ -62,6 +65,7 @@ WRITE_PEAK_LIMIT_MB = 4.0
 LOAD_PEAK_LIMIT_MB = 8.0
 EDGE_PEAK_LIMIT_MB = 4.0
 LINES_PER_PIECE = 256
+RESPELT_ROW = 86401  # the data row whose charge the respelt upload spells otherwise: tick 43,200's
 MB = 1e6
 
 DAY_LONG = """
@@ -114,6 +118,20 @@ def last_row_edited(pieces):
     yield "".join(rows) + ",".join(fields)
 
 
+def row_respelt(pieces):
+    """The pieces of a trace, with the battery charge of data row RESPELT_ROW spelled with a
+    ``0`` after it."""
+    lines_before = 0
+    for piece in pieces:
+        lines = piece.splitlines(keepends=True)
+        if 0 <= (at := RESPELT_ROW + 1 - lines_before) < len(lines):  # line 0 is the header
+            fields = lines[at].split(",")
+            fields[6] += "0"  # battery_charge_mah
+            lines[at] = ",".join(fields)
+        lines_before += len(lines)
+        yield "".join(lines)
+
+
 def upload(store: EdgeStore, run_dir: Path, edit=iter):
     """The receipt of an upload of ``run_dir``'s dataset through ``edit``, or its error's type
     and message."""
@@ -151,6 +169,8 @@ def main() -> int:
         again, again_peak = traced("edge re-upload", upload, store, run_dir)
         edited, edited_peak = traced("edge re-upload edit", upload, store, run_dir, last_row_edited)
         refused = upload(EdgeStore(Path(tmp) / "empty"), run_dir, last_row_edited)
+        respelt, respelt_peak = traced("edge upload respelt", upload, EdgeStore(Path(tmp) / "respelt"),
+                                       run_dir, row_respelt)
         server = EdgeServer(store).start()
         try:
             served, get_peak = traced("edge GET", get_reply_bytes, server.address,
@@ -181,6 +201,7 @@ def main() -> int:
                                   ("edge upload", upload_peak, EDGE_PEAK_LIMIT_MB),
                                   ("edge re-upload", again_peak, EDGE_PEAK_LIMIT_MB),
                                   ("edge re-upload edit", edited_peak, EDGE_PEAK_LIMIT_MB),
+                                  ("edge upload respelt", respelt_peak, EDGE_PEAK_LIMIT_MB),
                                   ("edge GET", get_peak, EDGE_PEAK_LIMIT_MB),
                                   ("edge client GET", fetch_peak, LOAD_PEAK_LIMIT_MB),
                                   ("edge client upload", sent_peak, EDGE_PEAK_LIMIT_MB))
@@ -190,6 +211,9 @@ def main() -> int:
         failures.append(f"edge re-upload replied {again}, not the upload's {receipt}")
     if edited != refused or not isinstance(refused, tuple):
         failures.append(f"edge re-upload edit replied {edited}, an empty store {refused}")
+    unspelled = ("ValidationFailed", f"tick {RESPELT_ROW // 2}: a row is not spelled as the encoder writes it")
+    if respelt != unspelled:
+        failures.append(f"edge upload respelt replied {respelt}, not {unspelled}")
     if sent != receipt:
         failures.append(f"edge client upload replied {sent}, not the upload's {receipt}")
     if fetched != dataset_digest(result.dataset):

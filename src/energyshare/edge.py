@@ -7,15 +7,12 @@ A dataset holds its trace as four columns of measured numbers
 (:class:`~energyshare.monitor.TraceColumns`); its record pairs are a view
 built on access. Its row rules live in one gate, :class:`_Gate`, the one
 decoder: every path from a dataset text to a dataset runs it once, fed a
-piece at a time, and keeps the four numbers of each pair it passes: an
+piece at a time. A read keeps the four numbers of each pair it passes: an
 :meth:`EdgeClient.get` and ``report.load_run`` in :func:`decode_dataset`, and
 :func:`validate_dataset` over a dataset's own text. An UPLOAD is stored as
-the bytes that arrived, so the store's upload checks it as text instead,
-with :class:`_TextGate`, whose rules each imply the gate's and also require
-the text the encoder writes; a text it cannot prove goes to the decoder,
-which words every refusal. The two stay apart because a read needs the
-values, and the ``repr`` of every float that proving a text takes costs more
-than parsing it.
+the bytes that arrived, so the store's upload runs the gate spelled: a pair
+whose fields are the text the encoder writes passes on string compares
+alone, and any other is decoded, so the gate words every refusal.
 Uploads are written atomically (temp dir + rename) and acknowledged only
 after an fsync, so an acknowledged dataset survives a crash. Re-uploading
 identical content is idempotent; a different dataset under the same
@@ -64,7 +61,6 @@ from .monitor import (
     TraceColumns,
     compute_metrics,
     new_columns,
-    pairs_from_records,
     records_from_csv_text,  # uncalled: bench/layers.py wraps edge's; its --trace 1 runs need it
     trace_csv_blocks,
     trace_csv_text,
@@ -162,6 +158,7 @@ def validate_dataset(dataset: SessionDataset) -> None:
 _POSITION = ("a row's tick_index, time, session_id, device_id or role is not the one its position in the "
              "dataset gives")
 _RANGE = "a time, charge or cumulative out of range, or a level off its charge"
+_UNSPELLED = "is not spelled as the encoder writes it"
 
 
 def _check_metrics(head: SessionDataset, first: tuple[str, str] | None, last: tuple[str, str]) -> None:
@@ -245,9 +242,8 @@ def encode_dataset(dataset: SessionDataset) -> tuple[str, str]:
 
 
 def decode_dataset(meta: str, trace: str | Iterable[str]) -> SessionDataset:
-    """The dataset a ``meta.txt`` text and a ``trace.csv`` text or its pieces hold, decoded as
-    an UPLOAD the text gate cannot prove is (:class:`_Gate`): a piece at a time, with the
-    same end checks."""
+    """The dataset a ``meta.txt`` text and a ``trace.csv`` text or its pieces hold, decoded a
+    piece at a time by :class:`_Gate`, with the end checks an UPLOAD gets."""
     values, head = _head(parse_meta(meta))
     gate, columns = _Gate(head, values[_COUNT_KEY]), new_columns()[1:]
     for piece in _pieces(trace):
@@ -315,7 +311,7 @@ def _head(meta: dict[str, str]) -> tuple[dict[str, Any], SessionDataset]:
 
 
 class _Gate:
-    """The one dataset decoder and its row rules, fed a trace text a piece at a time.
+    """The one dataset gate and decoder, fed a trace text a piece at a time.
 
     A piece is split into rows with ``str.splitlines``, after the canonical header, and its rows
     are paired by position (a pair may span two pieces). A row that does not read, 8 fields
@@ -323,21 +319,38 @@ class _Gate:
     first those its position gives (tick, time, ids, roles), then the ranges and each level
     against its charge. :meth:`feed` gives the four numbers of the pairs that pass, as columns
     of the piece for the caller to keep or drop, and none after the first refused pair.
-    :meth:`close` makes the checks that follow the last piece, in this order: the header, a
-    row left over and ``count`` (:func:`_check_end`), that refusal, the metrics."""
 
-    def __init__(self, head: SessionDataset, count: int):
-        self.head, self.count, self.header = head, count, True
+    A ``spelled`` gate, an upload's, also proves that each row is the text the encoder writes,
+    ended by ``\\n`` alone, and gives no numbers. A pair whose every field is that text (a time
+    or level the ``repr`` of the value the gate computes, so ``-0.0`` where it computes ``0.0``
+    is not; a tick ``str(tick)``; a charge or cumulative the ``repr`` of the number it reads)
+    passes as it is, since each such comparison implies the check it stands in for. Any other
+    pair is checked as above, and the first that passes is the :attr:`misspelled` one, unless
+    its caller set that first, for a meta block the encoder does not write.
+    :meth:`close` makes the checks that follow the last piece, in this order: the header, a
+    row left over, read first, and ``count`` (:func:`_check_end`), the first refused pair, the
+    metrics, then the first misspelling."""
+
+    def __init__(self, head: SessionDataset, count: int, spelled: bool = False):
+        self.head, self.count, self.spelled, self.header = head, count, spelled, True
         self.start: float | None = None  # tick 0's time: every later time follows from it
         self.first = self.last = None  # the first and last pairs' rows
         self.left: list[str] = []  # a row whose pair starts the next piece
         self.ticks = 0  # the pairs read
         self.refused: ValidationFailed | None = None
+        self.misspelled: ValidationFailed | None = None
+        self.unended: int | None = None  # the first pair with a row not ended by "\n" alone
 
     def feed(self, piece: str) -> tuple[array, ...]:
         """The provider's and the consumer's charges, and the cumulative out and in, of the
         pairs of ``piece`` that pass."""
         rows, columns = piece.splitlines(), new_columns()[1:]
+        if self.spelled and self.unended is None and rows and piece != "\n".join(rows) + "\n":
+            # a row ends at another line boundary, or at none: the first, where str.split cuts
+            # the piece otherwise, counted among the pairs' rows (the header is -1, so tick 0)
+            at = next((at for at, (row, cut) in enumerate(zip(rows, piece.split("\n"))) if row != cut),
+                      len(rows) - 1) + len(self.left) - self.header
+            self.unended = self.ticks + max(at, 0) // 2
         if self.header:
             if not rows:
                 return columns
@@ -349,6 +362,7 @@ class _Gate:
             rows = self.left + rows
         self.left = [rows.pop()] if len(rows) % 2 else []
         head, start, refused, isfinite = self.head, self.start, self.refused, math.isfinite
+        spelled, unended, misspelled = self.spelled, self.unended, self.misspelled
         session_id, provider_id = head.session_id, head.provider_id
         consumer_id = head.request.consumer_id
         provider_cap, consumer_cap = head.provider_capacity_mah, head.consumer_capacity_mah
@@ -356,6 +370,30 @@ class _Gate:
         p_append, c_append, out_append, in_append = (column.append for column in columns)
         ticks, self.ticks = self.ticks, self.ticks + len(rows) // 2
         for tick, p, c in zip(range(ticks, self.ticks), rows[::2], rows[1::2]):
+            if spelled and tick != unended:
+                try:
+                    p_tick, p_wall, p_session, p_device, p_role, p_level, p_charge, p_sum = p.split(",")
+                    c_tick, c_wall, c_session, c_device, c_role, c_level, c_charge, c_sum = c.split(",")
+                    p_mah, c_mah, p_sum_n, c_sum_n = float(p_charge), float(c_charge), float(p_sum), float(c_sum)
+                    if start is None:  # tick 0
+                        start, self.first = float(p_wall), (p, c)
+                except ValueError:
+                    pass
+                else:
+                    wall = start + tick * interval_s
+                    # a level is battery.level_pct_of(charge, capacity), inlined as below
+                    if (p_tick == c_tick == str(tick)
+                            and p_wall == c_wall == repr(wall if tick else start)
+                            and isfinite(wall)
+                            and p_session == session_id == c_session and p_device == provider_id
+                            and c_device == consumer_id and p_role == ROLE_PROVIDER and c_role == ROLE_CONSUMER
+                            and 0.0 <= p_mah <= provider_cap and 0.0 <= c_mah <= consumer_cap
+                            and repr(p_mah) == p_charge and repr(c_mah) == c_charge
+                            and p_level == repr(level if (level := 100.0 * p_mah / provider_cap) <= 100.0 else 100.0)
+                            and c_level == repr(level if (level := 100.0 * c_mah / consumer_cap) <= 100.0 else 100.0)
+                            and repr(p_sum_n) == p_sum and repr(c_sum_n) == c_sum
+                            and isfinite(p_sum_n) and isfinite(c_sum_n)):
+                        continue
             try:
                 row = p
                 p_tick, p_wall, p_session, p_device, p_role, p_level, p_charge, p_sum = p.split(",")
@@ -388,12 +426,14 @@ class _Gate:
                 and isfinite(c_sum_n)
             ):
                 refused = ValidationFailed(f"tick {tick}: {_RANGE}")
+            elif spelled:  # it decodes, so a field is not the text the encoder writes
+                misspelled = misspelled or ValidationFailed(f"tick {tick}: a row {_UNSPELLED}")
             else:
                 p_append(p_mah)
                 c_append(c_mah)
                 out_append(p_sum_n)
                 in_append(c_sum_n)
-        self.start, self.refused = start, refused
+        self.start, self.refused, self.misspelled = start, refused, misspelled
         if rows:
             self.last = (rows[-2], rows[-1])
         return columns
@@ -401,105 +441,33 @@ class _Gate:
     def close(self) -> None:
         if self.header:
             raise ValueError(NO_HEADER)
+        for row in self.left:
+            _read_record(row)
         _check_end(self.left, self.ticks, self.count)
         if self.refused is not None:
             raise self.refused
         _check_metrics(self.head, self.first, self.last)
+        if self.misspelled is not None:
+            raise self.misspelled
 
 
 def _check_end(left: list, ticks: int, count: int) -> None:
     """A trace's end, after its ``ticks`` pairs: a row ``left`` without its pair is
     :class:`ValidationFailed`, a pair total other than ``count`` a ``ValueError``."""
-    try:
-        pairs_from_records(left, ticks)
-    except ValueError as exc:
-        raise ValidationFailed(str(exc)) from None
+    if left:
+        raise ValidationFailed(f"tick {ticks}: a row without its pair")
     if ticks != count:
         raise ValueError(f"{_COUNT_KEY} is {count!r}, the trace holds {ticks} pairs")
 
 
-class _TextGate:
-    """:class:`_Gate`'s rules on a trace's text, fed a piece at a time: every row must be
-    valid and the text :func:`~energyshare.monitor.format_record` writes for its position.
-
-    Each rule implies the gate rule it stands in for, so a trace this gate passes decodes.
-    A field is compared with the text the encoder would write: a time or level must be the
-    text of the value the gate computes (so ``-0.0`` where it computes ``0.0`` is refused),
-    a charge or cumulative the ``repr`` of the number it reads. The metrics are checked from
-    the first and last pairs, as :meth:`_Gate.close` checks them."""
-
-    def __init__(self, head: SessionDataset):
-        self.head, self.header, self.left, self.ticks = head, TRACE_HEADER + "\n", [], 0
-        self.start = self.first = self.last = None  # tick 0's time; the end pairs' rows
-
-    def feed(self, piece: str) -> int | None:
-        """Prove ``piece``, the trace's text after what was fed: the tick of the first row
-        it cannot prove, else ``None``. A piece ends at a line end."""
-        if self.header:
-            if not piece:
-                return None
-            if not piece.startswith(self.header):
-                return 0
-            piece, self.header = piece[len(self.header):], ""
-        rows = piece.split("\n")
-        cut = rows.pop()  # "" after the last row's "\n"
-        if self.left:
-            rows = self.left + rows
-        self.left = [rows.pop()] if len(rows) % 2 else []
-        if not rows:
-            return self.ticks if cut else None
-        if self.start is None:  # tick 0's time, which must read back as itself, is the start
-            try:
-                self.start = float(rows[0].split(",")[1])
-            except (IndexError, ValueError):
-                return 0
-            self.first = (rows[0], rows[1])
-        head, isfinite, start = self.head, math.isfinite, self.start
-        session_id, provider_id = head.session_id, head.provider_id
-        consumer_id = head.request.consumer_id
-        provider_cap, consumer_cap = head.provider_capacity_mah, head.consumer_capacity_mah
-        interval_s = head.interval_s
-        for tick, p, c in zip(range(self.ticks, self.ticks + len(rows)), rows[::2], rows[1::2]):
-            try:
-                p_tick, p_wall, p_session, p_device, p_role, p_level, p_charge, p_cumulative = p.split(",")
-                c_tick, c_wall, c_session, c_device, c_role, c_level, c_charge, c_cumulative = c.split(",")
-                p_mah, c_mah = float(p_charge), float(c_charge)
-                p_sum, c_sum = float(p_cumulative), float(c_cumulative)
-            except ValueError:  # not 8 fields, or a number that does not read
-                return tick
-            wall = start + tick * interval_s
-            # a level is battery.level_pct_of(charge, capacity), inlined as the gate does
-            if not (p_tick == c_tick == str(tick)
-                    and p_wall == c_wall == repr(wall if tick else start)
-                    and isfinite(wall)
-                    and p_session == session_id == c_session and p_device == provider_id
-                    and c_device == consumer_id and p_role == ROLE_PROVIDER and c_role == ROLE_CONSUMER
-                    and 0.0 <= p_mah <= provider_cap and 0.0 <= c_mah <= consumer_cap
-                    and repr(p_mah) == p_charge and repr(c_mah) == c_charge
-                    and p_level == repr(level if (level := 100.0 * p_mah / provider_cap) <= 100.0 else 100.0)
-                    and c_level == repr(level if (level := 100.0 * c_mah / consumer_cap) <= 100.0 else 100.0)
-                    and repr(p_sum) == p_cumulative and repr(c_sum) == c_cumulative
-                    and isfinite(p_sum) and isfinite(c_sum)):
-                return tick
-        self.ticks += len(rows) // 2
-        self.last = (rows[-2], rows[-1])
-        return self.ticks if cut else None
-
-    def close(self, count: int) -> int | None:
-        """After the last piece, the decoder's end checks in its order (:func:`_check_end`,
-        :meth:`_Gate.close`); but first the tick of a row left without its pair, which is not
-        proved, or 0 if no header came, as a row :meth:`feed` cannot prove."""
-        if self.header or self.left:
-            return self.ticks
-        _check_end([], self.ticks, count)
-        _check_metrics(self.head, self.first, self.last)
-        return None
-
-
 def _read_record(row: str) -> MonitorRecord:
-    """The record of a row that a gate passed."""
-    tick, wall, session_id, device_id, role, *numbers = row.split(",")
-    return MonitorRecord(int(tick), float(wall), session_id, device_id, role, *map(float, numbers))
+    """The record of a row, or a ``ValueError`` naming the row if it does not read."""
+    try:
+        tick, wall, session_id, device_id, role, level, charge, cumulative = row.split(",")
+        return MonitorRecord(int(tick), float(wall), session_id, device_id, role,
+                             float(level), float(charge), float(cumulative))
+    except ValueError as exc:  # not 8 fields, or a number that does not read
+        raise ValueError(f"trace row {row!r}: {exc}") from None
 
 
 def dataset_digest(dataset: SessionDataset) -> str:
@@ -544,23 +512,24 @@ class _Upload:
     * compare: while the meta block and the trace so far are a stored session's files byte for
       byte, the pieces are hashed, and at the end acknowledged unproved if the trace ended where
       the stored one does and the hash is its ``digest.txt``;
-    * stage: each piece is proved by :class:`_TextGate`, then its received bytes are hashed and
-      written to a staging directory, so nothing is re-encoded; :meth:`finish` commits them;
-    * refuse: once the text cannot be proved, or its meta block is not the one the encoder writes
-      for its values, the decoder takes the trace, and words the refusal.
+    * stage: each piece is proved by a spelled :class:`_Gate`, which words every refusal, and
+      while every pair so far is proved its received bytes are hashed and written to a staging
+      directory, so nothing is re-encoded; :meth:`finish` commits them once the gate's end checks
+      pass. A meta block that is not the one the encoder writes for its values is the text's
+      first misspelling, and nothing is staged.
 
-    When the stage changes, the next one is fed the trace so far first, read back from the
-    stored or staged file (those bytes are the ones received): a catch-up, held back in
-    :attr:`backlog` and fed a piece at a time by :meth:`step`, before any later piece. Only the
-    commit holds the store's lock."""
+    When the compare stage ends, the stage is fed the trace so far first, read back from the
+    stored file (those bytes are the ones received): a catch-up, held back in :attr:`backlog`
+    and fed a piece at a time by :meth:`step`, before any later piece. Only the commit holds
+    the store's lock."""
 
     def __init__(self, store: EdgeStore, meta: str, values: dict[str, Any], head: SessionDataset):
         self.store, self.head, self.count = store, head, values[_COUNT_KEY]
         self.session_dir = store._session_dir(head.session_id)
         self.meta = meta.encode("utf-8", "surrogatepass")
         self.canonical = meta == format_meta({key: fmt_value(value) for key, value in values.items()})
-        self.file = self.stored_digest = self.tmp_dir = self.gate = self.decoder = None
-        self.hasher, self.size = hashlib.sha256(self.meta), 0  # the trace's bytes hashed so far
+        self.file = self.stored_digest = self.tmp_dir = self.gate = None
+        self.hasher, self.size = hashlib.sha256(self.meta), 0  # size: the trace's bytes compared
         self.backlog: deque[Iterator[str]] = deque()  # pieces held back, to feed in this order
         try:
             if (self.session_dir / META_FILENAME).read_bytes() == self.meta:
@@ -589,20 +558,22 @@ class _Upload:
 
     def feed(self, piece: str) -> None:
         """Take the trace's next piece, which ends at a line end, once the backlog is fed."""
-        if self.decoder is not None:
-            self.decoder.feed(piece)
-        elif self.stored_digest is not None:
+        if self.stored_digest is not None:
             sent = piece.encode("utf-8", "surrogatepass")
             if self.file.read(len(sent)) != sent:
                 return self._unmatched(piece)
             self.hasher.update(sent)
             self.size += len(sent)
+            return
+        self.gate.feed(piece)
+        if self.file is None:
+            return
+        if self.gate.refused or self.gate.misspelled:  # nothing from the first pair not proved on is staged
+            self.file.close()
+            self.file = None
         else:
-            if (tick := self.gate.feed(piece)) is not None:
-                return self._refuse(f"tick {tick}: a row", [piece])
             self.file.write(block := piece.encode("utf-8"))
             self.hasher.update(block)
-            self.size += len(block)
 
     def _unmatched(self, *pieces: str) -> None:
         """Not the stored dataset: decide the upload as a new one, from the trace sent so far."""
@@ -610,26 +581,17 @@ class _Upload:
         self._begin(chain(line_blocks(self.session_dir / TRACE_FILENAME, self.size), pieces))
 
     def _begin(self, held: Iterable[str] = ()) -> None:
-        """Stage the upload, or refuse it if its meta block is not the encoder's; the trace sent
-        so far, ``held``, goes first in the backlog."""
-        self.stored_digest, self.hasher, self.size = None, hashlib.sha256(self.meta), 0
-        if not self.canonical:
-            return self._refuse("the meta block", held)
-        self.tmp_dir = self.store.data_dir / f"+tmp-{uuid.uuid4().hex}"  # no session id has a '+'
-        self.tmp_dir.mkdir()
-        (self.tmp_dir / META_FILENAME).write_bytes(self.meta)
-        self.gate, self.file = _TextGate(self.head), (self.tmp_dir / TRACE_FILENAME).open("wb")
-        if held:
-            self.backlog.appendleft(iter(held))
-
-    def _refuse(self, what: str, held: Iterable[str]) -> None:
-        """Hand the trace to the decoder: the pieces staged so far, read back, then ``held`` go
-        first in the backlog. If it refuses nothing, the refusal is that ``what`` is not spelled
-        as the encoder writes it."""
-        self.what, self.decoder = what, _Gate(self.head, self.count)
-        if self.tmp_dir is not None:
-            self.file.close()
-            held = chain(line_blocks(self.tmp_dir / TRACE_FILENAME, self.size), held)
+        """Prove the upload with a spelled gate, and stage it if its meta block is the encoder's;
+        the trace sent so far, ``held``, goes first in the backlog."""
+        self.stored_digest, self.hasher = None, hashlib.sha256(self.meta)
+        self.gate, self.file = _Gate(self.head, self.count, spelled=True), None
+        if self.canonical:
+            self.tmp_dir = self.store.data_dir / f"+tmp-{uuid.uuid4().hex}"  # no session id has a '+'
+            self.tmp_dir.mkdir()
+            (self.tmp_dir / META_FILENAME).write_bytes(self.meta)
+            self.file = (self.tmp_dir / TRACE_FILENAME).open("wb")
+        else:
+            self.gate.misspelled = ValidationFailed(f"the meta block {_UNSPELLED}")
         if held:
             self.backlog.appendleft(iter(held))
 
@@ -647,11 +609,7 @@ class _Upload:
                         store._append_index(self.head)
                 return UploadReceipt(session_id, self.count)
             return self._unmatched()
-        if self.decoder is None and (tick := self.gate.close(self.count)) is not None:
-            return self._refuse(f"tick {tick}: a row", ())
-        if self.decoder is not None:
-            self.decoder.close()
-            raise ValidationFailed(f"{self.what} is not spelled as the encoder writes it")
+        self.gate.close()
         self.file.close()
         digest, tmp_dir = self.hasher.hexdigest(), self.tmp_dir
         (tmp_dir / store.DIGEST_FILENAME).write_bytes((digest + "\n").encode("utf-8"))

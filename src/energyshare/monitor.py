@@ -20,13 +20,12 @@ Trace CSV is bit-exact: fixed header, ``\\n`` line endings, floats printed
 with full round-trip precision.
 
 Reading a trace text back is a codec only: the reader checks the header,
-8 fields a row and their numbers, and pairing checks the row count.
-Whether the rows are right (ticks, timestamps, ids, roles, ranges,
-levels) is decided by the edge: by its gate, which every path from a trace
-text to a dataset runs, a piece at a time, appending each checked pair's
-numbers to the columns (a client GET and ``load_run`` alike), and by its
-text gate, which holds an UPLOAD, stored as it arrived, to the same rules
-and to the text this module writes. A run's engine appends its numbers to
+8 fields a row and their numbers. Pairing the rows and whether they are
+right (ticks, timestamps, ids, roles, ranges, levels) is decided by the
+edge's gate, which every path from a trace text to a dataset runs, a piece
+at a time, appending each checked pair's numbers to the columns (a client
+GET and ``load_run`` alike); for an UPLOAD, stored as it arrived, it also
+requires the text this module writes. A run's engine appends its numbers to
 the columns as it ticks; they come from batteries already checked and are
 not re-checked.
 """
@@ -273,15 +272,3 @@ def records_from_csv_text(trace: str | Iterable[str]) -> list[MonitorRecord]:
             raise ValueError(f"trace row {row!r}: {exc}") from None
     return records
 
-
-def pairs_from_records(
-    records: Sequence[MonitorRecord], ticks: int = 0,
-) -> tuple[tuple[MonitorRecord, MonitorRecord], ...]:
-    """Pair rows 2k and 2k+1, as :func:`trace_csv_text` writes tick k's two rows.
-
-    An odd row count is a ``ValueError`` naming the pair position of the row
-    left over, counted from ``ticks``, the pairs of the trace before ``records``.
-    """
-    if len(records) % 2:
-        raise ValueError(f"tick {ticks + len(records) // 2}: a row without its pair")
-    return tuple(zip(records[::2], records[1::2]))

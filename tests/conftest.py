@@ -53,17 +53,15 @@ def stored_dataset(store: EdgeStore, session_id: str) -> SessionDataset:
 
 @pytest.fixture
 def decodes(monkeypatch):
-    """The names of the decoding steps ``edge`` runs, in order: each ``_Gate`` or ``_TextGate``
-    built and each call of ``records_from_csv_text`` or ``validate_dataset``."""
+    """The names of the decoding steps ``edge`` runs, in order: each ``_Gate`` built, as
+    ``"_Gate"`` or, for an upload's, ``"_Gate spelled"``, and each call of
+    ``records_from_csv_text`` or ``validate_dataset``."""
     calls = []
 
-    def counted_class(name: str):
-        class Counted(getattr(edge, name)):
-            def __init__(self, *args):
-                calls.append(name)
-                super().__init__(*args)
-
-        return Counted
+    class CountedGate(edge._Gate):
+        def __init__(self, *args, spelled=False):
+            calls.append("_Gate spelled" if spelled else "_Gate")
+            super().__init__(*args, spelled=spelled)
 
     def counted(name: str):
         step = getattr(edge, name)
@@ -74,8 +72,7 @@ def decodes(monkeypatch):
 
         return call
 
-    for name in ("_Gate", "_TextGate"):
-        monkeypatch.setattr(edge, name, counted_class(name))
+    monkeypatch.setattr(edge, "_Gate", CountedGate)
     for name in ("records_from_csv_text", "validate_dataset"):
         monkeypatch.setattr(edge, name, counted(name))
     return calls

@@ -289,7 +289,7 @@ def test_a_retry_spelled_otherwise_after_a_failed_index_append_is_decoded_and_re
     meta = meta.replace("efficiency = 0.8\n", "efficiency = 0.80\n")
     with pytest.raises(ValidationFailed, match=f"^the meta block {UNSPELLED}$"):
         store.upload(meta, trace)
-    assert decodes == ["_Gate"]
+    assert decodes == ["_Gate spelled"]
     assert store.list() == EdgeStore(tmp_path / "data").list() == []
     assert stored_dataset(store, "ses-r1") == dataset
 
@@ -402,6 +402,16 @@ def test_unsynchronized_timestamps_rejected():
     skewed += [record for pair in dataset.records[1:] for record in pair]
     with pytest.raises(ValidationFailed, match=f"^tick 0: {re.escape(POSITION)}"):
         dataset_from_parts(parse_meta(encode_meta(dataset)), skewed)
+
+
+def test_a_level_off_its_charge_is_refused_where_rows_enter():
+    """A dataset holds no row's level, so a level its charge does not give is refused where
+    rows enter, with the gate's range wording."""
+    dataset = build_dataset()
+    flat = [record for pair in dataset.records for record in pair]
+    flat[3] = flat[3]._replace(battery_level_pct=flat[3].battery_level_pct + 1.0)  # tick 1's consumer
+    with pytest.raises(ValidationFailed, match=f"^tick 1: {re.escape(RANGE)}$"):
+        dataset_from_parts(parse_meta(encode_meta(dataset)), flat)
 
 
 def test_provider_rows_naming_another_provider_rejected(store):
@@ -1111,7 +1121,7 @@ def timed_at(trace: str, interval_s: float) -> str:
 
 
 # edits of EDITED, spelled as the encoder writes, that the decoder refuses: each breaks a
-# rule of the text gate that no single field edit can
+# rule of the spelled gate's compares that no single field edit can
 SPELLED_FAULTS = {
     "charge_over_capacity": lambda m, t: (m, edit_row(t, 0, battery_charge_mah="5000.0", battery_level_pct="100.0")),
     "cumulative_inf": lambda m, t: (m, edit_row(t, 3, cumulative_transferred_mah="inf")),
@@ -1418,6 +1428,8 @@ STREAM_FAULTS = {
                                        "ERR Malformed record_count is 600, the trace holds 601 pairs"),
     "odd_row_count": (lambda m, t: (m, drop_rows(t, 1)),
                       "ERR ValidationFailed tick 599: a row without its pair"),
+    "unreadable_row_without_its_pair": (lambda m, t: (m, t + "x\n"),
+                                        "ERR Malformed trace row 'x': not enough values to unpack "),
     "edited_metrics": (lambda m, t: (re.sub("energy_loss_mah = .*", "energy_loss_mah = 1.5", m), t),
                        "ERR ValidationFailed metrics not recomputable from records: energy_loss_mah "),
 }
@@ -1569,20 +1581,24 @@ def outcome(call, meta: str, trace: str | list[str]):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(valid_datasets, st.data())
 def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(dataset, data):
-    """One field of one row set to any text, the trace cut into pieces at any line ends:
-    ``decode_dataset`` of the pieces gives what the whole-text reference decoder gives, or
-    both refuse it alike. The upload stores that dataset if it encodes to the sent text, else
-    refuses as the decoder does, or as spelled otherwise. A store that holds the unedited
-    dataset gives the same reply, or a conflict where the decoded dataset's digest is not the
-    stored one, and keeps its files."""
+    """One field of one row set to any text, perhaps with a line boundary other than ``\\n`` at
+    its start or end, the trace cut into pieces at any ``\\n`` ends, as the server cuts it (so a
+    row may be carried into the next piece): ``decode_dataset`` of the pieces gives what the
+    whole-text reference decoder gives, or both refuse it alike. The upload stores that dataset
+    if it encodes to the sent text, else refuses as the decoder does, or as spelled otherwise.
+    A store that holds the unedited dataset gives the same reply, or a conflict where the
+    decoded dataset's digest is not the stored one, and keeps its files."""
     meta, trace = encode_dataset(dataset)
     row = data.draw(st.integers(0, 2 * dataset.record_count - 1))
     column = data.draw(st.sampled_from(MonitorRecord._fields))
-    text = data.draw(FIELD_TEXTS | RESPELLINGS)
+    text = data.draw(FIELD_TEXTS | RESPELLINGS | st.just(lambda text: text))  # or as it is
     if callable(text):
         text = text(trace.split("\n")[row + 1].split(",")[MonitorRecord._fields.index(column)])
+    boundary = data.draw(st.none() | st.sampled_from(LINE_BOUNDARIES))
+    if boundary is not None:
+        text = text + boundary if data.draw(st.booleans()) else boundary + text
     edited = edit_row(trace, row, **{column: text})
-    lines = edited.splitlines(keepends=True)
+    lines = [line + "\n" for line in edited[:-1].split("\n")]
     cuts = sorted(data.draw(st.sets(st.integers(1, len(lines) - 1))))
     pieces = ["".join(lines[start:end]) for start, end in zip([0, *cuts], [*cuts, len(lines)])]
     expected = outcome(whole_text_decode, meta, edited)
@@ -1615,7 +1631,7 @@ def test_a_streamed_upload_in_any_pieces_decides_as_the_whole_text_reader(datase
 def test_an_identical_reupload_is_acknowledged_without_decoding(served_store, decodes):
     store, server, client = served_store
     assert store.upload(STREAMED_META, STREAMED_TRACE) == UploadReceipt("ses-r1", 600)
-    assert decodes == ["_TextGate"]
+    assert decodes == ["_Gate spelled"]
     decodes.clear()
     kept = session_files(store, "ses-r1")
     assert store.upload(STREAMED_META, STREAMED_TRACE) == UploadReceipt("ses-r1", 600)
@@ -1642,7 +1658,7 @@ def test_a_reupload_over_a_stored_file_that_cannot_be_opened_is_decoded(served_s
     decodes.clear()
     sent = raw_exchange(server.address, f"UPLOAD ses-r1 600\n{STREAMED_META}\n{STREAMED_TRACE}END\n")
     assert sent.startswith(reply) and sent.count("\n") == 1
-    assert decodes == ["_TextGate"] and staging_dirs(store) == []
+    assert decodes == ["_Gate spelled"] and staging_dirs(store) == []
     try:
         served = client.get("ses-r1")
     except EnergyShareError:
@@ -1678,13 +1694,16 @@ REUPLOADS = {
 
 @pytest.mark.parametrize("edit, reply", REUPLOADS.values(), ids=REUPLOADS)
 def test_a_reupload_that_differs_from_the_stored_bytes_gets_the_decoded_reply(served_store, edit, reply):
-    """Each reply is the one decoding the whole upload gives; the stored files are kept."""
+    """Each reply is the one decoding the whole upload gives, and the one an upload in the
+    store's process gets; the stored files are kept."""
     store, server, client = served_store
     client.upload(STREAMED)
     kept = session_files(store, "ses-r1")
     meta, trace = edit(STREAMED_META, STREAMED_TRACE)
     sent = raw_exchange(server.address, f"UPLOAD ses-r1 {parse_meta(meta)['record_count']}\n{meta}\n{trace}END\n")
     assert sent.startswith(reply) and sent.endswith("\n") and sent.count("\n") == 1
+    error, message = outcome(store.upload, meta, trace.splitlines(keepends=True))
+    assert sent == f"ERR {'Malformed' if error is ValueError else error.__name__} {message}\n"
     assert session_files(store, "ses-r1") == kept and staging_dirs(store) == []
     assert [s.session_id for s in client.list()] == ["ses-r1"]
 

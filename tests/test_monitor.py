@@ -8,10 +8,12 @@ import re
 import string
 
 import pytest
+from conftest import build_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energyshare.battery import BatteryState
+from energyshare.edge import ValidationFailed, dataset_from_parts, decode_dataset, encode_dataset
 from energyshare.monitor import (
     EmptyTrace,
     MonitorRecord,
@@ -21,7 +23,6 @@ from energyshare.monitor import (
     TRACE_HEADER,
     compute_metrics,
     format_record,
-    pairs_from_records,
     record_tick,
     records_from_csv_text,
     trace_csv_rows,
@@ -32,6 +33,8 @@ from energyshare.protocol import (
     SessionState,
     make_request,
 )
+from energyshare.runner import run_scenario
+from energyshare.util import parse_meta
 
 
 def charging_session(session_id="ses-r1"):
@@ -90,22 +93,32 @@ def canonical_records(n=5):
     return [mk_record(t, role) for t in range(n) for role in (ROLE_PROVIDER, ROLE_CONSUMER)]
 
 
+def paired(records):
+    """Rows 2k and 2k+1 as tick k's pair, as trace_csv_text writes them."""
+    return tuple(zip(records[::2], records[1::2]))
+
+
 def test_pairs_are_the_rows_in_written_order():
     records = canonical_records()
-    pairs = pairs_from_records(records)
-    assert pairs == tuple(zip(records[::2], records[1::2]))
+    pairs = paired(records)
+    assert records_from_csv_text(csv_text(pairs)) == records
     assert [(p.tick_index, p.role, c.tick_index, c.role) for p, c in pairs] == [
         (t, ROLE_PROVIDER, t, ROLE_CONSUMER) for t in range(5)
     ]
 
 
 def test_pairing_refuses_an_odd_row_count_naming_the_row_left_over():
-    with pytest.raises(ValueError, match=r"^tick 4: "):
-        pairs_from_records(canonical_records()[:-1])
+    dataset = run_scenario(build_scenario(value=4.0)).dataset
+    meta, trace = encode_dataset(dataset)
+    without_last_row = trace[:trace.rstrip("\n").rfind("\n") + 1]
+    with pytest.raises(ValidationFailed, match=f"^tick {dataset.record_count - 1}: a row without its pair$"):
+        decode_dataset(meta, without_last_row)
 
 
 def test_no_rows_pair_to_no_pairs():
-    assert pairs_from_records([]) == ()
+    meta = parse_meta(encode_dataset(run_scenario(build_scenario(value=4.0)).dataset)[0])
+    meta["record_count"] = "0"
+    assert dataset_from_parts(meta, []).records == ()
 
 
 def test_metrics_identity_when_nothing_changes():
@@ -142,8 +155,8 @@ def test_trace_csv_round_trip_is_bit_exact():
     text = csv_text(pairs)
     assert text.endswith("\n")
     records = records_from_csv_text(text)
-    assert pairs_from_records(records) == tuple(pairs)
-    assert csv_text(pairs_from_records(records)) == text
+    assert paired(records) == tuple(pairs)
+    assert csv_text(paired(records)) == text
 
 
 def test_format_record_prints_each_float_field_as_a_float():
@@ -202,6 +215,6 @@ def record_pairs(draw):
 def test_trace_csv_codec_round_trips(pairs):
     """A canonical trace round-trips through the reader and the pairing, bit for bit."""
     text = csv_text(pairs)
-    decoded = pairs_from_records(records_from_csv_text(text))
+    decoded = paired(records_from_csv_text(text))
     assert decoded == tuple(pairs)
     assert csv_text(decoded) == text

@@ -561,8 +561,8 @@ def test_compare_pads_the_shorter_runs_curve_cells_with_blanks(tmp_path):
 
 
 def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, decodes):
-    """Client GET and load_run each run the one decoder, the gate, once, and neither whole-text
-    step; a TCP upload runs the text gate once, which checks the metrics itself."""
+    """Client GET and load_run each run the one gate once, and neither whole-text step; a TCP
+    upload runs it once too, spelled, which proves the text as it decodes it."""
     result = run_scenario(build_scenario(value=10.0))
     run_dir = write_run_artifacts(result, tmp_path / "run")
     server = EdgeServer(EdgeStore(tmp_path / "edge-data")).start()
@@ -583,7 +583,7 @@ def test_each_reader_of_a_dataset_text_runs_the_gate_once(tmp_path, decodes):
         server.stop()
     # a byte-identical re-upload is compared with the stored files, not decoded
     assert steps == {**dict.fromkeys(reads, ["_Gate"]),
-                     "tcp_upload": ["_TextGate"], "tcp_reupload": []}
+                     "tcp_upload": ["_Gate spelled"], "tcp_reupload": []}
 
 
 def test_load_run_and_compare_refuse_a_middle_row_out_of_range(tmp_path):
