@@ -7,9 +7,12 @@ edge server raw and by an edge client, and uploaded by an edge client.
 The session charges over cable for 86,400 ticks at 1 s (86,401 record
 pairs). Tracing starts after the run, so the probe stays short: the run
 line gives its time and the process's peak RSS so far; each later phase
-gives its time and the ``tracemalloc`` memory it holds after it and at
-its peak, both above what was traced when it began. Each upload reads the
-run directory's ``trace.csv`` a block of lines at a time. The identical
+gives the ``tracemalloc`` memory it holds after it and at its peak, both
+above what was traced when it began, and no time: under ``tracemalloc``
+an allocation costs more the further into its function's code it is
+made, so a traced phase's time would measure where its code allocates,
+not how fast it runs; ``bench/run.py`` times these paths. Each upload
+reads the run directory's ``trace.csv`` a block of lines at a time. The identical
 re-upload is compared with the stored files; the re-upload whose last row
 has another consumer charge differs only in its last piece, so the store
 reads the rest back from disk and proves and stages it, and it must be
@@ -91,11 +94,9 @@ def traced(name: str, fn, *args):
     """``fn(*args)`` and its peak above its start, in MB, after printing its phase line."""
     tracemalloc.reset_peak()
     start = tracemalloc.get_traced_memory()[0]
-    began = time.perf_counter()
     result = fn(*args)
-    elapsed = time.perf_counter() - began
     held, peak = ((size - start) / MB for size in tracemalloc.get_traced_memory())
-    print(f"{name:20s} {elapsed:6.2f} s  held {held:+7.1f} MB  peak {peak:+7.1f} MB")
+    print(f"{name:20s} held {held:+7.1f} MB  peak {peak:+7.1f} MB")
     return result, peak
 
 

@@ -1,33 +1,26 @@
 """Edge service management: durable storage of uploaded session datasets.
 
-One directory per session under the data dir (``meta.txt`` key-value
-sidecar plus the trace CSV), ordered by an append-only ``index.log`` that
-is read once at open; LIST is served from memory.
+One directory per session under the data dir (``meta.txt`` key-value sidecar plus the trace
+CSV), ordered by an append-only ``index.log`` read once at open; LIST is served from memory.
 A dataset holds its trace as four columns of measured numbers
-(:class:`~energyshare.monitor.TraceColumns`); its record pairs are a view
-built on access. Its row rules live in one gate, :class:`_Gate`, the one
-decoder: every path from a dataset text to a dataset runs it once, fed a
-piece at a time. A read keeps the four numbers of each pair it passes: an
-:meth:`EdgeClient.get` and ``report.load_run`` in :func:`decode_dataset`, and
-:func:`validate_dataset` over a dataset's own text. An UPLOAD is stored as
-the bytes that arrived, so the store's upload runs the gate spelled: a pair
-whose fields are the text the encoder writes passes on string compares
-alone, and any other is decoded, so the gate words every refusal.
-Uploads are written atomically (temp dir + rename) and acknowledged only
-after an fsync, so an acknowledged dataset survives a crash. Re-uploading
-identical content is idempotent; a different dataset under the same
-session id is a conflict, detected by a digest of the canonical encoding.
-A GET serves the stored canonical bytes as they are, in blocks, after checking
-them against that digest, so a damaged dataset is refused rather than served;
-an upload over a stored session that GET would refuse gets that refusal, so
-every acknowledged upload is one GET serves.
+(:class:`~energyshare.monitor.TraceColumns`); its record pairs are a view built on access.
 
-The network face, :class:`EdgeServer`, is a :class:`~energyshare.transport.LineServer`:
-one selector loop on one thread serves every connection. It parses an UPLOAD's
-meta block once and pushes the trace to the store's upload in push form
-(:meth:`EdgeStore.begin_upload`) a piece at a time as its bytes arrive, so the
-edge checks one block while the client encodes the next, and a GET's stored
-trace is read a block at a time as the socket takes it. See
+Every byte that arrives, from a socket or a file, is cut into pieces of whole lines in one
+place, :func:`_take_lines`, under one bound (a line of at most 64 KiB); :class:`_Framer` reads
+a dataset block's meta lines and ``END`` over it, for the server's UPLOAD and a client's GET
+alike. Every piece then goes through one gate, :class:`_Gate`, the one decoder. A read keeps
+the four numbers of each pair it passes (:func:`decode_dataset`: a GET's reply, or
+``report.load_run``'s trace file). An UPLOAD is stored as the bytes that arrived, so the
+store's upload runs the gate spelled: a pair whose fields are the text the encoder writes
+passes on string compares alone, and any other is decoded, so the gate words every refusal.
+
+Uploads are written atomically (temp dir + rename) and acknowledged only after an fsync. An
+identical re-upload is idempotent; a different dataset under a stored session id is a
+conflict, found by a digest of the canonical encoding. A GET serves the stored bytes in blocks
+once they match that digest, so a damaged dataset is refused, and so is an upload over it.
+The network face, :class:`EdgeServer`, is a :class:`~energyshare.transport.LineServer`: one
+selector loop on one thread serves every connection, and pushes an UPLOAD's trace to the
+store's upload (:meth:`EdgeStore.begin_upload`) a piece at a time as it arrives. See
 docs/wire-format.md for the exact exchange.
 """
 
@@ -67,7 +60,7 @@ from .monitor import (
 )
 from .protocol import EnergyRequest, Reason, RequestKind, make_request
 from .transport import LOOPBACK_HOST, READ_SIZE, LineServer, TooLong, exchange, parse_addr, read_to_end
-from .transport import write_line
+from .transport import reply_line, write_line
 from .util import POSITIVE, check_id, fmt_value, format_meta, member, parse_finite, parse_meta
 from .util import rel_close
 
@@ -478,23 +471,21 @@ def dataset_digest(dataset: SessionDataset) -> str:
 # --- file-backed store ----------------------------------------------------------
 
 
-def _file_blocks(path: Path) -> Iterator[bytes]:
-    """A file's bytes, 64 KiB at a time, read as they are taken."""
+def _file_blocks(path: Path, size: float = math.inf) -> Iterator[bytes]:
+    """A file's bytes, or its first ``size``, 64 KiB at a time, read as they are taken."""
     with path.open("rb") as file:
-        while block := file.read(READ_SIZE):
+        while block := file.read(min(READ_SIZE, size - file.tell())):
             yield block
 
 
-def line_blocks(path: Path, size: float = math.inf) -> Iterator[str]:
-    """A file's UTF-8 text, or its first ``size`` bytes, read in ~64 KiB blocks cut after a line end."""
-    tail = b""
-    with path.open("rb") as file:
-        while chunk := file.read(min(READ_SIZE, size - file.tell())):
-            block = tail + chunk
-            cut = block.rfind(b"\n") + 1
-            yield block[:cut].decode("utf-8")
-            tail = block[cut:]
-    yield tail.decode("utf-8")
+def file_pieces(path: Path, size: float = math.inf) -> Iterator[str]:
+    """A file's UTF-8 text, or its first ``size`` bytes', in pieces of whole lines (the last perhaps
+    unended) that :func:`_take_lines` cuts from its blocks. A file holds no block: ``END`` is a line."""
+    data = bytearray()
+    for block in _file_blocks(path, size):
+        data += block
+        yield _take_lines(data)
+    yield _take_lines(data, len(data))
 
 
 def _fsync_path(path: Path) -> None:
@@ -578,7 +569,7 @@ class _Upload:
     def _unmatched(self, *pieces: str) -> None:
         """Not the stored dataset: decide the upload as a new one, from the trace sent so far."""
         self.file.close()
-        self._begin(chain(line_blocks(self.session_dir / TRACE_FILENAME, self.size), pieces))
+        self._begin(chain(file_pieces(self.session_dir / TRACE_FILENAME, self.size), pieces))
 
     def _begin(self, held: Iterable[str] = ()) -> None:
         """Prove the upload with a spelled gate, and stage it if its meta block is the encoder's;
@@ -731,40 +722,53 @@ class EdgeStore:
 # --- TCP service -----------------------------------------------------------------
 
 
-def _dataset_block(header: str, meta: str, trace: Iterable[str]) -> Iterator[str]:
-    """Header line, meta block, blank separator, the CSV block's parts, END terminator.
+def _take_lines(data: bytearray, end: int | None = None) -> str:
+    """Take out of ``data`` its first ``end`` bytes (ending a line or ``data``), else its longest
+    run of whole lines, decoded from UTF-8. :class:`TooLong` if ``data`` holds a line of over
+    ``READ_SIZE`` bytes with its newline, or ``READ_SIZE`` bytes of a line it ends inside."""
+    at = 0
+    while len(data) - at >= READ_SIZE:  # the line from ``at`` must end within READ_SIZE bytes
+        at = data.rfind(b"\n", at, at + READ_SIZE) + 1
+        if not at:
+            raise TooLong()
+    if end is None:
+        end = data.rfind(b"\n") + 1
+    piece = data[:end].decode("utf-8")
+    del data[:end]
+    return piece
 
-    Given as parts for the caller to write one by one, so no joined copy is made.
-    """
-    return chain((header + "\n", meta, "\n"), trace, ("END\n",))
 
+class _Framer:
+    """A dataset block's grammar over :func:`_take_lines`, fed the bytes a reader received (see
+    :meth:`take`): the meta lines, up to the blank line or ``END`` (no more than the meta keys), then
+    the trace in pieces, each the whole lines received, up to ``END``. ``END`` is taken with the
+    block's last text, and nothing after it: a server reads the next requests from the buffer."""
 
-def _read_block(stream) -> Iterator[str]:
-    """A dataset block's text off a binary stream, up to its ``END`` line, which is read, not
-    given: first its meta text (the lines before the first blank one), then its trace text in
-    pieces, each the whole lines the stream holds buffered and the line they end inside, decoded
-    from UTF-8. Only what a piece uses is read from the buffer: nothing after ``END`` is taken."""
-    meta = []
-    while (line := stream.readline()) not in (b"\n", b"END\n", b"END"):
-        if not line.endswith(b"\n"):
+    def __init__(self) -> None:
+        self.meta, self.ended = True, False  # the meta text is still to take; END was taken
+
+    def take(self, data: bytearray, eof: bool) -> str | None:
+        """The block's next text, taken out of ``data``: first the meta text, then each trace
+        piece; None while ``data`` holds none. ``eof``: no more bytes come. A block that ends
+        before its ``END`` line is a ``ValueError``, and ``data`` is cleared."""
+        held = b"\n" + data  # a line starts where data does
+        stop = end = held.find(b"\nEND\n")
+        if end < 0 and eof and held.endswith(b"\nEND"):
+            stop = end = len(data) - 3  # the last line, END, lacks its newline
+        if self.meta:
+            if (blank := held.find(b"\n\n")) >= 0 and not 0 <= end < blank:
+                stop = blank
+            if data.count(b"\n", 0, len(data) if stop < 0 else stop) > len(_META):
+                raise TooLong(f"a meta block of more than {len(_META)} lines")
+        if stop >= 0:
+            text = _take_lines(data, stop)
+            del data[:4 if stop == end else 1]  # the END or blank line
+            self.meta, self.ended = False, stop == end
+            return text
+        if eof:
+            data.clear()  # the rest of the block: not requests
             raise ValueError("connection closed before END terminator")
-        meta.append(line)
-    yield b"".join(meta).decode("utf-8")
-    if line != b"\n":  # the block ends before its blank line
-        return
-    while True:
-        buffered = b"\n" + stream.peek()  # a piece starts at a line start
-        if (end := buffered.find(b"\nEND\n")) >= 0:
-            text = stream.read(end + 4)
-        else:
-            text = stream.read(buffered.rfind(b"\n")) + stream.readline()
-        last = text[text.rfind(b"\n", 0, -1) + 1:]
-        if last in (b"END\n", b"END"):
-            yield text[:-len(last)].decode("utf-8")
-            return
-        if not text.endswith(b"\n"):
-            raise ValueError("connection closed before END terminator")
-        yield text.decode("utf-8")
+        return _take_lines(data, 0 if self.meta else None) or None  # no meta line before the blank one
 
 
 @contextmanager
@@ -781,24 +785,21 @@ _REFUSALS = (ValueError, EnergyShareError)
 
 
 class _UploadBlock:
-    """An UPLOAD's dataset block, read as its bytes arrive (see :meth:`LineServer._answer`): the
-    meta block, parsed once, then the trace, fed to the store's upload a piece at a time, each
-    piece the whole lines the connection holds. A refusal is answered at the block's ``END``,
-    which is read to, so that what follows is read as requests. A line that is not UTF-8, or a
-    meta block of more lines than there are meta keys (none of which can be valid), raises at
-    once, and the connection closes."""
+    """An UPLOAD's dataset block, framed as its bytes arrive (see :meth:`LineServer._answer`):
+    the meta block, parsed once, then the trace, fed to the store's upload a piece at a time.
+    A refusal is answered at the block's ``END``, which is read to, so that what follows is read
+    as requests; what the framer raises (a line not UTF-8 or too long, a meta block longer
+    than any valid one) is answered at once, and the connection closes."""
 
     def __init__(self, store: EdgeStore, header: str):
         self.store, self.header = store, header  # the UPLOAD line's session id and record count
-        self.meta: list[bytes] | None = []  # the meta block's lines, until its blank line
+        self.framer = _Framer()
         self.upload: _Upload | None = None
         self.refused: Exception | None = None  # the reply at END
-        self.ended = False  # END was read
 
     @property
     def busy(self) -> bool:
-        """Whether the upload has a backlog to feed, a piece each :meth:`take`, before it
-        takes more input."""
+        """Whether the upload has a backlog to feed, a piece a :meth:`take`, before more input."""
         return self.upload is not None and bool(self.upload.backlog)
 
     def take(self, data: bytearray, eof: bool) -> str | None:
@@ -807,42 +808,16 @@ class _UploadBlock:
         more. While :attr:`busy`, feed one piece of the backlog instead."""
         if self.busy:
             self._refusing(self.upload.step)
-            if self.busy:
+        framer = self.framer
+        while not (framer.ended or self.busy):
+            meta = framer.meta  # the next text is the meta text
+            if (text := framer.take(data, eof)) is None:
                 return None
-        if self.ended:
-            return self._end()
-        while self.meta is not None:
-            cut = data.find(b"\n") + 1
-            if not (cut or eof):
-                return None
-            line = bytes(data[:cut or len(data)])
-            del data[:len(line)]
-            if line in (b"\n", b"END\n", b"END"):
-                meta, self.meta = b"".join(self.meta).decode("utf-8"), None
-                self._refusing(self._check, meta)
-                if line != b"\n":  # the block ends before its blank line
-                    self.ended = True
-                    return self._end()
-            elif not cut:
-                raise ValueError("connection closed before END terminator")
-            elif len(self.meta) == len(_META):
-                raise TooLong(f"a meta block of more than {len(_META)} lines")
-            else:
-                self.meta.append(line)
-        held = b"\n" + data  # a line starts where data does
-        end = held.find(b"\nEND\n")
-        if end < 0 and eof:
-            if not held.endswith(b"\nEND"):
-                data.clear()  # the rest of the block: not requests
-                raise ValueError("connection closed before END terminator")
-            end = len(data) - 3
-        used = end if end >= 0 else data.rfind(b"\n") + 1
-        piece = data[:used].decode("utf-8")
-        del data[:used + 4 if end >= 0 else used]
-        if piece and self.refused is None:
-            self._refusing(self.upload.feed, piece)
-        self.ended = end >= 0
-        return self._end() if self.ended and not self.busy else None
+            if meta:
+                self._refusing(self._check, text)
+            elif text and self.refused is None:
+                self._refusing(self.upload.feed, text)
+        return None if self.busy else self._end()
 
     def _check(self, meta: str) -> None:
         values, head = _head(parse_meta(meta))
@@ -899,6 +874,17 @@ class EdgeServer(LineServer):
         raise ValueError(f"unknown command {command!r}")
 
 
+def _block_texts(read: Callable[[int], bytes]) -> Iterator[str]:
+    """A dataset block's texts (:meth:`_Framer.take`), its meta text first, taken from the
+    bytes of ``read(READ_SIZE)``, called until the block has ended; ``b""`` ends the input."""
+    framer, data = _Framer(), bytearray()
+    while not framer.ended:
+        eof = not (chunk := read(READ_SIZE))
+        data += chunk
+        while not framer.ended and (text := framer.take(data, eof)) is not None:
+            yield text
+
+
 # the ERR codes an EdgeClient raises as themselves; any other reply is an EnergyShareError
 _EDGE_ERRORS = (ValidationFailed, ConflictingSession, NotFound, CorruptSession, StorageError)
 
@@ -917,11 +903,13 @@ class EdgeClient:
         ok = f"OK {dataset.session_id} {dataset.record_count}"
 
         def read(stream) -> UploadReceipt:
-            if (reply := stream.readline().decode("utf-8").strip()) != ok:
+            if (reply := reply_line(stream)) != ok:
                 raise LineServer.error_from_reply(reply, _EDGE_ERRORS, EnergyShareError)
             return UploadReceipt(dataset.session_id, dataset.record_count)
 
-        block = _dataset_block(header, encode_meta(dataset), trace_csv_blocks(dataset.records))
+        # the header line, meta block, blank line, trace CSV and END, as parts: no joined copy
+        block = chain((f"{header}\n", encode_meta(dataset), "\n"), trace_csv_blocks(dataset.records),
+                      ["END\n"])
         return exchange(self._addr, block, read, EnergyShareError, EDGE_TIMEOUT_S)
 
     def list(self) -> list[SessionSummary]:
@@ -933,10 +921,10 @@ class EdgeClient:
 
     def get(self, session_id: str) -> SessionDataset:
         def read(stream) -> SessionDataset:
-            header = stream.readline().decode("utf-8").strip()
+            header = reply_line(stream)
             if not header.startswith("DATASET "):
                 raise LineServer.error_from_reply(header, _EDGE_ERRORS, EnergyShareError)
-            block = _read_block(stream)
+            block = _block_texts(stream.read1)
             dataset = decode_dataset(next(block), block)
             if header != f"DATASET {session_id} {dataset.record_count}" or dataset.session_id != session_id:
                 raise EnergyShareError(f"edge reply {header!r} does not hold session {session_id}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .edge import META_FILENAME, TRACE_FILENAME, SessionDataset, ValidationFailed
-from .edge import decode_dataset, encode_meta, line_blocks
+from .edge import decode_dataset, encode_meta, file_pieces
 from .errors import EnergyShareError
 from .monitor import RecordPairs, trace_csv_blocks
 from .runner import RunResult
@@ -93,7 +93,7 @@ def load_run(run_dir: Path | str) -> LoadedRun:
         info, meta = ((run_dir / name).read_text(encoding="utf-8")
                       for name in (RUN_INFO_FILENAME, META_FILENAME))
         fields = parse_meta(info)
-        dataset = decode_dataset(meta, line_blocks(run_dir / TRACE_FILENAME))
+        dataset = decode_dataset(meta, file_pieces(run_dir / TRACE_FILENAME))
         start_level_pct = parse_finite(fields["consumer_start_level_pct"])
         return LoadedRun(check_id(fields["run_id"], "run_id"), start_level_pct, dataset)
     except FileNotFoundError as exc:

@@ -142,14 +142,20 @@ def read_to_end(stream, tag: str, known: tuple[type, ...], other: type) -> list[
     """The fields of each ``tag`` line of a reply read off a binary stream up to its ``END`` line.
     Any other line raises as :meth:`LineServer.error_from_reply` makes it; a reply cut short, ``other``."""
     block = []
-    for raw in stream:
-        line = raw.decode("utf-8").strip()
-        if line == "END":
-            return block
-        if not line.startswith(tag + " "):
+    while (line := reply_line(stream)) != "END":
+        if not line.startswith(tag + " "):  # a reply cut short reads as ""
             raise LineServer.error_from_reply(line, known, other)
         block.append(read_line(line)[1])
-    raise other("connection closed mid-response")
+    return block
+
+
+def reply_line(stream) -> str:
+    """A reply's next line off a binary stream, decoded and stripped, "" once the stream ends;
+    a line longer than ``READ_SIZE`` bytes with its newline is :class:`TooLong`, read no further."""
+    line = stream.readline(READ_SIZE)
+    if len(line) == READ_SIZE and not line.endswith(b"\n"):
+        raise TooLong()
+    return line.decode("utf-8").strip()
 
 
 def _advert_values(advert: ProviderAdvert) -> tuple:
@@ -313,8 +319,11 @@ def parse_addr(addr: str) -> tuple[str, int]:
 
 
 class TooLong(ValueError):
-    """A request line or block longer than a server holds: answered ``ERR Malformed``, and
-    the connection closed, without reading it on."""
+    """A line or block longer than a reader holds: a server answers ``ERR Malformed`` and
+    closes the connection, a client refuses the reply, without reading it on."""
+
+    def __init__(self, what: str = f"a line longer than {READ_SIZE} bytes with its newline"):
+        super().__init__(what)
 
 
 class _Connection:
@@ -480,7 +489,7 @@ class LineServer:
                     reply = None
                 if reply is None:  # the rest of a line is still to come
                     if len(inbox) == READ_SIZE:
-                        raise TooLong(f"a line longer than {READ_SIZE} bytes with its newline")
+                        raise TooLong()
                     return
             except (UnicodeDecodeError, TooLong) as exc:
                 # a line that is not UTF-8 or too long leaves no way to tell where the next one starts
@@ -580,13 +589,13 @@ _REGISTRY_ERRORS = (DuplicateDevice, Unknown)
 
 def _ok(stream) -> None:
     """The reply to a command answered ``OK``; any other raises."""
-    if (reply := stream.readline().decode("utf-8").strip()) != "OK":
+    if (reply := reply_line(stream)) != "OK":
         raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
 
 
 def _addr(stream) -> tuple[str, int]:
     """The address a ``RESOLVE`` reply ``ADDR <host:port>`` gives; any other reply raises."""
-    reply = stream.readline().decode("utf-8").strip()
+    reply = reply_line(stream)
     if not reply.startswith("ADDR "):
         raise LineServer.error_from_reply(reply, _REGISTRY_ERRORS, PeerUnreachable)
     return parse_addr(reply[len("ADDR "):])
@@ -647,8 +656,9 @@ class TcpTransport:
 
         Accepts waiting connections and appends each complete line read to
         its device's inbox; a connection keeps its partial last line for
-        the next read. Bad input (a malformed or undecodable line, a reset)
-        closes only the connection it came on and never raises.
+        the next read. Bad input (a malformed or undecodable line, a partial
+        line of ``READ_SIZE`` bytes, a reset) closes only the connection it
+        came on and never raises.
         """
         for key, _ in self._selector.select(timeout_s):
             device_id, tail = key.data
@@ -676,7 +686,8 @@ class TcpTransport:
                 for line in lines:
                     if line.strip():
                         inbox.append(decode_message(line.decode("utf-8")))
-                return
+                if len(tail) < READ_SIZE:  # else no message's line: it is read no further
+                    return
         except BlockingIOError:
             return
         except (OSError, ValueError, EnergyShareError):

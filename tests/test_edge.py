@@ -1200,9 +1200,9 @@ def test_an_upload_stages_the_bytes_it_received_and_encodes_no_row(store, monkey
 
 
 @contextmanager
-def stand_in_edge(reply: bytes):
+def stand_in_edge(reply: bytes, hold_open: bool = False):
     """An :class:`EdgeClient` of a stand-in server that reads one request, an UPLOAD to its
-    END line, and answers ``reply``."""
+    END line, and answers ``reply``; then, if ``hold_open``, waits for the client to close."""
     with socket.create_server(("127.0.0.1", 0)) as listener:
         def answer_once():
             conn, _ = listener.accept()
@@ -1211,6 +1211,12 @@ def stand_in_edge(reply: bytes):
                     while request.readline() not in (b"END\n", b""):
                         pass
                 conn.sendall(reply)
+                if hold_open:
+                    conn.settimeout(10.0)
+                    try:
+                        conn.recv(1)
+                    except ConnectionResetError:  # closed with the reply's rest unread
+                        pass
 
         server = threading.Thread(target=answer_once, daemon=True)
         server.start()
@@ -1278,6 +1284,34 @@ def test_a_reply_byte_not_utf8_raises_as_an_unreadable_reply(reply, request_):
     with stand_in_edge(reply) as client:
         with pytest.raises(EnergyShareError, match=r"^unreadable reply: UnicodeDecodeError\("):
             request_(client)
+
+
+LONG_LINE = b"x" * 70_000
+# a reply with a line longer than a client reads, or a meta block of more lines than there are
+# meta keys, none ended; the request it answers; and what the refusal names
+OVERLONG_REPLIES = {
+    "get_header": (b"DATASET " + LONG_LINE, lambda c: c.get("ses-asked"), "a line longer than 65536 "),
+    "get_meta_line": (b"DATASET ses-asked 5\nsession_id = " + LONG_LINE, lambda c: c.get("ses-asked"),
+                      "a line longer than 65536 "),
+    "get_meta_block": (b"DATASET ses-asked 5\n" + b"session_id = ses-asked\n" * 23, lambda c: c.get("ses-asked"),
+                       "a meta block of more than 22 lines"),
+    "ok_receipt": (b"OK " + LONG_LINE, lambda c: c.upload(build_dataset(session_id="ses-asked")),
+                   "a line longer than 65536 "),
+    "summary": (b"SUMMARY " + LONG_LINE, lambda c: c.list(), "a line longer than 65536 "),
+}
+
+
+@pytest.mark.parametrize("reply, request_, named", OVERLONG_REPLIES.values(), ids=OVERLONG_REPLIES)
+def test_a_reply_line_or_meta_block_longer_than_a_client_reads_is_refused_at_once(
+        reply, request_, named, monkeypatch):
+    """The stand-in keeps the connection open, so a client that waited for the line's end
+    would wait out its timeout."""
+    monkeypatch.setattr(edge, "EDGE_TIMEOUT_S", 2.0)
+    with stand_in_edge(reply, hold_open=True) as client:
+        began = time.monotonic()
+        with pytest.raises(EnergyShareError, match=rf"^unreadable reply: TooLong\('{named}"):
+            request_(client)
+        assert time.monotonic() - began < 1.0
 
 
 def test_an_upload_refused_mid_block_leaves_the_next_requests_their_replies(served_store):
@@ -1491,26 +1525,55 @@ def chunked_reader(data: bytes, sizes: list[int]) -> io.BufferedReader:
     return io.BufferedReader(ChunkedReads(data, sizes), max(len(data), 1))
 
 
+def inbox_texts(sent: bytes, sizes: list[int]) -> tuple[list[str], bytes]:
+    """The texts a framer takes from ``sent`` as a server connection's inbox receives it: in
+    reads of ``sizes`` (see :class:`ChunkedReads`), each at most the room the inbox has left,
+    the texts taken after each read. Also the bytes it left: those in the inbox, then those not
+    received."""
+    framer, inbox, texts, reads = edge._Framer(), bytearray(), [], ChunkedReads(sent, sizes)
+    while not framer.ended:
+        room = bytearray(edge.READ_SIZE - len(inbox))
+        inbox += room[:(received := reads.readinto(room))]
+        while not framer.ended and (text := framer.take(inbox, not received)) is not None:
+            texts.append(text)
+    return texts, bytes(inbox) + sent[reads.at:]
+
+
+def client_texts(sent: bytes, sizes: list[int]) -> list[str]:
+    """The texts a client's framer takes from ``sent`` read off a stream in reads of ``sizes``."""
+    return list(edge._block_texts(chunked_reader(sent, sizes).read1))
+
+
 def test_a_pair_split_between_two_pieces_reads_as_from_one_text(tmp_path):
-    """The block's first read ends inside tick 127's provider row, so the first trace piece
-    ends with that row and the second opens with the tick's consumer row."""
+    """The block's first read ends inside tick 127's consumer row, so the first trace piece
+    ends with the tick's provider row and the second opens with its consumer row, whether the
+    server's inbox or a client's reads are framed. An upload whose pair differs from the stored
+    one's only after that row is read back from the stored file up to there, the pair split
+    between the file's last piece and the next."""
     tick, rows = 127, STREAMED_TRACE.splitlines(keepends=True)  # rows[0] is the header
-    cut = len(STREAMED_META) + 1 + len("".join(rows[:1 + 2 * tick])) + 10
+    cut = len(STREAMED_META) + 1 + len("".join(rows[:2 + 2 * tick])) + 10
 
     def pieces(trace: str) -> list[str]:
         block = f"{STREAMED_META}\n{trace}END\n".encode("utf-8")
-        return list(edge._read_block(chunked_reader(block, [cut, len(block)])))
+        texts, left = inbox_texts(block, [cut, len(block)])
+        assert client_texts(block, [cut, len(block)]) == texts and left == b""
+        return texts
 
     meta, first, second, *rest = pieces(STREAMED_TRACE)
     assert first.endswith(rows[1 + 2 * tick]) and second.startswith(rows[2 + 2 * tick])
+    stored = EdgeStore(tmp_path / "stored")
+    stored.upload(meta, STREAMED_TRACE)
     for row in (2 * tick, 2 * tick + 1):  # the pair's two rows, one each side of the cut
         edited = edit_row(STREAMED_TRACE, row, role="observer")
         with pytest.raises(ValidationFailed) as refused:
             whole_text_decode(STREAMED_META, edited)
-        with pytest.raises(ValidationFailed) as streamed:
-            EdgeStore(tmp_path / f"row-{row}").upload(meta, iter(pieces(edited)[1:]))
-        assert str(streamed.value) == str(refused.value)
+        for store in (EdgeStore(tmp_path / f"row-{row}"), stored):
+            with pytest.raises(ValidationFailed) as streamed:
+                store.upload(meta, iter(pieces(edited)[1:]))
+            assert str(streamed.value) == str(refused.value)
         assert str(refused.value).startswith(f"tick {tick}: ")
+    read_back = list(edge.file_pieces(stored.data_dir / "ses-r1" / edge.TRACE_FILENAME, len(first)))
+    assert "".join(read_back) == first and read_back[-1] == ""
     store = EdgeStore(tmp_path / "data")
     assert store.upload(meta, iter([first, second, *rest])) == UploadReceipt("ses-r1", 600)
     # a piece a line: every pair is split between two pieces
@@ -1527,22 +1590,30 @@ CUT_SHORT = "connection closed before END terminator"
 
 
 def check_block_read(dataset: SessionDataset, sizes: list[int], cut: int | None) -> None:
-    """Read ``dataset``'s block after its header off a stream that gives it in reads of ``sizes``:
-    followed by a pipelined ``LIST``, ending at EOF with no newline after ``END``, or, for a
-    ``cut``, ending after its first ``cut`` bytes."""
+    """Frame ``dataset``'s block after its header, received in reads of ``sizes`` by a server's
+    inbox and by a client's stream: followed by a pipelined ``LIST``, ending at EOF with no
+    newline after ``END``, or, for a ``cut``, ending after its first ``cut`` bytes. A trace
+    file holding the block's bytes up to ``cut`` reads back as those bytes' text."""
     meta, trace = encode_dataset(dataset)
     block = f"{meta}\n{trace}END\n".encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / edge.TRACE_FILENAME
+        path.write_bytes(block)
+        *whole, last = edge.file_pieces(path, len(block) if cut is None else cut)
+        assert "".join([*whole, last]).encode("utf-8") == block[:cut]
+        assert all(piece.endswith("\n") for piece in whole if piece)
     if cut is not None:
-        with pytest.raises(ValueError, match=f"^{CUT_SHORT}$"):
-            list(edge._read_block(chunked_reader(block[:cut], sizes)))
+        for framed in (inbox_texts, client_texts):
+            with pytest.raises(ValueError, match=f"^{CUT_SHORT}$"):
+                framed(block[:cut], sizes)
         return
     for sent, after in ((block + b"LIST\n", b"LIST\n"), (block[:-1], b"")):
-        stream = chunked_reader(sent, sizes)
-        first, *pieces = edge._read_block(stream)
-        assert (first, "".join(pieces)) == (meta, trace)
-        assert all(piece.endswith("\n") for piece in pieces if piece)
-        assert decode_dataset(first, pieces) == decode_dataset(meta, trace)
-        assert stream.read() == after
+        texts, left = inbox_texts(sent, sizes)
+        assert left == after  # nothing after END is taken from the inbox
+        for first, *pieces in (texts, client_texts(sent, sizes)):
+            assert (first, "".join(pieces)) == (meta, trace)
+            assert all(piece.endswith("\n") for piece in pieces if piece)
+            assert decode_dataset(first, pieces) == decode_dataset(meta, trace)
 
 
 def test_a_block_read_with_one_cut_anywhere_is_read_whole_and_no_further():

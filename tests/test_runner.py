@@ -729,6 +729,17 @@ def test_load_run_rejects_malformed_run_txt(tmp_path, name, edit):
         load_run(run_dir)
 
 
+def test_load_run_reads_a_row_end_in_its_trace_as_a_row_that_does_not_read(tmp_path):
+    """A trace file holds no dataset block: a row ``END`` before more rows ends nothing."""
+    run_dir = run_and_write(tmp_path, "ended", value=5.0)
+    trace = run_dir / TRACE_FILENAME
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    lines.insert(5, "END")
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IncompatibleRuns, match=r"malformed run: ValueError\(\"trace row 'END': "):
+        load_run(run_dir)
+
+
 def test_load_run_rejects_a_consumer_row_before_its_provider_row(tmp_path):
     run_dir = run_and_write(tmp_path, "swapped", value=5.0)
     trace = run_dir / TRACE_FILENAME

@@ -21,6 +21,7 @@ from energyshare.protocol import (
 )
 from energyshare.transport import (
     DuplicateDevice,
+    READ_SIZE,
     PeerUnreachable,
     RegistryServer,
     TcpTransport,
@@ -548,3 +549,23 @@ def test_bad_input_from_a_stranger_drops_only_its_connection(pair):
         assert drain(tb, b, 1) == [Accept("stranger")]
     ta.send(a, "b", Accept("m2"))
     assert drain(tb, b, 1) == [Accept("m2")]
+
+
+def test_a_line_part_way_of_read_size_bytes_drops_only_its_connection(pair):
+    """A stranger that sends ``READ_SIZE`` bytes and no newline is cut off, not held."""
+    ta, tb, a, b = pair
+    with socket.create_connection(listener_address(tb, b)) as stranger:
+        stranger.sendall(b"x" * READ_SIZE)
+        stranger.setblocking(False)
+        deadline, closed = time.monotonic() + 5.0, False
+        while not closed and time.monotonic() < deadline:
+            tb.poll(0.05)
+            try:
+                closed = stranger.recv(1) == b""
+            except BlockingIOError:
+                pass
+        assert closed
+    ta.send(a, "b", Accept("m1"))
+    assert drain(tb, b, 1) == [Accept("m1")]
+    tb.send(b, "a", Accept("m2"))
+    assert drain(ta, a, 1) == [Accept("m2")]
